@@ -89,15 +89,6 @@ pub const INT_OP_LATENCY: u64 = 1;
 /// synchronization cost the schedule cannot hide.
 pub const MESH_TRANSIT_CYCLES: u64 = 10;
 
-/// Depth of the per-CPE register-communication send buffer, in 256-bit
-/// entries. Bounded so producers block when consumers lag (the
-/// producer/consumer mode of §II).
-pub const MESH_SEND_BUFFER_ENTRIES: usize = 4;
-
-/// Depth of the per-CPE receive buffer (per direction), in 256-bit
-/// entries.
-pub const MESH_RECV_BUFFER_ENTRIES: usize = 8;
-
 /// Fixed startup overhead of one DMA descriptor, in cycles (issue,
 /// protocol processing in the PPU, and reply). Calibrated.
 pub const DMA_STARTUP_CYCLES: u64 = 270;

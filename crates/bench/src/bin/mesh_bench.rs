@@ -1,5 +1,5 @@
-//! Mesh-transport benchmark: measures what the lock-free SPSC fast
-//! path (`MeshTransport::Ring`) and the bulk panel broadcasts
+//! Mesh-transport benchmark: measures what the lock-free broadcast
+//! rings (`MeshTransport::Ring`) and the bulk panel broadcasts
 //! (`MeshPath::Bulk`) bought over the Mutex-channel baseline, and
 //! writes `BENCH_mesh.json`.
 //!

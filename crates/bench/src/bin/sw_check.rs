@@ -2,8 +2,8 @@
 //!
 //! Runs every registered model (the checker's built-in scenarios plus,
 //! when the workspace is compiled with `RUSTFLAGS='--cfg sw_check'`,
-//! the ported production primitives: the mesh SPSC ring and backoff
-//! fuse, the cancellable barrier, the flight-recorder ring, and the
+//! the ported production primitives: the mesh broadcast ring and
+//! backoff fuse, the cancellable barrier, the flight-recorder ring, and the
 //! service's tenant queues) and
 //! checks each against its declared expectation — correct primitives
 //! must pass exhaustively, seeded-defect mutants must be caught with a
@@ -12,7 +12,7 @@
 //! ```text
 //! RUSTFLAGS='--cfg sw_check' cargo run -p sw-bench --bin sw-check
 //! sw-check --list
-//! sw-check --model mesh/ring-fifo --seed 7
+//! sw-check --model mesh/ring-bcast-fifo --seed 7
 //! sw-check --model mesh/ring-mutant-relaxed-tail --replay '0.1.1.0'
 //! sw-check --json check.json
 //! ```

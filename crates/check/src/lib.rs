@@ -1,6 +1,6 @@
 //! `sw-check`: a deterministic-scheduler model checker (in the style
 //! of loom/CDSChecker) plus a happens-before race detector for the
-//! runtime's lock-free concurrency layer — the SPSC mesh rings, the
+//! runtime's lock-free concurrency layer — the mesh broadcast rings, the
 //! cancellable barrier, and the flight recorder.
 //!
 //! # Two faces
@@ -65,7 +65,7 @@ pub mod sync {
 /// (`with`/`with_mut`). The normal-build wrapper is
 /// `#[repr(transparent)]` over `std::cell::UnsafeCell` and compiles to
 /// the bare pointer accesses. Deliberately `!Sync` here, exactly like
-/// `std`'s cell: containers (e.g. the SPSC ring) assert their own
+/// `std`'s cell: containers (e.g. the mesh ring) assert their own
 /// sharing discipline; under `sw_check` the checker verifies it.
 pub mod cell {
     #[cfg(sw_check)]

@@ -221,7 +221,7 @@ impl DgemmRunner {
     }
 
     /// Selects the mesh transport (default [`MeshTransport::Ring`],
-    /// the lock-free SPSC fast path; [`MeshTransport::Fallback`] is
+    /// the lock-free broadcast rings; [`MeshTransport::Fallback`] is
     /// the Mutex-channel baseline `mesh_bench` compares against).
     pub fn mesh_transport(mut self, transport: MeshTransport) -> Self {
         self.mesh_transport = transport;

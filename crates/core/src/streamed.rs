@@ -23,6 +23,11 @@ use sw_isa::{Net, Operand};
 use sw_mem::LdmBuf;
 use sw_sim::CpeCtx;
 
+/// Rows of the thread block the collective scheme streams per CPE: one
+/// 16-row register tile. The functional shared-variant path runs only
+/// blockings with this `pm`.
+pub const STRIP_PM: usize = 16;
+
 /// Executes one strip multiplication step on this CPE:
 /// `C_local (pm×pn) += α · A_step (pm×pk) · B_step (pk×pn)`.
 ///
@@ -31,8 +36,8 @@ use sw_sim::CpeCtx;
 /// step, i.e. the thread's own A block). `c` is the LDM-resident C
 /// block being accumulated.
 ///
-/// Requires `pm == 16` (one register tile of rows), as the collective
-/// scheme does.
+/// Requires `pm == STRIP_PM` (one register tile of rows), as the
+/// collective scheme does.
 #[allow(clippy::too_many_arguments)] // the kernel ABI: role + three panels + shape + alpha
 pub fn strip_step(
     ctx: &mut CpeCtx,
@@ -46,7 +51,7 @@ pub fn strip_step(
     alpha: f64,
 ) {
     assert_eq!(
-        pm, 16,
+        pm, STRIP_PM,
         "the collective scheme streams one 16-row register tile"
     );
     debug_assert_eq!(a_own.len(), pm * pk);

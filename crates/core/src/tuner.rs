@@ -35,6 +35,7 @@ use crate::lint::candidate_kernel;
 use crate::mapping::Mapping;
 use crate::model;
 use crate::params::BlockingParams;
+use crate::streamed::STRIP_PM;
 use crate::timing::estimate_shared;
 use crate::tunecache::{CachedTune, TuneCache};
 use crate::variants::Variant;
@@ -404,10 +405,12 @@ fn key_of(p: &BlockingParams) -> (usize, usize, usize, usize, usize) {
 /// Cache-then-search blocking resolution — the per-call entry point
 /// behind [`crate::DgemmRunner::tune`] and `sw-serve`'s dispatch.
 ///
+/// Returns only blockings the functional path can run (one 16-row
+/// strip per CPE), even where [`search`] ranks a taller one first.
 /// Returns `None` when the policy declines to choose (off, cache miss
-/// under `CacheOnly`, or an empty feasible space); the caller falls
-/// back to the legacy candidate list. A warm hit performs one map
-/// lookup — no enumeration, no proving, no simulation.
+/// under `CacheOnly`, or no runnable feasible blocking); the caller
+/// falls back to the legacy candidate list. A warm hit performs one
+/// map lookup — no enumeration, no proving, no simulation.
 pub fn resolve(
     policy: TunePolicy,
     variant: Variant,
@@ -453,7 +456,10 @@ pub fn resolve_in(
     if let Some(hit) = cache.get(&key) {
         // The class is coarser than the shape: trust a cached winner
         // only where the aligned kernel can actually run it.
-        if hit.params.validate(variant.double_buffered()).is_ok() && hit.params.divides(m, n, k) {
+        if hit.params.validate(variant.double_buffered()).is_ok()
+            && hit.params.divides(m, n, k)
+            && runnable(&hit.params)
+        {
             return Some(hit.params);
         }
     }
@@ -467,15 +473,29 @@ pub fn resolve_in(
         ..TuneRequest::shaped(variant, m, n, k)
     };
     let outcome = search(&req, &BandwidthModel::calibrated()).ok()?;
-    let best = outcome.best();
-    cache.put(
-        &key,
-        CachedTune {
-            params: best.params,
-            gflops: best.gflops,
-        },
-    );
-    Some(best.params)
+    // The search ranks every feasible blocking; the caller runs the
+    // result, so take the best one it can run: timed results first,
+    // then the stage-2 ranking.
+    let (params, gflops) = outcome
+        .results
+        .iter()
+        .map(|r| (r.params, r.gflops))
+        .chain(
+            outcome
+                .candidates
+                .iter()
+                .map(|c| (c.params, c.score_gflops)),
+        )
+        .find(|(p, _)| runnable(p))?;
+    cache.put(&key, CachedTune { params, gflops });
+    Some(params)
+}
+
+/// Whether the functional shared-variant path can run `p`: the
+/// collective scheme streams one 16-row tile per CPE
+/// ([`crate::streamed::STRIP_PM`]), whatever the model would prefer.
+fn runnable(p: &BlockingParams) -> bool {
+    p.pm == STRIP_PM
 }
 
 /// The classic ranked-table interface: staged search near a square

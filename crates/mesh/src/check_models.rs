@@ -3,14 +3,16 @@
 //! checker-instrumented types).
 //!
 //! The correct models prove, across every explored interleaving under
-//! the simulated C11 memory model: the SPSC ring is race-free and FIFO
-//! per link, full/empty detection is exact, and the backoff fuse
-//! always trips. Each property is paired with a seeded-defect mutant
-//! (the `*-mutant-*` models, see the `cfg(sw_check)` blocks in
-//! `ring.rs`) that the checker must catch — run them via the
-//! `sw-check` binary or the crate's `model_check` test.
+//! the simulated C11 memory model: the broadcast ring is race-free and
+//! FIFO for every consumer, full/empty detection is exact, the claim
+//! serializes two senders that break the single-sender rule, and the
+//! backoff fuse always trips. Each property is paired with a
+//! seeded-defect mutant (the `*-mutant-*` models, see the
+//! `cfg(sw_check)` blocks in `ring.rs`) that the checker must catch —
+//! run them via the `sw-check` binary or the crate's `model_check`
+//! test.
 
-use crate::ring::{Backoff, SpscRing};
+use crate::ring::{Backoff, BroadcastRing, Episode};
 use std::sync::Arc;
 use sw_arch::V256;
 use sw_check::models::{Expect, NamedModel};
@@ -26,47 +28,99 @@ fn fuse_tune(cfg: &mut Config) {
     cfg.livelock_limit = 128;
 }
 
-/// Producer streams 3 words through a capacity-2 ring while the
-/// consumer drains it: order must survive every interleaving, and the
-/// slot accesses must never race.
-fn ring_spsc_fifo() {
-    let r = Arc::new(SpscRing::new(2));
+fn w(i: u64) -> V256 {
+    V256::splat(i as f64)
+}
+
+/// Member `pos` pops its next word, yielding while the ring is empty.
+fn pop(r: &BroadcastRing, pos: usize) -> V256 {
+    loop {
+        match r.try_pop(pos) {
+            Some(v) => break v,
+            None => thread::yield_now(),
+        }
+    }
+}
+
+/// Member `pos` claims the ring, yielding while another member holds it.
+fn claim(r: &BroadcastRing, pos: usize) -> Episode<'_> {
+    loop {
+        match r.try_claim(pos) {
+            Some(ep) => break ep,
+            None => thread::yield_now(),
+        }
+    }
+}
+
+/// Member 0 streams 2 words through a capacity-1 ring while members 1
+/// and 2 drain it at their own pace: each consumer sees every word in
+/// order, the producer never laps the slower one, and no slot access
+/// races.
+fn ring_bcast_fifo() {
+    let r = Arc::new(BroadcastRing::new(3, 1));
     let p = r.clone();
-    let t = thread::spawn(move || {
-        for i in 0..3u64 {
-            while !p.try_push(V256::splat(i as f64)) {
+    let producer = thread::spawn(move || {
+        let mut ep = claim(&p, 0);
+        for i in 0..2 {
+            while !ep.try_push(w(i), 0) {
                 thread::yield_now();
             }
         }
     });
-    for i in 0..3u64 {
-        let v = loop {
-            match r.try_pop() {
-                Some(v) => break v,
-                None => thread::yield_now(),
-            }
-        };
-        assert_eq!(v, V256::splat(i as f64), "FIFO order violated");
+    let c = r.clone();
+    let consumer = thread::spawn(move || {
+        for i in 0..2 {
+            assert_eq!(pop(&c, 1), w(i), "FIFO order violated (member 1)");
+        }
+    });
+    for i in 0..2 {
+        assert_eq!(pop(&r, 2), w(i), "FIFO order violated (member 2)");
     }
-    assert_eq!(r.try_pop(), None, "ring should be drained");
-    t.join().unwrap();
+    assert_eq!(r.try_pop(2), None, "ring should be drained");
+    producer.join().unwrap();
+    consumer.join().unwrap();
 }
 
 /// Full/empty detection on a capacity-1 ring, single-threaded: the
-/// boundary arithmetic (free-running indices, wrap mask) is exact.
+/// boundary arithmetic (free-running cursors, wrap mask, the cached
+/// limit across episodes) is exact.
 fn ring_full_empty() {
-    let r = SpscRing::new(1);
-    assert_eq!(r.try_pop(), None, "fresh ring must be empty");
-    assert!(r.try_push(V256::splat(1.0)));
+    let r = BroadcastRing::new(2, 1);
+    assert_eq!(r.try_pop(1), None, "fresh ring must be empty");
+    let mut ep = r.try_claim(0).unwrap();
+    assert!(ep.try_push(w(1), 0));
+    assert!(!ep.try_push(w(2), 0), "capacity-1 ring must report full");
+    drop(ep);
+    assert_eq!(r.try_pop(1), Some(w(1)));
+    assert_eq!(r.try_pop(1), None);
+    assert_eq!(r.try_pop(0), None, "the sender never reads its own word");
+    // Wrap once more, in a new episode, to cross the index mask.
+    let mut ep = r.try_claim(0).unwrap();
+    assert!(ep.try_push(w(3), 0));
+    drop(ep);
+    assert_eq!(r.try_pop(1), Some(w(3)));
+}
+
+/// Two members broadcast at once on one line — the schedule the
+/// collective scheme forbids. The claim serializes their episodes (an
+/// unserialized pair would both write slot 0 and race): each sender
+/// then reads the other's word, and the third member receives both, in
+/// one order or the other.
+fn ring_claim_serializes_senders() {
+    let r = Arc::new(BroadcastRing::new(3, 2));
+    let other = r.clone();
+    let t = thread::spawn(move || {
+        assert!(claim(&other, 1).try_push(w(20), 0), "two words fit");
+    });
+    assert!(claim(&r, 0).try_push(w(10), 0), "two words fit");
+    t.join().unwrap();
+    assert_eq!(r.try_pop(0), Some(w(20)));
+    assert_eq!(r.try_pop(1), Some(w(10)));
+    let got = (r.try_pop(2), r.try_pop(2));
     assert!(
-        !r.try_push(V256::splat(2.0)),
-        "capacity-1 ring must report full"
+        got == (Some(w(10)), Some(w(20))) || got == (Some(w(20)), Some(w(10))),
+        "episodes interleaved or lost a word"
     );
-    assert_eq!(r.try_pop(), Some(V256::splat(1.0)));
-    assert_eq!(r.try_pop(), None);
-    // Wrap once more to cross the index mask.
-    assert!(r.try_push(V256::splat(3.0)));
-    assert_eq!(r.try_pop(), Some(V256::splat(3.0)));
 }
 
 /// The deadlock fuse must trip in bounded (virtual) time when nothing
@@ -81,37 +135,69 @@ fn backoff_fuse_trips() {
     }
 }
 
-/// Mutant: tail published with `Relaxed` — consumer slot read races.
-fn ring_mutant_relaxed_tail() {
-    let r = Arc::new(SpscRing::new(2));
+/// A one-word producer/consumer pair driving `push` (a seeded
+/// mutant of `try_push`) on a capacity-2 ring.
+fn publish_one(push: fn(&mut Episode<'_>, V256, u8) -> bool) {
+    let r = Arc::new(BroadcastRing::new(2, 2));
     let p = r.clone();
     let t = thread::spawn(move || {
-        assert!(p.try_push_mutant_relaxed_tail(V256::splat(7.0)));
+        let mut ep = claim(&p, 0);
+        assert!(push(&mut ep, w(7), 0));
     });
-    let v = loop {
-        match r.try_pop() {
-            Some(v) => break v,
-            None => thread::yield_now(),
-        }
-    };
-    assert_eq!(v, V256::splat(7.0));
+    assert_eq!(pop(&r, 1), w(7));
     t.join().unwrap();
+}
+
+/// Mutant: tail published with `Relaxed` — consumer slot read races.
+fn ring_mutant_relaxed_tail() {
+    publish_one(|ep, v, skip| ep.try_push_mutant_relaxed_tail(v, skip));
 }
 
 /// Mutant: slot written after the publish — consumer can pop junk.
 fn ring_mutant_slot_after_publish() {
-    let r = Arc::new(SpscRing::new(2));
+    publish_one(|ep, v, skip| ep.try_push_mutant_slot_after_publish(v, skip));
+}
+
+/// Mutant: the producer's fullness check ignores member 2's cursor, so
+/// its second word overwrites the slot member 2 may still be reading.
+fn ring_mutant_ignore_cursor() {
+    let r = Arc::new(BroadcastRing::new(3, 1));
     let p = r.clone();
-    let t = thread::spawn(move || {
-        assert!(p.try_push_mutant_slot_after_publish(V256::splat(7.0)));
-    });
-    let v = loop {
-        match r.try_pop() {
-            Some(v) => break v,
-            None => thread::yield_now(),
+    let producer = thread::spawn(move || {
+        let mut ep = claim(&p, 0);
+        for i in 0..2 {
+            while !ep.try_push_mutant_ignore_cursor(w(i), 0) {
+                thread::yield_now();
+            }
         }
-    };
-    assert_eq!(v, V256::splat(7.0));
+    });
+    let c = r.clone();
+    let consumer = thread::spawn(move || {
+        for i in 0..2 {
+            assert_eq!(pop(&c, 1), w(i));
+        }
+    });
+    // No value check here: the overwrite itself is the defect, and the
+    // checker must report it as the race it is, not as a wrong word.
+    for _ in 0..2 {
+        pop(&r, 2);
+    }
+    producer.join().unwrap();
+    consumer.join().unwrap();
+}
+
+/// Mutant: senders skip the claim — two concurrent episodes both
+/// write slot 0.
+fn ring_mutant_unclaimed() {
+    let r = Arc::new(BroadcastRing::new(3, 2));
+    let other = r.clone();
+    let t = thread::spawn(move || {
+        let mut ep = other.try_claim_mutant_unclaimed(1).unwrap();
+        assert!(ep.try_push(w(20), 0));
+    });
+    let mut ep = r.try_claim_mutant_unclaimed(0).unwrap();
+    assert!(ep.try_push(w(10), 0));
+    drop(ep);
     t.join().unwrap();
 }
 
@@ -131,18 +217,25 @@ fn backoff_mutant_fuse_skip() {
 pub fn models() -> Vec<NamedModel> {
     vec![
         NamedModel {
-            name: "mesh/ring-spsc-fifo",
-            about: "SPSC ring is race-free and FIFO per link under weak memory",
+            name: "mesh/ring-bcast-fifo",
+            about: "broadcast ring is race-free and FIFO per consumer under weak memory",
             expect: Expect::Pass,
             tune: no_tune,
-            body: ring_spsc_fifo,
+            body: ring_bcast_fifo,
         },
         NamedModel {
             name: "mesh/ring-full-empty",
-            about: "full/empty detection exact across the index wrap",
+            about: "full/empty detection exact across the index wrap and episodes",
             expect: Expect::Pass,
             tune: no_tune,
             body: ring_full_empty,
+        },
+        NamedModel {
+            name: "mesh/ring-claim-serializes",
+            about: "the per-episode claim serializes two senders on one line",
+            expect: Expect::Pass,
+            tune: no_tune,
+            body: ring_claim_serializes_senders,
         },
         NamedModel {
             name: "mesh/backoff-fuse",
@@ -164,6 +257,20 @@ pub fn models() -> Vec<NamedModel> {
             expect: Expect::Violation(ViolationKind::Race),
             tune: no_tune,
             body: ring_mutant_slot_after_publish,
+        },
+        NamedModel {
+            name: "mesh/ring-mutant-ignore-cursor",
+            about: "SEEDED DEFECT: producer ignores one consumer's cursor; overwrite races",
+            expect: Expect::Violation(ViolationKind::Race),
+            tune: no_tune,
+            body: ring_mutant_ignore_cursor,
+        },
+        NamedModel {
+            name: "mesh/ring-mutant-unclaimed",
+            about: "SEEDED DEFECT: senders skip the claim; concurrent episodes race on a slot",
+            expect: Expect::Violation(ViolationKind::Race),
+            tune: no_tune,
+            body: ring_mutant_unclaimed,
         },
         NamedModel {
             name: "mesh/backoff-mutant-fuse-skip",

@@ -22,13 +22,21 @@ pub enum MeshError {
         /// The fuse that tripped.
         timeout: Duration,
     },
+    /// A blocked operation gave up because the run's cancel flag was
+    /// raised (see `Mesh::set_cancel_flag`).
+    Cancelled {
+        /// `(row, col)` of the CPE whose operation blocked.
+        coord: (u8, u8),
+        /// The blocked operation.
+        op: &'static str,
+    },
 }
 
 impl MeshError {
     /// `(row, col)` of the CPE that observed the failure.
     pub fn coord(&self) -> (u8, u8) {
         match self {
-            MeshError::Deadlock { coord, .. } => *coord,
+            MeshError::Deadlock { coord, .. } | MeshError::Cancelled { coord, .. } => *coord,
         }
     }
 }
@@ -39,6 +47,11 @@ impl fmt::Display for MeshError {
             MeshError::Deadlock { coord, op, timeout } => write!(
                 f,
                 "mesh deadlock: CPE ({}, {}) {op} blocked >{timeout:?}",
+                coord.0, coord.1
+            ),
+            MeshError::Cancelled { coord, op } => write!(
+                f,
+                "mesh wait cancelled: CPE ({}, {}) {op}",
                 coord.0, coord.1
             ),
         }

@@ -12,13 +12,16 @@
 //! This crate provides the functional implementation used by the
 //! 64-thread runtime: [`Mesh::new`] hands out one [`MeshPort`] per CPE;
 //! ports move [`sw_arch::V256`] words through bounded buffers, so
-//! producers block when consumers lag, just like the hardware's finite
-//! buffers. Receive buffers are separate per direction (row vs column),
-//! matching the separate `getr`/`getc` instructions. Two
-//! [`MeshTransport`]s back the buffers: lock-free per-sender SPSC rings
-//! (the default fast path, sound under the collective schedule's
-//! single-active-sender discipline) and the original Mutex MPSC channel
-//! kept as a fallback for arbitrary interleavings.
+//! producers block when consumers lag. Receive paths are separate per
+//! direction (row vs column), matching the separate `getr`/`getc`
+//! instructions. Two [`MeshTransport`]s back the buffers: one lock-free
+//! broadcast ring per mesh row and per mesh column (the default fast
+//! path — a broadcast writes each word once and every mate reads it
+//! through its own cursor) and the original Mutex MPSC channel per
+//! receiver, kept as the measured baseline. Both hold
+//! [`HOST_BUFFER_DEPTH`] words, a host wall-clock knob: the hardware's
+//! 8-entry receive buffer is not modelled by any buffer here, and no
+//! simulated clock depends on the depth.
 //!
 //! A blocked port returns [`MeshError::Deadlock`] after a configurable
 //! timeout instead of hanging the test suite — communication schemes
@@ -39,7 +42,7 @@ mod ring;
 pub mod stats;
 
 pub use error::MeshError;
-pub use port::{Mesh, MeshPort, MeshTransport};
+pub use port::{Mesh, MeshPort, MeshTransport, HOST_BUFFER_DEPTH};
 pub use stats::{CellTraffic, MeshGridStats, MeshStats};
 
 #[cfg(test)]
@@ -128,12 +131,12 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_then_drains() {
-        // Send far beyond buffer capacity from one thread; the sender
-        // must block until the receivers drain, and all data arrives in
-        // order.
+        // Send far beyond the host buffer depth from one thread; the
+        // sender must block until the receivers drain, and all data
+        // arrives in order.
         let mesh = Mesh::new();
         let ports = mesh.ports();
-        let cap = sw_arch::consts::MESH_RECV_BUFFER_ENTRIES;
+        let cap = HOST_BUFFER_DEPTH;
         std::thread::scope(|s| {
             let mut iter = ports.into_iter();
             let sender = iter.next().unwrap();
@@ -172,6 +175,34 @@ mod tests {
     }
 
     #[test]
+    fn cancel_flag_releases_a_blocked_receive() {
+        // A 10 s fuse, but the run is cancelled after 20 ms: the blocked
+        // receive gives up promptly, as a cancellation, not a deadlock.
+        let mesh = Mesh::with_timeout(std::time::Duration::from_secs(10));
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        mesh.set_cancel_flag(&flag);
+        let ports = mesh.ports();
+        let start = std::time::Instant::now();
+        let err = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                flag.store(true, std::sync::atomic::Ordering::Relaxed);
+            });
+            ports[Coord::new(4, 1).id()].getc().unwrap_err()
+        });
+        assert_eq!(
+            err,
+            MeshError::Cancelled {
+                coord: (4, 1),
+                op: "getc"
+            }
+        );
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        // A cancelled wait is not starvation.
+        assert_eq!(mesh.grid_stats().cells[4][1].col_starved, 0);
+    }
+
+    #[test]
     fn deadlock_panics_behind_escape_hatch() {
         let mesh = Mesh::with_timeout(std::time::Duration::from_millis(50));
         mesh.panic_on_deadlock();
@@ -203,22 +234,36 @@ mod tests {
     }
 
     #[test]
-    fn fallback_transport_handles_interleaved_senders() {
-        // Two senders in the same row push before the receiver drains —
-        // the MPSC fallback merges them into one FIFO per receiver, the
-        // guarantee tests that genuinely interleave senders rely on.
-        let mesh = Mesh::with_transport(std::time::Duration::from_secs(5), MeshTransport::Fallback);
-        let ports = mesh.ports();
-        ports[Coord::new(1, 0).id()]
-            .row_bcast(V256::splat(1.0))
-            .unwrap();
-        ports[Coord::new(1, 2).id()]
-            .row_bcast(V256::splat(2.0))
-            .unwrap();
-        // (1,7) got one word from each sender, in arrival order.
-        let rx = &ports[Coord::new(1, 7).id()];
-        assert_eq!(rx.getr().unwrap(), V256::splat(1.0));
-        assert_eq!(rx.getr().unwrap(), V256::splat(2.0));
+    fn both_transports_handle_interleaved_senders() {
+        // Two senders in the same row push before anyone drains — both
+        // transports merge them into one FIFO per receiver (the ring by
+        // serializing the two episodes), and neither sender reads its
+        // own word back.
+        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
+            let mesh = Mesh::with_transport(std::time::Duration::from_secs(5), transport);
+            let ports = mesh.ports();
+            ports[Coord::new(1, 0).id()]
+                .row_bcast(V256::splat(1.0))
+                .unwrap();
+            ports[Coord::new(1, 2).id()]
+                .row_bcast(V256::splat(2.0))
+                .unwrap();
+            // (1,7) got one word from each sender, in arrival order.
+            let rx = &ports[Coord::new(1, 7).id()];
+            assert_eq!(rx.getr().unwrap(), V256::splat(1.0));
+            assert_eq!(rx.getr().unwrap(), V256::splat(2.0));
+            // Each sender sees only the other's word.
+            assert_eq!(
+                ports[Coord::new(1, 0).id()].try_getr(),
+                Some(V256::splat(2.0))
+            );
+            assert_eq!(
+                ports[Coord::new(1, 2).id()].try_getr(),
+                Some(V256::splat(1.0))
+            );
+            assert_eq!(ports[Coord::new(1, 0).id()].try_getr(), None);
+            assert_eq!(ports[Coord::new(1, 2).id()].try_getr(), None);
+        }
     }
 
     #[test]
@@ -226,7 +271,7 @@ mod tests {
         let run = |transport| {
             let mesh = Mesh::with_transport(std::time::Duration::from_secs(5), transport);
             let ports = mesh.ports();
-            // 8 words: exactly the receive-buffer capacity, so the
+            // 8 words, well inside the host buffer depth, so the
             // single-threaded send-then-drain below cannot block.
             let panel: Vec<f64> = (0..32).map(|i| i as f64 * 0.5).collect();
             ports[Coord::new(4, 4).id()]

@@ -2,18 +2,22 @@
 //!
 //! Two transports back the same [`MeshPort`] API:
 //!
-//! * [`MeshTransport::Ring`] (the default): each receiver owns seven
-//!   lock-free SPSC rings per network, one per potential sender. The
-//!   collective data-sharing schedule (§III-B of the paper) guarantees
-//!   at most one active sender per row/column group between barriers —
-//!   an invariant `sw-lint`'s multi-sender rendezvous pass checks
-//!   statically — so a receive drains whichever single ring is live
-//!   and caches it for the next word.
+//! * [`MeshTransport::Ring`] (the default): one lock-free broadcast
+//!   ring per mesh row and one per mesh column, 16 in all. A broadcast
+//!   writes each word once; each of the line's other seven CPEs reads
+//!   it through its own cursor, and the injector's per-mate drops ride
+//!   in the slot's skip mask. A sender claims its line's ring for each
+//!   episode. The collective data-sharing schedule (§III-B of the
+//!   paper) has at most one active sender per row/column group between
+//!   barriers — an invariant `sw-lint`'s multi-sender rendezvous pass
+//!   checks statically — so the claim is uncontended there, and it
+//!   serializes a schedule that breaks the rule instead of racing.
 //! * [`MeshTransport::Fallback`]: the original bounded Mutex+Condvar
-//!   MPSC channel per (receiver, network). Kept for harnesses that
-//!   genuinely interleave multiple senders into one buffer between
-//!   synchronization points, and as the baseline `mesh_bench` measures
-//!   the ring path against.
+//!   MPSC channel per (receiver, network). Kept as the baseline
+//!   `mesh_bench` measures the ring path against.
+//!
+//! Both transports buffer [`HOST_BUFFER_DEPTH`] words per receiver, a
+//! host-side depth the simulated clocks never see.
 //!
 //! On top of either transport, the port offers *bulk* operations
 //! ([`MeshPort::row_bcast_panel`], [`MeshPort::get_panel`],
@@ -25,13 +29,14 @@
 
 use crate::chan::{bounded, Receiver, Sender};
 use crate::error::MeshError;
-use crate::ring::{Backoff, SpscRing};
+use crate::ring::{Backoff, BroadcastRing, Episode};
 use crate::stats::{GridCounters, MeshCounters, MeshGridStats, MeshStats};
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use sw_arch::consts::{MESH_RECV_BUFFER_ENTRIES, MESH_TRANSIT_CYCLES};
+use sw_arch::consts::MESH_TRANSIT_CYCLES;
 use sw_arch::coord::{Coord, MESH_COLS, MESH_ROWS, N_CPES};
 use sw_arch::V256;
 use sw_faults::FaultInjector;
@@ -42,13 +47,26 @@ use sw_probe::trace::{Tracer, TrackId};
 /// communication scheme deadlocked.
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Host buffer depth of both transports, in 256-bit words: the slots of
+/// each line's broadcast ring, and the capacity of each fallback
+/// receive channel.
+///
+/// This is a host-performance knob, not the hardware's 8-entry receive
+/// buffer: no simulated clock reads it (`CpeCtx` charges mesh time per
+/// word), so it bounds only how far a sender may run ahead of its
+/// slowest mate in wall time. Deep enough that a strip step's stream
+/// (128 words per broadcaster at test blocking) rarely blocks; both
+/// transports share it so back-pressure — and with it how far a wedged
+/// run gets — is the same on either.
+pub const HOST_BUFFER_DEPTH: usize = 512;
+
 /// Which link implementation carries mesh words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MeshTransport {
-    /// Lock-free per-(sender, receiver) SPSC rings — the fast path.
-    /// Requires the collective schedule's single-active-sender
-    /// discipline between synchronization points (receives drain one
-    /// live ring; concurrent senders would interleave arbitrarily).
+    /// One lock-free broadcast ring per mesh row and per mesh column —
+    /// the fast path. Senders on one line take turns per episode, so
+    /// each receiver sees one FIFO of the line's words in episode
+    /// order.
     #[default]
     Ring,
     /// The original Mutex+Condvar MPSC channel per receiver. Safe for
@@ -96,20 +114,20 @@ impl Mesh {
         let ports = links
             .into_iter()
             .enumerate()
-            .map(|(id, (row_tx, row_rx, col_tx, col_rx))| MeshPort {
+            .map(|(id, (row, col))| MeshPort {
                 coord: Coord::from_id(id),
-                row_rx,
-                col_rx,
-                row_tx,
-                col_tx,
+                row,
+                col,
                 counters: Arc::clone(&counters),
                 grid: Arc::clone(&grid),
                 panic_on_deadlock: Arc::clone(&panic_on_deadlock),
                 injector: None,
+                cancel: None,
                 sends: AtomicU64::new(0),
                 timeout,
                 trace: None,
                 flight: None,
+                _not_sync: PhantomData,
             })
             .collect();
         Mesh {
@@ -141,6 +159,22 @@ impl Mesh {
             .expect("Mesh::set_fault_injector must be called before the ports are taken");
         for p in ports.iter_mut() {
             p.injector = Some(Arc::clone(injector));
+        }
+    }
+
+    /// Installs the run's cancel flag: once it is raised, a port blocked
+    /// on the ring transport gives up with [`MeshError::Cancelled`]
+    /// instead of waiting out the deadlock fuse, so a cancelled run
+    /// unwinds promptly even where a peer stopped mid-step. The flag is
+    /// polled only while waiting. Like [`Mesh::set_fault_injector`],
+    /// must be called before the ports are taken.
+    pub fn set_cancel_flag(&self, flag: &Arc<AtomicBool>) {
+        let mut guard = self.ports.lock().unwrap_or_else(|e| e.into_inner());
+        let ports = guard
+            .as_mut()
+            .expect("Mesh::set_cancel_flag must be called before the ports are taken");
+        for p in ports.iter_mut() {
+            p.cancel = Some(Arc::clone(flag));
         }
     }
 
@@ -212,66 +246,31 @@ impl Mesh {
     }
 }
 
-/// One CPE's links for both networks:
-/// `(row_tx, row_rx, col_tx, col_rx)`.
-type PortLinks = (TxLinks, RxLinks, TxLinks, RxLinks);
-
-/// Wires the ring transport: for each network, every receiver owns one
-/// SPSC ring per mate, and each mate holds the producer end. Both the
-/// receiver's ring list and the sender's link list are in mate-iteration
-/// order, so the fault injector's per-mate drop index is the same as on
-/// the fallback transport.
-fn build_ring_links() -> Vec<PortLinks> {
-    // rings[receiver][sender] per network; only same-row / same-column
-    // pairs are populated.
-    let mut row_rings: Vec<Vec<Option<Arc<SpscRing>>>> = vec![vec![None; N_CPES]; N_CPES];
-    let mut col_rings: Vec<Vec<Option<Arc<SpscRing>>>> = vec![vec![None; N_CPES]; N_CPES];
-    for id in 0..N_CPES {
-        let coord = Coord::from_id(id);
-        for m in coord.row_mates().filter(|m| *m != coord) {
-            row_rings[id][m.id()] = Some(Arc::new(SpscRing::new(MESH_RECV_BUFFER_ENTRIES)));
-        }
-        for m in coord.col_mates().filter(|m| *m != coord) {
-            col_rings[id][m.id()] = Some(Arc::new(SpscRing::new(MESH_RECV_BUFFER_ENTRIES)));
-        }
-    }
-    let ring = |grid: &[Vec<Option<Arc<SpscRing>>>], rx: usize, tx: usize| {
-        Arc::clone(grid[rx][tx].as_ref().expect("ring exists for mate pair"))
-    };
+/// Wires the ring transport: one [`BroadcastRing`] per mesh row and
+/// one per mesh column. A CPE is member `col` of its row's ring and
+/// member `row` of its column's ring, so a member's position is also
+/// its index in [`Coord::row_mates`] / [`Coord::col_mates`] order.
+fn build_ring_links() -> Vec<(Link, Link)> {
+    let rows: Vec<Arc<BroadcastRing>> = (0..MESH_ROWS)
+        .map(|_| Arc::new(BroadcastRing::new(MESH_COLS, HOST_BUFFER_DEPTH)))
+        .collect();
+    let cols: Vec<Arc<BroadcastRing>> = (0..MESH_COLS)
+        .map(|_| Arc::new(BroadcastRing::new(MESH_ROWS, HOST_BUFFER_DEPTH)))
+        .collect();
     (0..N_CPES)
         .map(|id| {
             let coord = Coord::from_id(id);
-            let row_tx = TxLinks::Ring(
-                coord
-                    .row_mates()
-                    .filter(|m| *m != coord)
-                    .map(|m| ring(&row_rings, m.id(), id))
-                    .collect(),
-            );
-            let col_tx = TxLinks::Ring(
-                coord
-                    .col_mates()
-                    .filter(|m| *m != coord)
-                    .map(|m| ring(&col_rings, m.id(), id))
-                    .collect(),
-            );
-            let row_rx = RxLinks::Ring {
-                rings: coord
-                    .row_mates()
-                    .filter(|m| *m != coord)
-                    .map(|m| ring(&row_rings, id, m.id()))
-                    .collect(),
-                last: Cell::new(0),
-            };
-            let col_rx = RxLinks::Ring {
-                rings: coord
-                    .col_mates()
-                    .filter(|m| *m != coord)
-                    .map(|m| ring(&col_rings, id, m.id()))
-                    .collect(),
-                last: Cell::new(0),
-            };
-            (row_tx, row_rx, col_tx, col_rx)
+            let (r, c) = (coord.row as usize, coord.col as usize);
+            (
+                Link::Ring {
+                    ring: Arc::clone(&rows[r]),
+                    pos: c,
+                },
+                Link::Ring {
+                    ring: Arc::clone(&cols[c]),
+                    pos: r,
+                },
+            )
         })
         .collect()
 }
@@ -280,138 +279,161 @@ fn build_ring_links() -> Vec<PortLinks> {
 /// (receiver, network); the channel preserves per-sender FIFO order,
 /// which is the ordering guarantee the hardware's point-to-point mesh
 /// links give.
-fn build_chan_links() -> Vec<PortLinks> {
-    let mut row_tx = Vec::with_capacity(N_CPES);
-    let mut row_rx = Vec::with_capacity(N_CPES);
-    let mut col_tx = Vec::with_capacity(N_CPES);
-    let mut col_rx = Vec::with_capacity(N_CPES);
-    for _ in 0..N_CPES {
-        let (t, r) = bounded::<V256>(MESH_RECV_BUFFER_ENTRIES);
-        row_tx.push(t);
-        row_rx.push(Some(r));
-        let (t, r) = bounded::<V256>(MESH_RECV_BUFFER_ENTRIES);
-        col_tx.push(t);
-        col_rx.push(Some(r));
-    }
-    (0..N_CPES)
-        .map(|id| {
+fn build_chan_links() -> Vec<(Link, Link)> {
+    let (row_tx, row_rx): (Vec<_>, Vec<_>) = (0..N_CPES)
+        .map(|_| bounded::<V256>(HOST_BUFFER_DEPTH))
+        .unzip();
+    let (col_tx, col_rx): (Vec<_>, Vec<_>) = (0..N_CPES)
+        .map(|_| bounded::<V256>(HOST_BUFFER_DEPTH))
+        .unzip();
+    row_rx
+        .into_iter()
+        .zip(col_rx)
+        .enumerate()
+        .map(|(id, (row_rx, col_rx))| {
             let coord = Coord::from_id(id);
-            let row_links = TxLinks::Chan(
-                coord
-                    .row_mates()
-                    .filter(|m| *m != coord)
-                    .map(|m| row_tx[m.id()].clone())
-                    .collect(),
-            );
-            let col_links = TxLinks::Chan(
-                coord
-                    .col_mates()
-                    .filter(|m| *m != coord)
-                    .map(|m| col_tx[m.id()].clone())
-                    .collect(),
-            );
+            let row_mates = coord.row_mates().filter(|m| *m != coord);
+            let col_mates = coord.col_mates().filter(|m| *m != coord);
             (
-                row_links,
-                RxLinks::Chan(row_rx[id].take().expect("port built once")),
-                col_links,
-                RxLinks::Chan(col_rx[id].take().expect("port built once")),
+                Link::Chan {
+                    tx: row_mates.map(|m| row_tx[m.id()].clone()).collect(),
+                    rx: row_rx,
+                },
+                Link::Chan {
+                    tx: col_mates.map(|m| col_tx[m.id()].clone()).collect(),
+                    rx: col_rx,
+                },
             )
         })
         .collect()
 }
 
-/// A port's send side for one network: one link per mate, in mate
-/// order (the order the fault injector's drop index is keyed on).
-enum TxLinks {
-    Ring(Vec<Arc<SpscRing>>),
-    Chan(Vec<Sender<V256>>),
-}
-
-impl TxLinks {
-    fn len(&self) -> usize {
-        match self {
-            TxLinks::Ring(r) => r.len(),
-            TxLinks::Chan(c) => c.len(),
-        }
-    }
-
-    /// Sends `v` to mate `i`, blocking up to `timeout` when the mate's
-    /// buffer is full. Returns `false` on the deadlock fuse.
-    fn send(&self, i: usize, v: V256, timeout: Duration) -> bool {
-        match self {
-            TxLinks::Ring(rings) => {
-                let ring = &rings[i];
-                if ring.try_push(v) {
-                    return true;
-                }
-                let mut backoff = Backoff::new(timeout);
-                loop {
-                    if ring.try_push(v) {
-                        return true;
-                    }
-                    if !backoff.snooze() {
-                        return false;
-                    }
-                }
-            }
-            TxLinks::Chan(txs) => txs[i].send_timeout(v, timeout).is_ok(),
-        }
-    }
-}
-
-/// A port's receive side for one network. The ring variant scans its
-/// per-sender rings starting from the last one that produced a word —
-/// under the collective schedule exactly one is live between barriers,
-/// so the scan is a cache hit after the first word of an episode.
-enum RxLinks {
+/// A port's link to one network (its mesh row or its mesh column).
+enum Link {
+    /// This CPE's member position on the line's broadcast ring.
     Ring {
-        rings: Vec<Arc<SpscRing>>,
-        last: Cell<usize>,
+        ring: Arc<BroadcastRing>,
+        pos: usize,
     },
-    Chan(Receiver<V256>),
+    /// One sender per mate, in mate order (the order the fault
+    /// injector's drop index is keyed on), and this CPE's own receive
+    /// buffer.
+    Chan {
+        tx: Vec<Sender<V256>>,
+        rx: Receiver<V256>,
+    },
 }
 
-impl RxLinks {
+impl Link {
+    /// Opens a sending episode. On the ring transport this claims the
+    /// line's ring, waiting out another sender's episode.
+    fn open(&self, wait: &Wait<'_>) -> Result<Outbox<'_>, Stop> {
+        match self {
+            Link::Ring { ring, pos } => wait
+                .until(|| ring.try_claim(*pos))
+                .map(|ep| Outbox::Ring(ep, *pos)),
+            Link::Chan { tx, .. } => Ok(Outbox::Chan(tx)),
+        }
+    }
+
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<V256> {
         match self {
-            RxLinks::Ring { rings, last } => {
-                let n = rings.len();
-                let start = last.get();
-                for k in 0..n {
-                    let idx = (start + k) % n;
-                    if let Some(v) = rings[idx].try_pop() {
-                        last.set(idx);
-                        return Some(v);
-                    }
-                }
-                None
-            }
-            RxLinks::Chan(rx) => rx.try_recv(),
+            Link::Ring { ring, pos } => ring.try_pop(*pos),
+            Link::Chan { rx, .. } => rx.try_recv(),
         }
     }
 
-    /// Blocking receive with the deadlock fuse. `None` means the fuse
-    /// tripped.
-    fn recv(&self, timeout: Duration) -> Option<V256> {
+    /// Blocking receive.
+    fn recv(&self, wait: &Wait<'_>) -> Result<V256, Stop> {
         match self {
-            RxLinks::Ring { .. } => {
-                if let Some(v) = self.try_recv() {
-                    return Some(v);
-                }
-                let mut backoff = Backoff::new(timeout);
-                loop {
-                    if let Some(v) = self.try_recv() {
-                        return Some(v);
-                    }
-                    if !backoff.snooze() {
-                        return None;
-                    }
-                }
-            }
-            RxLinks::Chan(rx) => rx.recv_timeout(timeout).ok(),
+            Link::Ring { ring, pos } => wait.until(|| ring.try_pop(*pos)),
+            Link::Chan { rx, .. } => rx.recv_timeout(wait.timeout).map_err(|_| Stop::Fuse),
         }
     }
+}
+
+/// An open sending episode on one network (see [`Link::open`]).
+enum Outbox<'a> {
+    /// The claimed ring and the sender's member position on it.
+    Ring(Episode<'a>, usize),
+    Chan(&'a [Sender<V256>]),
+}
+
+impl Outbox<'_> {
+    /// Sends `v` to every mate whose bit in `dropped` (mate order) is
+    /// clear, blocking while a buffer is full.
+    fn send(&mut self, v: V256, dropped: u8, wait: &Wait<'_>) -> Result<(), Stop> {
+        match self {
+            Outbox::Ring(ep, pos) => {
+                let skip = mates_to_members(dropped, *pos);
+                wait.until(|| ep.try_push(v, skip).then_some(()))
+            }
+            Outbox::Chan(txs) => txs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| dropped & (1 << i) == 0)
+                .try_for_each(|(_, tx)| tx.send_timeout(v, wait.timeout).map_err(|_| Stop::Fuse)),
+        }
+    }
+}
+
+/// Why a blocked mesh operation gave up.
+enum Stop {
+    /// The deadlock fuse tripped.
+    Fuse,
+    /// The run's cancel flag was raised.
+    Cancelled,
+}
+
+impl Stop {
+    /// The flight-recorder outcome of an episode that stopped so.
+    fn outcome(&self, get: bool) -> u32 {
+        match (self, get) {
+            (Stop::Fuse, false) => flight::mesh_outcome::DEADLOCK,
+            (Stop::Fuse, true) => flight::mesh_outcome::STARVED,
+            (Stop::Cancelled, _) => flight::mesh_outcome::CANCELLED,
+        }
+    }
+}
+
+/// How a port's blocked operations wait: the deadlock fuse, plus the
+/// run's cancel flag on the ring transport (the fallback channels
+/// block in a condvar and honour only the fuse).
+struct Wait<'a> {
+    timeout: Duration,
+    cancel: Option<&'a AtomicBool>,
+}
+
+impl Wait<'_> {
+    /// Retries `attempt` with spin → yield → park backoff until it
+    /// yields a value, the fuse trips or the run is cancelled.
+    fn until<T>(&self, mut attempt: impl FnMut() -> Option<T>) -> Result<T, Stop> {
+        if let Some(v) = attempt() {
+            return Ok(v);
+        }
+        let mut backoff = Backoff::new(self.timeout);
+        loop {
+            if let Some(v) = attempt() {
+                return Ok(v);
+            }
+            // Relaxed: a stale read only delays the unwind by a round.
+            if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                return Err(Stop::Cancelled);
+            }
+            if !backoff.snooze() {
+                return Err(Stop::Fuse);
+            }
+        }
+    }
+}
+
+/// Re-indexes a mate-order bit mask (the sender itself left out) into
+/// ring member positions (the sender at `pos`).
+fn mates_to_members(mates: u8, pos: usize) -> u8 {
+    let below = mates & ((1u16 << pos) - 1) as u8;
+    let above = ((mates as u16 >> pos) << (pos + 1)) as u8;
+    below | above
 }
 
 /// One mesh link's timeline: a trace track plus the simulated-cycle
@@ -465,19 +487,20 @@ struct PortTrace {
 /// One CPE's window onto the mesh: its send links to row/column mates
 /// and its two receive buffers.
 ///
-/// A port is `Send` but deliberately `!Sync` (the receive side caches
-/// the live ring in a [`Cell`]): exactly one thread drives it, which is
-/// what makes the SPSC ring transport sound.
+/// A port is `Send` but deliberately `!Sync`: exactly one thread drives
+/// it, so each ring member position has one reader thread, which is
+/// what makes the ring transport's consumer cursors sound.
 pub struct MeshPort {
     coord: Coord,
-    row_rx: RxLinks,
-    col_rx: RxLinks,
-    row_tx: TxLinks,
-    col_tx: TxLinks,
+    row: Link,
+    col: Link,
     counters: Arc<MeshCounters>,
     grid: Arc<GridCounters>,
     panic_on_deadlock: Arc<AtomicBool>,
     injector: Option<Arc<FaultInjector>>,
+    /// Raised when the run is cancelled; blocked ring waits then give
+    /// up (see [`Mesh::set_cancel_flag`]).
+    cancel: Option<Arc<AtomicBool>>,
     /// Broadcasts issued by this port (the injector's deterministic
     /// per-send coordinate).
     sends: AtomicU64,
@@ -487,6 +510,7 @@ pub struct MeshPort {
     /// port's CPE ring (events only, no time charging — see
     /// [`Mesh::set_flight_recorder`]).
     flight: Option<Arc<FlightRecorder>>,
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl MeshPort {
@@ -520,14 +544,28 @@ impl MeshPort {
         }
     }
 
-    fn deadlock(&self, op: &'static str, detail: std::fmt::Arguments<'_>) -> MeshError {
+    /// How this port's blocked operations wait.
+    fn wait(&self) -> Wait<'_> {
+        Wait {
+            timeout: self.timeout,
+            cancel: self.cancel.as_deref(),
+        }
+    }
+
+    /// The error for a blocked `op` that gave up: a deadlock when the
+    /// fuse tripped (or the legacy panic), a cancellation otherwise.
+    fn stopped(&self, stop: Stop, op: &'static str, detail: std::fmt::Arguments<'_>) -> MeshError {
+        let coord = (self.coord.row, self.coord.col);
+        if let Stop::Cancelled = stop {
+            return MeshError::Cancelled { coord, op };
+        }
         // Relaxed: pairs with the advisory store in
         // `panic_on_deadlock` — see the audit note there.
         if self.panic_on_deadlock.load(Ordering::Relaxed) {
             panic!("mesh deadlock: {} {op} {detail}", self.coord);
         }
         MeshError::Deadlock {
-            coord: (self.coord.row, self.coord.col),
+            coord,
             op,
             timeout: self.timeout,
         }
@@ -567,7 +605,11 @@ impl MeshPort {
                 return Ok(());
             }
         }
-        let links = if col_net { &self.col_tx } else { &self.row_tx };
+        let (link, mates) = if col_net {
+            (&self.col, MESH_ROWS - 1)
+        } else {
+            (&self.row, MESH_COLS - 1)
+        };
         let mut delivered = 0u64;
         let flush = |delivered: u64, completed_words: u64| {
             if delivered > 0 {
@@ -584,29 +626,49 @@ impl MeshPort {
                 link.emit(&t.tracer, name, delivered, completed_words);
             }
         };
+        let wait = self.wait();
+        let mut outbox = match link.open(&wait) {
+            Ok(outbox) => outbox,
+            Err(stop) => {
+                self.flight_episode(col_net, false, stop.outcome(false), 0);
+                return Err(self.stopped(
+                    stop,
+                    op,
+                    format_args!(
+                        "blocked >{:?} (another sender holds the line)",
+                        self.timeout
+                    ),
+                ));
+            }
+        };
         for w in 0..n_words {
             let send_idx = send_base + w as u64;
             let v = word_at(w);
-            for i in 0..links.len() {
-                if let Some(inj) = &self.injector {
-                    if inj.mesh_drop(self.coord.id(), send_idx * 8 + i as u64) {
-                        self.flight_fault(flight::fault_code::MESH_DROP, send_idx * 8 + i as u64);
-                        continue; // the word is lost on this link
+            // The injector's per-(word, mate) decisions, in mate order.
+            let mut dropped = 0u8;
+            if let Some(inj) = &self.injector {
+                for i in 0..mates {
+                    let site = send_idx * 8 + i as u64;
+                    if inj.mesh_drop(self.coord.id(), site) {
+                        self.flight_fault(flight::fault_code::MESH_DROP, site);
+                        dropped |= 1 << i;
                     }
                 }
-                if !links.send(i, v, self.timeout) {
-                    // Words 0..w completed; word w accounts nothing,
-                    // matching a per-word call that errors mid-mates.
-                    flush(delivered, w as u64);
-                    self.flight_episode(col_net, false, flight::mesh_outcome::DEADLOCK, w as u64);
-                    return Err(self.deadlock(
-                        op,
-                        format_args!("blocked >{:?} (mate #{i} not draining)", self.timeout),
-                    ));
-                }
-                delivered += 1;
             }
+            if let Err(stop) = outbox.send(v, dropped, &wait) {
+                // Words 0..w completed; word w accounts nothing.
+                drop(outbox);
+                flush(delivered, w as u64);
+                self.flight_episode(col_net, false, stop.outcome(false), w as u64);
+                return Err(self.stopped(
+                    stop,
+                    op,
+                    format_args!("blocked >{:?} (a mate is not draining)", self.timeout),
+                ));
+            }
+            delivered += mates as u64 - u64::from(dropped.count_ones());
         }
+        drop(outbox);
         flush(delivered, n_words as u64);
         self.flight_episode(col_net, false, flight::mesh_outcome::OK, n_words as u64);
         Ok(())
@@ -624,7 +686,7 @@ impl MeshPort {
         col_net: bool,
         op: &'static str,
     ) -> Result<(), MeshError> {
-        let rx = if col_net { &self.col_rx } else { &self.row_rx };
+        let rx = if col_net { &self.col } else { &self.row };
         let mut got = 0u64;
         let flush = |got: u64| {
             if got > 0 {
@@ -636,19 +698,26 @@ impl MeshPort {
                 self.cell().add_recv(col_net, got);
             }
         };
+        let wait = self.wait();
         for w in 0..n_words {
-            match rx.recv(self.timeout) {
-                Some(v) => {
+            match rx.recv(&wait) {
+                Ok(v) => {
                     sink(w, v);
                     got += 1;
                 }
-                None => {
-                    // One word of unmet demand: the rendezvous
-                    // summary's deadlock signature.
+                Err(stop) => {
                     flush(got);
-                    self.cell().add_starved(col_net);
-                    self.flight_episode(col_net, true, flight::mesh_outcome::STARVED, got);
-                    return Err(self.deadlock(op, format_args!("starved >{:?}", self.timeout)));
+                    if let Stop::Fuse = stop {
+                        // One word of unmet demand: the rendezvous
+                        // summary's deadlock signature.
+                        self.cell().add_starved(col_net);
+                    }
+                    self.flight_episode(col_net, true, stop.outcome(true), got);
+                    return Err(self.stopped(
+                        stop,
+                        op,
+                        format_args!("starved >{:?}", self.timeout),
+                    ));
                 }
             }
         }
@@ -690,7 +759,7 @@ impl MeshPort {
 
     /// Non-blocking `getr`, for tests and drain checks.
     pub fn try_getr(&self) -> Option<V256> {
-        let v = self.row_rx.try_recv();
+        let v = self.row.try_recv();
         if v.is_some() {
             self.counters.add_row_recv(1);
             self.cell().add_recv(false, 1);
@@ -700,7 +769,7 @@ impl MeshPort {
 
     /// Non-blocking `getc`.
     pub fn try_getc(&self) -> Option<V256> {
-        let v = self.col_rx.try_recv();
+        let v = self.col.try_recv();
         if v.is_some() {
             self.counters.add_col_recv(1);
             self.cell().add_recv(true, 1);
@@ -886,15 +955,32 @@ mod tests {
     }
 
     #[test]
-    fn mates_exclude_self() {
-        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
-            let mesh = Mesh::with_transport(DEFAULT_TIMEOUT, transport);
-            let ports = mesh.ports();
-            for p in &ports {
-                assert_eq!(p.row_tx.len(), sw_arch::coord::MESH_COLS - 1);
-                assert_eq!(p.col_tx.len(), sw_arch::coord::MESH_ROWS - 1);
-            }
+    fn links_wire_each_cpe_to_its_own_lines() {
+        for p in &Mesh::new().ports() {
+            let (Link::Ring { pos: row_pos, .. }, Link::Ring { pos: col_pos, .. }) =
+                (&p.row, &p.col)
+            else {
+                panic!("the default transport is the ring");
+            };
+            assert_eq!(*row_pos, p.coord.col as usize);
+            assert_eq!(*col_pos, p.coord.row as usize);
         }
+        for p in &Mesh::with_transport(DEFAULT_TIMEOUT, MeshTransport::Fallback).ports() {
+            let (Link::Chan { tx: row, .. }, Link::Chan { tx: col, .. }) = (&p.row, &p.col) else {
+                panic!("fallback links are channels");
+            };
+            assert_eq!(row.len(), MESH_COLS - 1, "row mates exclude self");
+            assert_eq!(col.len(), MESH_ROWS - 1, "column mates exclude self");
+        }
+    }
+
+    #[test]
+    fn mate_masks_skip_the_sender_position() {
+        // Mate i sits at position i below the sender and i + 1 above.
+        assert_eq!(mates_to_members(0b000_0001, 0), 0b0000_0010);
+        assert_eq!(mates_to_members(0b100_0001, 7), 0b0100_0001);
+        assert_eq!(mates_to_members(0b111_1111, 3), 0b1111_0111);
+        assert_eq!(mates_to_members(0b000_1000, 3), 0b0001_0000);
     }
 
     #[test]

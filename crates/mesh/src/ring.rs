@@ -1,21 +1,37 @@
-//! Lock-free bounded SPSC ring links and the hybrid backoff they wait
+//! Lock-free bounded broadcast rings and the hybrid backoff they wait
 //! with.
 //!
-//! The mesh's fast path gives every (sender, receiver, network) pair
-//! its own [`SpscRing`]: a power-of-two circular buffer with one
-//! atomic head (consumer) and one atomic tail (producer), each on its
-//! own cache line so the two sides never false-share. Because exactly
-//! one thread produces and exactly one consumes, a push is one
-//! relaxed tail load, one acquire head load, one slot write and one
-//! release tail store — no lock, no syscall, no condvar.
+//! The mesh's fast path gives every mesh row and every mesh column one
+//! [`BroadcastRing`]: a power-of-two circular buffer of words shared by
+//! the line's eight CPEs. A broadcast writes each word once, and every
+//! other member reads it through its own consumer cursor — the host
+//! analogue of one hardware put reaching all seven mates. Each slot
+//! carries a skip mask of the members that must step over the word:
+//! always the sender itself, plus any mate the fault injector dropped
+//! the word for.
 //!
-//! Blocking is layered on top with [`Backoff`]: a full ring (or an
-//! empty one on the receive side) is waited out with a
-//! spin → yield → park progression, and the existing deadlock fuse is
-//! preserved — the deadline is captured lazily on the first non-spin
-//! wait, so the uncontended path never reads the clock, yet a peer
-//! that never drains still trips [`crate::MeshError::Deadlock`] after
-//! the configured timeout.
+//! One producer at a time: a sender claims the ring for a whole episode
+//! ([`BroadcastRing::try_claim`], an acquire test-and-set on a flag that
+//! the returned [`Episode`] releases on drop). The collective schedule
+//! never has two senders on one line between barriers — `sw-lint`
+//! proves that statically — but the claim means a schedule that breaks
+//! the rule is serialized per episode instead of racing on the slots,
+//! so memory safety does not rest on the lint.
+//!
+//! The producer may not lap the slowest member that still needs a
+//! slot. A sender with no unread words on the line when it claims the
+//! ring is *caught up*: its own cursor guards nothing, so fullness is
+//! judged on the other members only, and the episode steps the
+//! sender's cursor to the tail when it ends. The producer caches the
+//! limit this implies and reloads the cursors only when it reaches it.
+//!
+//! Blocking is layered on top with [`Backoff`]: a full ring, a ring
+//! held by another sender, or an empty ring on the receive side is
+//! waited out with a spin → yield → park progression, and the deadlock
+//! fuse is preserved — the deadline is captured lazily on the first
+//! non-spin wait, so the uncontended path never reads the clock, yet a
+//! peer that never drains still trips [`crate::MeshError::Deadlock`]
+//! after the configured timeout.
 
 // Concurrency vocabulary comes from the sw-check facade: plain `std`
 // re-exports in a normal build (zero-cost, the hot path is unchanged),
@@ -24,50 +40,97 @@
 use std::mem::MaybeUninit;
 use sw_arch::V256;
 use sw_check::cell::UnsafeCell;
-use sw_check::sync::atomic::{AtomicUsize, Ordering};
+use sw_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use sw_check::time::{Duration, Instant};
 
 /// Pads (and aligns) a value to its own 128-byte region so the
-/// producer-side and consumer-side indices of a ring never share a
+/// producer-side and consumer-side cursors of a ring never share a
 /// cache line (128 covers the 64 B line size plus adjacent-line
 /// prefetching).
 #[repr(align(128))]
 struct CachePadded<T>(T);
 
-/// A bounded single-producer single-consumer ring of mesh words.
+/// Most members one ring serves: the skip mask has one bit per member.
+const MAX_MEMBERS: usize = 8;
+
+/// One published word and the members that must not read it.
+#[derive(Clone, Copy)]
+struct Slot {
+    word: V256,
+    /// Bit `m` set: member `m` steps over this word.
+    skip: u8,
+}
+
+/// The producer's side of a ring, touched only by the claim holder
+/// (plus the claim flag itself, which would-be senders test).
+struct Producer {
+    /// Set while a sender holds the ring for an episode.
+    claimed: AtomicBool,
+    /// First cursor value the tail may not reach: the slowest guarding
+    /// member's cursor plus the capacity. A cache, written back by each
+    /// episode; stale values are only ever too low (cursors never move
+    /// backwards), which costs a reload, never a lapped reader.
+    limit: AtomicUsize,
+}
+
+/// A bounded single-producer-at-a-time, multi-consumer ring of mesh
+/// words shared by the members of one mesh row or column.
 ///
-/// Capacity must be a power of two (indices are free-running and
+/// Capacity must be a power of two (cursors are free-running and
 /// wrapped with a mask). Slots hold [`MaybeUninit`] so the buffer
-/// costs no initialization; `V256` is `Copy`, so abandoned slots need
+/// costs no initialization; `Slot` is `Copy`, so overwritten slots need
 /// no drops.
-pub(crate) struct SpscRing {
-    /// Consumer cursor: next slot to pop. Written only by the
-    /// consumer.
-    head: CachePadded<AtomicUsize>,
-    /// Producer cursor: next slot to fill. Written only by the
-    /// producer.
+pub(crate) struct BroadcastRing {
+    /// Producer cursor: next slot to fill. Written only by the claim
+    /// holder; every member reads it.
     tail: CachePadded<AtomicUsize>,
-    slots: Box<[UnsafeCell<MaybeUninit<V256>>]>,
+    producer: CachePadded<Producer>,
+    /// Per-member consumer cursors: next slot that member reads.
+    /// Written only by that member's thread.
+    heads: Box<[CachePadded<AtomicUsize>]>,
+    slots: Box<[UnsafeCell<MaybeUninit<Slot>>]>,
     mask: usize,
 }
 
-// The slot array is raced only in the disciplined SPSC pattern: the
-// producer writes a slot strictly before publishing it with a release
-// tail store; the consumer reads it strictly after an acquire tail
-// load. The mesh hands each side to exactly one port, and ports are
-// `!Sync`, so single-producer/single-consumer holds by construction.
-unsafe impl Send for SpscRing {}
-unsafe impl Sync for SpscRing {}
+// The slot array is raced only in the disciplined pattern: the claim
+// holder writes a slot strictly before publishing it with a release
+// tail store, and only once every member that still needs the slot's
+// previous word has released its cursor past it (acquire loads in
+// `Episode::reload`); a member reads slots strictly after an acquire
+// tail load. The claim makes the producer unique, and each cursor has
+// one reader thread because the mesh hands each member position to
+// exactly one `!Sync` port.
+unsafe impl Send for BroadcastRing {}
+unsafe impl Sync for BroadcastRing {}
 
-impl SpscRing {
-    pub fn new(capacity: usize) -> Self {
+/// Which producer [`Episode::push`] compiles: the sound one, or one of
+/// the seeded defects the `cfg(sw_check)` block below exposes to the
+/// model-check suite. Production builds only instantiate [`SOUND`].
+const SOUND: u8 = 0;
+const RELAXED_TAIL: u8 = 1;
+const SLOT_AFTER_PUBLISH: u8 = 2;
+const IGNORE_LAST_CURSOR: u8 = 3;
+const UNCLAIMED: u8 = 4;
+
+impl BroadcastRing {
+    pub fn new(members: usize, capacity: usize) -> Self {
         assert!(
             capacity.is_power_of_two(),
             "ring capacity must be a power of two"
         );
-        SpscRing {
-            head: CachePadded(AtomicUsize::new(0)),
+        assert!(
+            (1..=MAX_MEMBERS).contains(&members),
+            "a ring serves 1..={MAX_MEMBERS} members"
+        );
+        BroadcastRing {
             tail: CachePadded(AtomicUsize::new(0)),
+            producer: CachePadded(Producer {
+                claimed: AtomicBool::new(false),
+                limit: AtomicUsize::new(capacity),
+            }),
+            heads: (0..members)
+                .map(|_| CachePadded(AtomicUsize::new(0)))
+                .collect(),
             slots: (0..capacity)
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                 .collect(),
@@ -75,77 +138,228 @@ impl SpscRing {
         }
     }
 
-    /// Producer side: enqueues `v` unless the ring is full.
+    /// Copies out slot `idx` (a free-running cursor value).
+    ///
+    /// Callers guarantee the slot is published to them and not being
+    /// rewritten: see the `Sync` impl.
     #[inline]
-    pub fn try_push(&self, v: V256) -> bool {
-        // Relaxed tail load: SPSC — only the producer writes `tail`,
-        // so this reads our own last store. The acquire on `head`
-        // pairs with the consumer's release to bound the window.
+    fn read(&self, idx: usize) -> Slot {
+        // SAFETY: per the caller contract, the slot was initialized by
+        // a publish ordered before this read, and no producer writes it
+        // until this reader's cursor has passed it.
+        self.slots[idx & self.mask].with(|p| unsafe { (*p).assume_init_read() })
+    }
+
+    /// Claims the ring for one sending episode as member `pos`, or
+    /// `None` while another member holds it.
+    #[inline]
+    pub fn try_claim(&self, pos: usize) -> Option<Episode<'_>> {
+        self.claim::<SOUND>(pos)
+    }
+
+    fn claim<const DEFECT: u8>(&self, pos: usize) -> Option<Episode<'_>> {
+        // Test before test-and-set: a waiting sender only reads the
+        // flag, so it neither bounces the holder's cache line nor looks
+        // like progress to the model checker. The acquire swap pairs
+        // with the previous holder's release in `Episode::drop`: its
+        // tail, slots and cached limit are ours.
+        let claimed = &self.producer.0.claimed;
+        if DEFECT != UNCLAIMED
+            && (claimed.load(Ordering::Relaxed) || claimed.swap(true, Ordering::Acquire))
+        {
+            return None;
+        }
+        // Relaxed: the claim above ordered the last tail store before
+        // us, and nobody else writes the tail while we hold the claim.
         let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
+        // Step over published words masked off for us (our own earlier
+        // words, or words dropped on our link) so that a sender whose
+        // only backlog is such words still counts as caught up. Safe to
+        // read: the slots are published and we are the only producer.
+        let bit = 1u8 << pos;
+        let head = self.heads[pos].0.load(Ordering::Relaxed);
+        let mut h = head;
+        while h != tail && self.read(h).skip & bit != 0 {
+            h = h.wrapping_add(1);
+        }
+        if h != head {
+            self.heads[pos].0.store(h, Ordering::Release);
+        }
+        let caught_up = h == tail;
+        // A cached limit was computed by some sender with its own
+        // cursor left out, which is sound for every later caught-up
+        // sender (that sender's cursor was then stepped to the tail).
+        // A sender with unread words must also guard its own cursor,
+        // so it reloads before its first push.
+        let limit = if caught_up {
+            self.producer.0.limit.load(Ordering::Relaxed)
+        } else {
+            tail
+        };
+        Some(Episode {
+            ring: self,
+            pos,
+            tail,
+            limit,
+            caught_up,
+        })
+    }
+
+    /// Member `pos` dequeues its oldest unread word, if any, stepping
+    /// over the words masked off for it.
+    #[inline]
+    pub fn try_pop(&self, pos: usize) -> Option<V256> {
+        let bit = 1u8 << pos;
+        // Relaxed: only this member writes its own cursor. The acquire
+        // on `tail` pairs with the producer's release publish; both
+        // pairings are model-checked by `check_models` and the mutants.
+        let start = self.heads[pos].0.load(Ordering::Relaxed);
+        let tail = self.tail.0.load(Ordering::Acquire);
+        let mut head = start;
+        while head != tail {
+            let slot = self.read(head);
+            head = head.wrapping_add(1);
+            if slot.skip & bit == 0 {
+                self.heads[pos].0.store(head, Ordering::Release);
+                return Some(slot.word);
+            }
+        }
+        if head != start {
+            self.heads[pos].0.store(head, Ordering::Release);
+        }
+        None
+    }
+}
+
+/// One sender's hold on a [`BroadcastRing`]; dropping it ends the
+/// episode and releases the claim.
+pub(crate) struct Episode<'a> {
+    ring: &'a BroadcastRing,
+    pos: usize,
+    /// The ring's tail as this episode has advanced it.
+    tail: usize,
+    /// Cached fullness bound (see [`Producer::limit`]).
+    limit: usize,
+    /// The sender had no unread words when it claimed the ring, so its
+    /// own cursor guards no slot.
+    caught_up: bool,
+}
+
+impl Episode<'_> {
+    /// Publishes `word` to every member whose bit in `skip` is clear
+    /// (the sender's own bit is added here), unless the ring is full.
+    #[inline]
+    pub fn try_push(&mut self, word: V256, skip: u8) -> bool {
+        self.push::<SOUND>(word, skip)
+    }
+
+    /// The producer, generic over [`SOUND`] or one seeded defect; the
+    /// defect branches are constant-folded away.
+    #[inline]
+    fn push<const DEFECT: u8>(&mut self, word: V256, skip: u8) -> bool {
+        if self.tail == self.limit && !self.reload::<DEFECT>() {
             return false; // full
         }
-        // SAFETY: single producer; the slot at `tail` is outside the
-        // consumer's visible window until the release store below.
-        self.slots[tail & self.mask].with_mut(|p| unsafe { (*p).write(v) });
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
+        let ring = self.ring;
+        let tail = self.tail;
+        let slot = Slot {
+            word,
+            skip: skip | 1 << self.pos,
+        };
+        let publish = if DEFECT == RELAXED_TAIL {
+            Ordering::Relaxed // MUTANT: was Ordering::Release.
+        } else {
+            Ordering::Release
+        };
+        if DEFECT == SLOT_AFTER_PUBLISH {
+            // MUTANT: the publish belongs below the slot write.
+            ring.tail.0.store(tail.wrapping_add(1), publish);
+        }
+        // SAFETY: the claim makes us the only producer, and `limit`
+        // proves every guarding member's cursor is past this slot's
+        // previous word; the slot stays invisible until the publish.
+        ring.slots[tail & ring.mask].with_mut(|p| unsafe { (*p).write(slot) });
+        if DEFECT != SLOT_AFTER_PUBLISH {
+            ring.tail.0.store(tail.wrapping_add(1), publish);
+        }
+        self.tail = tail.wrapping_add(1);
         true
     }
 
-    /// Consumer side: dequeues the oldest word, if any.
-    #[inline]
-    pub fn try_pop(&self) -> Option<V256> {
-        // Relaxed head load: mirror of `try_push` — only the consumer
-        // writes `head`. Both pairings are model-checked by
-        // `check_models::ring_spsc_fifo` and the ring mutants.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None; // empty
+    /// Reloads the guarding cursors and recomputes [`Self::limit`].
+    /// Returns whether there is room for one more word.
+    fn reload<const DEFECT: u8>(&mut self) -> bool {
+        let last = self.ring.heads.len() - 1;
+        let mut lag = 0;
+        for (m, head) in self.ring.heads.iter().enumerate() {
+            if m == self.pos && self.caught_up {
+                continue;
+            }
+            if DEFECT == IGNORE_LAST_CURSOR && m == last {
+                continue; // MUTANT: every guarding cursor counts.
+            }
+            // Acquire pairs with the member's release in `try_pop`:
+            // its reads of the slots it passed happen before our
+            // overwrite.
+            lag = lag.max(self.tail.wrapping_sub(head.0.load(Ordering::Acquire)));
         }
-        // SAFETY: single consumer; the acquire tail load ordered this
-        // slot's contents before us.
-        let v = self.slots[head & self.mask].with(|p| unsafe { (*p).assume_init_read() });
-        self.head.0.store(head.wrapping_add(1), Ordering::Release);
-        Some(v)
+        self.limit = self.tail.wrapping_sub(lag).wrapping_add(self.ring.mask + 1);
+        self.tail != self.limit
+    }
+}
+
+impl Drop for Episode<'_> {
+    fn drop(&mut self) {
+        // The checker tears an explored execution down by unwinding its
+        // threads; announcing more ops then would panic inside a panic.
+        #[cfg(sw_check)]
+        if std::thread::panicking() {
+            return;
+        }
+        let ring = self.ring;
+        if self.caught_up {
+            // The sender never reads its own words: step past them.
+            ring.heads[self.pos].0.store(self.tail, Ordering::Release);
+        }
+        ring.producer.0.limit.store(self.limit, Ordering::Relaxed);
+        ring.producer.0.claimed.store(false, Ordering::Release);
     }
 }
 
 /// Seeded defects for the model-check suite ([`crate::check_models`]):
-/// mutated copies of the verified operations above, compiled only
+/// the producer above compiled with one deliberate fault each, only
 /// under the checker cfg so production builds never contain them.
 /// Every mutant must be *caught* by `sw-check` — a mutant that passes
 /// means the suite lost its teeth.
 #[cfg(sw_check)]
-impl SpscRing {
-    /// `try_push` with the publishing store weakened to `Relaxed`: the
-    /// consumer's slot read is no longer ordered after the slot write,
+impl BroadcastRing {
+    /// `try_claim` that never takes the claim: two senders can then
+    /// write the same slot at once.
+    pub(crate) fn try_claim_mutant_unclaimed(&self, pos: usize) -> Option<Episode<'_>> {
+        self.claim::<UNCLAIMED>(pos)
+    }
+}
+
+#[cfg(sw_check)]
+impl Episode<'_> {
+    /// `try_push` with the publishing store weakened to `Relaxed`: a
+    /// reader's slot read is no longer ordered after the slot write,
     /// which the checker reports as a data race.
-    pub(crate) fn try_push_mutant_relaxed_tail(&self, v: V256) -> bool {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
-            return false;
-        }
-        self.slots[tail & self.mask].with_mut(|p| unsafe { (*p).write(v) });
-        // MUTANT: was Ordering::Release.
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Relaxed);
-        true
+    pub(crate) fn try_push_mutant_relaxed_tail(&mut self, word: V256, skip: u8) -> bool {
+        self.push::<RELAXED_TAIL>(word, skip)
     }
 
-    /// `try_push` with the slot write sunk below the publish: the
-    /// consumer can observe the new tail before the slot holds data.
-    pub(crate) fn try_push_mutant_slot_after_publish(&self, v: V256) -> bool {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
-            return false;
-        }
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
-        // MUTANT: the write belongs above the publish.
-        self.slots[tail & self.mask].with_mut(|p| unsafe { (*p).write(v) });
-        true
+    /// `try_push` with the slot write sunk below the publish: a reader
+    /// can observe the new tail before the slot holds data.
+    pub(crate) fn try_push_mutant_slot_after_publish(&mut self, word: V256, skip: u8) -> bool {
+        self.push::<SLOT_AFTER_PUBLISH>(word, skip)
+    }
+
+    /// `try_push` whose fullness check ignores the last member's
+    /// cursor: the producer can overwrite a slot that member has not
+    /// read yet.
+    pub(crate) fn try_push_mutant_ignore_cursor(&mut self, word: V256, skip: u8) -> bool {
+        self.push::<IGNORE_LAST_CURSOR>(word, skip)
     }
 }
 
@@ -217,7 +431,7 @@ impl Backoff {
     }
 }
 
-/// Seeded defect for the model-check suite: see the `SpscRing` mutant
+/// Seeded defect for the model-check suite: see the producer mutant
 /// block above.
 #[cfg(sw_check)]
 impl Backoff {
@@ -246,53 +460,199 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    fn w(i: usize) -> V256 {
+        V256::splat(i as f64)
+    }
+
+    /// Pushes `words` as one episode of member `pos`; panics if full.
+    fn send(r: &BroadcastRing, pos: usize, words: impl IntoIterator<Item = V256>) {
+        let mut ep = r.try_claim(pos).expect("ring is free");
+        for v in words {
+            assert!(ep.try_push(v, 0), "ring unexpectedly full");
+        }
+    }
 
     #[test]
-    fn fifo_within_capacity() {
-        let r = SpscRing::new(8);
-        for i in 0..8 {
-            assert!(r.try_push(V256::splat(i as f64)));
+    fn fifo_per_receiver_with_two_consumers() {
+        let r = BroadcastRing::new(3, 8);
+        send(&r, 0, (0..5).map(w));
+        // The consumers drain at different paces; each sees every word
+        // in order.
+        assert_eq!(r.try_pop(1), Some(w(0)));
+        assert_eq!(r.try_pop(1), Some(w(1)));
+        for i in 0..5 {
+            assert_eq!(r.try_pop(2), Some(w(i)));
         }
-        assert!(!r.try_push(V256::ZERO), "ninth push must report full");
-        for i in 0..8 {
-            assert_eq!(r.try_pop(), Some(V256::splat(i as f64)));
+        assert_eq!(r.try_pop(2), None);
+        for i in 2..5 {
+            assert_eq!(r.try_pop(1), Some(w(i)));
         }
-        assert_eq!(r.try_pop(), None);
+        assert_eq!(r.try_pop(1), None);
+    }
+
+    #[test]
+    fn sender_never_reads_its_own_word() {
+        let r = BroadcastRing::new(3, 8);
+        send(&r, 1, [w(7)]);
+        assert_eq!(r.try_pop(1), None, "the sender skips its own word");
+        assert_eq!(r.try_pop(0), Some(w(7)));
+        assert_eq!(r.try_pop(2), Some(w(7)));
+        // Member 1 had unread words when member 0 sent, so its own word
+        // stays masked off for it while the others read it.
+        send(&r, 0, [w(8)]);
+        send(&r, 1, [w(9)]);
+        assert_eq!(r.try_pop(1), Some(w(8)));
+        assert_eq!(r.try_pop(1), None);
+        assert_eq!(r.try_pop(0), Some(w(9)));
+        assert_eq!(r.try_pop(0), None);
+    }
+
+    #[test]
+    fn drop_mask_hides_a_word_from_exactly_one_receiver() {
+        let r = BroadcastRing::new(4, 8);
+        let mut ep = r.try_claim(0).unwrap();
+        assert!(ep.try_push(w(1), 0));
+        assert!(ep.try_push(w(2), 1 << 2)); // lost on member 2's link
+        assert!(ep.try_push(w(3), 0));
+        drop(ep);
+        for m in [1, 3] {
+            let got: Vec<_> = std::iter::from_fn(|| r.try_pop(m)).collect();
+            assert_eq!(got, vec![w(1), w(2), w(3)], "member {m}");
+        }
+        let got: Vec<_> = std::iter::from_fn(|| r.try_pop(2)).collect();
+        assert_eq!(got, vec![w(1), w(3)], "member 2 never sees word 2");
     }
 
     #[test]
     fn wraps_around_many_times() {
-        let r = SpscRing::new(4);
+        let r = BroadcastRing::new(2, 4);
         for i in 0..1000 {
-            assert!(r.try_push(V256::splat(i as f64)));
-            assert_eq!(r.try_pop(), Some(V256::splat(i as f64)));
+            send(&r, 0, [w(i)]);
+            assert_eq!(r.try_pop(1), Some(w(i)));
         }
     }
 
     #[test]
-    fn concurrent_producer_consumer_preserves_order() {
-        let r = SpscRing::new(8);
-        let n = 100_000u64;
+    fn sender_blocks_at_full_depth_until_the_slowest_receiver_drains() {
+        let r = BroadcastRing::new(3, 4);
+        let mut ep = r.try_claim(0).unwrap();
+        for i in 0..4 {
+            assert!(ep.try_push(w(i), 0));
+        }
+        assert!(!ep.try_push(w(4), 0), "fifth push must report full");
+        // The fast receiver drains everything; the slow one still pins
+        // the oldest slot, so the ring stays full.
+        for i in 0..4 {
+            assert_eq!(r.try_pop(1), Some(w(i)));
+        }
+        assert!(!ep.try_push(w(4), 0), "slowest receiver decides");
+        assert_eq!(r.try_pop(2), Some(w(0)));
+        assert!(ep.try_push(w(4), 0), "one slot freed");
+        assert!(!ep.try_push(w(5), 0));
+
+        // Threaded: the sender waits out a receiver that starts late.
+        drop(ep);
+        let r = BroadcastRing::new(3, 4);
+        let n = 64;
         std::thread::scope(|s| {
             s.spawn(|| {
+                let mut ep = r.try_claim(0).unwrap();
                 let mut b = Backoff::new(Duration::from_secs(10));
                 for i in 0..n {
-                    while !r.try_push(V256::splat(i as f64)) {
+                    while !ep.try_push(w(i), 0) {
                         assert!(b.snooze(), "producer timed out");
                     }
                 }
             });
-            let mut b = Backoff::new(Duration::from_secs(10));
-            for i in 0..n {
-                let v = loop {
-                    match r.try_pop() {
-                        Some(v) => break v,
-                        None => assert!(b.snooze(), "consumer timed out"),
+            for m in [1, 2] {
+                let r = &r;
+                s.spawn(move || {
+                    if m == 2 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
                     }
-                };
-                assert_eq!(v, V256::splat(i as f64));
+                    let mut b = Backoff::new(Duration::from_secs(10));
+                    for i in 0..n {
+                        let v = loop {
+                            match r.try_pop(m) {
+                                Some(v) => break v,
+                                None => assert!(b.snooze(), "consumer timed out"),
+                            }
+                        };
+                        assert_eq!(v, w(i));
+                    }
+                });
             }
         });
+    }
+
+    /// Blocking receive of `n` words as member `pos`.
+    fn recv_n(r: &BroadcastRing, pos: usize, n: usize) -> Vec<V256> {
+        let mut b = Backoff::new(Duration::from_secs(10));
+        let mut got = Vec::with_capacity(n);
+        while got.len() < n {
+            match r.try_pop(pos) {
+                Some(v) => got.push(v),
+                None => assert!(b.snooze(), "member {pos} timed out"),
+            }
+        }
+        got
+    }
+
+    /// Blocking send of `words` as one episode of member `pos`.
+    fn send_blocking(r: &BroadcastRing, pos: usize, words: impl IntoIterator<Item = V256>) {
+        let mut b = Backoff::new(Duration::from_secs(10));
+        let mut ep = loop {
+            match r.try_claim(pos) {
+                Some(ep) => break ep,
+                None => assert!(b.snooze(), "member {pos} never got the claim"),
+            }
+        };
+        for v in words {
+            while !ep.try_push(v, 0) {
+                assert!(b.snooze(), "member {pos} timed out sending");
+            }
+        }
+    }
+
+    #[test]
+    fn claim_hands_off_between_two_senders_across_a_barrier() {
+        // Two strip steps on one line: member 0 broadcasts, a barrier,
+        // then member 1 broadcasts. Each step streams far more words
+        // than the ring holds, so the hand-off also crosses the wrap.
+        let r = BroadcastRing::new(3, 8);
+        let barrier = Barrier::new(3);
+        let n = 200;
+        let first: Vec<_> = (0..n).map(w).collect();
+        let second: Vec<_> = (1000..1000 + n).map(w).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                send_blocking(&r, 0, first.clone());
+                barrier.wait();
+                assert_eq!(recv_n(&r, 0, n), second);
+            });
+            s.spawn(|| {
+                assert_eq!(recv_n(&r, 1, n), first);
+                barrier.wait();
+                send_blocking(&r, 1, second.clone());
+            });
+            assert_eq!(recv_n(&r, 2, n), first);
+            barrier.wait();
+            assert_eq!(recv_n(&r, 2, n), second);
+        });
+        for m in 0..3 {
+            assert_eq!(r.try_pop(m), None, "member {m} drained");
+        }
+    }
+
+    #[test]
+    fn a_held_claim_excludes_other_senders() {
+        let r = BroadcastRing::new(2, 8);
+        let ep = r.try_claim(0).unwrap();
+        assert!(r.try_claim(1).is_none());
+        drop(ep);
+        assert!(r.try_claim(1).is_some());
     }
 
     #[test]
@@ -308,12 +668,17 @@ mod tests {
     }
 
     #[test]
-    fn indices_do_not_false_share() {
-        // The padded producer and consumer cursors must live ≥128 B
-        // apart (the alignment contract the type encodes).
-        let r = SpscRing::new(8);
-        let head = &r.head as *const _ as usize;
+    fn cursors_do_not_false_share() {
+        // The padded producer cursor and each consumer cursor must live
+        // ≥128 B apart (the alignment contract the type encodes).
+        let r = BroadcastRing::new(8, 8);
         let tail = &r.tail as *const _ as usize;
-        assert!(head.abs_diff(tail) >= 128);
+        let heads: Vec<usize> = r.heads.iter().map(|h| h as *const _ as usize).collect();
+        for (i, &h) in heads.iter().enumerate() {
+            assert!(h.abs_diff(tail) >= 128);
+            for &g in &heads[i + 1..] {
+                assert!(h.abs_diff(g) >= 128);
+            }
+        }
     }
 }

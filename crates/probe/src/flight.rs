@@ -222,6 +222,8 @@ pub mod mesh_outcome {
     pub const STARVED: u32 = 2;
     /// The episode was suppressed by a forced wedge.
     pub const WEDGED: u32 = 3;
+    /// A blocked episode gave up because the run was cancelled.
+    pub const CANCELLED: u32 = 4;
 
     pub fn name(o: u32) -> &'static str {
         match o {
@@ -229,6 +231,7 @@ pub mod mesh_outcome {
             DEADLOCK => "deadlock",
             STARVED => "starved",
             WEDGED => "wedged",
+            CANCELLED => "cancelled",
             _ => "?",
         }
     }

@@ -23,6 +23,7 @@
 // re-exports in a normal build (zero-cost, the hot path is unchanged),
 // checker-instrumented types under `--cfg sw_check` so this exact
 // source is model-checked by `check_models`.
+use std::sync::Arc;
 use sw_arch::coord::{MESH_ROWS, N_CPES};
 use sw_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use sw_check::sync::{Condvar, Mutex};
@@ -245,6 +246,10 @@ impl CancellableBarrier {
 pub(crate) struct RunSync {
     pub all: CancellableBarrier,
     pub rows: Vec<CancellableBarrier>,
+    /// Raised only when the run's cancel token fires; the mesh polls it
+    /// while blocked (`Mesh::set_cancel_flag`). A CPE's own abort does
+    /// not raise it, so fault runs still stop at deterministic points.
+    pub token_fired: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl RunSync {
@@ -252,7 +257,18 @@ impl RunSync {
         RunSync {
             all: CancellableBarrier::new(N_CPES),
             rows: (0..MESH_ROWS).map(|_| CancellableBarrier::new(8)).collect(),
+            token_fired: Arc::default(),
         }
+    }
+
+    /// Cancels the run on behalf of its cancel token: poisons every
+    /// barrier and releases CPEs blocked in the mesh.
+    pub fn cancel_by_token(&self) {
+        // Relaxed: the flag publishes no data; a late read only delays
+        // a blocked CPE's unwind by one backoff round.
+        self.token_fired
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.cancel_all();
     }
 
     /// Cancels every barrier of the run (a CPE is aborting).

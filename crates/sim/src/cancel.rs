@@ -5,11 +5,14 @@
 //! firing it poisons the run's cancellable barriers, so every CPE
 //! unwinds with [`crate::CpeError::Cancelled`] at its next sync point
 //! instead of computing a result nobody is waiting for. CPEs blocked
-//! inside a mesh episode are not parked on a barrier; they are bounded
-//! by the mesh deadlock fuse, which callers enforcing deadlines should
-//! shorten to their remaining budget ([`crate::CoreGroup::
-//! set_mesh_timeout`]) — the two paths together make "cancelled
-//! request frees its core group promptly" a hard property.
+//! inside a mesh episode are not parked on a barrier; firing also
+//! raises the run's mesh cancel flag, which the ring transport polls
+//! while waiting, so they unwind the same way. The fallback transport
+//! waits in a condvar and stays bounded only by the mesh deadlock fuse,
+//! which callers enforcing deadlines should shorten to their remaining
+//! budget ([`crate::CoreGroup::set_mesh_timeout`]) — together these
+//! make "cancelled request frees its core group promptly" a hard
+//! property.
 //!
 //! The token is one-shot and sticky, like the barrier poison it rides
 //! on: once fired it stays fired, and a run started with an
@@ -92,7 +95,7 @@ impl CancelToken {
             .unwrap_or_else(|e| e.into_inner())
             .upgrade();
         if let Some(sync) = sync {
-            sync.cancel_all();
+            sync.cancel_by_token();
         }
     }
 
@@ -102,7 +105,7 @@ impl CancelToken {
     pub(crate) fn attach(&self, sync: &Arc<RunSync>) {
         *self.inner.active.lock().unwrap_or_else(|e| e.into_inner()) = Arc::downgrade(sync);
         if self.is_cancelled() {
-            sync.cancel_all();
+            sync.cancel_by_token();
         }
     }
 

@@ -70,7 +70,7 @@ pub enum CpeError {
     /// A mesh operation failed (deadlock fuse tripped).
     Mesh(MeshError),
     /// The CPE was unwound because a peer aborted first and cancelled
-    /// the run's barriers.
+    /// the run's barriers, or the run's cancel token fired.
     Cancelled,
 }
 
@@ -236,8 +236,8 @@ impl CoreGroup {
     }
 
     /// Selects the mesh transport for subsequent runs (the lock-free
-    /// SPSC rings by default; the Mutex-channel fallback for harnesses
-    /// that interleave senders arbitrarily).
+    /// broadcast rings by default; the Mutex-channel fallback is the
+    /// measured baseline).
     pub fn set_mesh_transport(&mut self, transport: MeshTransport) {
         self.mesh_transport = transport;
     }
@@ -314,7 +314,11 @@ impl CoreGroup {
     {
         install_quiet_abort_hook();
         let pool = self.pool.get_or_insert_with(|| CpePool::new(N_CPES));
+        let sync = Arc::new(RunSync::new());
         let mesh = Mesh::with_transport(self.mesh_timeout, self.mesh_transport);
+        if self.cancel.is_some() {
+            mesh.set_cancel_flag(&sync.token_fired);
+        }
         mesh.set_tracer(&self.tracer);
         mesh.set_flight_recorder(&self.flight);
         if let Some(inj) = &self.injector {
@@ -334,7 +338,6 @@ impl CoreGroup {
             .into_iter()
             .map(|p| Mutex::new(Some(p)))
             .collect();
-        let sync = Arc::new(RunSync::new());
         // Bind the cancellation token (if any) to this run's barriers:
         // a fire from any thread — before or during the run — poisons
         // them, and every CPE unwinds at its next sync point.
@@ -663,7 +666,11 @@ impl<'a> CpeCtx<'a> {
     }
 
     fn mesh_fail(&self, e: MeshError) -> ! {
-        self.abort(CpeError::Mesh(e))
+        match e {
+            // The token already poisoned the barriers.
+            MeshError::Cancelled { .. } => self.cancelled(),
+            e => self.abort(CpeError::Mesh(e)),
+        }
     }
 
     /// Charges an `n_words` mesh episode to this CPE's mesh lane.
@@ -879,10 +886,16 @@ struct MeshComm<'p> {
 
 impl MeshComm<'_> {
     fn fail(&self, e: MeshError) -> ! {
-        self.sync.cancel_all();
+        let error = match e {
+            MeshError::Cancelled { .. } => CpeError::Cancelled,
+            e => {
+                self.sync.cancel_all();
+                CpeError::Mesh(e)
+            }
+        };
         panic_any(CpeAbort {
             coord: self.coord,
-            error: CpeError::Mesh(e),
+            error,
         })
     }
 }

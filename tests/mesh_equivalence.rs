@@ -1,5 +1,5 @@
 //! Transport- and path-equivalence properties of the mesh fast path:
-//! the lock-free SPSC ring transport and the bulk panel broadcasts
+//! the lock-free broadcast-ring transport and the bulk panel broadcasts
 //! must be observationally identical to the Mutex-channel / per-word
 //! baseline — bitwise-identical C, identical `MeshStats`, identical
 //! per-CPE `MeshGridStats` cells, and identical `faults.*` counters
@@ -7,6 +7,7 @@
 //! paths consume exactly the per-word `send_idx` sequence the injector
 //! keys on, so every drop/wedge decision lands on the same word.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use sw_dgemm::gen::random_matrix;
 use sw_dgemm::{
@@ -22,6 +23,16 @@ const COMBOS: [(MeshTransport, MeshPath, &str); 4] = [
     (MeshTransport::Ring, MeshPath::Word, "ring+word"),
     (MeshTransport::Ring, MeshPath::Bulk, "ring+bulk"),
 ];
+
+/// Serializes the tests that install a `FaultSpec`. The fault-delta
+/// assertions read process-global `faults.*` counters, which a sibling
+/// test injecting faults at the same time would move.
+static FAULTS: Mutex<()> = Mutex::new(());
+
+fn faults_lock() -> MutexGuard<'static, ()> {
+    // A failed sibling must not cascade: the guarded data is `()`.
+    FAULTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn operands(
     p: &BlockingParams,
@@ -87,6 +98,7 @@ fn transports_and_paths_agree_bitwise_on_clean_runs() {
 /// not see the transport or the batching.
 #[test]
 fn faulted_runs_heal_identically_across_combos() {
+    let _faults = faults_lock();
     let p = BlockingParams::test_small();
     let (a, b, c0) = operands(&p, (2, 1, 2), 43);
     let spec = FaultSpec {
@@ -152,6 +164,7 @@ fn faults_delta(before: &[(String, u64)], after: &[(String, u64)]) -> Vec<(Strin
 /// which words the injector damaged — the `send_idx` identity the bulk
 /// paths preserve.
 fn assert_mesh_fault_deltas_identical(spec: FaultSpec, must_inject: &str) {
+    let _faults = faults_lock();
     let p = BlockingParams::test_small();
     let (a, b, c0) = operands(&p, (1, 1, 1), 47);
     let mut base: Option<(bool, Vec<(String, u64)>)> = None;
