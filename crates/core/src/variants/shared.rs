@@ -253,12 +253,14 @@ pub(crate) fn compute_and_store(
     for s in 0..8 {
         let role = step_role(mapping, s, ctx.coord);
         strip_step(ctx, role, a_buf, b_buf, c_buf, p.pm, p.pn, p.pk, alpha);
-        // Host threads drift freely, so without a step barrier a fast
-        // thread's step-(s+1) broadcast could interleave into a peer's
-        // receive buffer behind step-s words from a different sender.
-        // The real kernel paces this implicitly via SIMT lockstep; the
-        // simulator makes it explicit.
-        ctx.sync_all();
+        // The mesh paces the steps, as blocking getr/getc do on the
+        // hardware: each row and column line hands its turn from the
+        // step-s broadcaster to the step-(s+1) one here, so no fast
+        // thread's step-(s+1) words can enter a line ahead of step-s
+        // words, and no barrier is needed between steps. Every CPE
+        // charges the same mesh words per step, so the simulated clocks
+        // still agree at Algorithm 1's barriers.
+        ctx.mesh_end_step();
     }
     let rc = mapping::c_region(plan, io.c, mapping, i, j, ctx.coord);
     match mapping {

@@ -1,21 +1,24 @@
 //! Model-check suite for the mesh's lock-free primitives (compiled
-//! only under `--cfg sw_check`, where [`crate::ring`] runs on the
-//! checker-instrumented types).
+//! only under `--cfg sw_check`, where [`crate::ring`] and
+//! [`crate::turn`] run on the checker-instrumented types).
 //!
 //! The correct models prove, across every explored interleaving under
 //! the simulated C11 memory model: the broadcast ring is race-free and
 //! FIFO for every consumer, full/empty detection is exact, the claim
-//! serializes two senders that break the single-sender rule, and the
-//! backoff fuse always trips. Each property is paired with a
+//! serializes two senders that break the single-sender rule, a line's
+//! strip-step turn keeps one step's words ahead of the next step's, and
+//! the backoff fuse always trips. Each property is paired with a
 //! seeded-defect mutant (the `*-mutant-*` models, see the
-//! `cfg(sw_check)` blocks in `ring.rs`) that the checker must catch —
-//! run them via the `sw-check` binary or the crate's `model_check`
-//! test.
+//! `cfg(sw_check)` blocks in `ring.rs` and `turn.rs`) that the checker
+//! must catch — run them via the `sw-check` binary or the crate's
+//! `model_check` test.
 
 use crate::ring::{Backoff, BroadcastRing, Episode};
+use crate::turn::{LineTurn, Steps};
 use std::sync::Arc;
 use sw_arch::V256;
 use sw_check::models::{Expect, NamedModel};
+use sw_check::sync::Mutex;
 use sw_check::time::Duration;
 use sw_check::{thread, Config, ViolationKind};
 
@@ -121,6 +124,57 @@ fn ring_claim_serializes_senders() {
         got == (Some(w(10)), Some(w(20))) || got == (Some(w(20)), Some(w(10))),
         "episodes interleaved or lost a word"
     );
+}
+
+/// Two strip steps on one line: member 0 broadcasts at step 0 in two
+/// episodes, member 1 at step 1, and member 1's thread starts first.
+/// The line is a locked FIFO — the fallback transport's shape. The lock
+/// stands in for the ring's per-episode claim, which the ring models
+/// cover: on the ring itself, the relaxed cursor and claim loads
+/// multiply the interleavings past the exploration budget before the
+/// mutant's schedule is reached. Once both senders are done, the
+/// receiver must find every step-0 word ahead of the step-1 word.
+/// `take` is [`Steps::try_take`] or its seeded mutant.
+fn turn_model(take: fn(&Steps, bool) -> bool) {
+    let line = Arc::new(Mutex::new(Vec::new()));
+    let row = Arc::new(LineTurn::new());
+    let steps = || Steps::new(row.clone(), Arc::new(LineTurn::new()));
+    let broadcast = move |line: &Mutex<Vec<u64>>, s: &Steps, word: u64| {
+        while !take(s, false) {
+            thread::yield_now();
+        }
+        line.lock().unwrap().push(word);
+    };
+    let (l1, s1) = (line.clone(), steps());
+    s1.end_step(); // step 0: member 1 only receives
+    let late = thread::spawn(move || {
+        broadcast(&l1, &s1, 2);
+        s1.end_step();
+    });
+    let (l0, s0) = (line.clone(), steps());
+    let early = thread::spawn(move || {
+        broadcast(&l0, &s0, 0);
+        broadcast(&l0, &s0, 1);
+        s0.end_step();
+    });
+    late.join().unwrap();
+    early.join().unwrap();
+    assert_eq!(
+        *line.lock().unwrap(),
+        [0, 1, 2],
+        "a step-1 word overtook a step-0 word"
+    );
+}
+
+/// The line's turn orders two strip steps' episodes.
+fn turn_orders_steps() {
+    turn_model(|s, col_net| s.try_take(col_net));
+}
+
+/// Mutant: the step-0 sender passes the turn before its second
+/// episode — the step-1 word can land between its two words.
+fn turn_mutant_early_pass() {
+    turn_model(|s, col_net| s.try_take_mutant_early_pass(col_net));
 }
 
 /// The deadlock fuse must trip in bounded (virtual) time when nothing
@@ -238,6 +292,13 @@ pub fn models() -> Vec<NamedModel> {
             body: ring_claim_serializes_senders,
         },
         NamedModel {
+            name: "mesh/turn-orders-steps",
+            about: "the line's strip-step turn keeps every step-0 word ahead of step 1",
+            expect: Expect::Pass,
+            tune: no_tune,
+            body: turn_orders_steps,
+        },
+        NamedModel {
             name: "mesh/backoff-fuse",
             about: "deadlock fuse trips in bounded virtual time with no progress",
             expect: Expect::Pass,
@@ -271,6 +332,13 @@ pub fn models() -> Vec<NamedModel> {
             expect: Expect::Violation(ViolationKind::Race),
             tune: no_tune,
             body: ring_mutant_unclaimed,
+        },
+        NamedModel {
+            name: "mesh/turn-mutant-early-pass",
+            about: "SEEDED DEFECT: turn passed before the step's last episode; steps interleave",
+            expect: Expect::Violation(ViolationKind::Assert),
+            tune: no_tune,
+            body: turn_mutant_early_pass,
         },
         NamedModel {
             name: "mesh/backoff-mutant-fuse-skip",

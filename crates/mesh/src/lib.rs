@@ -21,7 +21,11 @@
 //! receiver, kept as the measured baseline. Both hold
 //! [`HOST_BUFFER_DEPTH`] words, a host wall-clock knob: the hardware's
 //! 8-entry receive buffer is not modelled by any buffer here, and no
-//! simulated clock depends on the depth.
+//! simulated clock depends on the depth. Above the transport, every
+//! mesh row and column keeps a strip-step turn, so a collective
+//! schedule that calls [`MeshPort::end_step`] after each strip step is
+//! paced by the mesh itself, as blocking `getr`/`getc` pace it on the
+//! hardware.
 //!
 //! A blocked port returns [`MeshError::Deadlock`] after a configurable
 //! timeout instead of hanging the test suite — communication schemes
@@ -40,6 +44,7 @@ pub mod error;
 pub mod port;
 mod ring;
 pub mod stats;
+mod turn;
 
 pub use error::MeshError;
 pub use port::{Mesh, MeshPort, MeshTransport, HOST_BUFFER_DEPTH};
@@ -229,7 +234,9 @@ mod tests {
         let ports = mesh.ports();
         ports[Coord::new(2, 3).id()].row_bcast(V256::ZERO).unwrap();
         assert!(ports[Coord::new(2, 0).id()].getr().is_err());
+        drop(ports);
         assert_eq!(mesh.stats().row_words_sent, 0);
+        assert_eq!(mesh.grid_stats().cells[2][0].row_starved, 1);
         assert_eq!(inj.stats().injected_mesh_wedge, 1);
     }
 
@@ -290,9 +297,16 @@ mod tests {
                 .unwrap();
             assert_eq!(row_out, panel);
             assert_eq!(col_out, panel);
+            // The ports fold their tallies into the mesh when they drop.
+            drop(ports);
             (mesh.stats(), mesh.grid_stats())
         };
-        assert_eq!(run(MeshTransport::Ring), run(MeshTransport::Fallback));
+        let (stats, grid) = run(MeshTransport::Ring);
+        assert_eq!(stats.row_words_sent, 8 * 7);
+        assert_eq!(stats.col_words_received, 8);
+        assert_eq!(grid.cells[4][4].col_sent, 8 * 7);
+        assert_eq!(grid.cells[7][4].col_recv, 8);
+        assert_eq!((stats, grid), run(MeshTransport::Fallback));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   it through its own cursor, and the injector's per-mate drops ride
 //!   in the slot's skip mask. A sender claims its line's ring for each
 //!   episode. The collective data-sharing schedule (§III-B of the
-//!   paper) has at most one active sender per row/column group between
-//!   barriers — an invariant `sw-lint`'s multi-sender rendezvous pass
-//!   checks statically — so the claim is uncontended there, and it
-//!   serializes a schedule that breaks the rule instead of racing.
+//!   paper) has one sender per row/column group per strip step — an
+//!   invariant `sw-lint`'s multi-sender rendezvous pass checks
+//!   statically — so the claim is uncontended there, and it serializes
+//!   a schedule that breaks the rule instead of racing.
 //! * [`MeshTransport::Fallback`]: the original bounded Mutex+Condvar
 //!   MPSC channel per (receiver, network). Kept as the baseline
 //!   `mesh_bench` measures the ring path against.
@@ -19,20 +19,32 @@
 //! Both transports buffer [`HOST_BUFFER_DEPTH`] words per receiver, a
 //! host-side depth the simulated clocks never see.
 //!
+//! Above either transport, each line keeps a strip-step turn (see
+//! `turn.rs`): a broadcast waits until the line's earlier steps are
+//! done, and [`MeshPort::end_step`] hands the line on. That is what
+//! paces the collective strip steps — the host stand-in for the
+//! hardware's blocking `getr`/`getc` — so the runtime needs no barrier
+//! between them. Ports that never end a step are never gated.
+//!
 //! On top of either transport, the port offers *bulk* operations
 //! ([`MeshPort::row_bcast_panel`], [`MeshPort::get_panel`],
 //! [`MeshPort::row_bcast_words`], …) that move a whole panel in one
-//! synchronization episode with one batched counter/trace update —
-//! while still consuming one `send_idx` per word, so the fault
-//! injector's per-word drop/wedge decisions are bit-for-bit identical
-//! to the per-word path.
+//! synchronization episode — while still consuming one `send_idx` per
+//! word, so the fault injector's per-word drop/wedge decisions are
+//! bit-for-bit identical to the per-word path.
+//!
+//! Traffic is tallied in plain cells of the `!Sync` port and folded
+//! into the mesh-wide [`MeshStats`] and the port's grid cell once, when
+//! the port drops (unwinding included); only starved receives count at
+//! once. [`Mesh::stats`] and [`Mesh::grid_stats`] therefore cover the
+//! ports dropped so far.
 
 use crate::chan::{bounded, Receiver, Sender};
 use crate::error::MeshError;
 use crate::ring::{Backoff, BroadcastRing, Episode};
 use crate::stats::{GridCounters, MeshCounters, MeshGridStats, MeshStats};
+use crate::turn::{LineTurn, Steps};
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -111,23 +123,34 @@ impl Mesh {
             MeshTransport::Ring => build_ring_links(),
             MeshTransport::Fallback => build_chan_links(),
         };
+        let row_turns: Vec<Arc<LineTurn>> =
+            (0..MESH_ROWS).map(|_| Arc::new(LineTurn::new())).collect();
+        let col_turns: Vec<Arc<LineTurn>> =
+            (0..MESH_COLS).map(|_| Arc::new(LineTurn::new())).collect();
         let ports = links
             .into_iter()
             .enumerate()
-            .map(|(id, (row, col))| MeshPort {
-                coord: Coord::from_id(id),
-                row,
-                col,
-                counters: Arc::clone(&counters),
-                grid: Arc::clone(&grid),
-                panic_on_deadlock: Arc::clone(&panic_on_deadlock),
-                injector: None,
-                cancel: None,
-                sends: AtomicU64::new(0),
-                timeout,
-                trace: None,
-                flight: None,
-                _not_sync: PhantomData,
+            .map(|(id, (row, col))| {
+                let coord = Coord::from_id(id);
+                MeshPort {
+                    coord,
+                    row,
+                    col,
+                    steps: Steps::new(
+                        Arc::clone(&row_turns[coord.row as usize]),
+                        Arc::clone(&col_turns[coord.col as usize]),
+                    ),
+                    tally: Tally::default(),
+                    counters: Arc::clone(&counters),
+                    grid: Arc::clone(&grid),
+                    panic_on_deadlock: Arc::clone(&panic_on_deadlock),
+                    injector: None,
+                    cancel: None,
+                    sends: Cell::new(0),
+                    timeout,
+                    trace: None,
+                    flight: None,
+                }
             })
             .collect();
         Mesh {
@@ -163,7 +186,8 @@ impl Mesh {
     }
 
     /// Installs the run's cancel flag: once it is raised, a port blocked
-    /// on the ring transport gives up with [`MeshError::Cancelled`]
+    /// waiting for its line's turn, or anywhere on the ring transport,
+    /// gives up with [`MeshError::Cancelled`]
     /// instead of waiting out the deadlock fuse, so a cancelled run
     /// unwinds promptly even where a peer stopped mid-step. The flag is
     /// polled only while waiting. Like [`Mesh::set_fault_injector`],
@@ -195,7 +219,8 @@ impl Mesh {
         }
     }
 
-    /// Per-CPE traffic snapshot (the rendezvous summary's input).
+    /// Per-CPE traffic snapshot (the rendezvous summary's input): the
+    /// dropped ports' traffic, plus every starved receive so far.
     pub fn grid_stats(&self) -> MeshGridStats {
         self.grid.snapshot()
     }
@@ -240,7 +265,7 @@ impl Mesh {
             .expect("Mesh::ports may only be taken once")
     }
 
-    /// Snapshot of the traffic counters.
+    /// Snapshot of the traffic of the ports dropped so far.
     pub fn stats(&self) -> MeshStats {
         self.counters.snapshot()
     }
@@ -398,8 +423,8 @@ impl Stop {
 }
 
 /// How a port's blocked operations wait: the deadlock fuse, plus the
-/// run's cancel flag on the ring transport (the fallback channels
-/// block in a condvar and honour only the fuse).
+/// run's cancel flag for turn waits and ring waits (the fallback
+/// channels block in a condvar and honour only the fuse).
 struct Wait<'a> {
     timeout: Duration,
     cancel: Option<&'a AtomicBool>,
@@ -484,33 +509,53 @@ struct PortTrace {
     col: LinkTrace,
 }
 
+/// A port's delivered traffic in words, indexed by network (0 its mesh
+/// row, 1 its mesh column).
+#[derive(Default)]
+struct Tally {
+    sent: [Cell<u64>; 2],
+    recv: [Cell<u64>; 2],
+}
+
+impl Tally {
+    fn add(counts: &[Cell<u64>; 2], col_net: bool, n: u64) {
+        let c = &counts[col_net as usize];
+        c.set(c.get() + n);
+    }
+}
+
 /// One CPE's window onto the mesh: its send links to row/column mates
 /// and its two receive buffers.
 ///
 /// A port is `Send` but deliberately `!Sync`: exactly one thread drives
 /// it, so each ring member position has one reader thread, which is
-/// what makes the ring transport's consumer cursors sound.
+/// what makes the ring transport's consumer cursors sound — and what
+/// lets the port keep its step index and traffic tally in plain cells.
 pub struct MeshPort {
     coord: Coord,
     row: Link,
     col: Link,
+    /// This port's strip step and the line turns it holds.
+    steps: Steps,
+    /// Traffic since the port was taken; folded into `counters` and
+    /// `grid` when the port drops.
+    tally: Tally,
     counters: Arc<MeshCounters>,
     grid: Arc<GridCounters>,
     panic_on_deadlock: Arc<AtomicBool>,
     injector: Option<Arc<FaultInjector>>,
-    /// Raised when the run is cancelled; blocked ring waits then give
-    /// up (see [`Mesh::set_cancel_flag`]).
+    /// Raised when the run is cancelled; blocked turn and ring waits
+    /// then give up (see [`Mesh::set_cancel_flag`]).
     cancel: Option<Arc<AtomicBool>>,
-    /// Broadcasts issued by this port (the injector's deterministic
-    /// per-send coordinate).
-    sends: AtomicU64,
+    /// Broadcast words issued by this port (the injector's
+    /// deterministic per-send coordinate).
+    sends: Cell<u64>,
     timeout: Duration,
     trace: Option<PortTrace>,
     /// The run's black box; episodes/faults are recorded on this
     /// port's CPE ring (events only, no time charging — see
     /// [`Mesh::set_flight_recorder`]).
     flight: Option<Arc<FlightRecorder>>,
-    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl MeshPort {
@@ -571,14 +616,32 @@ impl MeshPort {
         }
     }
 
+    /// A broadcast episode that gave up after `words` completed words:
+    /// records it on the flight ring and builds the error.
+    fn send_stopped(
+        &self,
+        stop: Stop,
+        col_net: bool,
+        op: &'static str,
+        words: u64,
+        why: &str,
+    ) -> MeshError {
+        self.flight_episode(col_net, false, stop.outcome(false), words);
+        self.stopped(
+            stop,
+            op,
+            format_args!("blocked >{:?} ({why})", self.timeout),
+        )
+    }
+
     /// The shared broadcast path of both networks, batched over
-    /// `n_words` words produced by `word_at`: consults the fault
-    /// injector per word (wedge suppression, per-mate word drops),
-    /// enqueues to the surviving mates, and updates counters and trace
-    /// ONCE for the whole batch. A blocked send becomes
-    /// [`MeshError::Deadlock`] (or the legacy panic) after first
-    /// flushing the accounting of the words that completed — exactly
-    /// what `n_words` per-word calls would have recorded.
+    /// `n_words` words produced by `word_at`: takes the line's turn
+    /// for this port's strip step, consults the fault injector per word
+    /// (wedge suppression, per-mate word drops), enqueues to the
+    /// surviving mates, and tallies and traces ONCE for the whole
+    /// batch. A blocked send becomes [`MeshError::Deadlock`] (or the
+    /// legacy panic) after first accounting the words that completed —
+    /// exactly what `n_words` per-word calls would have recorded.
     fn bcast_stream(
         &self,
         n_words: usize,
@@ -589,11 +652,20 @@ impl MeshPort {
         if n_words == 0 {
             return Ok(());
         }
-        // Relaxed: monotone send counter used for fault-injection
-        // bookkeeping and stats. The RMW guarantees no lost counts;
-        // ordering against the payload is provided by the ring's own
-        // release/acquire publish, never by this counter.
-        let send_base = self.sends.fetch_add(n_words as u64, Ordering::Relaxed);
+        let wait = self.wait();
+        // A wedged sender takes its turn too, so that `end_step` can
+        // pass it on in order.
+        if let Err(stop) = wait.until(|| self.steps.try_take(col_net).then_some(())) {
+            return Err(self.send_stopped(
+                stop,
+                col_net,
+                op,
+                0,
+                "an earlier strip step still holds the line",
+            ));
+        }
+        let send_base = self.sends.get();
+        self.sends.set(send_base + n_words as u64);
         if let Some(inj) = &self.injector {
             if inj.cpe_wedged(self.coord.id()) {
                 // The wedged CPE silently stops sending: its group
@@ -612,33 +684,23 @@ impl MeshPort {
         };
         let mut delivered = 0u64;
         let flush = |delivered: u64, completed_words: u64| {
-            if delivered > 0 {
-                if col_net {
-                    self.counters.add_col_sent(delivered);
-                } else {
-                    self.counters.add_row_sent(delivered);
-                }
-                self.cell().add_sent(col_net, delivered);
-            }
+            Tally::add(&self.tally.sent, col_net, delivered);
             if let Some(t) = &self.trace {
                 let link = if col_net { &t.col } else { &t.row };
                 let name = if col_net { "col.bcast" } else { "row.bcast" };
                 link.emit(&t.tracer, name, delivered, completed_words);
             }
         };
-        let wait = self.wait();
         let mut outbox = match link.open(&wait) {
             Ok(outbox) => outbox,
             Err(stop) => {
-                self.flight_episode(col_net, false, stop.outcome(false), 0);
-                return Err(self.stopped(
+                return Err(self.send_stopped(
                     stop,
+                    col_net,
                     op,
-                    format_args!(
-                        "blocked >{:?} (another sender holds the line)",
-                        self.timeout
-                    ),
-                ));
+                    0,
+                    "another sender holds the line",
+                ))
             }
         };
         for w in 0..n_words {
@@ -659,11 +721,12 @@ impl MeshPort {
                 // Words 0..w completed; word w accounts nothing.
                 drop(outbox);
                 flush(delivered, w as u64);
-                self.flight_episode(col_net, false, stop.outcome(false), w as u64);
-                return Err(self.stopped(
+                return Err(self.send_stopped(
                     stop,
+                    col_net,
                     op,
-                    format_args!("blocked >{:?} (a mate is not draining)", self.timeout),
+                    w as u64,
+                    "a mate is not draining",
                 ));
             }
             delivered += mates as u64 - u64::from(dropped.count_ones());
@@ -676,9 +739,9 @@ impl MeshPort {
 
     /// The shared receive path of both networks, batched over
     /// `n_words`: drains words into `sink(word_index, word)` and
-    /// updates counters once. A timeout first accounts the words that
-    /// did arrive, then records one starved word — exactly what
-    /// `n_words` per-word calls would have recorded.
+    /// tallies once. A timeout first accounts the words that did
+    /// arrive, then records one starved word — exactly what `n_words`
+    /// per-word calls would have recorded.
     fn get_stream(
         &self,
         n_words: usize,
@@ -687,32 +750,19 @@ impl MeshPort {
         op: &'static str,
     ) -> Result<(), MeshError> {
         let rx = if col_net { &self.col } else { &self.row };
-        let mut got = 0u64;
-        let flush = |got: u64| {
-            if got > 0 {
-                if col_net {
-                    self.counters.add_col_recv(got);
-                } else {
-                    self.counters.add_row_recv(got);
-                }
-                self.cell().add_recv(col_net, got);
-            }
-        };
         let wait = self.wait();
         for w in 0..n_words {
             match rx.recv(&wait) {
-                Ok(v) => {
-                    sink(w, v);
-                    got += 1;
-                }
+                Ok(v) => sink(w, v),
                 Err(stop) => {
-                    flush(got);
+                    Tally::add(&self.tally.recv, col_net, w as u64);
                     if let Stop::Fuse = stop {
                         // One word of unmet demand: the rendezvous
-                        // summary's deadlock signature.
+                        // summary's deadlock signature, counted at once
+                        // so a live mesh shows who is starving.
                         self.cell().add_starved(col_net);
                     }
-                    self.flight_episode(col_net, true, stop.outcome(true), got);
+                    self.flight_episode(col_net, true, stop.outcome(true), w as u64);
                     return Err(self.stopped(
                         stop,
                         op,
@@ -721,11 +771,20 @@ impl MeshPort {
                 }
             }
         }
-        flush(got);
+        Tally::add(&self.tally.recv, col_net, n_words as u64);
         if n_words > 0 {
-            self.flight_episode(col_net, true, flight::mesh_outcome::OK, got);
+            self.flight_episode(col_net, true, flight::mesh_outcome::OK, n_words as u64);
         }
         Ok(())
+    }
+
+    /// Ends this CPE's current strip step: hands the turn of each line
+    /// it broadcast on this step (a wedged CPE's suppressed broadcasts
+    /// included) to the line's next step, and advances the port's step
+    /// index. A collective schedule calls it once per strip step on
+    /// every CPE; a port that never calls it is never gated.
+    pub fn end_step(&self) {
+        self.steps.end_step();
     }
 
     /// Row broadcast: puts `v` into the row receive buffer of the other
@@ -757,24 +816,24 @@ impl MeshPort {
         Ok(out)
     }
 
-    /// Non-blocking `getr`, for tests and drain checks.
-    pub fn try_getr(&self) -> Option<V256> {
-        let v = self.row.try_recv();
+    /// Non-blocking receive on the row (`col_net == false`) or column
+    /// network.
+    fn try_get(&self, col_net: bool) -> Option<V256> {
+        let v = if col_net { &self.col } else { &self.row }.try_recv();
         if v.is_some() {
-            self.counters.add_row_recv(1);
-            self.cell().add_recv(false, 1);
+            Tally::add(&self.tally.recv, col_net, 1);
         }
         v
     }
 
+    /// Non-blocking `getr`, for tests and drain checks.
+    pub fn try_getr(&self) -> Option<V256> {
+        self.try_get(false)
+    }
+
     /// Non-blocking `getc`.
     pub fn try_getc(&self) -> Option<V256> {
-        let v = self.col.try_recv();
-        if v.is_some() {
-            self.counters.add_col_recv(1);
-            self.cell().add_recv(true, 1);
-        }
-        v
+        self.try_get(true)
     }
 
     /// Broadcasts a group of 256-bit words along the row in one
@@ -862,6 +921,24 @@ impl MeshPort {
     /// Receives a whole panel from the column network.
     pub fn recv_col_panel(&self, out: &mut [f64]) -> Result<(), MeshError> {
         self.get_panel(true, out)
+    }
+}
+
+impl Drop for MeshPort {
+    /// Folds the port's traffic into the mesh-wide counters and its
+    /// grid cell — also while unwinding, so a failed run still reports
+    /// the words it moved.
+    fn drop(&mut self) {
+        let (sent, recv) = (&self.tally.sent, &self.tally.recv);
+        self.counters.add_row_sent(sent[0].get());
+        self.counters.add_col_sent(sent[1].get());
+        self.counters.add_row_recv(recv[0].get());
+        self.counters.add_col_recv(recv[1].get());
+        let cell = self.cell();
+        for col_net in [false, true] {
+            cell.add_sent(col_net, sent[col_net as usize].get());
+            cell.add_recv(col_net, recv[col_net as usize].get());
+        }
     }
 }
 
@@ -996,6 +1073,9 @@ mod tests {
         for chunk in got_words.chunks_exact_mut(4) {
             rx.getr().unwrap().store(chunk);
         }
+        // One more word through the non-blocking receive.
+        tx.row_bcast(V256::ZERO).unwrap();
+        assert_eq!(rx.try_getr(), Some(V256::ZERO));
 
         let batch = Mesh::new();
         let bp = batch.ports();
@@ -1005,9 +1085,127 @@ mod tests {
         bp[Coord::new(2, 5).id()]
             .get_panel(false, &mut got_panel)
             .unwrap();
+        bp[Coord::new(2, 0).id()].row_bcast(V256::ZERO).unwrap();
+        assert_eq!(bp[Coord::new(2, 5).id()].try_getr(), Some(V256::ZERO));
 
         assert_eq!(got_words, got_panel);
-        assert_eq!(word.stats(), batch.stats());
+        // Live ports have folded nothing yet; the tallies land on drop.
+        assert_eq!(word.stats(), MeshStats::default());
+        drop((wp, bp));
+        let stats = word.stats();
+        assert_eq!(stats.row_words_sent, 9 * 7);
+        assert_eq!(stats.row_words_received, 9);
+        assert_eq!(word.grid_stats().cells[2][5].row_recv, 9);
+        assert_eq!(stats, batch.stats());
         assert_eq!(word.grid_stats(), batch.grid_stats());
+    }
+
+    #[test]
+    fn ring_turns_order_steps_even_when_the_later_sender_starts_first() {
+        // Row 0 over two strip steps: (0,0) broadcasts at step 0, (0,1)
+        // at step 1. The step-1 sender's thread starts first and never
+        // waits for its step-0 words; only the line's turn holds it back
+        // until (0,0) ends step 0. Both transports and both paths.
+        let first: Vec<V256> = (0..6).map(|i| V256::splat(i as f64)).collect();
+        let second: Vec<V256> = (10..16).map(|i| V256::splat(i as f64)).collect();
+        let want: Vec<V256> = first.iter().chain(&second).copied().collect();
+        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
+            for bulk in [false, true] {
+                let mesh = Mesh::with_transport(Duration::from_secs(10), transport);
+                let mut row0: Vec<MeshPort> = mesh.ports().into_iter().take(MESH_COLS).collect();
+                let mates = row0.split_off(2);
+                let (early, late) = (row0.remove(0), row0.remove(0));
+                let send = move |p: &MeshPort, words: &[V256]| {
+                    if bulk {
+                        p.row_bcast_words(words).unwrap();
+                    } else {
+                        words.iter().for_each(|&w| p.row_bcast(w).unwrap());
+                    }
+                };
+                let (first, second) = (&first, &second);
+                let early = std::thread::scope(|s| {
+                    s.spawn(move || {
+                        late.end_step(); // step 0: receives, reads nothing yet
+                        send(&late, second);
+                        late.end_step();
+                    });
+                    std::thread::sleep(Duration::from_millis(20));
+                    let step0 = s.spawn(move || {
+                        send(&early, &first[..3]);
+                        send(&early, &first[3..]); // a second episode, same step
+                        early.end_step();
+                        early
+                    });
+                    for p in mates {
+                        let want = &want;
+                        s.spawn(move || {
+                            let got: Vec<V256> = want.iter().map(|_| p.getr().unwrap()).collect();
+                            assert_eq!(&got, want, "{transport:?} bulk={bulk} {}", p.coord());
+                        });
+                    }
+                    step0.join().unwrap()
+                });
+                assert_eq!(early.try_getr(), Some(second[0]));
+            }
+        }
+    }
+
+    #[test]
+    fn ring_turn_wait_is_released_by_the_cancel_flag() {
+        // (3,2) sends at step 1, but nobody ever ends step 0 on row 3:
+        // a 10 s fuse, and the run is cancelled after 20 ms.
+        let mesh = Mesh::with_timeout(Duration::from_secs(10));
+        let flag = Arc::new(AtomicBool::new(false));
+        mesh.set_cancel_flag(&flag);
+        let ports = mesh.ports();
+        let p = &ports[Coord::new(3, 2).id()];
+        p.end_step();
+        let start = std::time::Instant::now();
+        let err = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                flag.store(true, Ordering::Relaxed);
+            });
+            p.row_bcast(V256::ZERO).unwrap_err()
+        });
+        assert_eq!(
+            err,
+            MeshError::Cancelled {
+                coord: (3, 2),
+                op: "row-broadcast"
+            }
+        );
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn ring_step_without_a_sender_deadlocks_instead_of_misordering() {
+        // Column 4 has no sender at step 0, so the step-1 sender never
+        // gets the turn: the fuse trips, and no word reaches a mate.
+        let timeout = Duration::from_millis(50);
+        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
+            let mesh = Mesh::with_transport(timeout, transport);
+            let ports = mesh.ports();
+            for r in 0..8 {
+                ports[Coord::new(r, 4).id()].end_step();
+            }
+            let err = ports[Coord::new(1, 4).id()]
+                .col_bcast(V256::splat(1.0))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                MeshError::Deadlock {
+                    coord: (1, 4),
+                    op: "col-broadcast",
+                    timeout,
+                },
+                "{transport:?}"
+            );
+            for r in 0..8 {
+                assert_eq!(ports[Coord::new(r, 4).id()].try_getc(), None);
+            }
+            drop(ports);
+            assert_eq!(mesh.stats(), MeshStats::default(), "{transport:?}");
+        }
     }
 }

@@ -13,10 +13,12 @@
 //! One producer at a time: a sender claims the ring for a whole episode
 //! ([`BroadcastRing::try_claim`], an acquire test-and-set on a flag that
 //! the returned [`Episode`] releases on drop). The collective schedule
-//! never has two senders on one line between barriers — `sw-lint`
-//! proves that statically — but the claim means a schedule that breaks
-//! the rule is serialized per episode instead of racing on the slots,
-//! so memory safety does not rest on the lint.
+//! never has two senders on one line in one strip step — `sw-lint`
+//! proves that statically — and the port layer's per-line turn
+//! (`turn.rs`) orders the steps' senders, which the ring itself knows
+//! nothing about. The claim means a schedule that breaks either rule is
+//! serialized per episode instead of racing on the slots, so memory
+//! safety rests on neither.
 //!
 //! The producer may not lap the slowest member that still needs a
 //! slot. A sender with no unread words on the line when it claims the
@@ -43,12 +45,12 @@ use sw_check::cell::UnsafeCell;
 use sw_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use sw_check::time::{Duration, Instant};
 
-/// Pads (and aligns) a value to its own 128-byte region so the
-/// producer-side and consumer-side cursors of a ring never share a
-/// cache line (128 covers the 64 B line size plus adjacent-line
-/// prefetching).
+/// Pads (and aligns) a value to its own 128-byte region so atomics
+/// written by different threads — a ring's producer and consumer
+/// cursors, a line's strip-step turn — never share a cache line (128
+/// covers the 64 B line size plus adjacent-line prefetching).
 #[repr(align(128))]
-struct CachePadded<T>(T);
+pub(crate) struct CachePadded<T>(pub T);
 
 /// Most members one ring serves: the skip mask has one bit per member.
 const MAX_MEMBERS: usize = 8;

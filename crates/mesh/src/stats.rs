@@ -8,9 +8,10 @@
 
 use sw_probe::metrics::{Counter, Registry};
 
-/// Shared atomic counters behind every port of one mesh. Built on the
-/// probe crate's [`Counter`] so a snapshot can be published into a
-/// metrics [`Registry`] without translation.
+/// Shared atomic counters behind every port of one mesh; each port
+/// folds its own tally in once, when it drops. Built on the probe
+/// crate's [`Counter`] so a snapshot can be published into a metrics
+/// [`Registry`] without translation.
 #[derive(Debug, Default)]
 pub(crate) struct MeshCounters {
     row_sent: Counter,
@@ -77,7 +78,8 @@ impl MeshStats {
 }
 
 /// Per-CPE mesh traffic counters, `cells[row][col]`. Alongside the
-/// mesh-wide [`MeshCounters`], every port also tallies its own cell so
+/// mesh-wide [`MeshCounters`], every port also folds its tally into its
+/// own cell (and counts starved receives there at once) so
 /// a failed run can be diagnosed per rendezvous group (the runtime
 /// feeds a [`MeshGridStats`] snapshot to `sw-lint`'s mesh pass to name
 /// the wedged row/column group).

@@ -264,6 +264,11 @@ pub struct FlightEvent {
 
 const SLOT_WORDS: usize = 3;
 
+/// One producer's ring header, clock and ledger. Aligned to its own
+/// 128-byte region (a 64 B line plus the adjacent-line prefetch) so two
+/// CPEs' headers never share a cache line: each is written by its own
+/// thread on every clock advance.
+#[repr(align(128))]
 struct Ring {
     /// Events ever recorded; slot for event `s` is `s % capacity`.
     head: AtomicU64,
@@ -286,6 +291,13 @@ impl Ring {
                 .collect(),
         }
     }
+}
+
+/// Adds `n` to a counter only the calling thread writes: a plain load
+/// and store, no locked RMW.
+#[inline]
+fn add_owned(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Per-CPE clock and busy-cycle ledger, as read back by
@@ -407,14 +419,14 @@ impl FlightRecorder {
     #[inline]
     pub fn advance(&self, ring: usize, lane: Lane, cycles: u64) -> (u64, u64) {
         let r = &self.rings[ring];
-        // Relaxed clock/busy: both are single-writer (the ring owner);
-        // the load-then-store on `clock` is not an RMW because nobody
-        // else writes it. Cross-thread readers only see these after a
-        // join (`attribution`) or as an advisory live peek.
+        // Relaxed clock/busy: both are single-writer (the ring owner),
+        // so each load-then-store needs no RMW — nobody else writes
+        // them. Cross-thread readers only see these after a join
+        // (`attribution`) or as an advisory live peek.
         let t0 = r.clock.load(Ordering::Relaxed);
         let t1 = t0 + cycles;
         r.clock.store(t1, Ordering::Relaxed);
-        r.busy[lane as usize].fetch_add(cycles, Ordering::Relaxed);
+        add_owned(&r.busy[lane as usize], cycles);
         (t0, t1)
     }
 
@@ -433,7 +445,7 @@ impl FlightRecorder {
             return 0;
         }
         r.clock.store(to, Ordering::Relaxed);
-        r.busy[lane as usize].fetch_add(to - t0, Ordering::Relaxed);
+        add_owned(&r.busy[lane as usize], to - t0);
         to - t0
     }
 
@@ -604,6 +616,16 @@ mod tests {
         assert_eq!(a.clock, 100);
         assert_eq!(a.total_busy(), a.clock);
         assert_eq!(a.busy, [10, 20, 5, 65]);
+    }
+
+    #[test]
+    fn ring_headers_do_not_false_share() {
+        let f = FlightRecorder::with_capacity(1);
+        let addrs: Vec<usize> = f.rings.iter().map(|r| r as *const Ring as usize).collect();
+        for pair in addrs.windows(2) {
+            assert!(pair[1] - pair[0] >= 128);
+        }
+        assert!(addrs.iter().all(|a| a % 128 == 0));
     }
 
     #[test]

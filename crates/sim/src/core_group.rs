@@ -332,7 +332,8 @@ impl CoreGroup {
                     .track("cpe-dma", format!("CPE ({},{})", c.row, c.col))
             })
             .collect();
-        // Each worker takes exclusive ownership of its port for the run.
+        // Each worker takes exclusive ownership of its port for the run;
+        // dropping it folds its traffic into `mesh.stats()`.
         let ports: Vec<Mutex<Option<MeshPort>>> = mesh
             .ports()
             .into_iter()
@@ -790,6 +791,15 @@ impl<'a> CpeCtx<'a> {
             self.mesh_fail(e);
         }
         self.charge_mesh(out.len() / 4);
+    }
+
+    /// Ends this CPE's collective strip step on the mesh: the lines it
+    /// broadcast on pass to their next step's sender (see
+    /// [`MeshPort::end_step`]). Called once per strip step by every
+    /// CPE, this paces the steps without a barrier; it charges no
+    /// simulated time.
+    pub fn mesh_end_step(&self) {
+        self.port.end_step();
     }
 
     /// Executes an ISA kernel stream against this CPE's LDM and mesh
