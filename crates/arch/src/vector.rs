@@ -87,28 +87,6 @@ impl V256 {
     pub fn hsum(self) -> f64 {
         (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
     }
-
-    /// Loads `dst.len()` consecutive vectors from `src` (vector `i`
-    /// takes lanes `src[4i..4i+4]`): the wide micro-op a fused run of
-    /// `vldd`s into adjacent registers performs. The fixed-width inner
-    /// copy is a single autovectorizable loop instead of `dst.len()`
-    /// separate four-lane gathers.
-    #[inline]
-    pub fn load_seq(dst: &mut [V256], src: &[f64]) {
-        for (i, v) in dst.iter_mut().enumerate() {
-            *v = V256::load(&src[4 * i..]);
-        }
-    }
-
-    /// Stores `src.len()` consecutive vectors into `dst` (the wide
-    /// micro-op of a fused `vstd` run); the inverse of
-    /// [`V256::load_seq`].
-    #[inline]
-    pub fn store_seq(src: &[V256], dst: &mut [f64]) {
-        for (i, v) in src.iter().enumerate() {
-            v.store(&mut dst[4 * i..4 * i + 4]);
-        }
-    }
 }
 
 impl From<[f64; 4]> for V256 {
@@ -144,18 +122,5 @@ mod tests {
     #[test]
     fn splat_and_hsum() {
         assert_eq!(V256::splat(2.5).hsum(), 10.0);
-    }
-
-    #[test]
-    fn seq_roundtrip_matches_elementwise() {
-        let src: Vec<f64> = (0..12).map(|i| i as f64 * 0.5).collect();
-        let mut regs = [V256::ZERO; 3];
-        V256::load_seq(&mut regs, &src);
-        for (i, r) in regs.iter().enumerate() {
-            assert_eq!(*r, V256::load(&src[4 * i..]));
-        }
-        let mut out = vec![0.0; 12];
-        V256::store_seq(&regs, &mut out);
-        assert_eq!(out, src);
     }
 }

@@ -6,36 +6,31 @@
 //! 1. **Interpreter throughput** (instructions/second) on the
 //!    production kernel streams, for the *seed* engine (re-implemented
 //!    here verbatim, with its per-instruction `Vec` source-register
-//!    queries), the current reference engine (`Machine::run_reference`,
-//!    allocation-free source sets), and the three selectable backends:
-//!    predecoded (`run_decoded`), batch-fused (`run_batched`), and
-//!    trace-compiled (`run_compiled`, reported as a *replay rate* —
-//!    equivalent instructions per second of the straight-line trace).
+//!    queries), the reference engine (`Machine::run_reference`,
+//!    allocation-free source sets), and the predecoded engine
+//!    (`run_decoded`).
 //! 2. **Fig. 6 sweep wall time** (10 square sizes × 5 variants of
 //!    timing-mode estimation), seed engine — `Vec`-allocating
 //!    interpreter, `Vec`-dependence DAG, no kernel memoization —
-//!    versus each current backend, cold (kernel-report cache reset
-//!    before each measured round) and warm (decoded).
+//!    versus the current engine, cold (kernel-report cache reset
+//!    before each measured round) and warm.
 //!
 //! Every comparison first asserts the engines agree exactly (same
 //! `ExecReport`, same LDM image, same makespan per estimate), so the
 //! speedups reported are for interchangeable computations.
 //!
-//! Flags: `--backend <decoded|batched|compiled|all>` restricts the
-//! timed measurements to one backend, `--filter <stream>` restricts
-//! the throughput rows to matching kernel streams, and `--assert`
-//! (CI mode) makes pinned-floor misses fatal. Partial runs
-//! (`--backend`/`--filter`) never rewrite `BENCH_engine.json`.
+//! Flags: `--filter <stream>` restricts the throughput rows to
+//! matching kernel streams, and `--assert` (CI mode) makes pinned-floor
+//! misses fatal. Partial runs (`--filter`) never rewrite
+//! `BENCH_engine.json`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use sw_bench::paper::PAPER_FIG6_SCHED;
-use sw_dgemm::timing::{estimate, estimate_with, kernel_cache_reset, kernel_cache_stats};
+use sw_dgemm::timing::{estimate, kernel_cache_reset, kernel_cache_stats};
 use sw_dgemm::Variant;
 use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
-use sw_isa::{
-    BatchedProgram, CompiledProgram, DecodedProgram, EngineBackend, Instr, Machine, SinkComm,
-};
+use sw_isa::{DecodedProgram, Instr, Machine, SinkComm};
 
 /// A faithful re-implementation of the seed revision's execution
 /// engine, kept as the benchmark baseline: per-instruction `Vec`
@@ -444,8 +439,6 @@ fn kernel_cfg(pn: usize) -> BlockKernelCfg {
 /// Parsed command-line options.
 #[derive(Default)]
 struct Cli {
-    /// `--backend`: restrict the timed measurements to one backend.
-    backend: Option<EngineBackend>,
     /// `--filter`: restrict the throughput rows to streams whose name
     /// contains this substring.
     filter: Option<String>,
@@ -455,15 +448,13 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: engine_bench [--backend decoded|batched|compiled|all] \
-         [--filter <stream>] [--assert]\n\
+        "usage: engine_bench [--filter <stream>] [--assert]\n\
          \n\
-         --backend   time only one execution backend (default: all)\n\
          --filter    bench only kernel streams whose name contains <stream>\n\
          --assert    exit non-zero when a pinned floor is missed (CI mode)\n\
          \n\
          Equivalence gates always run and are always fatal. Partial runs\n\
-         (--backend/--filter) skip rewriting BENCH_engine.json."
+         (--filter) skip rewriting BENCH_engine.json."
     );
     std::process::exit(2);
 }
@@ -474,15 +465,6 @@ fn parse_cli() -> Cli {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--assert" => cli.assert_floors = true,
-            "--backend" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                if v != "all" {
-                    cli.backend = Some(v.parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        usage()
-                    }));
-                }
-            }
             "--filter" => cli.filter = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             other => {
@@ -500,30 +482,20 @@ struct InterpRow {
     seed_mips: f64,
     reference_mips: f64,
     decoded_mips: f64,
-    /// NaN when `--backend` excluded the batched backend.
-    batched_mips: f64,
-    /// Trace-replay rate in equivalent Minstr/s; NaN when excluded.
-    compiled_mips: f64,
 }
 
-fn bench_interpreters(cli: &Cli, style: KernelStyle, stream: &'static str) -> InterpRow {
+fn bench_interpreters(style: KernelStyle, stream: &'static str) -> InterpRow {
     let cfg = kernel_cfg(32);
     let prog: Vec<Instr> = gen_block_kernel(&cfg, style);
     let decoded = DecodedProgram::new(&prog);
-    let batched = BatchedProgram::new(&prog);
-    let compiled = CompiledProgram::new(&prog);
-    assert!(
-        compiled.is_traced(),
-        "production {stream} kernel stream must compile to a straight-line trace"
-    );
     let fresh_ldm = || {
         let mut l = vec![0.0f64; 8192];
         l[cfg.alpha_addr] = 1.0;
         l
     };
 
-    // Equivalence gate: all five engines must agree exactly (report
-    // and LDM image). Always runs, regardless of --backend/--filter.
+    // Equivalence gate: all three engines must agree exactly (report
+    // and LDM image). Always runs, regardless of --filter.
     let mut l1 = fresh_ldm();
     let r_seed = seed::run(&prog, &mut l1);
     let mut l2 = fresh_ldm();
@@ -532,12 +504,6 @@ fn bench_interpreters(cli: &Cli, style: KernelStyle, stream: &'static str) -> In
     let mut l3 = fresh_ldm();
     let mut comm = SinkComm;
     let r_dec = Machine::new(&mut l3, &mut comm).run_decoded(&decoded);
-    let mut l4 = fresh_ldm();
-    let mut comm = SinkComm;
-    let r_bat = Machine::new(&mut l4, &mut comm).run_batched(&batched);
-    let mut l5 = fresh_ldm();
-    let mut comm = SinkComm;
-    let r_comp = Machine::new(&mut l5, &mut comm).run_compiled(&compiled);
     assert_eq!(
         r_seed, r_ref,
         "seed vs reference reports diverge on {stream}"
@@ -546,20 +512,9 @@ fn bench_interpreters(cli: &Cli, style: KernelStyle, stream: &'static str) -> In
         r_ref, r_dec,
         "reference vs decoded reports diverge on {stream}"
     );
-    assert_eq!(
-        r_dec, r_bat,
-        "decoded vs batched reports diverge on {stream}"
-    );
-    assert_eq!(
-        r_dec, r_comp,
-        "decoded vs compiled reports diverge on {stream}"
-    );
     assert_eq!(l1, l2, "seed vs reference LDM diverges on {stream}");
     assert_eq!(l2, l3, "reference vs decoded LDM diverges on {stream}");
-    assert_eq!(l3, l4, "decoded vs batched LDM diverges on {stream}");
-    assert_eq!(l3, l5, "decoded vs compiled LDM diverges on {stream}");
 
-    let want = |b: EngineBackend| cli.backend.is_none() || cli.backend == Some(b);
     let floor = Duration::from_millis(300);
     let mut ldm = fresh_ldm();
     let seed_s = secs_per_call(floor, || {
@@ -570,31 +525,11 @@ fn bench_interpreters(cli: &Cli, style: KernelStyle, stream: &'static str) -> In
     let ref_s = secs_per_call(floor, || {
         black_box(Machine::new(&mut ldm, &mut comm).run_reference(&prog));
     });
-    // The decoded backend is the baseline every per-backend ratio
-    // divides by, so it is always timed.
     let mut ldm = fresh_ldm();
     let mut comm = SinkComm;
     let dec_s = secs_per_call(floor, || {
         black_box(Machine::new(&mut ldm, &mut comm).run_decoded(&decoded));
     });
-    let bat_s = if want(EngineBackend::Batched) {
-        let mut ldm = fresh_ldm();
-        let mut comm = SinkComm;
-        secs_per_call(floor, || {
-            black_box(Machine::new(&mut ldm, &mut comm).run_batched(&batched));
-        })
-    } else {
-        f64::NAN
-    };
-    let comp_s = if want(EngineBackend::Compiled) {
-        let mut ldm = fresh_ldm();
-        let mut comm = SinkComm;
-        secs_per_call(floor, || {
-            black_box(Machine::new(&mut ldm, &mut comm).run_compiled(&compiled));
-        })
-    } else {
-        f64::NAN
-    };
 
     let mips = |s: f64| r_seed.instructions as f64 / s / 1e6;
     InterpRow {
@@ -603,65 +538,44 @@ fn bench_interpreters(cli: &Cli, style: KernelStyle, stream: &'static str) -> In
         seed_mips: mips(seed_s),
         reference_mips: mips(ref_s),
         decoded_mips: mips(dec_s),
-        batched_mips: mips(bat_s),
-        compiled_mips: mips(comp_s),
     }
 }
 
-fn pinned_key(b: EngineBackend) -> &'static str {
-    match b {
-        EngineBackend::Decoded => "speedup_cold_floor",
-        EngineBackend::Batched => "batched_speedup_cold_floor",
-        EngineBackend::Compiled => "compiled_speedup_cold_floor",
-    }
-}
+/// Key of the pinned cold-sweep floor: a deliberately conservative
+/// lower bound, carried forward verbatim on regeneration.
+const FLOOR_KEY: &str = "speedup_cold_floor";
 
 /// Key of the pinned *reference* speedup (the previous full run's
 /// measured median) the symmetric probe-overhead gate compares
-/// against. Unlike the floor — a deliberately conservative lower
-/// bound — the reference is rewritten to the fresh median on every
-/// full regeneration, so drift is measured around zero instead of
-/// against a value that is 10-15% low by construction.
-fn reference_key(b: EngineBackend) -> &'static str {
-    match b {
-        EngineBackend::Decoded => "speedup_cold",
-        EngineBackend::Batched => "batched_speedup_cold",
-        EngineBackend::Compiled => "compiled_speedup_cold",
-    }
-}
+/// against. Unlike the floor, the reference is rewritten to the fresh
+/// median on every full regeneration, so drift is measured around zero
+/// instead of against a value that is 10-15% low by construction.
+const REFERENCE_KEY: &str = "speedup_cold";
 
 /// Probe-overhead drift tolerated on top of the measured noise floor.
 const PROBE_TOL_PCT: f64 = 2.0;
 
 fn main() {
     let cli = parse_cli();
-    let partial = cli.backend.is_some() || cli.filter.is_some();
+    let partial = cli.filter.is_some();
     let sizes: Vec<usize> = PAPER_FIG6_SCHED.iter().map(|&(s, _)| s).collect();
-    let backends: Vec<EngineBackend> = match cli.backend {
-        Some(b) => vec![b],
-        None => EngineBackend::ALL.to_vec(),
-    };
 
-    // 1. Fig. 6 sweep, seed vs each current backend, in *interleaved
+    // 1. Fig. 6 sweep, seed vs current engine, in *interleaved
     //    rounds*: each round times one seed sweep then one cold sweep
-    //    per backend (kernel-report cache reset first), and the
-    //    reported speedup is the median of the per-round ratios.
-    //    Pairing cancels slow drift (CPU frequency scaling, background
-    //    load) that separate seed-then-current phases would bake into
-    //    the ratio — the floor gates below need that stability. Note
-    //    the reset clears only the *report* cache: the compiled
-    //    backend's process-global code cache survives, so its kernels
-    //    cross the hot threshold in the first rounds and stay hot —
-    //    exactly what a long-lived sweep process would see.
+    //    (kernel-report cache reset first), and the reported speedup
+    //    is the median of the per-round ratios. Pairing cancels slow
+    //    drift (CPU frequency scaling, background load) that separate
+    //    seed-then-current phases would bake into the ratio — the
+    //    floor gates below need that stability.
     assert_eq!(
         kernel_cache_stats().misses,
         0,
         "cache must be cold for the cold-sweep number"
     );
-    let run_sweep = |backend: EngineBackend| {
+    let run_sweep = || {
         for &s in &sizes {
             for v in Variant::ALL {
-                black_box(estimate_with(v, s, s, s, backend).unwrap());
+                black_box(estimate(v, s, s, s).unwrap());
             }
         }
     };
@@ -672,8 +586,8 @@ fn main() {
             }
         }
     };
-    let mut pair_ratios: Vec<Vec<f64>> = vec![Vec::new(); backends.len()];
-    let mut cold_best: Vec<Duration> = vec![Duration::MAX; backends.len()];
+    let mut pair_ratios: Vec<f64> = Vec::new();
+    let mut cold_best = Duration::MAX;
     let mut seed_time = Duration::MAX;
     let mut cache = None;
     for round in 0..5 {
@@ -681,34 +595,23 @@ fn main() {
         seed_sweep();
         let s = t.elapsed();
         seed_time = seed_time.min(s);
-        for (i, &b) in backends.iter().enumerate() {
-            kernel_cache_reset();
-            let t = Instant::now();
-            run_sweep(b);
-            let c = t.elapsed();
-            if round == 0 && b == EngineBackend::Decoded {
-                cache = Some(kernel_cache_stats());
-            }
-            cold_best[i] = cold_best[i].min(c);
-            pair_ratios[i].push(s.as_secs_f64() / c.as_secs_f64());
+        kernel_cache_reset();
+        let t = Instant::now();
+        run_sweep();
+        let c = t.elapsed();
+        if round == 0 {
+            cache = Some(kernel_cache_stats());
         }
+        cold_best = cold_best.min(c);
+        pair_ratios.push(s.as_secs_f64() / c.as_secs_f64());
     }
-    let speedup_cold: Vec<f64> = pair_ratios
-        .iter_mut()
-        .map(|v| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        })
-        .collect();
+    pair_ratios.sort_by(f64::total_cmp);
+    let speedup_cold = pair_ratios[pair_ratios.len() / 2];
     let cache = cache.unwrap_or_default();
 
     // Warm: the report cache now holds every kernel shape the sweep
-    // needs, so the warm number is backend-independent; measured on
-    // decoded when it is selected.
-    let new_warm = backends
-        .iter()
-        .position(|&b| b == EngineBackend::Decoded)
-        .map(|_| best_of(3, || run_sweep(EngineBackend::Decoded)));
+    // needs.
+    let warm = best_of(3, run_sweep);
 
     // 2. Per-estimate equivalence gate against the current engine.
     let mut checked = false;
@@ -733,7 +636,7 @@ fn main() {
     let rows: Vec<InterpRow> = streams
         .iter()
         .filter(|(_, name)| cli.filter.as_deref().is_none_or(|f| name.contains(f)))
-        .map(|&(style, name)| bench_interpreters(&cli, style, name))
+        .map(|&(style, name)| bench_interpreters(style, name))
         .collect();
     if rows.is_empty() {
         eprintln!(
@@ -743,47 +646,20 @@ fn main() {
         std::process::exit(2);
     }
 
-    let cell = |x: f64| {
-        if x.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{x:.1}")
-        }
-    };
-    let ratio = |x: f64| {
-        if x.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{x:.2}x")
-        }
-    };
-    println!("== interpreter throughput (Minstr/s; compiled = trace replay rate) ==");
+    println!("== interpreter throughput (Minstr/s) ==");
     println!(
-        "{:<8} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9}",
-        "stream",
-        "instrs",
-        "seed",
-        "ref",
-        "decoded",
-        "batched",
-        "compiled",
-        "dec/seed",
-        "bat/dec",
-        "comp/dec"
+        "{:<8} {:>10} {:>8} {:>8} {:>8} {:>9}",
+        "stream", "instrs", "seed", "ref", "decoded", "dec/seed"
     );
     for r in &rows {
         println!(
-            "{:<8} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9}",
+            "{:<8} {:>10} {:>8.1} {:>8.1} {:>8.1} {:>8.2}x",
             r.stream,
             r.instructions,
-            cell(r.seed_mips),
-            cell(r.reference_mips),
-            cell(r.decoded_mips),
-            cell(r.batched_mips),
-            cell(r.compiled_mips),
-            ratio(r.decoded_mips / r.seed_mips),
-            ratio(r.batched_mips / r.decoded_mips),
-            ratio(r.compiled_mips / r.decoded_mips)
+            r.seed_mips,
+            r.reference_mips,
+            r.decoded_mips,
+            r.decoded_mips / r.seed_mips
         );
     }
     println!();
@@ -792,43 +668,34 @@ fn main() {
         "seed engine        : {:>10.1} ms",
         seed_time.as_secs_f64() * 1e3
     );
-    for (i, &b) in backends.iter().enumerate() {
-        println!(
-            "{:<8} (cold)    : {:>10.1} ms   {:.2}x (median of 5 interleaved rounds)",
-            b.name(),
-            cold_best[i].as_secs_f64() * 1e3,
-            speedup_cold[i]
-        );
-    }
-    if let Some(w) = new_warm {
-        println!(
-            "decoded  (warm)    : {:>10.1} ms   {:.2}x",
-            w.as_secs_f64() * 1e3,
-            seed_time.as_secs_f64() / w.as_secs_f64()
-        );
-    }
     println!(
-        "kernel cache       : {} hits / {} misses (cold decoded sweep)",
+        "decoded  (cold)    : {:>10.1} ms   {speedup_cold:.2}x (median of 5 interleaved rounds)",
+        cold_best.as_secs_f64() * 1e3
+    );
+    println!(
+        "decoded  (warm)    : {:>10.1} ms   {:.2}x",
+        warm.as_secs_f64() * 1e3,
+        seed_time.as_secs_f64() / warm.as_secs_f64()
+    );
+    println!(
+        "kernel cache       : {} hits / {} misses (cold sweep)",
         cache.hits, cache.misses
     );
     println!();
 
-    // 4. Floor gates. Pinned floors live in the committed
-    //    BENCH_engine.json and are carried forward *verbatim* on
+    // 4. Floor gates. The pinned floor lives in the committed
+    //    BENCH_engine.json and is carried forward *verbatim* on
     //    regeneration (never ratcheted down by a noisy run) — only a
-    //    deliberate re-bless moves them. Every gate allows the
-    //    measured value to sit within 2% below its floor before it
-    //    counts as a miss; misses are fatal under --assert.
+    //    deliberate re-bless moves it. The measured value may sit
+    //    within 2% below the floor before it counts as a miss; misses
+    //    are fatal under --assert.
     //
-    //    * Cold-sweep floors (one per backend) are the
-    //      probe-overhead gate: the speedup over the in-process seed
-    //      engine is a ratio of two same-machine measurements, so if
-    //      the observability hooks (registry counters, disabled
-    //      tracer, `PROBE = false` interpreters) cost anything on the
-    //      hot path, the cold speedup drops below its floor.
-    //    * Replay floors gate the per-stream throughput ratio of the
-    //      batched and compiled backends over decoded — the compiled
-    //      floor is pinned at >= 2x, the PR's headline claim.
+    //    The cold-sweep floor is the probe-overhead gate: the speedup
+    //    over the in-process seed engine is a ratio of two
+    //    same-machine measurements, so if the observability hooks
+    //    (registry counters, disabled tracer, `PROBE = false`
+    //    interpreter) cost anything on the hot path, the cold speedup
+    //    drops below its floor.
     let path = "BENCH_engine.json";
     let baseline = std::fs::read_to_string(path).ok();
     let pinned = |key: &str| baseline.as_ref().and_then(|t| json_number(t, key));
@@ -838,135 +705,62 @@ fn main() {
         "== floor gates (measured >= 98% of pinned floor; probe drift: |vs reference| <= \
          {PROBE_TOL_PCT}% + noise) =="
     );
-    let mut sweep_floors: Vec<f64> = Vec::new();
-    let mut probe_overhead_pct = 0.0;
-    let mut probe_noise_pct = 0.0;
-    for (i, &b) in backends.iter().enumerate() {
-        let key = pinned_key(b);
-        let measured = speedup_cold[i];
-        // Round-to-round noise floor of this backend's ratio: half the
-        // spread of the five interleaved pair ratios, relative to
-        // their median. A drift smaller than this is not evidence of
-        // anything.
-        let ratios = &pair_ratios[i]; // sorted by the median step
-        let noise = 100.0 * (ratios[ratios.len() - 1] - ratios[0]) / (2.0 * measured);
-        match pinned(key) {
-            Some(fl) => {
-                println!(
-                    "{:<8} cold sweep : {measured:.2}x vs floor {fl:.2}x",
-                    b.name()
-                );
-                if measured < 0.98 * fl {
-                    failures.push(format!(
-                        "{b} fig6 cold speedup {measured:.2}x fell below 98% of the \
-                         pinned floor {fl:.2}x"
-                    ));
-                }
-                sweep_floors.push(fl);
-            }
-            None => {
-                // First run without a pinned floor: initialize it 15%
-                // under the measured median — the sweep ratio divides
-                // two wall-clock medians, and each swings ~±10% across
-                // runs on a shared machine.
-                let fl = 0.85 * measured;
-                println!(
-                    "{:<8} cold sweep : {measured:.2}x; no pinned {key}, initializing to {fl:.2}x",
-                    b.name()
-                );
-                sweep_floors.push(fl);
-            }
-        }
-        // Symmetric probe-overhead gate: drift of the measured median
-        // against the pinned reference (the previous full run's
-        // median), failing on |drift| > tolerance + noise in *either*
-        // direction — a large negative "overhead" means the committed
-        // reference is stale and must be re-blessed by a full
-        // regeneration, not silently banked as headroom.
-        if let Some(reference) = pinned(reference_key(b)) {
-            let overhead = (1.0 - measured / reference) * 100.0;
-            let allowed = PROBE_TOL_PCT + noise;
-            let dir = if overhead >= 0.0 { "cost" } else { "headroom" };
-            println!(
-                "{:<8} probe drift: {overhead:+.1}% vs reference {reference:.2}x \
-                 ({dir}; noise floor {noise:.1}%, allowed {allowed:.1}%)",
-                b.name()
-            );
-            if overhead.abs() > allowed {
+    // Round-to-round noise floor of the ratio: half the spread of the
+    // five interleaved pair ratios, relative to their median. A drift
+    // smaller than this is not evidence of anything.
+    let measured = speedup_cold;
+    let noise = 100.0 * (pair_ratios[pair_ratios.len() - 1] - pair_ratios[0]) / (2.0 * measured);
+    let sweep_floor = match pinned(FLOOR_KEY) {
+        Some(fl) => {
+            println!("decoded  cold sweep : {measured:.2}x vs floor {fl:.2}x");
+            if measured < 0.98 * fl {
                 failures.push(format!(
-                    "{b} cold-sweep drift {overhead:+.1}% vs the pinned reference \
-                     {reference:.2}x exceeds the symmetric band {allowed:.1}% \
-                     ({PROBE_TOL_PCT}% tolerance + {noise:.1}% measured noise); \
-                     regenerate BENCH_engine.json to re-bless if deliberate"
+                    "decoded fig6 cold speedup {measured:.2}x fell below 98% of the \
+                     pinned floor {fl:.2}x"
                 ));
             }
-            if b == EngineBackend::Decoded {
-                probe_overhead_pct = overhead;
-                probe_noise_pct = noise;
-            }
-        } else {
+            fl
+        }
+        None => {
+            // First run without a pinned floor: initialize it 15%
+            // under the measured median — the sweep ratio divides two
+            // wall-clock medians, and each swings ~±10% across runs on
+            // a shared machine.
+            let fl = 0.85 * measured;
             println!(
-                "{:<8} probe drift: no pinned {} yet (first full run pins it)",
-                b.name(),
-                reference_key(b)
+                "decoded  cold sweep : {measured:.2}x; no pinned {FLOOR_KEY}, initializing to \
+                 {fl:.2}x"
             );
-            if b == EngineBackend::Decoded {
-                probe_noise_pct = noise;
-            }
+            fl
         }
+    };
+    // Symmetric probe-overhead gate: drift of the measured median
+    // against the pinned reference (the previous full run's median),
+    // failing on |drift| > tolerance + noise in *either* direction — a
+    // large negative "overhead" means the committed reference is stale
+    // and must be re-blessed by a full regeneration, not silently
+    // banked as headroom.
+    let mut probe_overhead_pct = 0.0;
+    if let Some(reference) = pinned(REFERENCE_KEY) {
+        let overhead = (1.0 - measured / reference) * 100.0;
+        let allowed = PROBE_TOL_PCT + noise;
+        let dir = if overhead >= 0.0 { "cost" } else { "headroom" };
+        println!(
+            "decoded  probe drift: {overhead:+.1}% vs reference {reference:.2}x \
+             ({dir}; noise floor {noise:.1}%, allowed {allowed:.1}%)"
+        );
+        if overhead.abs() > allowed {
+            failures.push(format!(
+                "decoded cold-sweep drift {overhead:+.1}% vs the pinned reference \
+                 {reference:.2}x exceeds the symmetric band {allowed:.1}% \
+                 ({PROBE_TOL_PCT}% tolerance + {noise:.1}% measured noise); \
+                 regenerate BENCH_engine.json to re-bless if deliberate"
+            ));
+        }
+        probe_overhead_pct = overhead;
+    } else {
+        println!("decoded  probe drift: no pinned {REFERENCE_KEY} yet (first full run pins it)");
     }
-
-    let min_ratio = |f: fn(&InterpRow) -> f64| {
-        rows.iter()
-            .map(|r| f(r) / r.decoded_mips)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let bat_ratio = min_ratio(|r| r.batched_mips);
-    let comp_ratio = min_ratio(|r| r.compiled_mips);
-    let mut replay_floor = |name: &str, key: &str, measured: f64, init: f64| -> f64 {
-        if measured.is_nan() {
-            return pinned(key).unwrap_or(init);
-        }
-        match pinned(key) {
-            Some(fl) => {
-                println!("{name:<8} replay     : {measured:.2}x vs decoded, floor {fl:.2}x");
-                if measured < 0.98 * fl {
-                    failures.push(format!(
-                        "{name} replay throughput {measured:.2}x vs decoded fell below \
-                         98% of the pinned floor {fl:.2}x"
-                    ));
-                }
-                fl
-            }
-            None => {
-                println!(
-                    "{name:<8} replay     : {measured:.2}x vs decoded; no pinned {key}, \
-                     initializing to {init:.2}x"
-                );
-                if measured < 0.98 * init {
-                    failures.push(format!(
-                        "{name} replay throughput {measured:.2}x vs decoded is below \
-                         its initial floor {init:.2}x"
-                    ));
-                }
-                init
-            }
-        }
-    };
-    let bat_floor = replay_floor(
-        "batched",
-        "batched_replay_floor",
-        bat_ratio,
-        0.8 * bat_ratio,
-    );
-    // The compiled floor is the PR's acceptance pin: never initialized
-    // below 2x, however fast the machine.
-    let comp_floor = replay_floor(
-        "compiled",
-        "compiled_replay_floor",
-        comp_ratio,
-        f64::max(2.0, 0.75 * comp_ratio),
-    );
 
     if failures.is_empty() {
         println!("all floors hold");
@@ -980,10 +774,10 @@ fn main() {
         eprintln!("(advisory run: rerun with --assert to make floor misses fatal)");
     }
 
-    // 5. BENCH_engine.json — full runs only, so a --backend/--filter
-    //    slice can never clobber the committed baseline.
+    // 5. BENCH_engine.json — full runs only, so a --filter slice can
+    //    never clobber the committed baseline.
     if partial {
-        println!("\npartial run (--backend/--filter): {path} left untouched");
+        println!("\npartial run (--filter): {path} left untouched");
         return;
     }
     let interp_json: Vec<String> = rows
@@ -993,20 +787,14 @@ fn main() {
                 concat!(
                     "    {{\"stream\": \"{}\", \"instructions\": {}, ",
                     "\"seed_minstr_per_s\": {:.1}, \"reference_minstr_per_s\": {:.1}, ",
-                    "\"decoded_minstr_per_s\": {:.1}, \"batched_minstr_per_s\": {:.1}, ",
-                    "\"compiled_minstr_per_s\": {:.1}, \"decoded_speedup_vs_seed\": {:.2}, ",
-                    "\"batched_speedup_vs_decoded\": {:.2}, \"compiled_speedup_vs_decoded\": {:.2}}}"
+                    "\"decoded_minstr_per_s\": {:.1}, \"decoded_speedup_vs_seed\": {:.2}}}"
                 ),
                 r.stream,
                 r.instructions,
                 r.seed_mips,
                 r.reference_mips,
                 r.decoded_mips,
-                r.batched_mips,
-                r.compiled_mips,
-                r.decoded_mips / r.seed_mips,
-                r.batched_mips / r.decoded_mips,
-                r.compiled_mips / r.decoded_mips
+                r.decoded_mips / r.seed_mips
             )
         })
         .collect();
@@ -1014,25 +802,15 @@ fn main() {
         concat!(
             "{{\n",
             "  \"interpreter\": [\n{}\n  ],\n",
-            "  \"replay_floors\": {{\n",
-            "    \"batched_replay_floor\": {:.2},\n",
-            "    \"compiled_replay_floor\": {:.2}\n",
-            "  }},\n",
             "  \"fig6_sweep\": {{\n",
             "    \"sizes\": {:?},\n",
             "    \"variants\": 5,\n",
             "    \"seed_engine_ms\": {:.2},\n",
             "    \"current_engine_cold_ms\": {:.2},\n",
-            "    \"batched_cold_ms\": {:.2},\n",
-            "    \"compiled_cold_ms\": {:.2},\n",
             "    \"current_engine_warm_ms\": {:.2},\n",
             "    \"speedup_cold\": {:.2},\n",
-            "    \"batched_speedup_cold\": {:.2},\n",
-            "    \"compiled_speedup_cold\": {:.2},\n",
             "    \"speedup_warm\": {:.2},\n",
             "    \"speedup_cold_floor\": {:.2},\n",
-            "    \"batched_speedup_cold_floor\": {:.2},\n",
-            "    \"compiled_speedup_cold_floor\": {:.2},\n",
             "    \"probe_overhead_pct\": {:.1},\n",
             "    \"probe_noise_pct\": {:.1},\n",
             "    \"kernel_cache_cold\": {{\"hits\": {}, \"misses\": {}}}\n",
@@ -1040,26 +818,15 @@ fn main() {
             "}}\n"
         ),
         interp_json.join(",\n"),
-        bat_floor,
-        comp_floor,
         sizes,
         seed_time.as_secs_f64() * 1e3,
-        cold_best[0].as_secs_f64() * 1e3,
-        cold_best[1].as_secs_f64() * 1e3,
-        cold_best[2].as_secs_f64() * 1e3,
-        new_warm
-            .expect("full run times the warm decoded sweep")
-            .as_secs_f64()
-            * 1e3,
-        speedup_cold[0],
-        speedup_cold[1],
-        speedup_cold[2],
-        seed_time.as_secs_f64() / new_warm.unwrap().as_secs_f64(),
-        sweep_floors[0],
-        sweep_floors[1],
-        sweep_floors[2],
+        cold_best.as_secs_f64() * 1e3,
+        warm.as_secs_f64() * 1e3,
+        speedup_cold,
+        seed_time.as_secs_f64() / warm.as_secs_f64(),
+        sweep_floor,
         probe_overhead_pct,
-        probe_noise_pct,
+        noise,
         cache.hits,
         cache.misses
     );

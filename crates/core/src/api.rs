@@ -84,7 +84,6 @@ pub struct DgemmRunner {
     mesh_timeout: Option<Duration>,
     mesh_transport: MeshTransport,
     mesh_path: MeshPath,
-    engine_backend: EngineBackend,
     cancel: Option<CancelToken>,
     diag_tag: Option<String>,
     tune: TunePolicy,
@@ -106,7 +105,6 @@ impl DgemmRunner {
             mesh_timeout: None,
             mesh_transport: MeshTransport::default(),
             mesh_path: MeshPath::default(),
-            engine_backend: EngineBackend::default(),
             cancel: None,
             diag_tag: None,
             tune: TunePolicy::Off,
@@ -127,11 +125,12 @@ impl DgemmRunner {
 
     /// Installs a cooperative cancellation token for the run. Firing
     /// the token (from any thread — a deadline watchdog, a service's
-    /// shutdown path) poisons the run's barriers so the core group is
-    /// freed promptly, and the run returns
-    /// [`DgemmError::Cancelled`] with the token's reason. Compose with
-    /// [`Self::mesh_timeout`] when enforcing deadlines: mesh-blocked
-    /// CPEs are bounded by the deadlock fuse, not the barrier poison.
+    /// shutdown path) poisons the run's barriers and releases CPEs
+    /// blocked in ring or turn waits on the mesh, so the core group is
+    /// freed promptly, and the run returns [`DgemmError::Cancelled`]
+    /// with the token's reason. Only the channel waits of
+    /// [`MeshTransport::Fallback`] ignore the token; they run out the
+    /// deadlock fuse ([`Self::mesh_timeout`]).
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -237,17 +236,6 @@ impl DgemmRunner {
         self
     }
 
-    /// Selects the kernel execution engine (default
-    /// [`EngineBackend::Decoded`]). All backends produce bitwise
-    /// identical results and reports — `Batched` fuses adjacent
-    /// same-opcode runs into wide micro-ops, `Compiled` replays
-    /// trace-compiled hot kernels — so this only trades host wall
-    /// time.
-    pub fn engine_backend(mut self, backend: EngineBackend) -> Self {
-        self.engine_backend = backend;
-        self
-    }
-
     /// Runs `C = α·A·B + β·C` on a fresh simulated core group.
     pub fn run(
         &self,
@@ -308,7 +296,6 @@ impl DgemmRunner {
         }
         cg.set_mesh_transport(self.mesh_transport);
         cg.set_mesh_path(self.mesh_path);
-        cg.set_engine_backend(self.engine_backend);
         cg.set_cancel_token(self.cancel.clone());
         // A fresh black box per dispatch: the recorder's rings, clocks
         // and busy ledgers cover exactly this run, so a bundle emitted
@@ -411,7 +398,7 @@ impl DgemmRunner {
                             n,
                             k,
                             self.mesh_transport,
-                            self.engine_backend,
+                            EngineBackend::default(),
                         )
                         .and_then(|p| GemmPlan::new(m, n, k, p, v.double_buffered()).ok());
                         match tuned {

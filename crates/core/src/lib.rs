@@ -54,7 +54,7 @@ pub use sw_isa::EngineBackend;
 pub use sw_mem::HostMatrix as Matrix;
 pub use sw_mem::MemError;
 pub use sw_sim::{MeshPath, MeshTransport};
-pub use timing::{estimate, estimate_with, TimingReport};
+pub use timing::{estimate, TimingReport};
 pub use tunecache::{CachedTune, TuneCache};
 pub use tuner::{search, tune, TuneOutcome, TunePolicy, TuneRequest, TuneResult};
 pub use variants::batched::dgemm_batched;

@@ -28,7 +28,7 @@ use crate::variants::Variant;
 use sw_arch::consts::{MESH_TRANSIT_CYCLES, PEAK_GFLOPS_CG};
 use sw_arch::time::Cycles;
 use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
-use sw_isa::{compile_if_hot, EngineBackend, ExecReport, Machine, NullComm};
+use sw_isa::{EngineBackend, ExecReport, Machine, NullComm};
 use sw_mem::dma::{BandwidthModel, DmaMode};
 use sw_sim::{Dag, Resource, TaskId};
 
@@ -75,24 +75,10 @@ pub fn estimate(
     n: usize,
     k: usize,
 ) -> Result<TimingReport, DgemmError> {
-    estimate_with(variant, m, n, k, EngineBackend::default())
-}
-
-/// [`estimate`] with an explicit execution backend for the kernel
-/// measurement. All backends produce bitwise-identical [`ExecReport`]s
-/// (that equivalence is gated in `tests/` and the engine benchmark), so
-/// the choice only affects how fast the estimate itself runs.
-pub fn estimate_with(
-    variant: Variant,
-    m: usize,
-    n: usize,
-    k: usize,
-    backend: EngineBackend,
-) -> Result<TimingReport, DgemmError> {
     let model = BandwidthModel::calibrated();
     match variant {
-        Variant::Raw => estimate_raw_with(m, n, k, RawParams::paper(), &model, backend),
-        _ => estimate_shared_with(variant, m, n, k, variant.paper_params(), &model, backend),
+        Variant::Raw => estimate_raw(m, n, k, RawParams::paper(), &model),
+        _ => estimate_shared(variant, m, n, k, variant.paper_params(), &model),
     }
 }
 
@@ -160,24 +146,6 @@ pub fn kernel_cache_reset() {
 /// sweep over many matrix sizes therefore executes each distinct kernel
 /// shape once instead of once per size.
 pub fn measure_kernel(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> ExecReport {
-    measure_kernel_with(pm, pn, pk, style, EngineBackend::default())
-}
-
-/// [`measure_kernel`] with an explicit execution backend.
-///
-/// The report cache is shared across backends: every backend is gated
-/// to produce bitwise-identical reports, so a report computed by one is
-/// a valid answer for all. (The compiled backend additionally keeps its
-/// own process-global code cache in `sw_isa`, keyed by instruction
-/// stream — resetting the report cache here does *not* throw away
-/// compiled traces, so kernels stay hot across benchmark rounds.)
-pub fn measure_kernel_with(
-    pm: usize,
-    pn: usize,
-    pk: usize,
-    style: KernelStyle,
-    backend: EngineBackend,
-) -> ExecReport {
     let prog = build_kernel_prog(pm, pn, pk, style);
     let mut hasher = DefaultHasher::new();
     prog.hash(&mut hasher);
@@ -191,7 +159,7 @@ pub fn measure_kernel_with(
         return *r;
     }
     cache_misses().inc();
-    let report = execute_kernel(pm, pn, pk, &prog, backend);
+    let report = execute_kernel(pm, pn, pk, &prog);
     kernel_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -202,19 +170,8 @@ pub fn measure_kernel_with(
 /// [`measure_kernel`] without the memoization — the engine benchmark's
 /// baseline, and a direct way to double-check a cached report.
 pub fn measure_kernel_uncached(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> ExecReport {
-    measure_kernel_uncached_with(pm, pn, pk, style, EngineBackend::default())
-}
-
-/// [`measure_kernel_uncached`] with an explicit execution backend.
-pub fn measure_kernel_uncached_with(
-    pm: usize,
-    pn: usize,
-    pk: usize,
-    style: KernelStyle,
-    backend: EngineBackend,
-) -> ExecReport {
     let prog = build_kernel_prog(pm, pn, pk, style);
-    execute_kernel(pm, pn, pk, &prog, backend)
+    execute_kernel(pm, pn, pk, &prog)
 }
 
 /// Generates the block kernel over a tightly packed synthetic LDM image.
@@ -260,25 +217,12 @@ fn kernel_layout(pm: usize, pn: usize, pk: usize) -> (usize, usize, usize, usize
     (a_base, b_base, c_base, alpha_addr)
 }
 
-fn execute_kernel(
-    pm: usize,
-    pn: usize,
-    pk: usize,
-    prog: &[sw_isa::Instr],
-    backend: EngineBackend,
-) -> ExecReport {
+fn execute_kernel(pm: usize, pn: usize, pk: usize, prog: &[sw_isa::Instr]) -> ExecReport {
     let (_, _, _, alpha_addr) = kernel_layout(pm, pn, pk);
     let mut ldm = vec![0.0f64; alpha_addr + 1];
     ldm[alpha_addr] = 1.0;
     let mut comm = NullComm;
-    let mut machine = Machine::new(&mut ldm, &mut comm);
-    match backend {
-        EngineBackend::Compiled => match compile_if_hot(prog) {
-            Some(compiled) => machine.run_compiled(&compiled),
-            None => machine.run(prog),
-        },
-        other => machine.run_backend(other, prog),
-    }
+    Machine::new(&mut ldm, &mut comm).run(prog)
 }
 
 /// Estimates one of the data-sharing variants with explicit blocking.
@@ -290,20 +234,7 @@ pub fn estimate_shared(
     params: BlockingParams,
     model: &BandwidthModel,
 ) -> Result<TimingReport, DgemmError> {
-    estimate_shared_with(variant, m, n, k, params, model, EngineBackend::default())
-}
-
-/// [`estimate_shared`] with an explicit kernel execution backend.
-pub fn estimate_shared_with(
-    variant: Variant,
-    m: usize,
-    n: usize,
-    k: usize,
-    params: BlockingParams,
-    model: &BandwidthModel,
-    backend: EngineBackend,
-) -> Result<TimingReport, DgemmError> {
-    let (dag, kernel) = build_shared_dag_with(variant, m, n, k, params, model, backend)?;
+    let (dag, kernel) = build_shared_dag(variant, m, n, k, params, model)?;
     let result = dag.schedule();
     Ok(report(variant, m, n, k, result, kernel))
 }
@@ -320,19 +251,6 @@ pub fn build_shared_dag(
     params: BlockingParams,
     model: &BandwidthModel,
 ) -> Result<(Dag, ExecReport), DgemmError> {
-    build_shared_dag_with(variant, m, n, k, params, model, EngineBackend::default())
-}
-
-/// [`build_shared_dag`] with an explicit kernel execution backend.
-pub fn build_shared_dag_with(
-    variant: Variant,
-    m: usize,
-    n: usize,
-    k: usize,
-    params: BlockingParams,
-    model: &BandwidthModel,
-    backend: EngineBackend,
-) -> Result<(Dag, ExecReport), DgemmError> {
     assert!(
         variant != Variant::Raw,
         "use estimate_raw for the RAW baseline"
@@ -340,7 +258,7 @@ pub fn build_shared_dag_with(
     let plan = GemmPlan::new(m, n, k, params, variant.double_buffered())?;
     let mapping = variant.mapping();
     let p = plan.params;
-    let kernel = measure_kernel_with(p.pm, p.pn, p.pk, variant.kernel_style(), backend);
+    let kernel = measure_kernel(p.pm, p.pn, p.pk, variant.kernel_style());
     let block_compute: Cycles = 8 * (kernel.cycles + STEP_SYNC_CYCLES);
 
     // DMA durations per CG block.
@@ -424,6 +342,21 @@ pub fn build_shared_dag_with(
     Ok((dag, kernel))
 }
 
+/// [`build_shared_dag`] under the benchmark's historical signature: the
+/// `EngineBackend` argument names the one engine there is and changes
+/// nothing.
+pub fn build_shared_dag_with(
+    variant: Variant,
+    m: usize,
+    n: usize,
+    k: usize,
+    params: BlockingParams,
+    model: &BandwidthModel,
+    _backend: EngineBackend,
+) -> Result<(Dag, ExecReport), DgemmError> {
+    build_shared_dag(variant, m, n, k, params, model)
+}
+
 /// Estimates the RAW baseline with explicit blocking.
 pub fn estimate_raw(
     m: usize,
@@ -432,20 +365,8 @@ pub fn estimate_raw(
     raw: RawParams,
     model: &BandwidthModel,
 ) -> Result<TimingReport, DgemmError> {
-    estimate_raw_with(m, n, k, raw, model, EngineBackend::default())
-}
-
-/// [`estimate_raw`] with an explicit kernel execution backend.
-pub fn estimate_raw_with(
-    m: usize,
-    n: usize,
-    k: usize,
-    raw: RawParams,
-    model: &BandwidthModel,
-    backend: EngineBackend,
-) -> Result<TimingReport, DgemmError> {
     raw.validate_dims(m, n, k)?;
-    let kernel = measure_kernel_with(raw.pm, raw.pn, raw.kc, KernelStyle::Naive, backend);
+    let kernel = measure_kernel(raw.pm, raw.pn, raw.kc, KernelStyle::Naive);
     let chunks = k / raw.kc;
     let (a_fp, b_fp, c_fp) = (m * k * 8, k * n * 8, m * n * 8);
     // Aggregated DMA per wave (all 64 threads issue in lockstep): C
@@ -502,38 +423,6 @@ fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backends_agree_on_uncached_kernel_reports() {
-        let (pm, pn, pk) = (16, 8, 24);
-        let base = measure_kernel_uncached_with(
-            pm,
-            pn,
-            pk,
-            KernelStyle::Scheduled,
-            EngineBackend::Decoded,
-        );
-        for backend in EngineBackend::ALL {
-            // Repeat past the hot threshold so the compiled backend
-            // actually exercises its trace, not the decoded fallback.
-            for _ in 0..(sw_isa::HOT_KERNEL_THRESHOLD + 1) {
-                let r = measure_kernel_uncached_with(pm, pn, pk, KernelStyle::Scheduled, backend);
-                assert_eq!(r, base, "{backend} report diverges from decoded");
-            }
-        }
-    }
-
-    #[test]
-    fn estimate_with_matches_estimate_for_every_backend() {
-        for v in [Variant::Raw, Variant::Sched] {
-            let base = estimate(v, 1536, 1536, 1536).unwrap();
-            for backend in EngineBackend::ALL {
-                let r = estimate_with(v, 1536, 1536, 1536, backend).unwrap();
-                assert_eq!(r.kernel, base.kernel);
-                assert_eq!(r.makespan_cycles, base.makespan_cycles);
-            }
-        }
-    }
 
     #[test]
     fn fig6_ordering_at_9216() {

@@ -11,9 +11,11 @@
 //! {variant}/{transport}/{backend}/m{M}n{N}k{K}
 //! ```
 //!
-//! where `m{M}n{N}k{K}` is the *shape class* — each dimension rounded
-//! up to its power-of-two bucket, so nearby shapes share a tuned
-//! blocking instead of each paying a fresh search.
+//! where `{backend}` is always `decoded` (the one CPE engine; the
+//! segment stays so existing cache files still hit) and `m{M}n{N}k{K}`
+//! is the *shape class* — each dimension rounded up to its
+//! power-of-two bucket, so nearby shapes share a tuned blocking
+//! instead of each paying a fresh search.
 //!
 //! Robustness contract: a missing, truncated, or corrupt cache file
 //! **degrades to an empty cache** (the caller re-searches); it is

@@ -87,8 +87,6 @@ pub struct TuneRequest {
     pub eval_cap_blocks: Option<usize>,
     /// Mesh transport of the resolution context (cache-key axis).
     pub transport: MeshTransport,
-    /// Engine backend of the resolution context (cache-key axis).
-    pub backend: EngineBackend,
 }
 
 impl TuneRequest {
@@ -104,7 +102,6 @@ impl TuneRequest {
             exact: false,
             eval_cap_blocks: None,
             transport: MeshTransport::default(),
-            backend: EngineBackend::default(),
         }
     }
 
@@ -469,7 +466,6 @@ pub fn resolve_in(
         exact: true,
         eval_cap_blocks: Some(3),
         transport,
-        backend,
         ..TuneRequest::shaped(variant, m, n, k)
     };
     let outcome = search(&req, &BandwidthModel::calibrated()).ok()?;

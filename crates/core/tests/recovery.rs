@@ -6,7 +6,7 @@
 //! promise.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sw_dgemm::diagnostics::DIAG_DIR_ENV;
 use sw_dgemm::{
     gen, reference, BlockingParams, DgemmError, DgemmRunner, FaultSpec, Variant, WedgeSpec,
@@ -171,4 +171,43 @@ fn mid_run_cancel_frees_the_group_promptly() {
         "at least the delay-0 fire must cancel before the run completes"
     );
     assert_clean_run(&mut cg, 71);
+}
+
+#[test]
+fn cancel_releases_mesh_blocked_cpes_before_the_fuse() {
+    // A wedged CPE leaves its peers blocked on the mesh. With a 60 s
+    // fuse, only the fired token can end the run in time: it must
+    // release the ring and turn waits, not wait the fuse out.
+    // A cancel emits no diagnostics bundle, so no bundle directory is
+    // set up here.
+    let p = BlockingParams::test_small();
+    let a = gen::random_matrix(128, 128, 81);
+    let b = gen::random_matrix(128, 128, 82);
+    let mut c = gen::random_matrix(128, 128, 83);
+    let token = CancelToken::new();
+    let firer = {
+        let token = token.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            token.cancel();
+        })
+    };
+    let start = Instant::now();
+    let err = DgemmRunner::new(Variant::Pe)
+        .params(p)
+        .faults(FaultSpec {
+            wedge: Some(WedgeSpec { cpe: 18, epoch: 0 }),
+            ..FaultSpec::seeded(0)
+        })
+        .mesh_timeout(Duration::from_secs(60))
+        .cancel(token)
+        .run(1.5, &a, &b, 0.5, &mut c)
+        .expect_err("a wedged run cannot complete");
+    let elapsed = start.elapsed();
+    firer.join().unwrap();
+    assert_eq!(err, DgemmError::Cancelled { deadline: false });
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "cancel took {elapsed:?}: mesh waits ran out the fuse"
+    );
 }

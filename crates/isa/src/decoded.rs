@@ -41,11 +41,6 @@ pub(crate) struct DecodedInstr {
     pub vdst: u8,
     /// Integer destination register index, or [`NO_REG`].
     pub idst: u8,
-    /// Pre-extracted immediate: the LDM offset of memory instructions,
-    /// the literal of `setl`/`addl`, the target of `bne`, 0 otherwise.
-    /// Fused batch execution reads operands from these flat fields
-    /// instead of re-matching on [`Instr`] per dynamic instruction.
-    pub imm: i64,
 }
 
 impl DecodedInstr {
@@ -57,16 +52,6 @@ impl DecodedInstr {
         }
         let is = instr.isrcs();
         debug_assert!(is.len() <= 1, "ISA invariant: at most one integer source");
-        let imm = match instr {
-            Instr::Vldd { off, .. }
-            | Instr::Vstd { off, .. }
-            | Instr::Ldde { off, .. }
-            | Instr::Vldr { off, .. }
-            | Instr::Lddec { off, .. } => off,
-            Instr::Addl { imm, .. } | Instr::Setl { imm, .. } => imm,
-            Instr::Bne { target, .. } => target as i64,
-            _ => 0,
-        };
         DecodedInstr {
             op: instr,
             pipe: instr.pipe(),
@@ -76,7 +61,6 @@ impl DecodedInstr {
             isrc: is.as_slice().first().map_or(NO_REG, |r| r.0),
             vdst: instr.vdst().map_or(NO_REG, |r| r.0),
             idst: instr.idst().map_or(NO_REG, |r| r.0),
-            imm,
         }
     }
 }
@@ -115,199 +99,6 @@ impl DecodedProgram {
 impl From<&[Instr]> for DecodedProgram {
     fn from(prog: &[Instr]) -> Self {
         DecodedProgram::new(prog)
-    }
-}
-
-/// How a batch op executes: one scalar dispatch, or a fused run of a
-/// single opcode handled by a specialized loop in `exec_batched`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchKind {
-    /// Unfused: one instruction through the generic dispatch arm. Only
-    /// `bne` lands here — it is the one instruction that can redirect
-    /// control flow off the op grid.
-    One,
-    /// `n` consecutive instructions that fuse with nothing (mixed
-    /// opcodes, no branches), executed by the generic dispatch arm in
-    /// one op. Coalescing them keeps the per-op overhead of a stream
-    /// with no fusible runs (e.g. the software-pipelined Algorithm 3
-    /// schedule, which interleaves loads and `vmad`s by design) at one
-    /// dispatch per *stretch* instead of one per instruction.
-    Strip,
-    /// `n >= 2` consecutive `vmad`s (P0, fixed 6-cycle latency).
-    VmadRun,
-    /// `n >= 2` consecutive `vldd`s (P1 loads, 4-cycle latency).
-    VlddRun,
-    /// `n >= 2` consecutive `vstd`s (P1 stores, no destination).
-    VstdRun,
-}
-
-/// One fused micro-op: `n` consecutive static instructions starting at
-/// `pc0`, all of the same fusible opcode (or a single instruction of
-/// any opcode when `kind == One`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BatchOp {
-    pub kind: BatchKind,
-    pub pc0: u32,
-    pub n: u32,
-    /// For load/store runs: the run is register- *and*
-    /// address-contiguous (same base register, destinations/sources
-    /// stepping by one register, offsets stepping by four doubles), so
-    /// its data movement collapses into one wide
-    /// `V256::load_seq`/`store_seq` call. Decided at decode time.
-    pub seq: bool,
-}
-
-/// A decoded program regrouped into fused micro-ops for batch
-/// execution.
-///
-/// The fusion pass runs at decode time and is purely structural: it
-/// finds maximal runs of adjacent `vmad`/`vldd`/`vstd` instructions —
-/// the bodies the §IV register-blocked kernels are made of — and emits
-/// one [`BatchOp`] per run so `Machine::run_batched` can execute each
-/// run through a tight single-opcode loop (whole-`V256` operations,
-/// no per-element opcode dispatch). Runs never extend across a branch
-/// target, so control flow always lands on an op boundary; `op_at`
-/// maps each op-starting pc to its op index for taken branches.
-///
-/// Fusion changes neither values nor timing: every element of a run
-/// still passes through the same scoreboard, dual-issue slotting, and
-/// stall-probe accounting as the one-at-a-time interpreter, so the
-/// [`crate::ExecReport`] and stall attribution are identical bit for
-/// bit (pinned by the engine-equivalence property suite).
-#[derive(Debug, Clone)]
-pub struct BatchedProgram {
-    pub(crate) instrs: Vec<DecodedInstr>,
-    pub(crate) ops: Vec<BatchOp>,
-    /// `op_at[pc]` = index of the op starting at `pc`, `u32::MAX` for
-    /// pcs interior to a fused run or strip (never branch targets, by
-    /// construction). Length `len + 1`; `op_at[len] == ops.len()` so a
-    /// branch past the end terminates cleanly.
-    pub(crate) op_at: Vec<u32>,
-}
-
-fn fuse_kind(op: &Instr) -> Option<BatchKind> {
-    match op {
-        Instr::Vmad { .. } => Some(BatchKind::VmadRun),
-        Instr::Vldd { .. } => Some(BatchKind::VlddRun),
-        Instr::Vstd { .. } => Some(BatchKind::VstdRun),
-        _ => None,
-    }
-}
-
-impl BatchedProgram {
-    /// Decodes and fuses `prog` in one pass over the stream.
-    pub fn new(prog: &[Instr]) -> Self {
-        Self::from_decoded(DecodedProgram::new(prog))
-    }
-
-    /// Fuses an already-decoded program.
-    pub fn from_decoded(decoded: DecodedProgram) -> Self {
-        let instrs = decoded.instrs;
-        let len = instrs.len();
-        // Branch targets break runs: control flow must land on an op
-        // boundary. (Targets past the end need no barrier — they
-        // terminate execution.)
-        let mut barrier = vec![false; len + 1];
-        for di in &instrs {
-            if matches!(di.op, Instr::Bne { .. }) {
-                let t = di.imm as usize;
-                if t <= len {
-                    barrier[t] = true;
-                }
-            }
-        }
-        let mut ops: Vec<BatchOp> = Vec::new();
-        let mut op_at = vec![u32::MAX; len + 1];
-        let mut pc = 0usize;
-        while pc < len {
-            let mut n = 1usize;
-            let kind = match fuse_kind(&instrs[pc].op) {
-                Some(k) => {
-                    while pc + n < len
-                        && !barrier[pc + n]
-                        && fuse_kind(&instrs[pc + n].op) == Some(k)
-                    {
-                        n += 1;
-                    }
-                    if n >= 2 {
-                        k
-                    } else {
-                        BatchKind::One
-                    }
-                }
-                None => BatchKind::One,
-            };
-            if kind == BatchKind::One && !matches!(instrs[pc].op, Instr::Bne { .. }) {
-                // Unfusible non-branch instruction: coalesce with a
-                // preceding strip unless a branch target forces an op
-                // boundary here.
-                if !barrier[pc] {
-                    if let Some(last) = ops.last_mut() {
-                        if last.kind == BatchKind::Strip
-                            && last.pc0 as usize + last.n as usize == pc
-                        {
-                            last.n += 1;
-                            pc += 1;
-                            continue;
-                        }
-                    }
-                }
-                op_at[pc] = ops.len() as u32;
-                ops.push(BatchOp {
-                    kind: BatchKind::Strip,
-                    pc0: pc as u32,
-                    n: 1,
-                    seq: false,
-                });
-                pc += 1;
-                continue;
-            }
-            let seq = match kind {
-                BatchKind::VlddRun => (1..n).all(|e| {
-                    let (p, q) = (&instrs[pc], &instrs[pc + e]);
-                    q.isrc == p.isrc && q.vdst == p.vdst + e as u8 && q.imm == p.imm + 4 * e as i64
-                }),
-                BatchKind::VstdRun => (1..n).all(|e| {
-                    let (p, q) = (&instrs[pc], &instrs[pc + e]);
-                    q.isrc == p.isrc
-                        && q.vsrcs[0] == p.vsrcs[0] + e as u8
-                        && q.imm == p.imm + 4 * e as i64
-                }),
-                _ => false,
-            };
-            ops.push(BatchOp {
-                kind,
-                pc0: pc as u32,
-                n: n as u32,
-                seq,
-            });
-            op_at[pc] = (ops.len() - 1) as u32;
-            pc += n;
-        }
-        op_at[len] = ops.len() as u32;
-        BatchedProgram { instrs, ops, op_at }
-    }
-
-    /// Number of static instructions (not ops).
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// True for the empty program.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-
-    /// Number of fused micro-ops (`<= len()`); exposed for tests and
-    /// diagnostics.
-    pub fn n_ops(&self) -> usize {
-        self.ops.len()
-    }
-}
-
-impl From<&[Instr]> for BatchedProgram {
-    fn from(prog: &[Instr]) -> Self {
-        BatchedProgram::new(prog)
     }
 }
 
@@ -359,198 +150,5 @@ mod tests {
         assert_eq!(n.vdst, NO_REG);
         assert_eq!(n.idst, NO_REG);
         assert!(DecodedProgram::new(&[]).is_empty());
-    }
-
-    #[test]
-    fn decode_extracts_immediates() {
-        let p = DecodedProgram::new(&[
-            Instr::Vldd {
-                d: VReg(0),
-                base: IReg(1),
-                off: 8,
-            },
-            Instr::Setl {
-                d: IReg(2),
-                imm: -5,
-            },
-            Instr::Addl {
-                d: IReg(2),
-                s: IReg(2),
-                imm: 3,
-            },
-            Instr::Bne {
-                s: IReg(2),
-                target: 1,
-            },
-            Instr::Nop,
-        ]);
-        let imms: Vec<i64> = p.instrs.iter().map(|d| d.imm).collect();
-        assert_eq!(imms, vec![8, -5, 3, 1, 0]);
-    }
-
-    #[test]
-    fn fusion_finds_maximal_runs() {
-        let vldd = |d: u8, off: i64| Instr::Vldd {
-            d: VReg(d),
-            base: IReg(0),
-            off,
-        };
-        let vmad = |d: u8| Instr::Vmad {
-            a: VReg(0),
-            b: VReg(1),
-            c: VReg(d),
-            d: VReg(d),
-        };
-        // 3 loads, 1 int op, 2 vmads, 1 store (single, stays One).
-        let prog = vec![
-            vldd(0, 0),
-            vldd(1, 4),
-            vldd(2, 8),
-            Instr::Addl {
-                d: IReg(1),
-                s: IReg(1),
-                imm: 1,
-            },
-            vmad(4),
-            vmad(5),
-            Instr::Vstd {
-                s: VReg(4),
-                base: IReg(0),
-                off: 16,
-            },
-        ];
-        let b = BatchedProgram::new(&prog);
-        assert_eq!(b.len(), 7);
-        let kinds: Vec<(BatchKind, u32)> = b.ops.iter().map(|o| (o.kind, o.n)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (BatchKind::VlddRun, 3),
-                (BatchKind::Strip, 1),
-                (BatchKind::VmadRun, 2),
-                (BatchKind::Strip, 1),
-            ]
-        );
-        // The load run is register- and address-contiguous.
-        assert!(b.ops[0].seq);
-        assert!(!b.ops[2].seq, "vmad runs carry no seq flag");
-        // op_at marks op starts and the end sentinel, MAX inside runs.
-        assert_eq!(b.op_at[0], 0);
-        assert_eq!(b.op_at[1], u32::MAX);
-        assert_eq!(b.op_at[3], 1);
-        assert_eq!(b.op_at[4], 2);
-        assert_eq!(b.op_at[6], 3);
-        assert_eq!(b.op_at[7], 4);
-    }
-
-    #[test]
-    fn fusion_breaks_runs_at_branch_targets() {
-        let vmad = |d: u8| Instr::Vmad {
-            a: VReg(0),
-            b: VReg(1),
-            c: VReg(d),
-            d: VReg(d),
-        };
-        // Branch back into the middle of what would otherwise be one
-        // 4-long vmad run: the target must start its own op.
-        let prog = vec![
-            vmad(4),
-            vmad(5),
-            vmad(6),
-            vmad(7),
-            Instr::Addl {
-                d: IReg(7),
-                s: IReg(7),
-                imm: -1,
-            },
-            Instr::Bne {
-                s: IReg(7),
-                target: 2,
-            },
-        ];
-        let b = BatchedProgram::new(&prog);
-        let kinds: Vec<(BatchKind, u32, u32)> =
-            b.ops.iter().map(|o| (o.kind, o.pc0, o.n)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (BatchKind::VmadRun, 0, 2),
-                (BatchKind::VmadRun, 2, 2),
-                (BatchKind::Strip, 4, 1),
-                (BatchKind::One, 5, 1),
-            ]
-        );
-        assert_eq!(b.op_at[2], 1, "branch target starts an op");
-        assert_eq!(b.n_ops(), 4);
-    }
-
-    #[test]
-    fn mixed_stretches_coalesce_into_strips() {
-        let addl = |d: u8| Instr::Addl {
-            d: IReg(d),
-            s: IReg(d),
-            imm: 1,
-        };
-        // No fusible run anywhere: the whole stream is one strip.
-        let prog = vec![
-            addl(1),
-            Instr::Ldde {
-                d: VReg(0),
-                base: IReg(0),
-                off: 0,
-            },
-            addl(2),
-        ];
-        let b = BatchedProgram::new(&prog);
-        assert_eq!(b.n_ops(), 1);
-        assert_eq!(b.ops[0].kind, BatchKind::Strip);
-        assert_eq!(b.ops[0].n, 3);
-        assert_eq!(b.op_at[0], 0);
-        assert_eq!(b.op_at[1], u32::MAX, "strip interiors have no op entry");
-
-        // A branch target inside the stretch forces an op boundary so
-        // the jump lands on an op start.
-        let prog = vec![
-            addl(1),
-            addl(2),
-            Instr::Bne {
-                s: IReg(2),
-                target: 1,
-            },
-        ];
-        let b = BatchedProgram::new(&prog);
-        let kinds: Vec<(BatchKind, u32, u32)> =
-            b.ops.iter().map(|o| (o.kind, o.pc0, o.n)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (BatchKind::Strip, 0, 1),
-                (BatchKind::Strip, 1, 1),
-                (BatchKind::One, 2, 1),
-            ]
-        );
-        assert_eq!(b.op_at[1], 1, "branch target starts an op");
-    }
-
-    #[test]
-    fn non_contiguous_runs_fuse_without_seq() {
-        // Same opcode, but destinations skip a register: still one
-        // fused run (timing-wise), not a wide contiguous copy.
-        let prog = vec![
-            Instr::Vldd {
-                d: VReg(0),
-                base: IReg(0),
-                off: 0,
-            },
-            Instr::Vldd {
-                d: VReg(2),
-                base: IReg(0),
-                off: 4,
-            },
-        ];
-        let b = BatchedProgram::new(&prog);
-        assert_eq!(b.ops[0].kind, BatchKind::VlddRun);
-        assert_eq!(b.ops[0].n, 2);
-        assert!(!b.ops[0].seq);
     }
 }

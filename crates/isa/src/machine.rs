@@ -31,10 +31,9 @@
 //! field-for-field identical [`ExecReport`]s.
 
 use crate::comm::CommPort;
-use crate::compile::{Addr, CompiledProgram, Step};
-use crate::decoded::{BatchKind, BatchedProgram, DecodedInstr, DecodedProgram, NO_REG};
+use crate::decoded::{DecodedProgram, NO_REG};
 use crate::instr::{Instr, Pipe, BRANCH_TAKEN_PENALTY};
-use crate::regs::{IReg, IREG_COUNT};
+use crate::regs::IREG_COUNT;
 use sw_arch::consts::VREG_COUNT;
 use sw_arch::V256;
 use sw_probe::stall::{StallKind, StallReport};
@@ -226,63 +225,28 @@ impl ExecReport {
     }
 }
 
-/// Which execution engine runs a kernel stream.
+/// The CPE execution engine, named in the tune-cache key.
 ///
-/// All three produce bitwise-identical numerics, field-for-field
-/// identical [`ExecReport`]s, and identical stall attribution (pinned
-/// by the engine-equivalence property suite); they differ only in host
-/// wall time. Selected per [`Machine`] call site and plumbed through
-/// `CpeCtx`/`DgemmRunner` in the higher layers.
+/// There is one engine, the predecoded interpreter
+/// ([`Machine::run_decoded`]), checked against the
+/// [`Machine::run_reference`] oracle. This one-variant enum exists only
+/// because the benchmark passes `EngineBackend::default()` to
+/// `timing::build_shared_dag_with`, `tuner::resolve`,
+/// `tuner::resolve_in` and `TuneCache::key`; it goes, with those
+/// parameters, in the next change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineBackend {
     /// The predecoded one-instruction-at-a-time interpreter.
     #[default]
     Decoded,
-    /// Decode-time fusion of adjacent `vmad`/`vldd`/`vstd` runs into
-    /// wide micro-ops with specialized single-opcode dispatch loops.
-    Batched,
-    /// Trace compilation: straight-line programs are translated once
-    /// into an effect table with precomputed timing, then replayed;
-    /// branchy streams fall back to the decoded engine.
-    Compiled,
 }
 
 impl EngineBackend {
-    /// All backends, in escalation order.
-    pub const ALL: [EngineBackend; 3] = [
-        EngineBackend::Decoded,
-        EngineBackend::Batched,
-        EngineBackend::Compiled,
-    ];
-
-    /// CLI/JSON-stable lowercase name.
+    /// The lowercase name the tune-cache key carries.
     pub fn name(self) -> &'static str {
         match self {
             EngineBackend::Decoded => "decoded",
-            EngineBackend::Batched => "batched",
-            EngineBackend::Compiled => "compiled",
         }
-    }
-}
-
-impl std::str::FromStr for EngineBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "decoded" => Ok(EngineBackend::Decoded),
-            "batched" => Ok(EngineBackend::Batched),
-            "compiled" => Ok(EngineBackend::Compiled),
-            other => Err(format!(
-                "unknown engine backend `{other}` (expected decoded|batched|compiled)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -398,116 +362,6 @@ impl<'a, C: CommPort> Machine<'a, C> {
         prog: &DecodedProgram,
     ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
         self.exec_decoded::<true>(prog, &mut StallProbe::default())
-    }
-
-    /// Runs a fused [`BatchedProgram`]; panics on budget exhaustion
-    /// like [`Machine::run`].
-    pub fn run_batched(&mut self, prog: &BatchedProgram) -> ExecReport {
-        match self.try_run_batched(prog) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs a fused [`BatchedProgram`], returning a structured error
-    /// when the instruction budget is exhausted.
-    pub fn try_run_batched(&mut self, prog: &BatchedProgram) -> Result<ExecReport, BudgetExceeded> {
-        self.exec_batched::<false>(prog, &mut StallProbe::default())
-            .map(|(report, _)| report)
-    }
-
-    /// Probed batched run; panics on budget exhaustion.
-    pub fn run_batched_probed(&mut self, prog: &BatchedProgram) -> (ExecReport, StallReport) {
-        match self.try_run_batched_probed(prog) {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Probed batched run returning a structured error when the
-    /// instruction budget is exhausted.
-    pub fn try_run_batched_probed(
-        &mut self,
-        prog: &BatchedProgram,
-    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
-        self.exec_batched::<true>(prog, &mut StallProbe::default())
-    }
-
-    /// Runs a trace-compiled program; panics on budget exhaustion.
-    pub fn run_compiled(&mut self, prog: &CompiledProgram) -> ExecReport {
-        match self.try_run_compiled(prog) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs a trace-compiled program, returning a structured error
-    /// when the instruction budget is exhausted.
-    pub fn try_run_compiled(
-        &mut self,
-        prog: &CompiledProgram,
-    ) -> Result<ExecReport, BudgetExceeded> {
-        self.exec_compiled::<false>(prog).map(|(report, _)| report)
-    }
-
-    /// Probed compiled run; panics on budget exhaustion.
-    pub fn run_compiled_probed(&mut self, prog: &CompiledProgram) -> (ExecReport, StallReport) {
-        match self.try_run_compiled_probed(prog) {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Probed compiled run returning a structured error when the
-    /// instruction budget is exhausted.
-    pub fn try_run_compiled_probed(
-        &mut self,
-        prog: &CompiledProgram,
-    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
-        self.exec_compiled::<true>(prog)
-    }
-
-    /// One-shot convenience: runs `prog` on the selected backend,
-    /// building the backend's program representation internally. Hot
-    /// paths should instead build a [`BatchedProgram`] /
-    /// [`CompiledProgram`] once and reuse it across runs.
-    pub fn run_backend(&mut self, backend: EngineBackend, prog: &[Instr]) -> ExecReport {
-        match self.try_run_backend(backend, prog) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`Machine::run_backend`], returning a structured error on
-    /// budget exhaustion.
-    pub fn try_run_backend(
-        &mut self,
-        backend: EngineBackend,
-        prog: &[Instr],
-    ) -> Result<ExecReport, BudgetExceeded> {
-        match backend {
-            EngineBackend::Decoded => self.try_run_decoded(&DecodedProgram::new(prog)),
-            EngineBackend::Batched => self.try_run_batched(&BatchedProgram::new(prog)),
-            EngineBackend::Compiled => self.try_run_compiled(&CompiledProgram::new(prog)),
-        }
-    }
-
-    /// One-shot probed run on the selected backend; panics on budget
-    /// exhaustion.
-    pub fn run_backend_probed(
-        &mut self,
-        backend: EngineBackend,
-        prog: &[Instr],
-    ) -> (ExecReport, StallReport) {
-        let result = match backend {
-            EngineBackend::Decoded => self.try_run_decoded_probed(&DecodedProgram::new(prog)),
-            EngineBackend::Batched => self.try_run_batched_probed(&BatchedProgram::new(prog)),
-            EngineBackend::Compiled => self.try_run_compiled_probed(&CompiledProgram::new(prog)),
-        };
-        match result {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The decoded-stream engine. With `PROBE = false` every
@@ -694,587 +548,6 @@ impl<'a, C: CommPort> Machine<'a, C> {
             StallReport::default()
         };
         Ok((report, stall))
-    }
-
-    /// The fused-run engine. Each [`BatchKind`] run executes through a
-    /// loop specialized to one opcode — operands read from the flat
-    /// [`DecodedInstr`] fields, no per-element opcode dispatch — while
-    /// keeping scoreboard updates, dual-issue slotting, and stall
-    /// attribution per element, so reports and numerics are bitwise
-    /// identical to the decoded engine. Register/address-contiguous
-    /// load/store runs additionally collapse their data movement into
-    /// one wide `V256::load_seq`/`store_seq` call (timing reads no
-    /// data and loads/stores touch disjoint state, so the wide copy
-    /// commutes with the issue accounting).
-    // `pc` ranges are indexed, not iterated: `pc` is also a value
-    // (budget-error sites, branch landings), and the fused loops must
-    // mirror the decoded interpreter's pc arithmetic line for line.
-    #[allow(clippy::needless_range_loop)]
-    fn exec_batched<const PROBE: bool>(
-        &mut self,
-        prog: &BatchedProgram,
-        probe: &mut StallProbe,
-    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
-        let instrs = prog.instrs.as_slice();
-        let ops = prog.ops.as_slice();
-        let mut report = ExecReport::default();
-        let mut vready = [0u64; VREG_COUNT];
-        let mut iready = [0u64; IREG_COUNT];
-        let mut cur: u64 = 0;
-        let mut p0_used = false;
-        let mut p1_used = false;
-        let mut last_issue: u64 = 0;
-        let mut oi = 0usize;
-
-        while oi < ops.len() {
-            let op = ops[oi];
-            let pc0 = op.pc0 as usize;
-            let n = op.n as usize;
-            match op.kind {
-                BatchKind::VmadRun => {
-                    // P0-only run: three vector sources, WAW on the
-                    // destination, fixed vmad latency.
-                    for pc in pc0..pc0 + n {
-                        let di = &instrs[pc];
-                        report.instructions += 1;
-                        if report.instructions > self.budget {
-                            return Err(BudgetExceeded {
-                                pc,
-                                instr: di.op,
-                                executed: report.instructions,
-                                budget: self.budget,
-                            });
-                        }
-                        let a = di.vsrcs[0] as usize;
-                        let b = di.vsrcs[1] as usize;
-                        let c = di.vsrcs[2] as usize;
-                        let d = di.vdst as usize;
-                        let cur0 = cur;
-                        let mut t = cur
-                            .max(vready[a])
-                            .max(vready[b])
-                            .max(vready[c])
-                            .max(vready[d]);
-                        let mut ready = (0u64, false);
-                        if PROBE {
-                            consider(&mut ready, vready[a], probe.vload[a]);
-                            consider(&mut ready, vready[b], probe.vload[b]);
-                            consider(&mut ready, vready[c], probe.vload[c]);
-                            consider(&mut ready, vready[d], probe.vload[d]);
-                        }
-                        if t == cur && p0_used {
-                            t += 1;
-                        }
-                        if t > cur {
-                            cur = t;
-                            p1_used = false;
-                        }
-                        p0_used = true;
-                        if p1_used {
-                            report.dual_issue_cycles += 1;
-                        }
-                        last_issue = last_issue.max(t);
-                        if PROBE {
-                            probe.on_issue(Pipe::P0, t, cur0, ready);
-                            probe.on_vdst_write(di.vdst, di.latency == LOAD_LATENCY);
-                        }
-                        vready[d] = t + di.latency;
-                        report.vmads += 1;
-                        self.vregs[d] = self.vregs[a].fma(self.vregs[b], self.vregs[c]);
-                    }
-                    oi += 1;
-                }
-                BatchKind::VlddRun => {
-                    let fits = report.instructions + n as u64 <= self.budget;
-                    if op.seq && fits {
-                        report.instructions += n as u64;
-                        for pc in pc0..pc0 + n {
-                            let di = &instrs[pc];
-                            let base = di.isrc as usize;
-                            let d = di.vdst as usize;
-                            let cur0 = cur;
-                            let mut t = cur.max(iready[base]).max(vready[d]);
-                            let mut ready = (0u64, false);
-                            if PROBE {
-                                consider(&mut ready, iready[base], false);
-                                consider(&mut ready, vready[d], probe.vload[d]);
-                            }
-                            if t == cur && p1_used {
-                                t += 1;
-                            }
-                            if t > cur {
-                                cur = t;
-                                p0_used = false;
-                            }
-                            p1_used = true;
-                            if p0_used {
-                                report.dual_issue_cycles += 1;
-                            }
-                            last_issue = last_issue.max(t);
-                            if PROBE {
-                                probe.on_issue(Pipe::P1, t, cur0, ready);
-                                probe.on_vdst_write(di.vdst, di.latency == LOAD_LATENCY);
-                            }
-                            vready[d] = t + di.latency;
-                        }
-                        // Wide effect: bounds/alignment of the first
-                        // element plus bounds of the last cover the
-                        // whole contiguous window.
-                        let di0 = &instrs[pc0];
-                        let a0 = self.vaddr(IReg(di0.isrc), di0.imm);
-                        let last = &instrs[pc0 + n - 1];
-                        let _ = self.vaddr(IReg(last.isrc), last.imm);
-                        let d0 = di0.vdst as usize;
-                        V256::load_seq(&mut self.vregs[d0..d0 + n], &self.ldm[a0..]);
-                    } else {
-                        // Non-contiguous run, or the budget trips inside
-                        // it: per-element loads with exact partial-state
-                        // semantics.
-                        for pc in pc0..pc0 + n {
-                            let di = &instrs[pc];
-                            report.instructions += 1;
-                            if report.instructions > self.budget {
-                                return Err(BudgetExceeded {
-                                    pc,
-                                    instr: di.op,
-                                    executed: report.instructions,
-                                    budget: self.budget,
-                                });
-                            }
-                            let base = di.isrc as usize;
-                            let d = di.vdst as usize;
-                            let cur0 = cur;
-                            let mut t = cur.max(iready[base]).max(vready[d]);
-                            let mut ready = (0u64, false);
-                            if PROBE {
-                                consider(&mut ready, iready[base], false);
-                                consider(&mut ready, vready[d], probe.vload[d]);
-                            }
-                            if t == cur && p1_used {
-                                t += 1;
-                            }
-                            if t > cur {
-                                cur = t;
-                                p0_used = false;
-                            }
-                            p1_used = true;
-                            if p0_used {
-                                report.dual_issue_cycles += 1;
-                            }
-                            last_issue = last_issue.max(t);
-                            if PROBE {
-                                probe.on_issue(Pipe::P1, t, cur0, ready);
-                                probe.on_vdst_write(di.vdst, di.latency == LOAD_LATENCY);
-                            }
-                            vready[d] = t + di.latency;
-                            let a = self.vaddr(IReg(di.isrc), di.imm);
-                            self.vregs[d] = V256::load(&self.ldm[a..]);
-                        }
-                    }
-                    oi += 1;
-                }
-                BatchKind::VstdRun => {
-                    let fits = report.instructions + n as u64 <= self.budget;
-                    if op.seq && fits {
-                        report.instructions += n as u64;
-                        for pc in pc0..pc0 + n {
-                            let di = &instrs[pc];
-                            let s = di.vsrcs[0] as usize;
-                            let base = di.isrc as usize;
-                            let cur0 = cur;
-                            let mut t = cur.max(vready[s]).max(iready[base]);
-                            let mut ready = (0u64, false);
-                            if PROBE {
-                                consider(&mut ready, vready[s], probe.vload[s]);
-                                consider(&mut ready, iready[base], false);
-                            }
-                            if t == cur && p1_used {
-                                t += 1;
-                            }
-                            if t > cur {
-                                cur = t;
-                                p0_used = false;
-                            }
-                            p1_used = true;
-                            if p0_used {
-                                report.dual_issue_cycles += 1;
-                            }
-                            last_issue = last_issue.max(t);
-                            if PROBE {
-                                probe.on_issue(Pipe::P1, t, cur0, ready);
-                            }
-                        }
-                        let di0 = &instrs[pc0];
-                        let a0 = self.vaddr(IReg(di0.isrc), di0.imm);
-                        let last = &instrs[pc0 + n - 1];
-                        let _ = self.vaddr(IReg(last.isrc), last.imm);
-                        let s0 = di0.vsrcs[0] as usize;
-                        V256::store_seq(&self.vregs[s0..s0 + n], &mut self.ldm[a0..a0 + 4 * n]);
-                    } else {
-                        for pc in pc0..pc0 + n {
-                            let di = &instrs[pc];
-                            report.instructions += 1;
-                            if report.instructions > self.budget {
-                                return Err(BudgetExceeded {
-                                    pc,
-                                    instr: di.op,
-                                    executed: report.instructions,
-                                    budget: self.budget,
-                                });
-                            }
-                            let s = di.vsrcs[0] as usize;
-                            let base = di.isrc as usize;
-                            let cur0 = cur;
-                            let mut t = cur.max(vready[s]).max(iready[base]);
-                            let mut ready = (0u64, false);
-                            if PROBE {
-                                consider(&mut ready, vready[s], probe.vload[s]);
-                                consider(&mut ready, iready[base], false);
-                            }
-                            if t == cur && p1_used {
-                                t += 1;
-                            }
-                            if t > cur {
-                                cur = t;
-                                p0_used = false;
-                            }
-                            p1_used = true;
-                            if p0_used {
-                                report.dual_issue_cycles += 1;
-                            }
-                            last_issue = last_issue.max(t);
-                            if PROBE {
-                                probe.on_issue(Pipe::P1, t, cur0, ready);
-                            }
-                            let a = self.vaddr(IReg(di.isrc), di.imm);
-                            self.vregs[s].store(&mut self.ldm[a..a + 4]);
-                        }
-                    }
-                    oi += 1;
-                }
-                BatchKind::One | BatchKind::Strip => {
-                    // Generic dispatch, one op lookup for the whole
-                    // stretch (`n == 1` for `One`, which is only
-                    // `bne`; strips never contain a branch, so the
-                    // only instruction that can rewrite `next_oi` is
-                    // always the last of its op).
-                    let mut next_oi = oi + 1;
-                    for pc in pc0..pc0 + n {
-                        let di = &instrs[pc];
-                        report.instructions += 1;
-                        if report.instructions > self.budget {
-                            return Err(BudgetExceeded {
-                                pc,
-                                instr: di.op,
-                                executed: report.instructions,
-                                budget: self.budget,
-                            });
-                        }
-                        let cur0 = cur;
-                        let mut t = cur;
-                        let mut ready = (0u64, false);
-                        for &r in &di.vsrcs[..di.n_vsrcs as usize] {
-                            let rt = vready[r as usize];
-                            t = t.max(rt);
-                            if PROBE {
-                                consider(&mut ready, rt, probe.vload[r as usize]);
-                            }
-                        }
-                        if di.isrc != NO_REG {
-                            let rt = iready[di.isrc as usize];
-                            t = t.max(rt);
-                            if PROBE {
-                                consider(&mut ready, rt, false);
-                            }
-                        }
-                        if di.vdst != NO_REG {
-                            let rt = vready[di.vdst as usize];
-                            t = t.max(rt);
-                            if PROBE {
-                                consider(&mut ready, rt, probe.vload[di.vdst as usize]);
-                            }
-                        }
-                        if di.idst != NO_REG {
-                            let rt = iready[di.idst as usize];
-                            t = t.max(rt);
-                            if PROBE {
-                                consider(&mut ready, rt, false);
-                            }
-                        }
-                        loop {
-                            if t > cur {
-                                cur = t;
-                                p0_used = false;
-                                p1_used = false;
-                            }
-                            let used = match di.pipe {
-                                Pipe::P0 => &mut p0_used,
-                                Pipe::P1 => &mut p1_used,
-                            };
-                            if !*used {
-                                *used = true;
-                                break;
-                            }
-                            t += 1;
-                        }
-                        if p0_used && p1_used {
-                            report.dual_issue_cycles += 1;
-                        }
-                        last_issue = last_issue.max(t);
-                        if PROBE {
-                            probe.on_issue(di.pipe, t, cur0, ready);
-                        }
-                        if di.vdst != NO_REG {
-                            vready[di.vdst as usize] = t + di.latency;
-                            if PROBE {
-                                probe.on_vdst_write(di.vdst, di.latency == LOAD_LATENCY);
-                            }
-                        }
-                        if di.idst != NO_REG {
-                            iready[di.idst as usize] = t + di.latency;
-                        }
-                        match di.op {
-                            Instr::Vmad { a, b, c, d } => {
-                                report.vmads += 1;
-                                self.vregs[d.idx()] = self.vregs[a.idx()]
-                                    .fma(self.vregs[b.idx()], self.vregs[c.idx()]);
-                            }
-                            Instr::Vldd { d, base, off } => {
-                                let a = self.vaddr(base, off);
-                                self.vregs[d.idx()] = V256::load(&self.ldm[a..]);
-                            }
-                            Instr::Vstd { s, base, off } => {
-                                let a = self.vaddr(base, off);
-                                self.vregs[s.idx()].store(&mut self.ldm[a..a + 4]);
-                            }
-                            Instr::Ldde { d, base, off } => {
-                                let a = self.addr(base, off);
-                                self.vregs[d.idx()] = V256::splat(self.ldm[a]);
-                            }
-                            Instr::Vldr { d, base, off, net } => {
-                                let a = self.vaddr(base, off);
-                                let v = V256::load(&self.ldm[a..]);
-                                match net {
-                                    crate::instr::Net::Row => self.comm.row_bcast(v),
-                                    crate::instr::Net::Col => self.comm.col_bcast(v),
-                                }
-                                self.vregs[d.idx()] = v;
-                            }
-                            Instr::Lddec { d, base, off, net } => {
-                                let a = self.addr(base, off);
-                                let v = V256::splat(self.ldm[a]);
-                                match net {
-                                    crate::instr::Net::Row => self.comm.row_bcast(v),
-                                    crate::instr::Net::Col => self.comm.col_bcast(v),
-                                }
-                                self.vregs[d.idx()] = v;
-                            }
-                            Instr::Getr { d } => {
-                                self.vregs[d.idx()] = self.comm.getr();
-                            }
-                            Instr::Getc { d } => {
-                                self.vregs[d.idx()] = self.comm.getc();
-                            }
-                            Instr::Vclr { d } => {
-                                self.vregs[d.idx()] = V256::ZERO;
-                            }
-                            Instr::Addl { d, s, imm } => {
-                                self.iregs[d.idx()] = self.iregs[s.idx()] + imm;
-                            }
-                            Instr::Setl { d, imm } => {
-                                self.iregs[d.idx()] = imm;
-                            }
-                            Instr::Bne { s, target } => {
-                                debug_assert_eq!(op.kind, BatchKind::One, "bne fused into a strip");
-                                if self.iregs[s.idx()] != 0 {
-                                    report.taken_branches += 1;
-                                    // Pipeline refill bubble, as in the
-                                    // decoded engine.
-                                    cur = t + 1 + BRANCH_TAKEN_PENALTY;
-                                    p0_used = false;
-                                    p1_used = false;
-                                    if PROBE {
-                                        probe.on_taken_branch(t);
-                                    }
-                                    next_oi = if target < prog.op_at.len() {
-                                        debug_assert_ne!(
-                                            prog.op_at[target],
-                                            u32::MAX,
-                                            "branch target inside a fused run"
-                                        );
-                                        prog.op_at[target] as usize
-                                    } else {
-                                        ops.len()
-                                    };
-                                }
-                            }
-                            Instr::Nop => {}
-                        }
-                    }
-                    oi = next_oi;
-                }
-            }
-        }
-        report.cycles = if report.instructions == 0 {
-            0
-        } else {
-            last_issue + 1
-        };
-        let stall = if PROBE {
-            probe.finish(report.cycles)
-        } else {
-            StallReport::default()
-        };
-        Ok((report, stall))
-    }
-
-    /// The trace-replay engine. A straight-line program's timing is a
-    /// pure function of its instruction stream (the scoreboard never
-    /// reads data), so `CompiledProgram` precomputed the whole
-    /// [`ExecReport`] and [`StallReport`] at compile time; at run time
-    /// only the effect table is replayed — in program order, which is
-    /// bitwise exact because effects are applied in program order in
-    /// every engine and timing never affects values. Branchy programs
-    /// and runs whose budget would trip mid-trace take the decoded
-    /// engine instead (exact partial state and error reporting).
-    fn exec_compiled<const PROBE: bool>(
-        &mut self,
-        prog: &CompiledProgram,
-    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
-        let Some(tr) = prog.trace() else {
-            return self.exec_decoded::<PROBE>(prog.decoded(), &mut StallProbe::default());
-        };
-        if tr.report.instructions > self.budget {
-            return self.exec_decoded::<PROBE>(prog.decoded(), &mut StallProbe::default());
-        }
-        // All compile-time-resolved addresses were sign- and
-        // alignment-checked at compile time; one bounds check covers
-        // the highest absolute access of the whole trace.
-        assert!(
-            tr.abs_end <= self.ldm.len(),
-            "LDM address {} beyond scratch pad ({} doubles)",
-            tr.abs_end.saturating_sub(1),
-            self.ldm.len()
-        );
-        let entry = self.iregs;
-        // Register indices came from `VReg`/`IReg` (always < 32), so
-        // masking is a semantic no-op — but it proves to the optimizer
-        // that every access is in bounds, which removes four bounds
-        // checks from the fma replay loop, the engine's hottest path.
-        const MASK: usize = VREG_COUNT - 1;
-        const { assert!(VREG_COUNT.is_power_of_two()) };
-        for step in &tr.steps {
-            match *step {
-                Step::FmaRun { start, n } => {
-                    for f in &tr.fmas[start as usize..(start + n) as usize] {
-                        self.vregs[f[3] as usize & MASK] = self.vregs[f[0] as usize & MASK].fma(
-                            self.vregs[f[1] as usize & MASK],
-                            self.vregs[f[2] as usize & MASK],
-                        );
-                    }
-                }
-                Step::LoadSeq { d0, addr, n } => {
-                    let d0 = d0 as usize;
-                    V256::load_seq(&mut self.vregs[d0..d0 + n as usize], &self.ldm[addr..]);
-                }
-                Step::StoreSeq { s0, addr, n } => {
-                    let s0 = s0 as usize;
-                    let n = n as usize;
-                    V256::store_seq(&self.vregs[s0..s0 + n], &mut self.ldm[addr..addr + 4 * n]);
-                }
-                Step::Load { d, addr } => {
-                    let a = self.dyn_vaddr(&entry, addr);
-                    self.vregs[d as usize] = V256::load(&self.ldm[a..]);
-                }
-                Step::Store { s, addr } => {
-                    let a = self.dyn_vaddr(&entry, addr);
-                    self.vregs[s as usize].store(&mut self.ldm[a..a + 4]);
-                }
-                Step::Splat { d, addr } => {
-                    let a = self.dyn_addr(&entry, addr);
-                    self.vregs[d as usize] = V256::splat(self.ldm[a]);
-                }
-                Step::BcastV { d, addr, col } => {
-                    let a = self.dyn_vaddr(&entry, addr);
-                    let v = V256::load(&self.ldm[a..]);
-                    if col {
-                        self.comm.col_bcast(v);
-                    } else {
-                        self.comm.row_bcast(v);
-                    }
-                    self.vregs[d as usize] = v;
-                }
-                Step::BcastS { d, addr, col } => {
-                    let a = self.dyn_addr(&entry, addr);
-                    let v = V256::splat(self.ldm[a]);
-                    if col {
-                        self.comm.col_bcast(v);
-                    } else {
-                        self.comm.row_bcast(v);
-                    }
-                    self.vregs[d as usize] = v;
-                }
-                Step::Getr { d } => {
-                    self.vregs[d as usize] = self.comm.getr();
-                }
-                Step::Getc { d } => {
-                    self.vregs[d as usize] = self.comm.getc();
-                }
-                Step::Clr { d } => {
-                    self.vregs[d as usize] = V256::ZERO;
-                }
-            }
-        }
-        for (r, v) in self.iregs.iter_mut().zip(&tr.final_iregs) {
-            *r = v.resolve(&entry);
-        }
-        Ok((
-            tr.report,
-            if PROBE {
-                tr.stalls
-            } else {
-                StallReport::default()
-            },
-        ))
-    }
-
-    /// Resolves a run-time (entry-register-relative) scalar LDM
-    /// address with the same checks as [`Machine::addr`].
-    fn dyn_addr(&self, entry: &[i64; IREG_COUNT], addr: Addr) -> usize {
-        match addr {
-            Addr::Abs(a) => a,
-            Addr::Dyn { reg, delta } => {
-                let a = entry[reg as usize] + delta;
-                assert!(a >= 0, "negative LDM address {a}");
-                let a = a as usize;
-                assert!(
-                    a < self.ldm.len(),
-                    "LDM address {a} beyond scratch pad ({} doubles)",
-                    self.ldm.len()
-                );
-                a
-            }
-        }
-    }
-
-    /// Resolves a run-time vector LDM address with the same checks as
-    /// [`Machine::vaddr`].
-    fn dyn_vaddr(&self, entry: &[i64; IREG_COUNT], addr: Addr) -> usize {
-        match addr {
-            Addr::Abs(a) => a,
-            Addr::Dyn { reg, delta } => {
-                let a = self.dyn_addr(entry, Addr::Dyn { reg, delta });
-                assert!(
-                    a.is_multiple_of(4),
-                    "vector LDM access at {a} is not 256-bit aligned"
-                );
-                assert!(
-                    a + 4 <= self.ldm.len(),
-                    "vector LDM access at {a} runs off the scratch pad"
-                );
-                a
-            }
-        }
     }
 
     /// The original direct-from-[`Instr`] interpreter, kept as the
@@ -1470,97 +743,6 @@ impl<'a, C: CommPort> Machine<'a, C> {
         };
         (report, stall)
     }
-}
-
-/// Timing-only pass over a straight-line (branch-free) decoded stream:
-/// the full scoreboard, dual-issue slotting, and stall attribution of
-/// the interpreter, with every numeric effect omitted. Sound because
-/// issue timing is a pure function of the instruction stream — no
-/// source operand's *value* ever influences a ready time — so for
-/// branch-free programs the [`ExecReport`] and [`StallReport`] are
-/// compile-time constants. Trace compilation runs this once per
-/// kernel; replays then return the precomputed reports.
-///
-/// Panics (debug) if the stream contains a branch; callers must have
-/// rejected branchy programs already.
-pub(crate) fn straightline_timing(instrs: &[DecodedInstr]) -> (ExecReport, StallReport) {
-    let mut probe = StallProbe::default();
-    let mut report = ExecReport::default();
-    let mut vready = [0u64; VREG_COUNT];
-    let mut iready = [0u64; IREG_COUNT];
-    let mut cur: u64 = 0;
-    let mut p0_used = false;
-    let mut p1_used = false;
-    let mut last_issue: u64 = 0;
-
-    for di in instrs {
-        debug_assert!(
-            !matches!(di.op, Instr::Bne { .. }),
-            "straightline_timing on a branchy stream"
-        );
-        report.instructions += 1;
-        let cur0 = cur;
-        let mut t = cur;
-        let mut ready = (0u64, false);
-        for &r in &di.vsrcs[..di.n_vsrcs as usize] {
-            let rt = vready[r as usize];
-            t = t.max(rt);
-            consider(&mut ready, rt, probe.vload[r as usize]);
-        }
-        if di.isrc != NO_REG {
-            let rt = iready[di.isrc as usize];
-            t = t.max(rt);
-            consider(&mut ready, rt, false);
-        }
-        if di.vdst != NO_REG {
-            let rt = vready[di.vdst as usize];
-            t = t.max(rt);
-            consider(&mut ready, rt, probe.vload[di.vdst as usize]);
-        }
-        if di.idst != NO_REG {
-            let rt = iready[di.idst as usize];
-            t = t.max(rt);
-            consider(&mut ready, rt, false);
-        }
-        loop {
-            if t > cur {
-                cur = t;
-                p0_used = false;
-                p1_used = false;
-            }
-            let used = match di.pipe {
-                Pipe::P0 => &mut p0_used,
-                Pipe::P1 => &mut p1_used,
-            };
-            if !*used {
-                *used = true;
-                break;
-            }
-            t += 1;
-        }
-        if p0_used && p1_used {
-            report.dual_issue_cycles += 1;
-        }
-        last_issue = last_issue.max(t);
-        probe.on_issue(di.pipe, t, cur0, ready);
-        if di.vdst != NO_REG {
-            vready[di.vdst as usize] = t + di.latency;
-            probe.on_vdst_write(di.vdst, di.latency == LOAD_LATENCY);
-        }
-        if di.idst != NO_REG {
-            iready[di.idst as usize] = t + di.latency;
-        }
-        if matches!(di.op, Instr::Vmad { .. }) {
-            report.vmads += 1;
-        }
-    }
-    report.cycles = if report.instructions == 0 {
-        0
-    } else {
-        last_issue + 1
-    };
-    let stalls = probe.finish(report.cycles);
-    (report, stalls)
 }
 
 #[cfg(test)]
@@ -2249,8 +1431,8 @@ mod more_tests {
     #[test]
     fn decoded_matches_reference_on_kernels() {
         // The shipped kernel generators are the most important streams:
-        // run both engines on each and require identical reports,
-        // register files, and LDM contents.
+        // run both engines on each and require identical reports, stall
+        // attribution, register files, and LDM contents.
         use crate::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
         let cfg = BlockKernelCfg {
             pm: 16,
@@ -2272,265 +1454,17 @@ mod more_tests {
             let mut comm_a = NullComm;
             let mut comm_b = NullComm;
             let mut ma = Machine::new(&mut ldm_a, &mut comm_a);
-            let ra = ma.run_reference(&prog);
+            let (ra, sa) = ma.run_reference_probed(&prog);
             let (va, ia) = (ma.vregs, ma.iregs);
             let mut mb = Machine::new(&mut ldm_b, &mut comm_b);
-            let rb = mb.run(&prog);
+            let (rb, sb) = mb.run_probed(&prog);
             let (vb, ib) = (mb.vregs, mb.iregs);
+            sb.check().unwrap();
             assert_eq!(ra, rb, "reports differ for {style:?}");
+            assert_eq!(sa, sb, "stalls differ for {style:?}");
             assert_eq!(va, vb, "vregs differ for {style:?}");
             assert_eq!(ia, ib, "iregs differ for {style:?}");
             assert_eq!(ldm_a, ldm_b, "LDM differs for {style:?}");
         }
-    }
-}
-
-#[cfg(test)]
-mod backend_tests {
-    use super::*;
-    use crate::comm::NullComm;
-    use crate::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
-    use crate::regs::{IReg, VReg};
-
-    fn kernel_cfg() -> BlockKernelCfg {
-        BlockKernelCfg {
-            pm: 16,
-            pn: 8,
-            pk: 24,
-            a_src: Operand::Ldm,
-            b_src: Operand::Ldm,
-            a_base: 0,
-            b_base: 4096,
-            c_base: 6144,
-            alpha_addr: 8000,
-        }
-    }
-
-    fn mk_ldm() -> Vec<f64> {
-        (0..sw_arch::consts::LDM_DOUBLES)
-            .map(|i| (i % 83) as f64 * 0.125 - 3.0)
-            .collect()
-    }
-
-    #[test]
-    fn all_backends_match_reference_on_kernels() {
-        for style in [KernelStyle::Naive, KernelStyle::Scheduled] {
-            let prog = gen_block_kernel(&kernel_cfg(), style);
-            let mut ldm_r = mk_ldm();
-            let mut comm_r = NullComm;
-            let mut mr = Machine::new(&mut ldm_r, &mut comm_r);
-            let (rep_r, st_r) = mr.run_reference_probed(&prog);
-            let (vr, ir) = (mr.vregs, mr.iregs);
-            for backend in EngineBackend::ALL {
-                let mut ldm = mk_ldm();
-                let mut comm = NullComm;
-                let mut m = Machine::new(&mut ldm, &mut comm);
-                let (rep, st) = m.run_backend_probed(backend, &prog);
-                st.check().unwrap();
-                assert_eq!(rep, rep_r, "{backend} report differs for {style:?}");
-                assert_eq!(st, st_r, "{backend} stalls differ for {style:?}");
-                assert_eq!(m.vregs, vr, "{backend} vregs differ for {style:?}");
-                assert_eq!(m.iregs, ir, "{backend} iregs differ for {style:?}");
-                assert_eq!(ldm, ldm_r, "{backend} LDM differs for {style:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn unprobed_backends_match_too() {
-        let prog = gen_block_kernel(&kernel_cfg(), KernelStyle::Scheduled);
-        let mut ldm_d = mk_ldm();
-        let mut comm_d = NullComm;
-        let rep_d = Machine::new(&mut ldm_d, &mut comm_d).run(&prog);
-        for backend in [EngineBackend::Batched, EngineBackend::Compiled] {
-            let mut ldm = mk_ldm();
-            let mut comm = NullComm;
-            let rep = Machine::new(&mut ldm, &mut comm).run_backend(backend, &prog);
-            assert_eq!(rep, rep_d, "{backend}");
-            assert_eq!(ldm, ldm_d, "{backend}");
-        }
-    }
-
-    #[test]
-    fn batched_budget_trips_identically_inside_fused_runs() {
-        // A single 8-long vmad run with budget 5: the 6th element
-        // (pc 5) trips, and the first five must have retired.
-        let prog: Vec<Instr> = (8..16)
-            .map(|d| Instr::Vmad {
-                a: VReg(0),
-                b: VReg(1),
-                c: VReg(2),
-                d: VReg(d),
-            })
-            .collect();
-        let run_with = |batched: bool| {
-            let mut ldm = mk_ldm();
-            let mut comm = NullComm;
-            let mut m = Machine::new(&mut ldm, &mut comm);
-            m.vregs[0] = V256::splat(2.0);
-            m.vregs[1] = V256::splat(3.0);
-            m.vregs[2] = V256::splat(1.0);
-            m.set_budget(5);
-            let err = if batched {
-                m.try_run_batched(&BatchedProgram::new(&prog))
-            } else {
-                m.try_run_decoded(&DecodedProgram::new(&prog))
-            }
-            .expect_err("budget must trip");
-            (err, m.vregs)
-        };
-        let (err_d, vregs_d) = run_with(false);
-        let (err_b, vregs_b) = run_with(true);
-        assert_eq!(err_b, err_d);
-        assert_eq!(err_b.pc, 5);
-        assert_eq!(err_b.executed, 6);
-        assert_eq!(
-            vregs_b, vregs_d,
-            "partial state must match the decoded engine"
-        );
-        assert_eq!(vregs_b[12], V256::splat(7.0), "five fmas retired");
-        assert_eq!(vregs_b[13], V256::ZERO, "the sixth did not");
-    }
-
-    #[test]
-    fn batched_budget_trips_identically_inside_seq_load_runs() {
-        // A contiguous 4-load run with budget 2: the seq fast path
-        // must be bypassed and partial state kept exact.
-        let prog: Vec<Instr> = (0..4)
-            .map(|i| Instr::Vldd {
-                d: VReg(i as u8),
-                base: IReg(0),
-                off: 4 * i,
-            })
-            .collect();
-        let run_with = |batched: bool| {
-            let mut ldm = mk_ldm();
-            let mut comm = NullComm;
-            let mut m = Machine::new(&mut ldm, &mut comm);
-            m.set_budget(2);
-            let err = if batched {
-                m.try_run_batched(&BatchedProgram::new(&prog))
-            } else {
-                m.try_run_decoded(&DecodedProgram::new(&prog))
-            }
-            .expect_err("budget must trip");
-            (err, m.vregs)
-        };
-        let (err_d, vregs_d) = run_with(false);
-        let (err_b, vregs_b) = run_with(true);
-        assert_eq!(err_b, err_d);
-        assert_eq!(err_b.pc, 2);
-        assert_eq!(vregs_b, vregs_d);
-        assert_ne!(vregs_b[1], V256::ZERO, "two loads retired");
-        assert_eq!(vregs_b[2], V256::ZERO, "the third did not");
-    }
-
-    #[test]
-    fn batched_handles_counted_loops() {
-        // Branch back into a fused-run boundary: the op_at map must
-        // land control flow exactly.
-        let prog = [
-            Instr::Setl { d: IReg(7), imm: 3 },
-            Instr::Vmad {
-                a: VReg(0),
-                b: VReg(1),
-                c: VReg(2),
-                d: VReg(2),
-            },
-            Instr::Vmad {
-                a: VReg(0),
-                b: VReg(1),
-                c: VReg(3),
-                d: VReg(3),
-            },
-            Instr::Addl {
-                d: IReg(7),
-                s: IReg(7),
-                imm: -1,
-            },
-            Instr::Bne {
-                s: IReg(7),
-                target: 1,
-            },
-        ];
-        let mut ldm_d = mk_ldm();
-        let mut comm_d = NullComm;
-        let mut md = Machine::new(&mut ldm_d, &mut comm_d);
-        let (rep_d, st_d) = md.run_decoded_probed(&DecodedProgram::new(&prog));
-        let (vd, id) = (md.vregs, md.iregs);
-        let mut ldm_b = mk_ldm();
-        let mut comm_b = NullComm;
-        let mut mb = Machine::new(&mut ldm_b, &mut comm_b);
-        let (rep_b, st_b) = mb.run_batched_probed(&BatchedProgram::new(&prog));
-        assert_eq!(rep_b, rep_d);
-        assert_eq!(st_b, st_d);
-        assert_eq!(rep_b.taken_branches, 2);
-        assert_eq!(mb.vregs, vd);
-        assert_eq!(mb.iregs, id);
-    }
-
-    #[test]
-    fn compiled_falls_back_on_branches_and_budget() {
-        // Branchy program: no trace, decoded fallback, identical run.
-        let loop_prog = [
-            Instr::Setl { d: IReg(1), imm: 3 },
-            Instr::Addl {
-                d: IReg(1),
-                s: IReg(1),
-                imm: -1,
-            },
-            Instr::Bne {
-                s: IReg(1),
-                target: 1,
-            },
-        ];
-        let compiled = CompiledProgram::new(&loop_prog);
-        assert!(!compiled.is_traced());
-        let mut ldm_a = mk_ldm();
-        let mut comm_a = NullComm;
-        let rep_a = Machine::new(&mut ldm_a, &mut comm_a).run_compiled(&compiled);
-        let mut ldm_b = mk_ldm();
-        let mut comm_b = NullComm;
-        let rep_b = Machine::new(&mut ldm_b, &mut comm_b).run(&loop_prog);
-        assert_eq!(rep_a, rep_b);
-
-        // Straight-line program with a too-small budget: the compiled
-        // engine must not replay the trace; it reports the same error
-        // and partial state as the decoded engine.
-        let prog: Vec<Instr> = (8..16)
-            .map(|d| Instr::Vmad {
-                a: VReg(0),
-                b: VReg(1),
-                c: VReg(2),
-                d: VReg(d),
-            })
-            .collect();
-        let compiled = CompiledProgram::new(&prog);
-        assert!(compiled.is_traced());
-        let mut ldm_c = mk_ldm();
-        let mut comm_c = NullComm;
-        let mut mc = Machine::new(&mut ldm_c, &mut comm_c);
-        mc.set_budget(5);
-        let err_c = mc
-            .try_run_compiled(&compiled)
-            .expect_err("budget must trip");
-        let vregs_c = mc.vregs;
-        let mut ldm_d = mk_ldm();
-        let mut comm_d = NullComm;
-        let mut md = Machine::new(&mut ldm_d, &mut comm_d);
-        md.set_budget(5);
-        let err_d = md.try_run(&prog).expect_err("budget must trip");
-        assert_eq!(err_c, err_d);
-        assert_eq!(vregs_c, md.vregs);
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in EngineBackend::ALL {
-            assert_eq!(backend.name().parse::<EngineBackend>().unwrap(), backend);
-            assert_eq!(format!("{backend}"), backend.name());
-        }
-        assert!("jit".parse::<EngineBackend>().is_err());
-        assert_eq!(EngineBackend::default(), EngineBackend::Decoded);
     }
 }

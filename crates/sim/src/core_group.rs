@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sw_arch::coord::{Coord, N_CPES};
 use sw_faults::{apply_ldm_flip, apply_payload_fault, DmaFault, FaultInjector};
-use sw_isa::{compile_if_hot, CommPort, EngineBackend, ExecReport, Instr, Machine};
+use sw_isa::{CommPort, ExecReport, Instr, Machine};
 use sw_mem::dma::{self, BandwidthModel, MatRegion, Receipt};
 use sw_mem::{Ldm, LdmBuf, MainMemory, MemError};
 use sw_mesh::{Mesh, MeshError, MeshGridStats, MeshPort, MeshTransport};
@@ -172,7 +172,6 @@ pub struct CoreGroup {
     mesh_timeout: std::time::Duration,
     mesh_transport: MeshTransport,
     mesh_path: MeshPath,
-    engine_backend: EngineBackend,
     /// Persistent CPE workers, spawned on first use.
     pool: Option<CpePool>,
     /// Simulated-time span sink; disabled (near-free) by default.
@@ -204,7 +203,6 @@ impl CoreGroup {
             mesh_timeout: std::time::Duration::from_secs(10),
             mesh_transport: MeshTransport::default(),
             mesh_path: MeshPath::default(),
-            engine_backend: EngineBackend::default(),
             pool: None,
             tracer: Tracer::disabled(),
             model: BandwidthModel::calibrated(),
@@ -246,13 +244,6 @@ impl CoreGroup {
     /// [`MeshPath`]); exposed to each CPE via [`CpeCtx::mesh_bulk`].
     pub fn set_mesh_path(&mut self, path: MeshPath) {
         self.mesh_path = path;
-    }
-
-    /// Selects the execution engine [`CpeCtx::run_kernel`] uses for
-    /// subsequent runs (see [`EngineBackend`]); all backends are
-    /// bitwise equivalent, differing only in host wall time.
-    pub fn set_engine_backend(&mut self, backend: EngineBackend) {
-        self.engine_backend = backend;
     }
 
     /// Installs (or, with `None`, removes) the fault injector consulted
@@ -354,7 +345,6 @@ impl CoreGroup {
         let model = &self.model;
         let injector = self.injector.as_ref();
         let mesh_path = self.mesh_path;
-        let engine_backend = self.engine_backend;
         let flight = &*self.flight;
         let sync: &RunSync = &sync;
         let panics = pool.try_run(&|i: usize| {
@@ -376,7 +366,6 @@ impl CoreGroup {
                 model,
                 injector,
                 mesh_path,
-                engine_backend,
                 flight,
                 dma_ops: 0,
             };
@@ -435,7 +424,6 @@ pub struct CpeCtx<'a> {
     model: &'a BandwidthModel,
     injector: Option<&'a Arc<FaultInjector>>,
     mesh_path: MeshPath,
-    engine_backend: EngineBackend,
     /// The run's flight recorder. It owns this CPE's simulated-time
     /// cursor: DMA, kernel, mesh, and barrier episodes advance the
     /// clock by their modelled duration, each charged to exactly one
@@ -803,10 +791,7 @@ impl<'a> CpeCtx<'a> {
     }
 
     /// Executes an ISA kernel stream against this CPE's LDM and mesh
-    /// port, returning the executor's cycle report. The stream runs on
-    /// the core group's configured [`EngineBackend`]; with `Compiled`,
-    /// streams the hot-kernel cache has seen often enough replay a
-    /// precompiled trace, the rest interpret.
+    /// port, returning the executor's cycle report.
     pub fn run_kernel(&mut self, prog: &[Instr]) -> ExecReport {
         #[cfg(debug_assertions)]
         lint_gate::check(prog);
@@ -818,14 +803,7 @@ impl<'a> CpeCtx<'a> {
             coord: self.coord,
         };
         let mut machine = Machine::new(self.ldm.raw_mut(), &mut comm);
-        let report = match self.engine_backend {
-            EngineBackend::Decoded => machine.run(prog),
-            EngineBackend::Batched => machine.run_backend(EngineBackend::Batched, prog),
-            EngineBackend::Compiled => match compile_if_hot(prog) {
-                Some(compiled) => machine.run_compiled(&compiled),
-                None => machine.run(prog),
-            },
-        };
+        let report = machine.run(prog);
         let (t0, t1) = self
             .flight
             .advance(self.ring(), Lane::Compute, report.cycles);

@@ -86,14 +86,7 @@ fn isa_kernel_with_live_mesh_broadcast() {
     // Row 0 runs the register-blocked kernel with A broadcast over the
     // row network: CPE (0,0) is the broadcaster (vldr), CPEs (0,1..7)
     // receive (getr). B is local to each CPE (same contents). All eight
-    // must produce the identical C block, equal to the host reference —
-    // through every selectable execution backend.
-    for backend in sw_isa::EngineBackend::ALL {
-        isa_kernel_with_live_mesh_broadcast_on(backend);
-    }
-}
-
-fn isa_kernel_with_live_mesh_broadcast_on(backend: sw_isa::EngineBackend) {
+    // must produce the identical C block, equal to the host reference.
     let pm = 16;
     let pn = 8;
     let pk = 16;
@@ -122,7 +115,6 @@ fn isa_kernel_with_live_mesh_broadcast_on(backend: sw_isa::EngineBackend) {
 
     let results = std::sync::Mutex::new(vec![Vec::new(); 8]);
     let mut cg = CoreGroup::new();
-    cg.set_engine_backend(backend);
     let (ap, bp) = (&apanel, &bpanel);
     let results_ref = &results;
     cg.run(move |ctx| {
@@ -159,7 +151,7 @@ fn isa_kernel_with_live_mesh_broadcast_on(backend: sw_isa::EngineBackend) {
         assert_eq!(
             results.lock().unwrap()[col],
             c_ref,
-            "CPE (0,{col}) result mismatch under {backend}"
+            "CPE (0,{col}) result mismatch"
         );
     }
 }

@@ -452,15 +452,14 @@ fn padding_overhead_bounds() {
 }
 
 // ---------------------------------------------------------------------
-// Execution-engine equivalence: every selectable backend (decoded,
-// batched, trace-compiled) must match the seed interpreter
-// (`Machine::run_reference`) on random valid programs — register file,
-// LDM image, and ExecReport field for field.
+// Execution-engine equivalence: the decoded engine must match the seed
+// interpreter (`Machine::run_reference`) on random valid programs —
+// register file, LDM image, and ExecReport field for field.
 // ---------------------------------------------------------------------
 
 mod engine_equivalence {
     use sw26010_dgemm::isa::instr::{Instr, Net};
-    use sw26010_dgemm::isa::{DecodedProgram, EngineBackend, IReg, Machine, SinkComm, VReg};
+    use sw26010_dgemm::isa::{DecodedProgram, IReg, Machine, SinkComm, VReg};
     use sw_dgemm::gen::SplitMix64;
 
     const LDM_LEN: usize = 512;
@@ -572,22 +571,6 @@ mod engine_equivalence {
         assert_eq!(v_ref, v_dec, "{what}: vector registers");
         assert_eq!(i_ref, i_dec, "{what}: integer registers");
         assert_eq!(ldm_ref, ldm_dec, "{what}: LDM image");
-
-        // Every selectable backend must reproduce the same machine
-        // state and the bitwise-identical report. `Compiled` here is a
-        // forced compile (no hot gating), so even one-shot random
-        // programs exercise the trace path — or its decoded fallback
-        // for branchy bodies, which must be just as invisible.
-        for backend in EngineBackend::ALL {
-            let mut ldm_b = ldm0.to_vec();
-            let mut comm_b = SinkComm;
-            let mut m_b = Machine::new(&mut ldm_b, &mut comm_b);
-            let r_b = m_b.run_backend(backend, prog);
-            assert_eq!(r_ref, r_b, "{what}: {backend} report");
-            assert_eq!(v_ref, m_b.vregs, "{what}: {backend} vector registers");
-            assert_eq!(i_ref, m_b.iregs, "{what}: {backend} integer registers");
-            assert_eq!(ldm_ref, ldm_b, "{what}: {backend} LDM image");
-        }
     }
 
     /// Straight-line random programs over the full ISA.
@@ -702,71 +685,18 @@ fn fault_injection_is_deterministic() {
     });
 }
 
-/// The execution-engine backend is an implementation detail even with
-/// the fault injector live: the same fault plan through every backend
-/// yields a bitwise-identical healed C, identical traffic stats, and
-/// identical fault tallies.
-#[test]
-fn fault_injection_is_backend_invariant() {
-    use sw_dgemm::{AbftPolicy, DgemmRunner, EngineBackend, FaultSpec, StuckSpec, Variant};
-    let p = sw_dgemm::BlockingParams::test_small();
-    let (m, n, k) = (2 * p.bm(), p.bn(), 2 * p.bk());
-    // Same seed stream as `fault_injection_is_deterministic`, whose
-    // plans are known to heal under four recompute attempts.
-    cases(2, 14, |rng| {
-        let seed = rng.next_u64();
-        let a = random_matrix(m, k, seed % 1000);
-        let b = random_matrix(k, n, seed % 1000 + 1);
-        let c0 = random_matrix(m, n, seed % 1000 + 2);
-        let spec = FaultSpec {
-            dma_transient_per_myriad: 300,
-            ldm_bitflip_per_myriad: 5,
-            bitflip_every_epoch: true,
-            stuck: Some(StuckSpec {
-                cpe: (seed % 64) as usize,
-                epoch: 2,
-            }),
-            ..FaultSpec::seeded(seed)
-        };
-        let run = |backend| {
-            let mut c = c0.clone();
-            let report = DgemmRunner::new(Variant::Pe)
-                .params(p)
-                .engine_backend(backend)
-                .faults(spec)
-                .abft(AbftPolicy::Correct)
-                .run(1.5, &a, &b, 0.5, &mut c)
-                .expect("Correct + degrade must heal this plan");
-            (c, report)
-        };
-        let (c0_out, r0) = run(EngineBackend::default());
-        for backend in EngineBackend::ALL {
-            let (cb, rb) = run(backend);
-            assert_eq!(
-                c0_out.max_abs_diff(&cb),
-                0.0,
-                "seed {seed}: C differs under {backend}"
-            );
-            assert_eq!(r0.stats.dma, rb.stats.dma, "seed {seed}: {backend}");
-            assert_eq!(r0.stats.mesh, rb.stats.mesh, "seed {seed}: {backend}");
-            assert_eq!(r0.faults, rb.faults, "seed {seed}: {backend}");
-        }
-    });
-}
-
 // ---------------------------------------------------------------------
 // Stall attribution: with probes on, every simulated cycle of each pipe
 // is classified into exactly one bucket, so the per-pipe buckets sum
 // exactly to ExecReport::cycles — on random straight-line and counted-
-// loop programs, for every selectable backend (decoded, batched,
-// trace-compiled) and the golden model (`run_reference`), and all the
-// engines' attributions agree.
+// loop programs, for the decoded engine and the golden model
+// (`run_reference`), and the two engines' attributions agree.
 // ---------------------------------------------------------------------
 
 mod stall_attribution {
     use super::engine_equivalence::{random_instr, random_ldm};
     use sw26010_dgemm::isa::instr::Instr;
-    use sw26010_dgemm::isa::{EngineBackend, IReg, Machine, SinkComm};
+    use sw26010_dgemm::isa::{IReg, Machine, SinkComm};
     use sw_dgemm::gen::SplitMix64;
 
     /// Runs `prog` probed on both engines; asserts the defining
@@ -798,21 +728,6 @@ mod stall_attribution {
         assert_eq!(r_ref, r_dec, "{what}: reports");
         assert_eq!(s_ref, s_dec, "{what}: attributions");
         assert_eq!(ldm_ref, ldm_dec, "{what}: LDM image");
-
-        // Probed runs through every selectable backend: fused micro-ops
-        // and compiled traces must attribute stalls cycle-for-cycle
-        // like the golden model, not just match the totals.
-        for backend in EngineBackend::ALL {
-            let mut ldm_b = ldm0.to_vec();
-            let mut comm_b = SinkComm;
-            let mut m_b = Machine::new(&mut ldm_b, &mut comm_b);
-            let (r_b, s_b) = m_b.run_backend_probed(backend, prog);
-            s_b.check()
-                .unwrap_or_else(|e| panic!("{what}: {backend}: {e}"));
-            assert_eq!(r_b, r_ref, "{what}: {backend} report");
-            assert_eq!(s_b, s_ref, "{what}: {backend} attribution");
-            assert_eq!(ldm_b, ldm_ref, "{what}: {backend} LDM image");
-        }
     }
 
     /// Straight-line random programs over the full ISA.
