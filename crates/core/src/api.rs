@@ -16,11 +16,15 @@ use crate::Matrix;
 use std::time::Duration;
 use sw_faults::{FaultInjector, FaultSpec, FaultStats};
 use sw_isa::EngineBackend;
-use sw_sim::{CancelToken, CoreGroup, MeshPath, MeshTransport, RunStats, Tracer};
+use sw_sim::{CancelToken, CoreGroup, MeshTransport, RunStats, Tracer};
 
 /// Per-block runs the resilient path executes (first + recoveries)
 /// before an uncorrectable block surfaces as an error.
 const MAX_BLOCK_ATTEMPTS: u32 = 4;
+
+/// What the runner does with the findings of `sw-lint` over the plan's
+/// kernel streams before execution: print them, and run anyway.
+const LINT: LintPolicy = LintPolicy::Warn;
 
 /// Transposition operator of a BLAS GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,13 +81,10 @@ pub struct DgemmRunner {
     raw_params: Option<RawParams>,
     pad: bool,
     tracer: Tracer,
-    lint: LintPolicy,
     faults: Option<FaultSpec>,
     abft: AbftPolicy,
     degrade: bool,
     mesh_timeout: Option<Duration>,
-    mesh_transport: MeshTransport,
-    mesh_path: MeshPath,
     cancel: Option<CancelToken>,
     diag_tag: Option<String>,
     tune: TunePolicy,
@@ -98,13 +99,10 @@ impl DgemmRunner {
             raw_params: None,
             pad: false,
             tracer: Tracer::disabled(),
-            lint: LintPolicy::default(),
             faults: None,
             abft: AbftPolicy::Off,
             degrade: true,
             mesh_timeout: None,
-            mesh_transport: MeshTransport::default(),
-            mesh_path: MeshPath::default(),
             cancel: None,
             diag_tag: None,
             tune: TunePolicy::Off,
@@ -125,12 +123,11 @@ impl DgemmRunner {
 
     /// Installs a cooperative cancellation token for the run. Firing
     /// the token (from any thread — a deadline watchdog, a service's
-    /// shutdown path) poisons the run's barriers and releases CPEs
-    /// blocked in ring or turn waits on the mesh, so the core group is
-    /// freed promptly, and the run returns [`DgemmError::Cancelled`]
-    /// with the token's reason. Only the channel waits of
-    /// [`MeshTransport::Fallback`] ignore the token; they run out the
-    /// deadlock fuse ([`Self::mesh_timeout`]).
+    /// shutdown path) poisons the run's barriers and releases every
+    /// CPE blocked on the mesh, so the core group is freed promptly
+    /// without waiting out the deadlock fuse ([`Self::mesh_timeout`]),
+    /// and the run returns [`DgemmError::Cancelled`] with the token's
+    /// reason.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -175,15 +172,6 @@ impl DgemmRunner {
         self
     }
 
-    /// Sets the lint-on-build policy (`sw-lint` over the plan's kernel
-    /// streams before execution). Defaults to [`LintPolicy::Warn`];
-    /// [`LintPolicy::Deny`] turns Error-severity findings into
-    /// [`DgemmError::Lint`].
-    pub fn lint(mut self, policy: LintPolicy) -> Self {
-        self.lint = policy;
-        self
-    }
-
     /// Installs a deterministic fault plan. The run switches to the
     /// resilient per-CG-block executor (data-sharing variants only;
     /// RAW has no recovery machinery and is rejected) and the report
@@ -216,23 +204,6 @@ impl DgemmRunner {
     /// this to keep failure paths fast.
     pub fn mesh_timeout(mut self, timeout: Duration) -> Self {
         self.mesh_timeout = Some(timeout);
-        self
-    }
-
-    /// Selects the mesh transport (default [`MeshTransport::Ring`],
-    /// the lock-free broadcast rings; [`MeshTransport::Fallback`] is
-    /// the Mutex-channel baseline `mesh_bench` compares against).
-    pub fn mesh_transport(mut self, transport: MeshTransport) -> Self {
-        self.mesh_transport = transport;
-        self
-    }
-
-    /// Selects how strip steps drive the mesh (default
-    /// [`MeshPath::Bulk`], batched word-groups; [`MeshPath::Word`]
-    /// keeps the historical one-call-per-word path for equivalence
-    /// testing and benchmarking).
-    pub fn mesh_path(mut self, path: MeshPath) -> Self {
-        self.mesh_path = path;
         self
     }
 
@@ -294,8 +265,6 @@ impl DgemmRunner {
         if let Some(t) = self.mesh_timeout {
             cg.set_mesh_timeout(t);
         }
-        cg.set_mesh_transport(self.mesh_transport);
-        cg.set_mesh_path(self.mesh_path);
         cg.set_cancel_token(self.cancel.clone());
         // A fresh black box per dispatch: the recorder's rings, clocks
         // and busy ledgers cover exactly this run, so a bundle emitted
@@ -376,9 +345,7 @@ impl DgemmRunner {
                 let rp = self
                     .raw_params
                     .map_or_else(|| pick_raw_params(m, n, k), Ok)?;
-                if self.lint != LintPolicy::Off {
-                    lint::enforce(self.lint, &lint::lint_raw_cached(rp))?;
-                }
+                lint::enforce(LINT, &lint::lint_raw_cached(rp))?;
                 let stats = run_functional_raw(cg, m, n, k, rp, io, alpha, beta)?;
                 Ok(DgemmReport {
                     variant: self.variant,
@@ -397,7 +364,7 @@ impl DgemmRunner {
                             m,
                             n,
                             k,
-                            self.mesh_transport,
+                            MeshTransport::default(),
                             EngineBackend::default(),
                         )
                         .and_then(|p| GemmPlan::new(m, n, k, p, v.double_buffered()).ok());
@@ -408,9 +375,7 @@ impl DgemmRunner {
                     }
                 };
                 diag.plan = Some(plan);
-                if self.lint != LintPolicy::Off {
-                    lint::enforce(self.lint, &lint::lint_shared_cached(v, &plan.params))?;
-                }
+                lint::enforce(LINT, &lint::lint_shared_cached(v, &plan.params))?;
                 if !resilient {
                     let stats = run_functional(cg, &plan, v.mapping(), io, alpha, beta)?;
                     return Ok(DgemmReport {

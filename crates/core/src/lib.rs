@@ -53,7 +53,6 @@ pub use sw_faults::{FaultSpec, FaultStats, StuckSpec, WedgeSpec};
 pub use sw_isa::EngineBackend;
 pub use sw_mem::HostMatrix as Matrix;
 pub use sw_mem::MemError;
-pub use sw_sim::{MeshPath, MeshTransport};
 pub use timing::{estimate, TimingReport};
 pub use tunecache::{CachedTune, TuneCache};
 pub use tuner::{search, tune, TuneOutcome, TunePolicy, TuneRequest, TuneResult};

@@ -364,7 +364,8 @@ mod tests {
 
     /// The mesh pass's static word counts are not just internally
     /// consistent — they equal the functional simulator's measured mesh
-    /// traffic. A broadcast enqueues one copy per row/column mate, so
+    /// traffic, for every data-sharing variant's mapping and kernel
+    /// style. A broadcast enqueues one copy per row/column mate, so
     /// the dynamic `sent` counters are 7× the static per-broadcaster
     /// counts; receives correspond one-to-one.
     #[test]
@@ -372,48 +373,49 @@ mod tests {
         use sw_lint::absint::interpret;
         use sw_lint::AbsintOptions;
 
-        let v = Variant::Pe;
         let p = BlockingParams::test_small();
         // One CG block (grid 1×1×1): the run is exactly the 8
         // collective steps the static enumeration covers.
         let (m, n, k) = (p.bm(), p.bn(), p.bk());
         let a = crate::gen::random_matrix(m, k, 11);
         let b = crate::gen::random_matrix(k, n, 12);
-        let mut c = crate::gen::random_matrix(m, n, 13);
-        let report = crate::DgemmRunner::new(v)
-            .params(p)
-            .run(1.0, &a, &b, 0.0, &mut c)
-            .unwrap();
-        let mesh = report.stats.mesh;
+        for v in [Variant::Pe, Variant::Row, Variant::Db, Variant::Sched] {
+            let mut c = crate::gen::random_matrix(m, n, 13);
+            let report = crate::DgemmRunner::new(v)
+                .params(p)
+                .run(1.0, &a, &b, 0.0, &mut c)
+                .unwrap();
+            let mesh = report.stats.mesh;
 
-        let (_, base_cfg) = shared_layout(&p, v.double_buffered());
-        let unroll = unroll_for(p.pk);
-        let mut sent = [0u64; 2];
-        let mut recv = [0u64; 2];
-        for step in 0..8 {
-            for coord in Coord::all() {
-                let role = step_role(v.mapping(), step, coord);
-                let cfg = BlockKernelCfg {
-                    a_src: role.a,
-                    b_src: role.b,
-                    ..base_cfg
-                };
-                let prog = gen_block_kernel_looped(&cfg, v.kernel_style(), unroll);
-                let s = interpret(&prog, &AbsintOptions::default());
-                assert!(s.exact, "role streams must fully resolve");
-                for net in 0..2 {
-                    sent[net] += s.comm.sent[net];
-                    recv[net] += s.comm.recv[net];
+            let (_, base_cfg) = shared_layout(&p, v.double_buffered());
+            let unroll = unroll_for(p.pk);
+            let mut sent = [0u64; 2];
+            let mut recv = [0u64; 2];
+            for step in 0..8 {
+                for coord in Coord::all() {
+                    let role = step_role(v.mapping(), step, coord);
+                    let cfg = BlockKernelCfg {
+                        a_src: role.a,
+                        b_src: role.b,
+                        ..base_cfg
+                    };
+                    let prog = gen_block_kernel_looped(&cfg, v.kernel_style(), unroll);
+                    let s = interpret(&prog, &AbsintOptions::default());
+                    assert!(s.exact, "{v}: role streams must fully resolve");
+                    for net in 0..2 {
+                        sent[net] += s.comm.sent[net];
+                        recv[net] += s.comm.recv[net];
+                    }
                 }
             }
+            assert_eq!(mesh.row_words_sent, 7 * sent[0], "{v}");
+            assert_eq!(mesh.col_words_sent, 7 * sent[1], "{v}");
+            assert_eq!(mesh.row_words_received, recv[0], "{v}");
+            assert_eq!(mesh.col_words_received, recv[1], "{v}");
+            // And the rendezvous balances: every enqueued copy is consumed.
+            assert_eq!(mesh.row_words_sent, mesh.row_words_received, "{v}");
+            assert_eq!(mesh.col_words_sent, mesh.col_words_received, "{v}");
         }
-        assert_eq!(mesh.row_words_sent, 7 * sent[0]);
-        assert_eq!(mesh.col_words_sent, 7 * sent[1]);
-        assert_eq!(mesh.row_words_received, recv[0]);
-        assert_eq!(mesh.col_words_received, recv[1]);
-        // And the rendezvous balances: every enqueued copy is consumed.
-        assert_eq!(mesh.row_words_sent, mesh.row_words_received);
-        assert_eq!(mesh.col_words_sent, mesh.col_words_received);
     }
 
     #[test]

@@ -65,33 +65,17 @@ pub fn strip_step(
         let mut acc = [[0.0f64; 4]; 16];
         for k in 0..pk {
             // --- A column of this k (4 mesh words). ---
-            // The bulk path moves the same 4-word group per episode the
-            // per-word path moves in 4 calls — same words, same
-            // per-word `send_idx` consumption (so fault-injector drop
-            // decisions are identical), one batched accounting update.
+            // One 4-word group per synchronization episode; the port
+            // still consumes one `send_idx` per word, so the fault
+            // injector decides each word's drops on its own.
             match role.a {
                 Operand::Ldm | Operand::LdmBcast(_) => {
                     acol.copy_from_slice(&ctx.ldm.slice(a_own)[k * pm..k * pm + 16]);
                     if let Operand::LdmBcast(net) = role.a {
-                        if ctx.mesh_bulk() {
-                            bcast_panel(ctx, net, &acol);
-                        } else {
-                            for w in 0..4 {
-                                let v = V256::load(&acol[4 * w..]);
-                                bcast(ctx, net, v);
-                            }
-                        }
+                        bcast_panel(ctx, net, &acol);
                     }
                 }
-                Operand::Recv(net) => {
-                    if ctx.mesh_bulk() {
-                        recv_panel(ctx, net, &mut acol);
-                    } else {
-                        for w in 0..4 {
-                            recv(ctx, net).store(&mut acol[4 * w..4 * w + 4]);
-                        }
-                    }
-                }
+                Operand::Recv(net) => recv_panel(ctx, net, &mut acol),
             }
             // --- B scalars of this k (4 splatted mesh words). ---
             match role.b {
@@ -101,27 +85,14 @@ pub fn strip_step(
                         *bv = b[(j0 + j) * pk + k];
                     }
                     if let Operand::LdmBcast(net) = role.b {
-                        if ctx.mesh_bulk() {
-                            let words = bvals.map(V256::splat);
-                            bcast_words(ctx, net, &words);
-                        } else {
-                            for &bv in &bvals {
-                                bcast(ctx, net, V256::splat(bv));
-                            }
-                        }
+                        bcast_words(ctx, net, &bvals.map(V256::splat));
                     }
                 }
                 Operand::Recv(net) => {
-                    if ctx.mesh_bulk() {
-                        let mut words = [V256::ZERO; 4];
-                        recv_words(ctx, net, &mut words);
-                        for (bv, w) in bvals.iter_mut().zip(&words) {
-                            *bv = w.0[0];
-                        }
-                    } else {
-                        for bv in bvals.iter_mut() {
-                            *bv = recv(ctx, net).0[0];
-                        }
+                    let mut words = [V256::ZERO; 4];
+                    recv_words(ctx, net, &mut words);
+                    for (bv, w) in bvals.iter_mut().zip(&words) {
+                        *bv = w.0[0];
                     }
                 }
             }
@@ -140,20 +111,6 @@ pub fn strip_step(
                 cs[idx] = acc[r][j].mul_add(alpha, cs[idx]);
             }
         }
-    }
-}
-
-fn bcast(ctx: &CpeCtx, net: Net, v: V256) {
-    match net {
-        Net::Row => ctx.mesh_row_bcast(v),
-        Net::Col => ctx.mesh_col_bcast(v),
-    }
-}
-
-fn recv(ctx: &CpeCtx, net: Net) -> V256 {
-    match net {
-        Net::Row => ctx.mesh_getr(),
-        Net::Col => ctx.mesh_getc(),
     }
 }
 

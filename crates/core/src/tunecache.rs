@@ -11,8 +11,9 @@
 //! {variant}/{transport}/{backend}/m{M}n{N}k{K}
 //! ```
 //!
-//! where `{backend}` is always `decoded` (the one CPE engine; the
-//! segment stays so existing cache files still hit) and `m{M}n{N}k{K}`
+//! where `{transport}` is always `ring` (the one mesh transport) and
+//! `{backend}` always `decoded` (the one CPE engine) — both segments
+//! stay so existing cache files still hit — and `m{M}n{N}k{K}`
 //! is the *shape class* — each dimension rounded up to its
 //! power-of-two bucket, so nearby shapes share a tuned blocking
 //! instead of each paying a fresh search.
@@ -124,14 +125,10 @@ impl TuneCache {
         n: usize,
         k: usize,
     ) -> String {
-        let transport = match transport {
-            MeshTransport::Ring => "ring",
-            MeshTransport::Fallback => "fallback",
-        };
         format!(
             "{}/{}/{}/{}",
             variant.name(),
-            transport,
+            transport.name(),
             backend.name(),
             TuneCache::shape_class(m, n, k)
         )

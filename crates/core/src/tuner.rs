@@ -85,8 +85,6 @@ pub struct TuneRequest {
     /// `None` times the full rounded target. The runner path caps the
     /// grid so a cache-miss search stays cheap.
     pub eval_cap_blocks: Option<usize>,
-    /// Mesh transport of the resolution context (cache-key axis).
-    pub transport: MeshTransport,
 }
 
 impl TuneRequest {
@@ -101,7 +99,6 @@ impl TuneRequest {
             top_k: 8,
             exact: false,
             eval_cap_blocks: None,
-            transport: MeshTransport::default(),
         }
     }
 
@@ -465,7 +462,6 @@ pub fn resolve_in(
         top_k,
         exact: true,
         eval_cap_blocks: Some(3),
-        transport,
         ..TuneRequest::shaped(variant, m, n, k)
     };
     let outcome = search(&req, &BandwidthModel::calibrated()).ok()?;

@@ -410,15 +410,8 @@ impl FaultInjector {
         hit
     }
 
-    /// Counts a broadcast suppressed by the wedge scenario.
-    pub fn note_wedge_suppression(&self) {
-        self.counters.injected_mesh_wedge.inc();
-    }
-
-    /// Counts `n` broadcasts suppressed by the wedge scenario at once —
-    /// the batched mesh path's equivalent of `n` calls to
-    /// [`FaultInjector::note_wedge_suppression`], so `faults.*` totals
-    /// stay identical between the per-word and bulk transports.
+    /// Counts `n` broadcast words suppressed by the wedge scenario: one
+    /// per word, however many words an episode carries.
     pub fn note_wedge_suppressions(&self, n: u64) {
         self.counters.injected_mesh_wedge.add(n);
     }

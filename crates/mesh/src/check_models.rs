@@ -128,11 +128,10 @@ fn ring_claim_serializes_senders() {
 
 /// Two strip steps on one line: member 0 broadcasts at step 0 in two
 /// episodes, member 1 at step 1, and member 1's thread starts first.
-/// The line is a locked FIFO — the fallback transport's shape. The lock
-/// stands in for the ring's per-episode claim, which the ring models
-/// cover: on the ring itself, the relaxed cursor and claim loads
-/// multiply the interleavings past the exploration budget before the
-/// mutant's schedule is reached. Once both senders are done, the
+/// The line is a locked FIFO. The lock stands in for the ring's
+/// per-episode claim, which the ring models cover: on the ring itself,
+/// the relaxed cursor and claim loads multiply the interleavings past
+/// the exploration budget before the mutant's schedule is reached. Once both senders are done, the
 /// receiver must find every step-0 word ahead of the step-1 word.
 /// `take` is [`Steps::try_take`] or its seeded mutant.
 fn turn_model(take: fn(&Steps, bool) -> bool) {

@@ -9,8 +9,7 @@ use std::time::Duration;
 /// full receive buffer and a `getr`/`getc` on an empty one both wait.
 /// When the wait exceeds the mesh's deadlock fuse the operation returns
 /// this error instead of hanging — the runtime converts it into a
-/// structured DGEMM error carrying a rendezvous summary (the old
-/// `panic!` behavior survives behind `Mesh::panic_on_deadlock`).
+/// structured DGEMM error carrying a rendezvous summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeshError {
     /// A blocked operation outlived the deadlock timeout.

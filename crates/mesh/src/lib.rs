@@ -14,30 +14,26 @@
 //! ports move [`sw_arch::V256`] words through bounded buffers, so
 //! producers block when consumers lag. Receive paths are separate per
 //! direction (row vs column), matching the separate `getr`/`getc`
-//! instructions. Two [`MeshTransport`]s back the buffers: one lock-free
-//! broadcast ring per mesh row and per mesh column (the default fast
-//! path — a broadcast writes each word once and every mate reads it
-//! through its own cursor) and the original Mutex MPSC channel per
-//! receiver, kept as the measured baseline. Both hold
+//! instructions. One lock-free broadcast ring per mesh row and per mesh
+//! column carries the words: a broadcast writes each word once and
+//! every mate reads it through its own cursor. Each ring holds
 //! [`HOST_BUFFER_DEPTH`] words, a host wall-clock knob: the hardware's
 //! 8-entry receive buffer is not modelled by any buffer here, and no
-//! simulated clock depends on the depth. Above the transport, every
-//! mesh row and column keeps a strip-step turn, so a collective
-//! schedule that calls [`MeshPort::end_step`] after each strip step is
-//! paced by the mesh itself, as blocking `getr`/`getc` pace it on the
-//! hardware.
+//! simulated clock depends on the depth. Above the rings, every mesh
+//! row and column keeps a strip-step turn, so a collective schedule
+//! that calls [`MeshPort::end_step`] after each strip step is paced by
+//! the mesh itself, as blocking `getr`/`getc` pace it on the hardware.
 //!
 //! A blocked port returns [`MeshError::Deadlock`] after a configurable
 //! timeout instead of hanging the test suite — communication schemes
 //! with mismatched send/receive counts (the classic register-
 //! communication deadlock on real hardware) surface as structured
 //! errors the runtime converts into a per-group rendezvous summary.
-//! Harnesses built around the old propagating panic can restore it with
-//! [`Mesh::panic_on_deadlock`]. A [`sw_faults::FaultInjector`] installed
+//! Every blocked wait also honours the run's cancel flag
+//! ([`Mesh::set_cancel_flag`]). A [`sw_faults::FaultInjector`] installed
 //! via [`Mesh::set_fault_injector`] can deterministically drop words and
 //! wedge a CPE (suppress all its sends) to exercise that path.
 
-pub mod chan;
 #[cfg(sw_check)]
 pub mod check_models;
 pub mod error;
@@ -208,18 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_panics_behind_escape_hatch() {
-        let mesh = Mesh::with_timeout(std::time::Duration::from_millis(50));
-        mesh.panic_on_deadlock();
-        let ports = mesh.ports();
-        let p = &ports[0];
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = p.getr(); // nobody ever sends
-        }));
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn wedged_cpe_sends_nothing_and_peers_starve() {
         use sw_faults::{FaultInjector, FaultSpec, WedgeSpec};
         let timeout = std::time::Duration::from_millis(50);
@@ -241,72 +225,65 @@ mod tests {
     }
 
     #[test]
-    fn both_transports_handle_interleaved_senders() {
-        // Two senders in the same row push before anyone drains — both
-        // transports merge them into one FIFO per receiver (the ring by
-        // serializing the two episodes), and neither sender reads its
-        // own word back.
-        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
-            let mesh = Mesh::with_transport(std::time::Duration::from_secs(5), transport);
-            let ports = mesh.ports();
-            ports[Coord::new(1, 0).id()]
-                .row_bcast(V256::splat(1.0))
-                .unwrap();
-            ports[Coord::new(1, 2).id()]
-                .row_bcast(V256::splat(2.0))
-                .unwrap();
-            // (1,7) got one word from each sender, in arrival order.
-            let rx = &ports[Coord::new(1, 7).id()];
-            assert_eq!(rx.getr().unwrap(), V256::splat(1.0));
-            assert_eq!(rx.getr().unwrap(), V256::splat(2.0));
-            // Each sender sees only the other's word.
-            assert_eq!(
-                ports[Coord::new(1, 0).id()].try_getr(),
-                Some(V256::splat(2.0))
-            );
-            assert_eq!(
-                ports[Coord::new(1, 2).id()].try_getr(),
-                Some(V256::splat(1.0))
-            );
-            assert_eq!(ports[Coord::new(1, 0).id()].try_getr(), None);
-            assert_eq!(ports[Coord::new(1, 2).id()].try_getr(), None);
-        }
+    fn interleaved_senders_merge_into_one_fifo_per_receiver() {
+        // Two senders in the same row push before anyone drains — the
+        // ring serializes the two episodes into one FIFO per receiver,
+        // and neither sender reads its own word back.
+        let mesh = Mesh::with_timeout(std::time::Duration::from_secs(5));
+        let ports = mesh.ports();
+        ports[Coord::new(1, 0).id()]
+            .row_bcast(V256::splat(1.0))
+            .unwrap();
+        ports[Coord::new(1, 2).id()]
+            .row_bcast(V256::splat(2.0))
+            .unwrap();
+        // (1,7) got one word from each sender, in arrival order.
+        let rx = &ports[Coord::new(1, 7).id()];
+        assert_eq!(rx.getr().unwrap(), V256::splat(1.0));
+        assert_eq!(rx.getr().unwrap(), V256::splat(2.0));
+        // Each sender sees only the other's word.
+        assert_eq!(
+            ports[Coord::new(1, 0).id()].try_getr(),
+            Some(V256::splat(2.0))
+        );
+        assert_eq!(
+            ports[Coord::new(1, 2).id()].try_getr(),
+            Some(V256::splat(1.0))
+        );
+        assert_eq!(ports[Coord::new(1, 0).id()].try_getr(), None);
+        assert_eq!(ports[Coord::new(1, 2).id()].try_getr(), None);
     }
 
     #[test]
-    fn transports_agree_on_traffic_and_data() {
-        let run = |transport| {
-            let mesh = Mesh::with_transport(std::time::Duration::from_secs(5), transport);
-            let ports = mesh.ports();
-            // 8 words, well inside the host buffer depth, so the
-            // single-threaded send-then-drain below cannot block.
-            let panel: Vec<f64> = (0..32).map(|i| i as f64 * 0.5).collect();
-            ports[Coord::new(4, 4).id()]
-                .row_bcast_panel(&panel)
-                .unwrap();
-            ports[Coord::new(4, 4).id()]
-                .col_bcast_panel(&panel)
-                .unwrap();
-            let mut row_out = vec![0.0; 32];
-            let mut col_out = vec![0.0; 32];
-            ports[Coord::new(4, 0).id()]
-                .get_panel(false, &mut row_out)
-                .unwrap();
-            ports[Coord::new(7, 4).id()]
-                .get_panel(true, &mut col_out)
-                .unwrap();
-            assert_eq!(row_out, panel);
-            assert_eq!(col_out, panel);
-            // The ports fold their tallies into the mesh when they drop.
-            drop(ports);
-            (mesh.stats(), mesh.grid_stats())
-        };
-        let (stats, grid) = run(MeshTransport::Ring);
+    fn panels_arrive_intact_and_count_per_copy() {
+        let mesh = Mesh::with_timeout(std::time::Duration::from_secs(5));
+        let ports = mesh.ports();
+        // 8 words, well inside the host buffer depth, so the
+        // single-threaded send-then-drain below cannot block.
+        let panel: Vec<f64> = (0..32).map(|i| i as f64 * 0.5).collect();
+        ports[Coord::new(4, 4).id()]
+            .row_bcast_panel(&panel)
+            .unwrap();
+        ports[Coord::new(4, 4).id()]
+            .col_bcast_panel(&panel)
+            .unwrap();
+        let mut row_out = vec![0.0; 32];
+        let mut col_out = vec![0.0; 32];
+        ports[Coord::new(4, 0).id()]
+            .get_panel(false, &mut row_out)
+            .unwrap();
+        ports[Coord::new(7, 4).id()]
+            .get_panel(true, &mut col_out)
+            .unwrap();
+        assert_eq!(row_out, panel);
+        assert_eq!(col_out, panel);
+        // The ports fold their tallies into the mesh when they drop.
+        drop(ports);
+        let (stats, grid) = (mesh.stats(), mesh.grid_stats());
         assert_eq!(stats.row_words_sent, 8 * 7);
         assert_eq!(stats.col_words_received, 8);
         assert_eq!(grid.cells[4][4].col_sent, 8 * 7);
         assert_eq!(grid.cells[7][4].col_recv, 8);
-        assert_eq!((stats, grid), run(MeshTransport::Fallback));
     }
 
     #[test]

@@ -1,37 +1,31 @@
 //! Mesh construction and per-CPE ports.
 //!
-//! Two transports back the same [`MeshPort`] API:
+//! Each mesh row and each mesh column has one lock-free broadcast ring,
+//! 16 in all. A broadcast writes each word once; each of the line's
+//! other seven CPEs reads it through its own cursor, and the injector's
+//! per-mate drops ride in the slot's skip mask. A sender claims its
+//! line's ring for each episode. The collective data-sharing schedule
+//! (§III-B of the paper) has one sender per row/column group per strip
+//! step — an invariant `sw-lint`'s multi-sender rendezvous pass checks
+//! statically — so the claim is uncontended there, and it serializes a
+//! schedule that breaks the rule instead of racing. Each ring holds
+//! [`HOST_BUFFER_DEPTH`] words, a host-side depth the simulated clocks
+//! never see.
 //!
-//! * [`MeshTransport::Ring`] (the default): one lock-free broadcast
-//!   ring per mesh row and one per mesh column, 16 in all. A broadcast
-//!   writes each word once; each of the line's other seven CPEs reads
-//!   it through its own cursor, and the injector's per-mate drops ride
-//!   in the slot's skip mask. A sender claims its line's ring for each
-//!   episode. The collective data-sharing schedule (§III-B of the
-//!   paper) has one sender per row/column group per strip step — an
-//!   invariant `sw-lint`'s multi-sender rendezvous pass checks
-//!   statically — so the claim is uncontended there, and it serializes
-//!   a schedule that breaks the rule instead of racing.
-//! * [`MeshTransport::Fallback`]: the original bounded Mutex+Condvar
-//!   MPSC channel per (receiver, network). Kept as the baseline
-//!   `mesh_bench` measures the ring path against.
+//! Above the rings, each line keeps a strip-step turn (see `turn.rs`):
+//! a broadcast waits until the line's earlier steps are done, and
+//! [`MeshPort::end_step`] hands the line on. That is what paces the
+//! collective strip steps — the host stand-in for the hardware's
+//! blocking `getr`/`getc` — so the runtime needs no barrier between
+//! them. Ports that never end a step are never gated.
 //!
-//! Both transports buffer [`HOST_BUFFER_DEPTH`] words per receiver, a
-//! host-side depth the simulated clocks never see.
-//!
-//! Above either transport, each line keeps a strip-step turn (see
-//! `turn.rs`): a broadcast waits until the line's earlier steps are
-//! done, and [`MeshPort::end_step`] hands the line on. That is what
-//! paces the collective strip steps — the host stand-in for the
-//! hardware's blocking `getr`/`getc` — so the runtime needs no barrier
-//! between them. Ports that never end a step are never gated.
-//!
-//! On top of either transport, the port offers *bulk* operations
+//! Besides the single-word `getr`/`getc` and broadcasts the ISA
+//! kernels use, the port offers *bulk* operations
 //! ([`MeshPort::row_bcast_panel`], [`MeshPort::get_panel`],
-//! [`MeshPort::row_bcast_words`], …) that move a whole panel in one
-//! synchronization episode — while still consuming one `send_idx` per
-//! word, so the fault injector's per-word drop/wedge decisions are
-//! bit-for-bit identical to the per-word path.
+//! [`MeshPort::row_bcast_words`], …) that move a whole word group in
+//! one synchronization episode — while still consuming one `send_idx`
+//! per word, so the fault injector makes one drop/wedge decision per
+//! word either way.
 //!
 //! Traffic is tallied in plain cells of the `!Sync` port and folded
 //! into the mesh-wide [`MeshStats`] and the port's grid cell once, when
@@ -39,7 +33,6 @@
 //! once. [`Mesh::stats`] and [`Mesh::grid_stats`] therefore cover the
 //! ports dropped so far.
 
-use crate::chan::{bounded, Receiver, Sender};
 use crate::error::MeshError;
 use crate::ring::{Backoff, BroadcastRing, Episode};
 use crate::stats::{GridCounters, MeshCounters, MeshGridStats, MeshStats};
@@ -59,31 +52,37 @@ use sw_probe::trace::{Tracer, TrackId};
 /// communication scheme deadlocked.
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Host buffer depth of both transports, in 256-bit words: the slots of
-/// each line's broadcast ring, and the capacity of each fallback
-/// receive channel.
+/// Host buffer depth of the mesh, in 256-bit words: the slots of each
+/// line's broadcast ring.
 ///
 /// This is a host-performance knob, not the hardware's 8-entry receive
 /// buffer: no simulated clock reads it (`CpeCtx` charges mesh time per
 /// word), so it bounds only how far a sender may run ahead of its
 /// slowest mate in wall time. Deep enough that a strip step's stream
-/// (128 words per broadcaster at test blocking) rarely blocks; both
-/// transports share it so back-pressure — and with it how far a wedged
-/// run gets — is the same on either.
+/// (128 words per broadcaster at test blocking) rarely blocks.
 pub const HOST_BUFFER_DEPTH: usize = 512;
 
-/// Which link implementation carries mesh words.
+/// The mesh transport, named in the tune-cache key.
+///
+/// There is one transport, the per-line broadcast rings. This
+/// one-variant enum exists only because the benchmark passes
+/// `MeshTransport::default()` to `tuner::resolve`, `tuner::resolve_in`
+/// and `TuneCache::key`; it goes, with those parameters, in the next
+/// change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MeshTransport {
-    /// One lock-free broadcast ring per mesh row and per mesh column —
-    /// the fast path. Senders on one line take turns per episode, so
-    /// each receiver sees one FIFO of the line's words in episode
-    /// order.
+    /// One lock-free broadcast ring per mesh row and per mesh column.
     #[default]
     Ring,
-    /// The original Mutex+Condvar MPSC channel per receiver. Safe for
-    /// arbitrary sender interleavings; slower.
-    Fallback,
+}
+
+impl MeshTransport {
+    /// The lowercase name the tune-cache key carries.
+    pub fn name(self) -> &'static str {
+        match self {
+            MeshTransport::Ring => "ring",
+        }
+    }
 }
 
 /// The 8×8 register-communication mesh. Build one per core group, hand
@@ -92,7 +91,6 @@ pub struct Mesh {
     ports: Mutex<Option<Vec<MeshPort>>>,
     counters: Arc<MeshCounters>,
     grid: Arc<GridCounters>,
-    panic_on_deadlock: Arc<AtomicBool>,
 }
 
 impl Default for Mesh {
@@ -107,22 +105,12 @@ impl Mesh {
         Self::with_timeout(DEFAULT_TIMEOUT)
     }
 
-    /// Builds a mesh whose blocked operations fail after `timeout`
-    /// (with [`MeshError::Deadlock`], or a panic when
-    /// [`Mesh::panic_on_deadlock`] is set).
+    /// Builds a mesh whose blocked operations fail with
+    /// [`MeshError::Deadlock`] after `timeout`.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self::with_transport(timeout, MeshTransport::default())
-    }
-
-    /// Builds a mesh on an explicit [`MeshTransport`].
-    pub fn with_transport(timeout: Duration, transport: MeshTransport) -> Self {
         let counters = Arc::new(MeshCounters::default());
         let grid = Arc::new(GridCounters::default());
-        let panic_on_deadlock = Arc::new(AtomicBool::new(false));
-        let links = match transport {
-            MeshTransport::Ring => build_ring_links(),
-            MeshTransport::Fallback => build_chan_links(),
-        };
+        let links = build_links();
         let row_turns: Vec<Arc<LineTurn>> =
             (0..MESH_ROWS).map(|_| Arc::new(LineTurn::new())).collect();
         let col_turns: Vec<Arc<LineTurn>> =
@@ -143,7 +131,6 @@ impl Mesh {
                     tally: Tally::default(),
                     counters: Arc::clone(&counters),
                     grid: Arc::clone(&grid),
-                    panic_on_deadlock: Arc::clone(&panic_on_deadlock),
                     injector: None,
                     cancel: None,
                     sends: Cell::new(0),
@@ -157,19 +144,7 @@ impl Mesh {
             ports: Mutex::new(Some(ports)),
             counters,
             grid,
-            panic_on_deadlock,
         }
-    }
-
-    /// Restores the pre-structured-error behavior: blocked operations
-    /// `panic!` with a diagnostic instead of returning
-    /// [`MeshError::Deadlock`]. The escape hatch for harnesses built
-    /// around the old propagating panic.
-    pub fn panic_on_deadlock(&self) {
-        // Relaxed: advisory debug flag. No data is published under
-        // it — the only consumer turns an error return into a panic,
-        // and a stale read merely delays that escalation by one call.
-        self.panic_on_deadlock.store(true, Ordering::Relaxed);
     }
 
     /// Installs a fault injector consulted on every broadcast (word
@@ -185,10 +160,10 @@ impl Mesh {
         }
     }
 
-    /// Installs the run's cancel flag: once it is raised, a port blocked
-    /// waiting for its line's turn, or anywhere on the ring transport,
-    /// gives up with [`MeshError::Cancelled`]
-    /// instead of waiting out the deadlock fuse, so a cancelled run
+    /// Installs the run's cancel flag: once it is raised, any blocked
+    /// wait of a port — for its line's turn, a ring claim, ring space or
+    /// a word — gives up with [`MeshError::Cancelled`] instead of
+    /// waiting out the deadlock fuse, so a cancelled run
     /// unwinds promptly even where a peer stopped mid-step. The flag is
     /// polled only while waiting. Like [`Mesh::set_fault_injector`],
     /// must be called before the ports are taken.
@@ -271,11 +246,11 @@ impl Mesh {
     }
 }
 
-/// Wires the ring transport: one [`BroadcastRing`] per mesh row and
-/// one per mesh column. A CPE is member `col` of its row's ring and
-/// member `row` of its column's ring, so a member's position is also
-/// its index in [`Coord::row_mates`] / [`Coord::col_mates`] order.
-fn build_ring_links() -> Vec<(Link, Link)> {
+/// Wires the mesh: one [`BroadcastRing`] per mesh row and one per mesh
+/// column. A CPE is member `col` of its row's ring and member `row` of
+/// its column's ring, so a member's position is also its index in
+/// [`Coord::row_mates`] / [`Coord::col_mates`] order.
+fn build_links() -> Vec<(Link, Link)> {
     let rows: Vec<Arc<BroadcastRing>> = (0..MESH_ROWS)
         .map(|_| Arc::new(BroadcastRing::new(MESH_COLS, HOST_BUFFER_DEPTH)))
         .collect();
@@ -287,11 +262,11 @@ fn build_ring_links() -> Vec<(Link, Link)> {
             let coord = Coord::from_id(id);
             let (r, c) = (coord.row as usize, coord.col as usize);
             (
-                Link::Ring {
+                Link {
                     ring: Arc::clone(&rows[r]),
                     pos: c,
                 },
-                Link::Ring {
+                Link {
                     ring: Arc::clone(&cols[c]),
                     pos: r,
                 },
@@ -300,106 +275,45 @@ fn build_ring_links() -> Vec<(Link, Link)> {
         .collect()
 }
 
-/// Wires the fallback transport: one bounded MPSC channel per
-/// (receiver, network); the channel preserves per-sender FIFO order,
-/// which is the ordering guarantee the hardware's point-to-point mesh
-/// links give.
-fn build_chan_links() -> Vec<(Link, Link)> {
-    let (row_tx, row_rx): (Vec<_>, Vec<_>) = (0..N_CPES)
-        .map(|_| bounded::<V256>(HOST_BUFFER_DEPTH))
-        .unzip();
-    let (col_tx, col_rx): (Vec<_>, Vec<_>) = (0..N_CPES)
-        .map(|_| bounded::<V256>(HOST_BUFFER_DEPTH))
-        .unzip();
-    row_rx
-        .into_iter()
-        .zip(col_rx)
-        .enumerate()
-        .map(|(id, (row_rx, col_rx))| {
-            let coord = Coord::from_id(id);
-            let row_mates = coord.row_mates().filter(|m| *m != coord);
-            let col_mates = coord.col_mates().filter(|m| *m != coord);
-            (
-                Link::Chan {
-                    tx: row_mates.map(|m| row_tx[m.id()].clone()).collect(),
-                    rx: row_rx,
-                },
-                Link::Chan {
-                    tx: col_mates.map(|m| col_tx[m.id()].clone()).collect(),
-                    rx: col_rx,
-                },
-            )
-        })
-        .collect()
-}
-
-/// A port's link to one network (its mesh row or its mesh column).
-enum Link {
-    /// This CPE's member position on the line's broadcast ring.
-    Ring {
-        ring: Arc<BroadcastRing>,
-        pos: usize,
-    },
-    /// One sender per mate, in mate order (the order the fault
-    /// injector's drop index is keyed on), and this CPE's own receive
-    /// buffer.
-    Chan {
-        tx: Vec<Sender<V256>>,
-        rx: Receiver<V256>,
-    },
+/// A port's link to one network (its mesh row or its mesh column): this
+/// CPE's member position on the line's broadcast ring.
+struct Link {
+    ring: Arc<BroadcastRing>,
+    pos: usize,
 }
 
 impl Link {
-    /// Opens a sending episode. On the ring transport this claims the
-    /// line's ring, waiting out another sender's episode.
+    /// Opens a sending episode: claims the line's ring, waiting out
+    /// another sender's episode.
     fn open(&self, wait: &Wait<'_>) -> Result<Outbox<'_>, Stop> {
-        match self {
-            Link::Ring { ring, pos } => wait
-                .until(|| ring.try_claim(*pos))
-                .map(|ep| Outbox::Ring(ep, *pos)),
-            Link::Chan { tx, .. } => Ok(Outbox::Chan(tx)),
-        }
+        wait.until(|| self.ring.try_claim(self.pos))
+            .map(|ep| Outbox { ep, pos: self.pos })
     }
 
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<V256> {
-        match self {
-            Link::Ring { ring, pos } => ring.try_pop(*pos),
-            Link::Chan { rx, .. } => rx.try_recv(),
-        }
+        self.ring.try_pop(self.pos)
     }
 
     /// Blocking receive.
     fn recv(&self, wait: &Wait<'_>) -> Result<V256, Stop> {
-        match self {
-            Link::Ring { ring, pos } => wait.until(|| ring.try_pop(*pos)),
-            Link::Chan { rx, .. } => rx.recv_timeout(wait.timeout).map_err(|_| Stop::Fuse),
-        }
+        wait.until(|| self.ring.try_pop(self.pos))
     }
 }
 
-/// An open sending episode on one network (see [`Link::open`]).
-enum Outbox<'a> {
-    /// The claimed ring and the sender's member position on it.
-    Ring(Episode<'a>, usize),
-    Chan(&'a [Sender<V256>]),
+/// An open sending episode on one network (see [`Link::open`]): the
+/// claimed ring and the sender's member position on it.
+struct Outbox<'a> {
+    ep: Episode<'a>,
+    pos: usize,
 }
 
 impl Outbox<'_> {
     /// Sends `v` to every mate whose bit in `dropped` (mate order) is
-    /// clear, blocking while a buffer is full.
+    /// clear, blocking while the ring is full.
     fn send(&mut self, v: V256, dropped: u8, wait: &Wait<'_>) -> Result<(), Stop> {
-        match self {
-            Outbox::Ring(ep, pos) => {
-                let skip = mates_to_members(dropped, *pos);
-                wait.until(|| ep.try_push(v, skip).then_some(()))
-            }
-            Outbox::Chan(txs) => txs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| dropped & (1 << i) == 0)
-                .try_for_each(|(_, tx)| tx.send_timeout(v, wait.timeout).map_err(|_| Stop::Fuse)),
-        }
+        let skip = mates_to_members(dropped, self.pos);
+        wait.until(|| self.ep.try_push(v, skip).then_some(()))
     }
 }
 
@@ -423,8 +337,7 @@ impl Stop {
 }
 
 /// How a port's blocked operations wait: the deadlock fuse, plus the
-/// run's cancel flag for turn waits and ring waits (the fallback
-/// channels block in a condvar and honour only the fuse).
+/// run's cancel flag.
 struct Wait<'a> {
     timeout: Duration,
     cancel: Option<&'a AtomicBool>,
@@ -524,12 +437,12 @@ impl Tally {
     }
 }
 
-/// One CPE's window onto the mesh: its send links to row/column mates
-/// and its two receive buffers.
+/// One CPE's window onto the mesh: its member positions on its row's
+/// and its column's broadcast rings.
 ///
 /// A port is `Send` but deliberately `!Sync`: exactly one thread drives
 /// it, so each ring member position has one reader thread, which is
-/// what makes the ring transport's consumer cursors sound — and what
+/// what makes the rings' consumer cursors sound — and what
 /// lets the port keep its step index and traffic tally in plain cells.
 pub struct MeshPort {
     coord: Coord,
@@ -542,10 +455,9 @@ pub struct MeshPort {
     tally: Tally,
     counters: Arc<MeshCounters>,
     grid: Arc<GridCounters>,
-    panic_on_deadlock: Arc<AtomicBool>,
     injector: Option<Arc<FaultInjector>>,
-    /// Raised when the run is cancelled; blocked turn and ring waits
-    /// then give up (see [`Mesh::set_cancel_flag`]).
+    /// Raised when the run is cancelled; every blocked wait then gives
+    /// up (see [`Mesh::set_cancel_flag`]).
     cancel: Option<Arc<AtomicBool>>,
     /// Broadcast words issued by this port (the injector's
     /// deterministic per-send coordinate).
@@ -598,40 +510,24 @@ impl MeshPort {
     }
 
     /// The error for a blocked `op` that gave up: a deadlock when the
-    /// fuse tripped (or the legacy panic), a cancellation otherwise.
-    fn stopped(&self, stop: Stop, op: &'static str, detail: std::fmt::Arguments<'_>) -> MeshError {
+    /// fuse tripped, a cancellation otherwise.
+    fn stopped(&self, stop: Stop, op: &'static str) -> MeshError {
         let coord = (self.coord.row, self.coord.col);
-        if let Stop::Cancelled = stop {
-            return MeshError::Cancelled { coord, op };
-        }
-        // Relaxed: pairs with the advisory store in
-        // `panic_on_deadlock` — see the audit note there.
-        if self.panic_on_deadlock.load(Ordering::Relaxed) {
-            panic!("mesh deadlock: {} {op} {detail}", self.coord);
-        }
-        MeshError::Deadlock {
-            coord,
-            op,
-            timeout: self.timeout,
+        match stop {
+            Stop::Cancelled => MeshError::Cancelled { coord, op },
+            Stop::Fuse => MeshError::Deadlock {
+                coord,
+                op,
+                timeout: self.timeout,
+            },
         }
     }
 
     /// A broadcast episode that gave up after `words` completed words:
     /// records it on the flight ring and builds the error.
-    fn send_stopped(
-        &self,
-        stop: Stop,
-        col_net: bool,
-        op: &'static str,
-        words: u64,
-        why: &str,
-    ) -> MeshError {
+    fn send_stopped(&self, stop: Stop, col_net: bool, op: &'static str, words: u64) -> MeshError {
         self.flight_episode(col_net, false, stop.outcome(false), words);
-        self.stopped(
-            stop,
-            op,
-            format_args!("blocked >{:?} ({why})", self.timeout),
-        )
+        self.stopped(stop, op)
     }
 
     /// The shared broadcast path of both networks, batched over
@@ -639,9 +535,9 @@ impl MeshPort {
     /// for this port's strip step, consults the fault injector per word
     /// (wedge suppression, per-mate word drops), enqueues to the
     /// surviving mates, and tallies and traces ONCE for the whole
-    /// batch. A blocked send becomes [`MeshError::Deadlock`] (or the
-    /// legacy panic) after first accounting the words that completed —
-    /// exactly what `n_words` per-word calls would have recorded.
+    /// batch. A blocked send becomes [`MeshError::Deadlock`] after
+    /// first accounting the words that completed — exactly what
+    /// `n_words` per-word calls would have recorded.
     fn bcast_stream(
         &self,
         n_words: usize,
@@ -654,15 +550,10 @@ impl MeshPort {
         }
         let wait = self.wait();
         // A wedged sender takes its turn too, so that `end_step` can
-        // pass it on in order.
+        // pass it on in order. A stop here means an earlier strip step
+        // still holds the line.
         if let Err(stop) = wait.until(|| self.steps.try_take(col_net).then_some(())) {
-            return Err(self.send_stopped(
-                stop,
-                col_net,
-                op,
-                0,
-                "an earlier strip step still holds the line",
-            ));
+            return Err(self.send_stopped(stop, col_net, op, 0));
         }
         let send_base = self.sends.get();
         self.sends.set(send_base + n_words as u64);
@@ -670,7 +561,7 @@ impl MeshPort {
             if inj.cpe_wedged(self.coord.id()) {
                 // The wedged CPE silently stops sending: its group
                 // peers starve and the deadlock fuse trips downstream.
-                // One suppression per word, as the per-word path counts.
+                // One suppression per word.
                 inj.note_wedge_suppressions(n_words as u64);
                 self.flight_fault(flight::fault_code::MESH_WEDGE, send_base);
                 self.flight_episode(col_net, false, flight::mesh_outcome::WEDGED, n_words as u64);
@@ -691,17 +582,10 @@ impl MeshPort {
                 link.emit(&t.tracer, name, delivered, completed_words);
             }
         };
+        // A stop here means another sender holds the line.
         let mut outbox = match link.open(&wait) {
             Ok(outbox) => outbox,
-            Err(stop) => {
-                return Err(self.send_stopped(
-                    stop,
-                    col_net,
-                    op,
-                    0,
-                    "another sender holds the line",
-                ))
-            }
+            Err(stop) => return Err(self.send_stopped(stop, col_net, op, 0)),
         };
         for w in 0..n_words {
             let send_idx = send_base + w as u64;
@@ -718,16 +602,11 @@ impl MeshPort {
                 }
             }
             if let Err(stop) = outbox.send(v, dropped, &wait) {
-                // Words 0..w completed; word w accounts nothing.
+                // A mate is not draining. Words 0..w completed; word w
+                // accounts nothing.
                 drop(outbox);
                 flush(delivered, w as u64);
-                return Err(self.send_stopped(
-                    stop,
-                    col_net,
-                    op,
-                    w as u64,
-                    "a mate is not draining",
-                ));
+                return Err(self.send_stopped(stop, col_net, op, w as u64));
             }
             delivered += mates as u64 - u64::from(dropped.count_ones());
         }
@@ -763,11 +642,7 @@ impl MeshPort {
                         self.cell().add_starved(col_net);
                     }
                     self.flight_episode(col_net, true, stop.outcome(true), w as u64);
-                    return Err(self.stopped(
-                        stop,
-                        op,
-                        format_args!("starved >{:?}", self.timeout),
-                    ));
+                    return Err(self.stopped(stop, op));
                 }
             }
         }
@@ -1034,20 +909,8 @@ mod tests {
     #[test]
     fn links_wire_each_cpe_to_its_own_lines() {
         for p in &Mesh::new().ports() {
-            let (Link::Ring { pos: row_pos, .. }, Link::Ring { pos: col_pos, .. }) =
-                (&p.row, &p.col)
-            else {
-                panic!("the default transport is the ring");
-            };
-            assert_eq!(*row_pos, p.coord.col as usize);
-            assert_eq!(*col_pos, p.coord.row as usize);
-        }
-        for p in &Mesh::with_transport(DEFAULT_TIMEOUT, MeshTransport::Fallback).ports() {
-            let (Link::Chan { tx: row, .. }, Link::Chan { tx: col, .. }) = (&p.row, &p.col) else {
-                panic!("fallback links are channels");
-            };
-            assert_eq!(row.len(), MESH_COLS - 1, "row mates exclude self");
-            assert_eq!(col.len(), MESH_ROWS - 1, "column mates exclude self");
+            assert_eq!(p.row.pos, p.coord.col as usize);
+            assert_eq!(p.col.pos, p.coord.row as usize);
         }
     }
 
@@ -1105,48 +968,46 @@ mod tests {
         // Row 0 over two strip steps: (0,0) broadcasts at step 0, (0,1)
         // at step 1. The step-1 sender's thread starts first and never
         // waits for its step-0 words; only the line's turn holds it back
-        // until (0,0) ends step 0. Both transports and both paths.
+        // until (0,0) ends step 0. Both the word and the batch API.
         let first: Vec<V256> = (0..6).map(|i| V256::splat(i as f64)).collect();
         let second: Vec<V256> = (10..16).map(|i| V256::splat(i as f64)).collect();
         let want: Vec<V256> = first.iter().chain(&second).copied().collect();
-        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
-            for bulk in [false, true] {
-                let mesh = Mesh::with_transport(Duration::from_secs(10), transport);
-                let mut row0: Vec<MeshPort> = mesh.ports().into_iter().take(MESH_COLS).collect();
-                let mates = row0.split_off(2);
-                let (early, late) = (row0.remove(0), row0.remove(0));
-                let send = move |p: &MeshPort, words: &[V256]| {
-                    if bulk {
-                        p.row_bcast_words(words).unwrap();
-                    } else {
-                        words.iter().for_each(|&w| p.row_bcast(w).unwrap());
-                    }
-                };
-                let (first, second) = (&first, &second);
-                let early = std::thread::scope(|s| {
-                    s.spawn(move || {
-                        late.end_step(); // step 0: receives, reads nothing yet
-                        send(&late, second);
-                        late.end_step();
-                    });
-                    std::thread::sleep(Duration::from_millis(20));
-                    let step0 = s.spawn(move || {
-                        send(&early, &first[..3]);
-                        send(&early, &first[3..]); // a second episode, same step
-                        early.end_step();
-                        early
-                    });
-                    for p in mates {
-                        let want = &want;
-                        s.spawn(move || {
-                            let got: Vec<V256> = want.iter().map(|_| p.getr().unwrap()).collect();
-                            assert_eq!(&got, want, "{transport:?} bulk={bulk} {}", p.coord());
-                        });
-                    }
-                    step0.join().unwrap()
+        for bulk in [false, true] {
+            let mesh = Mesh::with_timeout(Duration::from_secs(10));
+            let mut row0: Vec<MeshPort> = mesh.ports().into_iter().take(MESH_COLS).collect();
+            let mates = row0.split_off(2);
+            let (early, late) = (row0.remove(0), row0.remove(0));
+            let send = move |p: &MeshPort, words: &[V256]| {
+                if bulk {
+                    p.row_bcast_words(words).unwrap();
+                } else {
+                    words.iter().for_each(|&w| p.row_bcast(w).unwrap());
+                }
+            };
+            let (first, second) = (&first, &second);
+            let early = std::thread::scope(|s| {
+                s.spawn(move || {
+                    late.end_step(); // step 0: receives, reads nothing yet
+                    send(&late, second);
+                    late.end_step();
                 });
-                assert_eq!(early.try_getr(), Some(second[0]));
-            }
+                std::thread::sleep(Duration::from_millis(20));
+                let step0 = s.spawn(move || {
+                    send(&early, &first[..3]);
+                    send(&early, &first[3..]); // a second episode, same step
+                    early.end_step();
+                    early
+                });
+                for p in mates {
+                    let want = &want;
+                    s.spawn(move || {
+                        let got: Vec<V256> = want.iter().map(|_| p.getr().unwrap()).collect();
+                        assert_eq!(&got, want, "bulk={bulk} {}", p.coord());
+                    });
+                }
+                step0.join().unwrap()
+            });
+            assert_eq!(early.try_getr(), Some(second[0]));
         }
     }
 
@@ -1183,29 +1044,26 @@ mod tests {
         // Column 4 has no sender at step 0, so the step-1 sender never
         // gets the turn: the fuse trips, and no word reaches a mate.
         let timeout = Duration::from_millis(50);
-        for transport in [MeshTransport::Ring, MeshTransport::Fallback] {
-            let mesh = Mesh::with_transport(timeout, transport);
-            let ports = mesh.ports();
-            for r in 0..8 {
-                ports[Coord::new(r, 4).id()].end_step();
-            }
-            let err = ports[Coord::new(1, 4).id()]
-                .col_bcast(V256::splat(1.0))
-                .unwrap_err();
-            assert_eq!(
-                err,
-                MeshError::Deadlock {
-                    coord: (1, 4),
-                    op: "col-broadcast",
-                    timeout,
-                },
-                "{transport:?}"
-            );
-            for r in 0..8 {
-                assert_eq!(ports[Coord::new(r, 4).id()].try_getc(), None);
-            }
-            drop(ports);
-            assert_eq!(mesh.stats(), MeshStats::default(), "{transport:?}");
+        let mesh = Mesh::with_timeout(timeout);
+        let ports = mesh.ports();
+        for r in 0..8 {
+            ports[Coord::new(r, 4).id()].end_step();
         }
+        let err = ports[Coord::new(1, 4).id()]
+            .col_bcast(V256::splat(1.0))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MeshError::Deadlock {
+                coord: (1, 4),
+                op: "col-broadcast",
+                timeout,
+            }
+        );
+        for r in 0..8 {
+            assert_eq!(ports[Coord::new(r, 4).id()].try_getc(), None);
+        }
+        drop(ports);
+        assert_eq!(mesh.stats(), MeshStats::default());
     }
 }

@@ -14,8 +14,8 @@
 //! on to the next step and advances the port's index. The step-`s`
 //! sender passes the turn only after its last episode of the step has
 //! ended, so every step-`s` word is in the line's FIFO before any
-//! step-`s+1` word — on either transport, because the turn lives here,
-//! above the links.
+//! step-`s+1` word. The turn lives here, above the rings, which know
+//! nothing of steps.
 //!
 //! A port that never ends a step stays at step 0, where every turn
 //! starts, so unpaced traffic (kernel-driven mesh streams, probes, unit

@@ -6,13 +6,9 @@
 //! unwinds with [`crate::CpeError::Cancelled`] at its next sync point
 //! instead of computing a result nobody is waiting for. CPEs blocked
 //! inside a mesh episode are not parked on a barrier; firing also
-//! raises the run's mesh cancel flag, which the ring transport polls
-//! while waiting, so they unwind the same way. The fallback transport
-//! waits in a condvar and stays bounded only by the mesh deadlock fuse,
-//! which callers enforcing deadlines should shorten to their remaining
-//! budget ([`crate::CoreGroup::set_mesh_timeout`]) — together these
-//! make "cancelled request frees its core group promptly" a hard
-//! property.
+//! raises the run's mesh cancel flag, which every blocked mesh wait
+//! polls, so they unwind the same way — together these make
+//! "cancelled request frees its core group promptly" a hard property.
 //!
 //! The token is one-shot and sticky, like the barrier poison it rides
 //! on: once fired it stays fired, and a run started with an

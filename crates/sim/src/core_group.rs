@@ -35,7 +35,7 @@ use sw_faults::{apply_ldm_flip, apply_payload_fault, DmaFault, FaultInjector};
 use sw_isa::{CommPort, ExecReport, Instr, Machine};
 use sw_mem::dma::{self, BandwidthModel, MatRegion, Receipt};
 use sw_mem::{Ldm, LdmBuf, MainMemory, MemError};
-use sw_mesh::{Mesh, MeshError, MeshGridStats, MeshPort, MeshTransport};
+use sw_mesh::{Mesh, MeshError, MeshGridStats, MeshPort};
 use sw_probe::flight::{self, EventKind, FlightRecorder, Lane};
 use sw_probe::metrics::Histogram;
 use sw_probe::trace::{Tracer, TrackId};
@@ -47,20 +47,6 @@ const DESC_BYTES_BUCKETS: [u64; 6] = [128, 512, 2048, 8192, 32768, 131072];
 /// Simulated cycles charged for the first DMA retry backoff; each
 /// further retry doubles it (deterministic exponential backoff).
 const DMA_RETRY_BACKOFF_CYCLES: u64 = 64;
-
-/// How variants drive the mesh inside a strip step: whole word-groups
-/// per synchronization episode (the fast default) or one word at a
-/// time (the historical path, kept selectable so the equivalence
-/// property tests and `mesh_bench` can compare the two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MeshPath {
-    /// Batched word-group broadcasts/receives with one accounting
-    /// episode per group.
-    #[default]
-    Bulk,
-    /// One `bcast`/`get` call per 256-bit word.
-    Word,
-}
 
 /// Why one CPE aborted its run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,8 +156,6 @@ pub struct CoreGroup {
     /// The CG's main memory. Install inputs / extract outputs here.
     pub mem: MainMemory,
     mesh_timeout: std::time::Duration,
-    mesh_transport: MeshTransport,
-    mesh_path: MeshPath,
     /// Persistent CPE workers, spawned on first use.
     pool: Option<CpePool>,
     /// Simulated-time span sink; disabled (near-free) by default.
@@ -201,8 +185,6 @@ impl CoreGroup {
         CoreGroup {
             mem: MainMemory::new(),
             mesh_timeout: std::time::Duration::from_secs(10),
-            mesh_transport: MeshTransport::default(),
-            mesh_path: MeshPath::default(),
             pool: None,
             tracer: Tracer::disabled(),
             model: BandwidthModel::calibrated(),
@@ -231,19 +213,6 @@ impl CoreGroup {
     /// Sets the mesh deadlock fuse for subsequent runs.
     pub fn set_mesh_timeout(&mut self, timeout: std::time::Duration) {
         self.mesh_timeout = timeout;
-    }
-
-    /// Selects the mesh transport for subsequent runs (the lock-free
-    /// broadcast rings by default; the Mutex-channel fallback is the
-    /// measured baseline).
-    pub fn set_mesh_transport(&mut self, transport: MeshTransport) {
-        self.mesh_transport = transport;
-    }
-
-    /// Selects how variants drive the mesh inside strip steps (see
-    /// [`MeshPath`]); exposed to each CPE via [`CpeCtx::mesh_bulk`].
-    pub fn set_mesh_path(&mut self, path: MeshPath) {
-        self.mesh_path = path;
     }
 
     /// Installs (or, with `None`, removes) the fault injector consulted
@@ -306,7 +275,7 @@ impl CoreGroup {
         install_quiet_abort_hook();
         let pool = self.pool.get_or_insert_with(|| CpePool::new(N_CPES));
         let sync = Arc::new(RunSync::new());
-        let mesh = Mesh::with_transport(self.mesh_timeout, self.mesh_transport);
+        let mesh = Mesh::with_timeout(self.mesh_timeout);
         if self.cancel.is_some() {
             mesh.set_cancel_flag(&sync.token_fired);
         }
@@ -344,7 +313,6 @@ impl CoreGroup {
         let tracer = &self.tracer;
         let model = &self.model;
         let injector = self.injector.as_ref();
-        let mesh_path = self.mesh_path;
         let flight = &*self.flight;
         let sync: &RunSync = &sync;
         let panics = pool.try_run(&|i: usize| {
@@ -365,7 +333,6 @@ impl CoreGroup {
                 track: tracks[i],
                 model,
                 injector,
-                mesh_path,
                 flight,
                 dma_ops: 0,
             };
@@ -423,7 +390,6 @@ pub struct CpeCtx<'a> {
     track: TrackId,
     model: &'a BandwidthModel,
     injector: Option<&'a Arc<FaultInjector>>,
-    mesh_path: MeshPath,
     /// The run's flight recorder. It owns this CPE's simulated-time
     /// cursor: DMA, kernel, mesh, and barrier episodes advance the
     /// clock by their modelled duration, each charged to exactly one
@@ -712,13 +678,6 @@ impl<'a> CpeCtx<'a> {
             }
             Err(e) => self.mesh_fail(e),
         }
-    }
-
-    /// Whether strip steps should use the batched word-group mesh
-    /// operations (the run's [`MeshPath`] is `Bulk`).
-    #[inline]
-    pub fn mesh_bulk(&self) -> bool {
-        self.mesh_path == MeshPath::Bulk
     }
 
     /// Batched row broadcast of a word group; aborts the run on

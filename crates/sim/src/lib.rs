@@ -30,7 +30,7 @@ pub mod stats;
 pub mod timing;
 
 pub use cancel::CancelToken;
-pub use core_group::{CoreGroup, CpeAbort, CpeCtx, CpeError, MeshPath, RunError};
+pub use core_group::{CoreGroup, CpeAbort, CpeCtx, CpeError, RunError};
 pub use stats::{DmaTotals, RunStats};
 pub use sw_mesh::MeshTransport;
 pub use sw_probe::flight::{FlightRecorder, Lane};

@@ -101,8 +101,8 @@ pub struct RunStats {
     /// Register-communication traffic.
     pub mesh: MeshStats,
     /// Per-CPE mesh traffic (`cells[mesh_row][mesh_col]`), available on
-    /// clean runs too — the transport-equivalence property tests compare
-    /// these cell totals between mesh transports.
+    /// clean runs too — the same-seed replay tests compare these cell
+    /// totals between runs.
     pub grid: MeshGridStats,
     /// Ids of every CPE whose worker panicked this run (structured
     /// aborts and raw panics alike), in id order. Empty on a clean run.
