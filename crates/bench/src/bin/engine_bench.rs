@@ -364,7 +364,7 @@ mod seed {
 /// Hardware-normalized probe-overhead gate: the fig6-sweep speedup
 /// over the in-process seed engine is a ratio of two same-machine
 /// measurements, so if the observability hooks (registry counters,
-/// disabled tracer, `PROBE = false` interpreter) cost anything on the
+/// flight recorder, `PROBE = false` interpreter) cost anything on the
 /// hot path, the cold speedup drops. Two pins in the committed
 /// `BENCH_engine.json` guard it: `speedup_cold_floor`, a conservative
 /// absolute lower bound carried forward verbatim on regeneration, and
@@ -693,7 +693,7 @@ fn main() {
     //    The cold-sweep floor is the probe-overhead gate: the speedup
     //    over the in-process seed engine is a ratio of two
     //    same-machine measurements, so if the observability hooks
-    //    (registry counters, disabled tracer, `PROBE = false`
+    //    (registry counters, flight recorder, `PROBE = false`
     //    interpreter) cost anything on the hot path, the cold speedup
     //    drops below its floor.
     let path = "BENCH_engine.json";

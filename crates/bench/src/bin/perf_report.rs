@@ -7,9 +7,12 @@
 //!    load-use stall / pipe conflict / loop overhead.
 //! 2. **Achieved vs. model DMA bandwidth** per mode (the Figure 4
 //!    micro-benchmark against the wire-model ceiling).
-//! 3. A **Chrome-trace export** of a small traced functional run plus
-//!    the variant's timing DAG: one track per CPE, per mesh link, and
-//!    per timing-DAG resource — loadable in Perfetto / chrome://tracing.
+//! 3. A **Chrome-trace export** of the variant's timing DAG (one track
+//!    per DAG resource) merged with a functional run read back from a
+//!    flight recorder sized to hold the whole run (one track per CPE,
+//!    DMA, mesh, barrier and kernel time as the flight ledger charged
+//!    it) — loadable in Perfetto / chrome://tracing. The report fails
+//!    if any ring overwrote events.
 //! 4. A **metrics snapshot** footer (DMA traffic, mesh words, kernel
 //!    cache, model calibration) from the global registry.
 //!
@@ -26,8 +29,9 @@ use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
 use sw_isa::{Machine, NullComm, StallKind, StallReport};
 use sw_mem::dma::{BandwidthModel, DmaMode};
 use sw_mem::microbench::{sustained_bandwidth_gbs, MicrobenchConfig};
-use sw_probe::trace::validate_chrome_trace;
-use sw_sim::Tracer;
+use sw_probe::flight::N_RINGS;
+use sw_probe::trace::{from_flight, validate_chrome_trace};
+use sw_sim::{CoreGroup, TraceData};
 
 fn arg_after(flag: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != flag).nth(1)
@@ -173,6 +177,24 @@ fn main() {
     let trace_path = arg_after("--trace").unwrap_or_else(|| "perf_trace.json".into());
     let model = BandwidthModel::calibrated();
 
+    // Size the traced run's flight recorder: a first run of the same
+    // problem counts the events each ring records, then the metrics it
+    // published are cleared so the sizing run stays out of the footer.
+    let a = sw_dgemm::gen::random_matrix(size, size, 1);
+    let b = sw_dgemm::gen::random_matrix(size, size, 2);
+    let c0 = sw_dgemm::gen::random_matrix(size, size, 3);
+    let runner = DgemmRunner::new(variant);
+    let mut cg = CoreGroup::new();
+    runner
+        .run_on(&mut cg, 1.0, &a, &b, 0.0, &mut c0.clone())
+        .expect("sizing run");
+    let events = (0..N_RINGS)
+        .map(|r| cg.flight().total(r))
+        .max()
+        .unwrap_or(0);
+    cg.set_flight_capacity(events.max(1) as usize);
+    sw_probe::metrics::global().reset();
+
     println!("== kernel stall attribution (one thread-level kernel invocation, both pipes) ==\n");
     println!("{}", stall_table().render());
     println!("stall% = non-issue slots over 2 pipes x cycles; SCHED < DB is asserted.\n");
@@ -183,24 +205,25 @@ fn main() {
         "achieved = micro-benchmark with per-descriptor startup; wire model = streaming ceiling.\n"
     );
 
-    // Traced functional run (per-CPE + mesh tracks) plus the variant's
-    // timing DAG (DMA engine / CPE cluster tracks) on one tracer.
-    let tracer = Tracer::enabled();
+    // The variant's timing DAG (DMA engine / CPE cluster tracks) plus
+    // the functional run read back from the flight rings (per-CPE
+    // tracks), in one trace.
+    let mut data = TraceData::default();
     if variant != Variant::Raw {
         let params = BlockingParams::test_small();
         let (dag, _) = build_shared_dag(variant, size, size, size, params, &model)
             .expect("timing DAG at the traced size");
-        dag.emit_trace(&tracer);
+        dag.emit_trace(&mut data);
     }
-    let a = sw_dgemm::gen::random_matrix(size, size, 1);
-    let b = sw_dgemm::gen::random_matrix(size, size, 2);
-    let mut c = sw_dgemm::gen::random_matrix(size, size, 3);
     model.publish(sw_probe::metrics::global());
-    let report = DgemmRunner::new(variant)
-        .tracer(tracer.clone())
-        .run(1.0, &a, &b, 0.0, &mut c)
+    let report = runner
+        .run_on(&mut cg, 1.0, &a, &b, 0.0, &mut c0.clone())
         .expect("traced functional run");
-    let data = tracer.take();
+    let overwritten: u64 = from_flight(cg.flight(), &mut data).iter().sum();
+    assert_eq!(
+        overwritten, 0,
+        "flight rings of {events} events overwrote {overwritten}: the trace misses part of the run"
+    );
     let json = data.to_chrome_json();
     let summary = validate_chrome_trace(&json).expect("trace must be Perfetto-valid");
     assert!(summary.pairs > 0, "traced run must produce span pairs");
@@ -212,7 +235,8 @@ fn main() {
         report.stats.mesh.row_words_sent + report.stats.mesh.col_words_sent,
     );
     println!(
-        "wrote {trace_path}: {} tracks, {} events ({} B/E pairs) — load in https://ui.perfetto.dev",
+        "wrote {trace_path}: {} tracks, {} events ({} B/E pairs), whole run \
+         ({events} flight events per ring at most) — load in https://ui.perfetto.dev",
         data.tracks.len(),
         summary.events,
         summary.pairs

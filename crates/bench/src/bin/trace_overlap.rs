@@ -14,7 +14,7 @@ use sw_dgemm::timing::build_shared_dag;
 use sw_dgemm::Variant;
 use sw_mem::dma::BandwidthModel;
 use sw_probe::gantt;
-use sw_sim::Tracer;
+use sw_sim::TraceData;
 
 fn main() {
     let variant = if std::env::args().any(|a| a == "--variant") {
@@ -36,9 +36,9 @@ fn main() {
     let (m, n, k) = (6 * p.bm(), p.bn(), p.bk());
     let model = BandwidthModel::calibrated();
     let (dag, kernel) = build_shared_dag(variant, m, n, k, p, &model).expect("dag");
-    let tracer = Tracer::enabled();
-    let (result, _) = dag.emit_trace(&tracer);
-    let rows = gantt::from_trace(&tracer.take());
+    let mut trace = TraceData::default();
+    let (result, _) = dag.emit_trace(&mut trace);
+    let rows = gantt::from_trace(&trace);
 
     println!(
         "{variant} schedule for one (j,l) iteration: M = {} CG blocks, kernel {} cycles/step\n",

@@ -3,7 +3,7 @@
 use crate::abft::AbftPolicy;
 use crate::diagnostics::{self, DiagInfo};
 use crate::error::DgemmError;
-use crate::lint::{self, LintPolicy};
+use crate::lint;
 use crate::padding::PadPlan;
 use crate::params::BlockingParams;
 use crate::plan::GemmPlan;
@@ -16,15 +16,11 @@ use crate::Matrix;
 use std::time::Duration;
 use sw_faults::{FaultInjector, FaultSpec, FaultStats};
 use sw_isa::EngineBackend;
-use sw_sim::{CancelToken, CoreGroup, MeshTransport, RunStats, Tracer};
+use sw_sim::{CancelToken, CoreGroup, MeshTransport, RunStats};
 
 /// Per-block runs the resilient path executes (first + recoveries)
 /// before an uncorrectable block surfaces as an error.
 const MAX_BLOCK_ATTEMPTS: u32 = 4;
-
-/// What the runner does with the findings of `sw-lint` over the plan's
-/// kernel streams before execution: print them, and run anyway.
-const LINT: LintPolicy = LintPolicy::Warn;
 
 /// Transposition operator of a BLAS GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,10 +76,8 @@ pub struct DgemmRunner {
     params: Option<BlockingParams>,
     raw_params: Option<RawParams>,
     pad: bool,
-    tracer: Tracer,
     faults: Option<FaultSpec>,
     abft: AbftPolicy,
-    degrade: bool,
     mesh_timeout: Option<Duration>,
     cancel: Option<CancelToken>,
     diag_tag: Option<String>,
@@ -98,10 +92,8 @@ impl DgemmRunner {
             params: None,
             raw_params: None,
             pad: false,
-            tracer: Tracer::disabled(),
             faults: None,
             abft: AbftPolicy::Off,
-            degrade: true,
             mesh_timeout: None,
             cancel: None,
             diag_tag: None,
@@ -141,15 +133,6 @@ impl DgemmRunner {
         self
     }
 
-    /// Attaches a simulated-time tracer to the functional run (see
-    /// [`CoreGroup::set_tracer`]): per-CPE DMA/kernel spans and
-    /// per-mesh-link broadcast spans land on it, exportable as a
-    /// Chrome trace afterwards.
-    pub fn tracer(mut self, t: Tracer) -> Self {
-        self.tracer = t;
-        self
-    }
-
     /// Enables automatic zero padding: dimensions that are not
     /// multiples of the block factors are rounded up (see
     /// [`crate::padding`]), the aligned kernel runs, and the original
@@ -175,7 +158,9 @@ impl DgemmRunner {
     /// Installs a deterministic fault plan. The run switches to the
     /// resilient per-CG-block executor (data-sharing variants only;
     /// RAW has no recovery machinery and is rejected) and the report
-    /// carries a [`FaultStats`] snapshot.
+    /// carries a [`FaultStats`] snapshot. A CPE that exhausts its DMA
+    /// retry budget is marked failed and its tiles are remapped onto
+    /// the surviving grid.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
         self
@@ -186,15 +171,6 @@ impl DgemmRunner {
     /// resilient per-block executor.
     pub fn abft(mut self, policy: AbftPolicy) -> Self {
         self.abft = policy;
-        self
-    }
-
-    /// Whether a CPE that exhausts its DMA retry budget is marked
-    /// failed and its tiles remapped onto the surviving grid (default
-    /// `true`). With `false` the exhaustion surfaces as the structured
-    /// [`DgemmError::Mem`] error instead.
-    pub fn degrade(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
         self
     }
 
@@ -261,7 +237,6 @@ impl DgemmRunner {
                 return Ok(report);
             }
         }
-        cg.set_tracer(self.tracer.clone());
         if let Some(t) = self.mesh_timeout {
             cg.set_mesh_timeout(t);
         }
@@ -345,7 +320,7 @@ impl DgemmRunner {
                 let rp = self
                     .raw_params
                     .map_or_else(|| pick_raw_params(m, n, k), Ok)?;
-                lint::enforce(LINT, &lint::lint_raw_cached(rp))?;
+                lint::warn(&lint::lint_raw_cached(rp));
                 let stats = run_functional_raw(cg, m, n, k, rp, io, alpha, beta)?;
                 Ok(DgemmReport {
                     variant: self.variant,
@@ -375,7 +350,7 @@ impl DgemmRunner {
                     }
                 };
                 diag.plan = Some(plan);
-                lint::enforce(LINT, &lint::lint_shared_cached(v, &plan.params))?;
+                lint::warn(&lint::lint_shared_cached(v, &plan.params));
                 if !resilient {
                     let stats = run_functional(cg, &plan, v.mapping(), io, alpha, beta)?;
                     return Ok(DgemmReport {
@@ -390,7 +365,6 @@ impl DgemmRunner {
                 let cfg = ResilienceCfg {
                     injector: injector.clone(),
                     abft: self.abft,
-                    degrade: self.degrade,
                     max_attempts: MAX_BLOCK_ATTEMPTS,
                 };
                 let res = run_resilient(cg, &plan, v.mapping(), io, alpha, beta, &cfg);

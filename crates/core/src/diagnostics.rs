@@ -163,7 +163,6 @@ fn error_kind(err: &DgemmError) -> &'static str {
         DgemmError::BadParams(_) => "bad-params",
         DgemmError::BadDims(_) => "bad-dims",
         DgemmError::Mem(_) => "mem",
-        DgemmError::Lint(_) => "lint",
         DgemmError::MeshDeadlock { .. } => "mesh-deadlock",
         DgemmError::AbftMismatch { .. } => "abft-mismatch",
         DgemmError::Cancelled { .. } => "cancelled",
@@ -625,7 +624,7 @@ mod tests {
             7,
         );
         rec.advance(3, Lane::Compute, 80);
-        let err = DgemmError::Lint("tail: denied".to_string());
+        let err = DgemmError::BadParams("tail: denied".to_string());
         let info = DiagInfo::default();
         let body = render_bundle_json(&rec, &err, Variant::Sched, (256, 256, 256), &info);
         let v = Value::parse(&body).expect("bundle is valid JSON");
@@ -651,13 +650,13 @@ mod tests {
 
     #[test]
     fn bundle_names_are_collision_proof_and_tagged() {
-        let err = DgemmError::Lint("x".into());
+        let err = DgemmError::BadDims("x".into());
         // Same wall-clock stamp, same error class: the monotonic
         // sequence alone must keep the names distinct.
         let a = bundle_name(&err, 1234, 7, None);
         let b = bundle_name(&err, 1234, 8, None);
         assert_ne!(a, b);
-        assert!(a.starts_with("diag-lint-1234-") && a.ends_with("-7.json"));
+        assert!(a.starts_with("diag-bad-dims-1234-") && a.ends_with("-7.json"));
         // The request discriminator lands in the name, sanitized.
         let t = bundle_name(&err, 1234, 9, Some("req 42/tenant:a"));
         assert!(t.ends_with("-9-req_42_tenant_a.json"), "got {t}");

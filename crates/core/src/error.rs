@@ -12,10 +12,6 @@ pub enum DgemmError {
     BadDims(String),
     /// An underlying memory/DMA operation failed.
     Mem(MemError),
-    /// The static analyzer found Error-severity defects in the plan's
-    /// kernel streams and the runner's policy is
-    /// [`crate::lint::LintPolicy::Deny`]. Carries the rendered report.
-    Lint(String),
     /// The register mesh wedged at run time: a blocked broadcast or a
     /// starved receive tripped the deadlock fuse. Carries the first
     /// failing CPE and the lint-side rendezvous summary over the
@@ -56,9 +52,6 @@ impl fmt::Display for DgemmError {
             DgemmError::BadParams(s) => write!(f, "invalid blocking parameters: {s}"),
             DgemmError::BadDims(s) => write!(f, "invalid problem dimensions: {s}"),
             DgemmError::Mem(e) => write!(f, "memory subsystem error: {e}"),
-            DgemmError::Lint(report) => {
-                write!(f, "static analysis rejected the plan:\n{report}")
-            }
             DgemmError::MeshDeadlock { coord, summary } => write!(
                 f,
                 "mesh deadlock at CPE ({}, {}); rendezvous summary:\n{summary}",

@@ -45,7 +45,7 @@ pub mod variants;
 pub use abft::AbftPolicy;
 pub use api::{dgemm, dgemm_ex, DgemmReport, DgemmRunner, Op};
 pub use error::DgemmError;
-pub use lint::{lint_variant, LintPolicy};
+pub use lint::lint_variant;
 pub use multi::{dgemm_multi_cg, estimate_multi_cg};
 pub use params::BlockingParams;
 pub use plan::GemmPlan;

@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::error::DgemmError;
 use crate::mapping::Mapping;
 use crate::params::BlockingParams;
 use crate::sharing::step_role;
@@ -28,18 +27,6 @@ use sw_arch::Coord;
 use sw_isa::kernels::{BlockKernelCfg, KernelStyle, Operand};
 use sw_isa::{gen_block_kernel_looped, Instr};
 use sw_lint::{codes, lint_core_group, lint_stream, LdmLayout, LdmRegion, LintReport};
-
-/// What the runner does with lint findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintPolicy {
-    /// Error-severity findings abort the run ([`DgemmError::Lint`]).
-    Deny,
-    /// Findings are printed to stderr; the run proceeds.
-    #[default]
-    Warn,
-    /// The analyzer does not run.
-    Off,
-}
 
 /// The kernel streams of the shared variants iterate `pk` in chunks of
 /// four; use that unroll whenever the shape allows (the generators
@@ -293,27 +280,11 @@ pub fn lint_variant(
     }
 }
 
-/// Applies a policy to a report: `Deny` turns Error findings into a
-/// [`DgemmError::Lint`], `Warn` prints them, `Off` is a no-op (the
-/// caller should not even have produced the report).
-pub fn enforce(policy: LintPolicy, report: &LintReport) -> Result<(), DgemmError> {
-    match policy {
-        LintPolicy::Off => Ok(()),
-        LintPolicy::Warn => {
-            if !report.is_clean() {
-                eprintln!("sw-lint:\n{}", report.render_text());
-            }
-            Ok(())
-        }
-        LintPolicy::Deny => {
-            if report.error_count() > 0 {
-                return Err(DgemmError::Lint(report.render_text()));
-            }
-            if !report.is_clean() {
-                eprintln!("sw-lint:\n{}", report.render_text());
-            }
-            Ok(())
-        }
+/// What the runner does with a plan's findings before execution:
+/// prints them to stderr, and runs anyway.
+pub fn warn(report: &LintReport) {
+    if !report.is_clean() {
+        eprintln!("sw-lint:\n{}", report.render_text());
     }
 }
 
@@ -341,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn deny_policy_rejects_bad_plan() {
+    fn overflowing_raw_plan_is_flagged() {
         // A deliberately LDM-overflowing RAW blocking (validate() would
         // refuse it; the linter sees the kernel overrun directly).
         let bad = RawParams {
@@ -355,11 +326,7 @@ mod tests {
             "{}",
             report.render_text()
         );
-        assert!(matches!(
-            enforce(LintPolicy::Deny, &report),
-            Err(DgemmError::Lint(_))
-        ));
-        assert!(enforce(LintPolicy::Off, &report).is_ok());
+        assert!(report.error_count() > 0);
     }
 
     /// The mesh pass's static word counts are not just internally

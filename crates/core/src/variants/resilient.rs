@@ -58,10 +58,6 @@ pub(crate) struct ResilienceCfg {
     pub injector: Option<Arc<FaultInjector>>,
     /// Checksum policy.
     pub abft: AbftPolicy,
-    /// Whether a DMA retry-budget exhaustion degrades onto the
-    /// surviving grid (`true`) or surfaces as the structured
-    /// [`MemError::RetryBudgetExhausted`] (`false`).
-    pub degrade: bool,
     /// Runs per block (first + recoveries) before giving up.
     pub max_attempts: u32,
 }
@@ -167,7 +163,7 @@ pub(crate) fn run_resilient(
                             let primary = run_err.primary().clone();
                             match primary.error {
                                 CpeError::Mem(MemError::RetryBudgetExhausted { .. })
-                                    if cfg.degrade && attempt + 1 < cfg.max_attempts =>
+                                    if attempt + 1 < cfg.max_attempts =>
                                 {
                                     let id = primary.coord.id();
                                     if !failed[id] {

@@ -175,9 +175,10 @@ impl BandwidthModel {
     /// Modelled channel occupancy of one completed per-CPE receipt: one
     /// descriptor whose contiguous run is the receipt itself, streamed
     /// against the whole transfer's footprint. This is the duration the
-    /// functional runtime's tracer charges each `dma.*` span; treating
-    /// the receipt as a single run is slightly optimistic for strided
-    /// regions, which is fine for a qualitative timeline.
+    /// functional runtime charges to a CPE's DMA lane per transfer (the
+    /// span between its flight recorder's issue and completion events);
+    /// treating the receipt as a single run is slightly optimistic for
+    /// strided regions, which is fine for a qualitative timeline.
     pub fn receipt_cycles(&self, r: &Receipt) -> Cycles {
         self.transfer_cycles(
             r.mode,

@@ -38,15 +38,13 @@ use crate::ring::{Backoff, BroadcastRing, Episode};
 use crate::stats::{GridCounters, MeshCounters, MeshGridStats, MeshStats};
 use crate::turn::{LineTurn, Steps};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use sw_arch::consts::MESH_TRANSIT_CYCLES;
 use sw_arch::coord::{Coord, MESH_COLS, MESH_ROWS, N_CPES};
 use sw_arch::V256;
 use sw_faults::FaultInjector;
 use sw_probe::flight::{self, EventKind, FlightRecorder};
-use sw_probe::trace::{Tracer, TrackId};
 
 /// Default time a blocked send/receive waits before declaring the
 /// communication scheme deadlocked.
@@ -135,7 +133,6 @@ impl Mesh {
                     cancel: None,
                     sends: Cell::new(0),
                     timeout,
-                    trace: None,
                     flight: None,
                 }
             })
@@ -148,8 +145,8 @@ impl Mesh {
     }
 
     /// Installs a fault injector consulted on every broadcast (word
-    /// drops and the wedge scenario). Like [`Mesh::set_tracer`], must
-    /// be called before the ports are taken.
+    /// drops and the wedge scenario). Must be called before the ports
+    /// are taken.
     pub fn set_fault_injector(&self, injector: &Arc<FaultInjector>) {
         let mut guard = self.ports.lock().unwrap_or_else(|e| e.into_inner());
         let ports = guard
@@ -182,8 +179,9 @@ impl Mesh {
     /// owning CPE's event ring, stamped with that CPE's current clock.
     /// The port records *events only* — mesh time is charged by the
     /// `CpeCtx` wrappers, because kernel-driven mesh traffic is already
-    /// inside the kernel's cycle report. Like [`Mesh::set_tracer`],
-    /// must be called before the ports are taken.
+    /// inside the kernel's cycle report. Like
+    /// [`Mesh::set_fault_injector`], must be called before the ports
+    /// are taken.
     pub fn set_flight_recorder(&self, recorder: &Arc<FlightRecorder>) {
         let mut guard = self.ports.lock().unwrap_or_else(|e| e.into_inner());
         let ports = guard
@@ -198,36 +196,6 @@ impl Mesh {
     /// dropped ports' traffic, plus every starved receive so far.
     pub fn grid_stats(&self) -> MeshGridStats {
         self.grid.snapshot()
-    }
-
-    /// Attaches a simulated-time tracer: every broadcast then emits a
-    /// [`MESH_TRANSIT_CYCLES`]-per-word span on the link it occupies,
-    /// one track per row link and one per column link (process
-    /// `"mesh"`). Link time is a shared per-track cursor, so broadcasts
-    /// from CPEs sharing a link serialize on the trace exactly as they
-    /// would on the wire. Must be called before [`Mesh::ports`]; a
-    /// disabled tracer is a no-op.
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        if !tracer.is_enabled() {
-            return;
-        }
-        let mut guard = self.ports.lock().unwrap();
-        let ports = guard
-            .as_mut()
-            .expect("Mesh::set_tracer must be called before the ports are taken");
-        let rows: Vec<LinkTrace> = (0..MESH_ROWS)
-            .map(|r| LinkTrace::new(tracer.track("mesh", format!("row {r}"))))
-            .collect();
-        let cols: Vec<LinkTrace> = (0..MESH_COLS)
-            .map(|c| LinkTrace::new(tracer.track("mesh", format!("col {c}"))))
-            .collect();
-        for p in ports.iter_mut() {
-            p.trace = Some(PortTrace {
-                tracer: tracer.clone(),
-                row: rows[p.coord.row as usize].clone(),
-                col: cols[p.coord.col as usize].clone(),
-            });
-        }
     }
 
     /// Takes the 64 ports (id order). Panics if called twice — each CPE
@@ -374,54 +342,6 @@ fn mates_to_members(mates: u8, pos: usize) -> u8 {
     below | above
 }
 
-/// One mesh link's timeline: a trace track plus the simulated-cycle
-/// cursor all broadcasts on that link advance through.
-#[derive(Clone)]
-struct LinkTrace {
-    track: TrackId,
-    clock: Arc<AtomicU64>,
-}
-
-impl LinkTrace {
-    fn new(track: TrackId) -> Self {
-        LinkTrace {
-            track,
-            clock: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Claims the next `n_words * MESH_TRANSIT_CYCLES` window and emits
-    /// one span covering it. For `n_words == 1` this is exactly the old
-    /// per-word span; a batch occupies the link for the same simulated
-    /// time as its words would individually, in one span.
-    fn emit(&self, tracer: &Tracer, name: &'static str, copies: u64, n_words: u64) {
-        if n_words == 0 {
-            return;
-        }
-        let dur = n_words * MESH_TRANSIT_CYCLES;
-        // Relaxed: the clock is a statistics ledger, not a
-        // synchronization point. The RMW keeps `clock == Σ busy`
-        // exact under concurrent adds; readers either join first or
-        // accept a momentarily stale total.
-        let t0 = self.clock.fetch_add(dur, Ordering::Relaxed);
-        tracer.span_args(
-            self.track,
-            "mesh",
-            name,
-            t0,
-            t0 + dur,
-            &[("bytes", copies * 32)],
-        );
-    }
-}
-
-/// Per-port tracing state installed by [`Mesh::set_tracer`].
-struct PortTrace {
-    tracer: Tracer,
-    row: LinkTrace,
-    col: LinkTrace,
-}
-
 /// A port's delivered traffic in words, indexed by network (0 its mesh
 /// row, 1 its mesh column).
 #[derive(Default)]
@@ -463,7 +383,6 @@ pub struct MeshPort {
     /// deterministic per-send coordinate).
     sends: Cell<u64>,
     timeout: Duration,
-    trace: Option<PortTrace>,
     /// The run's black box; episodes/faults are recorded on this
     /// port's CPE ring (events only, no time charging — see
     /// [`Mesh::set_flight_recorder`]).
@@ -534,7 +453,7 @@ impl MeshPort {
     /// `n_words` words produced by `word_at`: takes the line's turn
     /// for this port's strip step, consults the fault injector per word
     /// (wedge suppression, per-mate word drops), enqueues to the
-    /// surviving mates, and tallies and traces ONCE for the whole
+    /// surviving mates, and tallies and records ONCE for the whole
     /// batch. A blocked send becomes [`MeshError::Deadlock`] after
     /// first accounting the words that completed — exactly what
     /// `n_words` per-word calls would have recorded.
@@ -574,14 +493,6 @@ impl MeshPort {
             (&self.row, MESH_COLS - 1)
         };
         let mut delivered = 0u64;
-        let flush = |delivered: u64, completed_words: u64| {
-            Tally::add(&self.tally.sent, col_net, delivered);
-            if let Some(t) = &self.trace {
-                let link = if col_net { &t.col } else { &t.row };
-                let name = if col_net { "col.bcast" } else { "row.bcast" };
-                link.emit(&t.tracer, name, delivered, completed_words);
-            }
-        };
         // A stop here means another sender holds the line.
         let mut outbox = match link.open(&wait) {
             Ok(outbox) => outbox,
@@ -605,13 +516,13 @@ impl MeshPort {
                 // A mate is not draining. Words 0..w completed; word w
                 // accounts nothing.
                 drop(outbox);
-                flush(delivered, w as u64);
+                Tally::add(&self.tally.sent, col_net, delivered);
                 return Err(self.send_stopped(stop, col_net, op, w as u64));
             }
             delivered += mates as u64 - u64::from(dropped.count_ones());
         }
         drop(outbox);
-        flush(delivered, n_words as u64);
+        Tally::add(&self.tally.sent, col_net, delivered);
         self.flight_episode(col_net, false, flight::mesh_outcome::OK, n_words as u64);
         Ok(())
     }
@@ -712,8 +623,8 @@ impl MeshPort {
     }
 
     /// Broadcasts a group of 256-bit words along the row in one
-    /// synchronization episode (one batched counter/trace update; one
-    /// `send_idx` consumed per word).
+    /// synchronization episode (one batched counter update and flight
+    /// event; one `send_idx` consumed per word).
     pub fn row_bcast_words(&self, words: &[V256]) -> Result<(), MeshError> {
         self.bcast_stream(words.len(), |w| words[w], false, "row-broadcast")
     }
@@ -740,7 +651,7 @@ impl MeshPort {
     /// the row, 256 bits at a time — the panel-granularity view of the
     /// per-iteration `vldr` stream the kernel performs. The entire
     /// panel is one synchronization episode with one batched update to
-    /// counters and trace.
+    /// the counters and one flight event.
     pub fn row_bcast_panel(&self, panel: &[f64]) -> Result<(), MeshError> {
         assert_eq!(
             panel.len() % 4,
@@ -838,72 +749,6 @@ mod tests {
         let p = mesh.ports();
         assert_eq!(p.len(), N_CPES);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mesh.ports())).is_err());
-    }
-
-    #[test]
-    fn traced_broadcasts_serialize_on_the_link() {
-        let tracer = Tracer::enabled();
-        let mesh = Mesh::new();
-        mesh.set_tracer(&tracer);
-        let ports = mesh.ports();
-        // Two senders in row 3 and one in column 5 — the row spans must
-        // share one track and tile it back to back.
-        ports[Coord::new(3, 0).id()].row_bcast(V256::ZERO).unwrap();
-        ports[Coord::new(3, 1).id()].row_bcast(V256::ZERO).unwrap();
-        ports[Coord::new(0, 5).id()].col_bcast(V256::ZERO).unwrap();
-        let data = tracer.take();
-        assert_eq!(data.tracks.len(), MESH_ROWS + MESH_COLS);
-        assert_eq!(data.spans.len(), 3);
-        let row_spans: Vec<_> = data
-            .spans
-            .iter()
-            .filter(|s| s.name == "row.bcast")
-            .collect();
-        assert_eq!(row_spans.len(), 2);
-        assert_eq!(row_spans[0].track, row_spans[1].track);
-        let mut starts = [row_spans[0].start, row_spans[1].start];
-        starts.sort_unstable();
-        assert_eq!(starts, [0, MESH_TRANSIT_CYCLES]);
-        assert_eq!(row_spans[0].end - row_spans[0].start, MESH_TRANSIT_CYCLES);
-        // 7 delivered copies of 32 bytes each.
-        assert_eq!(row_spans[0].args, vec![("bytes", 7 * 32)]);
-    }
-
-    #[test]
-    fn batched_broadcast_emits_one_span_same_link_time() {
-        let tracer = Tracer::enabled();
-        let mesh = Mesh::new();
-        mesh.set_tracer(&tracer);
-        let ports = mesh.ports();
-        let words = [V256::ZERO; 4];
-        ports[Coord::new(3, 0).id()]
-            .row_bcast_words(&words)
-            .unwrap();
-        ports[Coord::new(3, 1).id()].row_bcast(V256::ZERO).unwrap();
-        let data = tracer.take();
-        let row_spans: Vec<_> = data
-            .spans
-            .iter()
-            .filter(|s| s.name == "row.bcast")
-            .collect();
-        assert_eq!(row_spans.len(), 2, "one span per episode, not per word");
-        let mut spans = row_spans.clone();
-        spans.sort_by_key(|s| s.start);
-        // The 4-word batch occupies 4 transit windows; the following
-        // single word starts where the batch left off.
-        assert_eq!(spans[0].start, 0);
-        assert_eq!(spans[0].end, 4 * MESH_TRANSIT_CYCLES);
-        assert_eq!(spans[0].args, vec![("bytes", 4 * 7 * 32)]);
-        assert_eq!(spans[1].start, 4 * MESH_TRANSIT_CYCLES);
-        assert_eq!(spans[1].end, 5 * MESH_TRANSIT_CYCLES);
-    }
-
-    #[test]
-    fn disabled_tracer_is_a_no_op() {
-        let mesh = Mesh::new();
-        mesh.set_tracer(&Tracer::disabled());
-        let ports = mesh.ports();
-        assert!(ports[0].trace.is_none());
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! Every CPE (plus the MPE control loop) owns a bounded ring buffer of
 //! compact binary events — kernel start/end, DMA issue/complete, mesh
 //! episodes, barrier arrive/release, fault-injection decisions, retry
-//! attempts — written lock-free by its single producer thread. Unlike
-//! the span [`crate::trace::Tracer`], the recorder is **enabled by
+//! attempts — written lock-free by its single producer thread. It is
+//! the only producer of functional-run events, and it is **enabled by
 //! default**: when a run dies with a structured error, the last
 //! `RING_EVENTS` events per CPE are still there to be serialized into a
-//! diagnostics bundle. `flight_bench` pins the recording overhead on
-//! the fig6-size functional run at ≤2% (plus measured noise).
+//! diagnostics bundle, and a recorder sized to hold a whole run is read
+//! back as a Chrome trace by [`crate::trace::from_flight`].
+//! `flight_bench` pins the recording overhead on the fig6-size
+//! functional run at ≤2% (plus measured noise).
 //!
 //! Alongside the rings, the recorder keeps the authoritative per-CPE
 //! **simulated clock** and a per-CPE busy-cycle ledger with one bucket
@@ -415,9 +417,9 @@ impl FlightRecorder {
     }
 
     /// Advances the ring's clock by `cycles`, charging `lane`. Returns
-    /// the `(start, end)` window, for span emission.
+    /// the new clock.
     #[inline]
-    pub fn advance(&self, ring: usize, lane: Lane, cycles: u64) -> (u64, u64) {
+    pub fn advance(&self, ring: usize, lane: Lane, cycles: u64) -> u64 {
         let r = &self.rings[ring];
         // Relaxed clock/busy: both are single-writer (the ring owner),
         // so each load-then-store needs no RMW — nobody else writes
@@ -427,7 +429,7 @@ impl FlightRecorder {
         let t1 = t0 + cycles;
         r.clock.store(t1, Ordering::Relaxed);
         add_owned(&r.busy[lane as usize], cycles);
-        (t0, t1)
+        t1
     }
 
     /// Jumps the ring's clock forward to `to` (a barrier-release
@@ -593,8 +595,7 @@ mod tests {
         let f = FlightRecorder::with_capacity(8);
         f.set_enabled(false);
         f.record(0, EventKind::KernelStart, 0, 0);
-        let (t0, t1) = f.advance(0, Lane::Compute, 55);
-        assert_eq!((t0, t1), (0, 55));
+        assert_eq!(f.advance(0, Lane::Compute, 55), 55);
         assert_eq!(f.total(0), 0);
         assert_eq!(f.clock(0), 55);
         assert_eq!(f.ring_attribution(0).busy[Lane::Compute as usize], 55);

@@ -2,9 +2,9 @@
 //!
 //! This is the terminal-friendly twin of the Chrome-trace exporter:
 //! the same spans, rendered as fixed-width ASCII bars. The
-//! `trace_overlap` bin used to hand-roll this walk over
-//! `Dag::trace()`; it now feeds [`from_trace`] + [`render`], so every
-//! producer that traces also Gantts for free.
+//! `trace_overlap` bin feeds the timing DAG's [`TraceData`] through
+//! [`from_trace`] + [`render`]; a flight-derived trace renders the
+//! same way.
 
 use crate::trace::{Span, TraceData};
 
@@ -78,7 +78,6 @@ pub fn render(rows: &[GanttRow], makespan: u64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
 
     #[test]
     fn renders_bars_proportionally() {
@@ -118,12 +117,12 @@ mod tests {
 
     #[test]
     fn from_trace_maps_categories_to_lanes() {
-        let t = Tracer::enabled();
+        let mut t = TraceData::default();
         let tr = t.track("timing-dag", "DMA");
         t.span(tr, "dma", "load A", 0, 10);
         t.span(tr, "compute", "block", 10, 20);
         t.span(tr, "sync", "mesh sync", 20, 25);
-        let rows = from_trace(&t.take());
+        let rows = from_trace(&t);
         let lanes: Vec<char> = rows.iter().map(|r| r.lane).collect();
         assert_eq!(lanes, vec!['D', 'C', '.']);
         assert_eq!(rows[0].label, "load A");

@@ -1,36 +1,41 @@
-//! Simulated-time event tracer.
+//! Simulated-time event timelines.
 //!
-//! Producers emit *spans* — named intervals stamped in simulated
-//! cycles — onto *tracks* (one per CPE, DMA engine, or mesh link).
-//! A [`Tracer`] is a cheap cloneable handle; the disabled tracer is a
-//! `None` behind a single branch, so instrumented code pays one
-//! well-predicted compare per probe site when tracing is off.
+//! A [`TraceData`] is plain data: *tracks* (one per CPE, or per
+//! timing-DAG resource) plus *spans* — named intervals stamped in
+//! simulated cycles — built by value through `&mut self` methods. It
+//! has one producer per clock: `Dag::emit_trace` (in `sw-sim`) for the
+//! timing model, and [`from_flight`] for functional runs, which reads
+//! the flight recorder's rings back as one track per CPE plus the MPE.
 //!
-//! Collected [`TraceData`] exports to the Chrome trace-event JSON
-//! format (`{"traceEvents": [...]}` with `B`/`E` duration pairs),
-//! which Perfetto and `chrome://tracing` load directly. Timestamps are
-//! raw simulated cycles written as integers — deterministic and
-//! byte-stable — with one Perfetto "microsecond" standing in for one
-//! CPE cycle (1.45 GHz; wall time is a simulator output, not an event
-//! clock). Processes group tracks: each distinct process name becomes
-//! a `pid`, each track a `tid` with a `thread_name` metadata record.
+//! A [`TraceData`] exports to the Chrome trace-event JSON format
+//! (`{"traceEvents": [...]}` with `B`/`E` duration pairs), which
+//! Perfetto and `chrome://tracing` load directly. Timestamps are raw
+//! simulated cycles written as integers — deterministic and byte-stable
+//! — with one Perfetto "microsecond" standing in for one CPE cycle
+//! (1.45 GHz; wall time is a simulator output, not an event clock).
+//! Processes group tracks: each distinct process name becomes a `pid`,
+//! each track a `tid` with a `thread_name` metadata record.
 
+use crate::flight::{self, fault_code, mesh_outcome, EventKind, FlightRecorder, MPE_RING, N_RINGS};
 use crate::metrics::escape_json;
-use std::sync::{Arc, Mutex};
+use sw_arch::consts::MESH_TRANSIT_CYCLES;
+use sw_arch::Coord;
 
-/// Identifier of a track inside one [`Tracer`].
+/// Identifier of a track inside one [`TraceData`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackId(u32);
 
-/// Sentinel returned by a disabled tracer; spans sent to it are
-/// dropped at the `is_enabled` branch before it is ever read.
-const NO_TRACK: TrackId = TrackId(u32::MAX);
+impl TrackId {
+    /// Position of the track in [`TraceData::tracks`].
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// One timeline (a Perfetto "thread"): a process group plus a name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Track {
-    /// Grouping name (Perfetto process), e.g. `"timing-dag"`,
-    /// `"cpe-dma"`, `"mesh"`.
+    /// Grouping name (Perfetto process), e.g. `"timing-dag"`, `"cpe"`.
     pub process: &'static str,
     /// Track name (Perfetto thread), e.g. `"CPE (3,5)"`.
     pub name: String,
@@ -53,87 +58,41 @@ pub struct Span {
     pub args: Vec<(&'static str, u64)>,
 }
 
-#[derive(Debug, Default)]
-struct TraceState {
-    tracks: Vec<Track>,
-    spans: Vec<Span>,
-}
-
-/// Cheap cloneable handle to a span collector; disabled by default.
+/// Tracks and spans of one or more timelines.
 #[derive(Debug, Clone, Default)]
-pub struct Tracer {
-    inner: Option<Arc<Mutex<TraceState>>>,
+pub struct TraceData {
+    /// Registered tracks, indexed by [`TrackId`].
+    pub tracks: Vec<Track>,
+    /// Spans in emission order.
+    pub spans: Vec<Span>,
 }
 
-impl Tracer {
-    /// A tracer that drops everything (the near-free default).
-    pub fn disabled() -> Self {
-        Tracer::default()
+impl TraceData {
+    /// Registers a track.
+    pub fn track(&mut self, process: &'static str, name: impl Into<String>) -> TrackId {
+        self.tracks.push(Track {
+            process,
+            name: name.into(),
+        });
+        TrackId(self.tracks.len() as u32 - 1)
     }
 
-    /// A tracer that collects spans for later [`Tracer::take`].
-    pub fn enabled() -> Self {
-        Tracer {
-            inner: Some(Arc::new(Mutex::new(TraceState::default()))),
-        }
-    }
-
-    /// The one branch every probe site pays when tracing is off.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Registers a track; on a disabled tracer this returns a
-    /// sentinel id that later spans silently drop.
-    pub fn track(&self, process: &'static str, name: impl Into<String>) -> TrackId {
-        match &self.inner {
-            None => NO_TRACK,
-            Some(inner) => {
-                let mut st = inner.lock().unwrap_or_else(|e| e.into_inner());
-                let id = TrackId(st.tracks.len() as u32);
-                st.tracks.push(Track {
-                    process,
-                    name: name.into(),
-                });
-                id
-            }
-        }
-    }
-
-    /// Emits a span with no payload.
-    #[inline]
+    /// Adds a span with no payload.
     pub fn span(
-        &self,
+        &mut self,
         track: TrackId,
         cat: &'static str,
         name: &'static str,
         start: u64,
         end: u64,
     ) {
-        if self.is_enabled() {
-            self.push(track, cat, name, start, end, &[]);
-        }
+        self.span_args(track, cat, name, start, end, &[]);
     }
 
-    /// Emits a span with a key/value payload.
-    #[inline]
+    /// Adds a span with a key/value payload. A zero-length span
+    /// exports as an instant.
     pub fn span_args(
-        &self,
-        track: TrackId,
-        cat: &'static str,
-        name: &'static str,
-        start: u64,
-        end: u64,
-        args: &[(&'static str, u64)],
-    ) {
-        if self.is_enabled() {
-            self.push(track, cat, name, start, end, args);
-        }
-    }
-
-    fn push(
-        &self,
+        &mut self,
         track: TrackId,
         cat: &'static str,
         name: &'static str,
@@ -142,13 +101,11 @@ impl Tracer {
         args: &[(&'static str, u64)],
     ) {
         debug_assert!(end >= start, "span {name:?} ends before it starts");
-        let inner = self.inner.as_ref().expect("checked by caller");
-        let mut st = inner.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(
-            (track.0 as usize) < st.tracks.len(),
+            (track.0 as usize) < self.tracks.len(),
             "span {name:?} on unregistered track"
         );
-        st.spans.push(Span {
+        self.spans.push(Span {
             track,
             cat,
             name,
@@ -158,32 +115,6 @@ impl Tracer {
         });
     }
 
-    /// Drains everything collected so far (tracks are kept registered
-    /// so the handle stays usable).
-    pub fn take(&self) -> TraceData {
-        match &self.inner {
-            None => TraceData::default(),
-            Some(inner) => {
-                let mut st = inner.lock().unwrap_or_else(|e| e.into_inner());
-                TraceData {
-                    tracks: st.tracks.clone(),
-                    spans: std::mem::take(&mut st.spans),
-                }
-            }
-        }
-    }
-}
-
-/// The tracks and spans drained from a [`Tracer`].
-#[derive(Debug, Clone, Default)]
-pub struct TraceData {
-    /// Registered tracks, indexed by [`TrackId`].
-    pub tracks: Vec<Track>,
-    /// Collected spans in emission order.
-    pub spans: Vec<Span>,
-}
-
-impl TraceData {
     /// True when nothing was collected.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
@@ -315,6 +246,97 @@ impl TraceData {
         out.push_str("\n], \"displayTimeUnit\": \"ns\", \"otherData\": {\"clock\": \"simulated cycles @ 1.45 GHz (1 us = 1 cycle)\"}}\n");
         out
     }
+}
+
+/// Appends the timeline of a functional run, read back from the
+/// flight recorder's rings, to `out`: one track per CPE ring (process
+/// `"cpe"`, named `"CPE (row,col)"`) plus one for the MPE ring
+/// (process `"mpe"`). Each ring's retained events become
+///
+/// * `DmaIssue`→`DmaComplete`: a `dma` span named by
+///   [`flight::dma_op_name`], carrying `bytes`;
+/// * `KernelStart`→`KernelEnd`: a `compute` span `"kernel"`;
+/// * `BarrierArrive`→`BarrierRelease`: a `sync` span;
+/// * `MeshEpisode`: a `mesh` span of `words × MESH_TRANSIT_CYCLES`,
+///   the time the `CpeCtx` wrapper charged right after the port
+///   recorded it. An episode inside an open kernel (its time is part
+///   of the kernel's cycles) or one that failed (the CPE aborted
+///   before charging) is an instant;
+/// * fault decisions and retry attempts: instants.
+///
+/// So per CPE of a fault-free run, span time per category equals the
+/// ring's busy cycles per [`flight::Lane`] (dma, compute, mesh, and
+/// sync ↔ barrier). A close whose open was overwritten by a wrapped
+/// ring, or an open the run never closed, is dropped. Returns how many
+/// events each ring overwrote (indexed by ring); a trace covers the
+/// whole run only when every entry is 0.
+pub fn from_flight(rec: &FlightRecorder, out: &mut TraceData) -> Vec<u64> {
+    (0..N_RINGS)
+        .map(|ring| {
+            let track = if ring == MPE_RING {
+                out.track("mpe", "MPE")
+            } else {
+                out.track("cpe", format!("CPE {}", Coord::from_id(ring)))
+            };
+            let mut dma = None;
+            let mut kernel = None;
+            let mut barrier = None;
+            for e in rec.tail(ring) {
+                match e.kind {
+                    EventKind::DmaIssue => dma = Some((e.clock, e.arg)),
+                    EventKind::DmaComplete => {
+                        if let Some((t0, bytes)) = dma.take() {
+                            let name = flight::dma_op_name(e.code);
+                            out.span_args(track, "dma", name, t0, e.clock, &[("bytes", bytes)]);
+                        }
+                    }
+                    EventKind::KernelStart => kernel = Some((e.clock, e.arg)),
+                    EventKind::KernelEnd => {
+                        if let Some((t0, ops)) = kernel.take() {
+                            out.span_args(track, "compute", "kernel", t0, e.clock, &[("ops", ops)]);
+                        }
+                    }
+                    EventKind::BarrierArrive => barrier = Some(e.clock),
+                    EventKind::BarrierRelease => {
+                        if let Some(t0) = barrier.take() {
+                            let name = if e.code == 0 { "sync_all" } else { "sync_row" };
+                            out.span(track, "sync", name, t0, e.clock);
+                        }
+                    }
+                    EventKind::MeshEpisode => {
+                        let outcome = e.code >> 8;
+                        let charged = kernel.is_none()
+                            && (outcome == mesh_outcome::OK || outcome == mesh_outcome::WEDGED);
+                        let end = if charged {
+                            e.clock + e.arg * MESH_TRANSIT_CYCLES
+                        } else {
+                            e.clock
+                        };
+                        let name = match e.code & 3 {
+                            0 => "row-bcast",
+                            1 => "col-bcast",
+                            2 => "row-get",
+                            _ => "col-get",
+                        };
+                        out.span_args(track, "mesh", name, e.clock, end, &[("words", e.arg)]);
+                    }
+                    EventKind::FaultDecision => {
+                        let name = fault_code::name(e.code);
+                        out.span_args(track, "fault", name, e.clock, e.clock, &[("site", e.arg)]);
+                    }
+                    EventKind::RetryAttempt => out.span_args(
+                        track,
+                        "retry",
+                        "retry",
+                        e.clock,
+                        e.clock,
+                        &[("attempt", e.code as u64), ("site", e.arg)],
+                    ),
+                }
+            }
+            rec.total(ring).saturating_sub(rec.capacity() as u64)
+        })
+        .collect()
 }
 
 /// Summary returned by a successful [`validate_chrome_trace`].
@@ -469,36 +491,24 @@ fn num_field(obj: &str, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{dma_op_code, mesh_episode_code, Lane};
 
     #[test]
-    fn disabled_tracer_is_empty_and_cheap() {
-        let t = Tracer::disabled();
-        assert!(!t.is_enabled());
-        let tr = t.track("p", "x");
-        t.span(tr, "c", "n", 0, 10);
-        assert!(t.take().is_empty());
-    }
-
-    #[test]
-    fn spans_collect_and_drain() {
-        let t = Tracer::enabled();
+    fn spans_collect_by_value() {
+        let mut t = TraceData::default();
+        assert!(t.is_empty());
         let tr = t.track("proc", "track0");
         t.span_args(tr, "dma", "load", 0, 100, &[("bytes", 4096)]);
         t.span(tr, "dma", "store", 100, 150);
-        let data = t.take();
-        assert_eq!(data.tracks.len(), 1);
-        assert_eq!(data.spans.len(), 2);
-        assert_eq!(data.max_cycle(), 150);
-        assert_eq!(data.spans[0].args, vec![("bytes", 4096)]);
-        // Drained; handle still usable.
-        assert!(t.take().is_empty());
-        t.span(tr, "dma", "more", 150, 160);
-        assert_eq!(t.take().spans.len(), 1);
+        assert_eq!(t.tracks.len(), 1);
+        assert_eq!(t.spans.len(), 2);
+        assert_eq!(t.max_cycle(), 150);
+        assert_eq!(t.spans[0].args, vec![("bytes", 4096)]);
     }
 
     #[test]
     fn chrome_json_is_valid_and_ordered() {
-        let t = Tracer::enabled();
+        let mut t = TraceData::default();
         let a = t.track("timing-dag", "DMA");
         let b = t.track("timing-dag", "CPEs");
         let c = t.track("mesh", "row 0");
@@ -507,7 +517,7 @@ mod tests {
         t.span(a, "dma", "load0", 0, 100);
         t.span(a, "dma", "load1", 100, 200);
         t.span(c, "mesh", "bcast", 150, 150);
-        let json = t.take().to_chrome_json();
+        let json = t.to_chrome_json();
         let summary = validate_chrome_trace(&json).expect("valid trace");
         // 2 process_name + 3 thread_name + 3 B/E pairs + 1 instant.
         assert_eq!(summary.events, 2 + 3 + 6 + 1);
@@ -526,14 +536,95 @@ mod tests {
     #[test]
     fn determinism_same_trace_same_bytes() {
         let build = || {
-            let t = Tracer::enabled();
+            let mut t = TraceData::default();
             let a = t.track("p", "t1");
             let b = t.track("q", "t2");
             t.span_args(a, "c", "x", 5, 9, &[("bytes", 1), ("run", 2)]);
             t.span(b, "c", "y", 0, 5);
-            t.take().to_chrome_json()
+            t.to_chrome_json()
         };
         assert_eq!(build(), build());
+    }
+
+    /// Records what `CpeCtx` does for one DMA, one barrier, one strip
+    /// mesh episode and one kernel with a mesh episode inside it.
+    fn record_cpe_timeline(f: &FlightRecorder, ring: usize) {
+        let code = dma_op_code("pe.get");
+        f.record(ring, EventKind::DmaIssue, code, 512);
+        let t1 = f.advance(ring, Lane::Dma, 40);
+        f.record_at(ring, t1, EventKind::DmaComplete, code, 40);
+        f.record(ring, EventKind::BarrierArrive, 0, 0);
+        let waited = f.jump_to(ring, Lane::Barrier, 100);
+        f.record(ring, EventKind::BarrierRelease, 0, waited);
+        f.record(
+            ring,
+            EventKind::MeshEpisode,
+            mesh_episode_code(false, false, 0),
+            3,
+        );
+        f.advance(ring, Lane::Mesh, 3 * MESH_TRANSIT_CYCLES);
+        f.record(ring, EventKind::KernelStart, 0, 7);
+        f.record(
+            ring,
+            EventKind::MeshEpisode,
+            mesh_episode_code(true, true, 0),
+            2,
+        );
+        let t1 = f.advance(ring, Lane::Compute, 55);
+        f.record_at(ring, t1, EventKind::KernelEnd, 0, 55);
+    }
+
+    #[test]
+    fn flight_rings_become_tracks_whose_spans_sum_to_the_lanes() {
+        let f = FlightRecorder::with_capacity(16);
+        record_cpe_timeline(&f, 9);
+        f.record(
+            MPE_RING,
+            EventKind::FaultDecision,
+            fault_code::ABFT_DETECT,
+            2,
+        );
+        let mut t = TraceData::default();
+        let overwritten = from_flight(&f, &mut t);
+        assert_eq!(overwritten, vec![0; N_RINGS]);
+        assert_eq!(t.tracks.len(), N_RINGS);
+        assert_eq!(t.tracks[9].name, "CPE (1,1)");
+        assert_eq!(t.tracks[MPE_RING].process, "mpe");
+        let busy = f.ring_attribution(9).busy;
+        for (cat, lane) in [
+            ("dma", Lane::Dma),
+            ("sync", Lane::Barrier),
+            ("mesh", Lane::Mesh),
+            ("compute", Lane::Compute),
+        ] {
+            let cycles: u64 = t
+                .spans
+                .iter()
+                .filter(|s| s.cat == cat)
+                .map(|s| s.end - s.start)
+                .sum();
+            assert_eq!(cycles, busy[lane as usize], "{cat}");
+        }
+        assert_eq!(t.spans[0].args, vec![("bytes", 512)]);
+        // The episode inside the kernel is an instant at kernel start.
+        let inner = t.spans.iter().find(|s| s.name == "col-get").unwrap();
+        assert_eq!((inner.start, inner.end), (130, 130));
+        let json = t.to_chrome_json();
+        validate_chrome_trace(&json).expect("flight trace validates");
+    }
+
+    #[test]
+    fn wrapped_rings_drop_unpaired_events_and_report_overwrites() {
+        let f = FlightRecorder::with_capacity(3);
+        record_cpe_timeline(&f, 0);
+        let mut t = TraceData::default();
+        let overwritten = from_flight(&f, &mut t);
+        // 8 events into 3 slots: the kernel pair and its episode stay.
+        assert_eq!(overwritten[0], 5);
+        assert!(overwritten[1..].iter().all(|&n| n == 0));
+        let cats: Vec<&str> = t.spans.iter().map(|s| s.cat).collect();
+        assert_eq!(cats, ["mesh", "compute"]);
+        validate_chrome_trace(&t.to_chrome_json()).expect("valid");
     }
 
     #[test]

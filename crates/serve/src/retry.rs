@@ -73,10 +73,7 @@ pub fn is_retryable(err: &DgemmError) -> bool {
         DgemmError::Mem(_) | DgemmError::MeshDeadlock { .. } | DgemmError::AbftMismatch { .. } => {
             true
         }
-        DgemmError::BadParams(_)
-        | DgemmError::BadDims(_)
-        | DgemmError::Lint(_)
-        | DgemmError::Cancelled { .. } => false,
+        DgemmError::BadParams(_) | DgemmError::BadDims(_) | DgemmError::Cancelled { .. } => false,
     }
 }
 
@@ -144,7 +141,6 @@ mod tests {
         }));
         assert!(!is_retryable(&E::BadDims(String::new())));
         assert!(!is_retryable(&E::BadParams(String::new())));
-        assert!(!is_retryable(&E::Lint(String::new())));
         assert!(!is_retryable(&E::Cancelled { deadline: true }));
     }
 }

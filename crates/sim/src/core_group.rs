@@ -38,7 +38,6 @@ use sw_mem::{Ldm, LdmBuf, MainMemory, MemError};
 use sw_mesh::{Mesh, MeshError, MeshGridStats, MeshPort};
 use sw_probe::flight::{self, EventKind, FlightRecorder, Lane};
 use sw_probe::metrics::Histogram;
-use sw_probe::trace::{Tracer, TrackId};
 
 /// Bucket bounds of the `sim.dma.bytes_per_descriptor` histogram (the
 /// DMA-granularity distribution; 128 B is one transaction).
@@ -158,9 +157,7 @@ pub struct CoreGroup {
     mesh_timeout: std::time::Duration,
     /// Persistent CPE workers, spawned on first use.
     pool: Option<CpePool>,
-    /// Simulated-time span sink; disabled (near-free) by default.
-    tracer: Tracer,
-    /// Charges simulated durations to traced DMA operations.
+    /// Charges simulated durations to DMA operations.
     model: BandwidthModel,
     /// Fault oracle consulted by DMA wrappers and mesh ports; `None`
     /// (the default) adds no work to any hot path.
@@ -186,7 +183,6 @@ impl CoreGroup {
             mem: MainMemory::new(),
             mesh_timeout: std::time::Duration::from_secs(10),
             pool: None,
-            tracer: Tracer::disabled(),
             model: BandwidthModel::calibrated(),
             injector: None,
             flight: FlightRecorder::new(),
@@ -198,7 +194,8 @@ impl CoreGroup {
     /// disabled via [`sw_probe::flight::FlightRecorder::set_enabled`]),
     /// accumulating across runs until [`sw_probe::flight::
     /// FlightRecorder::reset`]. Its clocks are the time base of every
-    /// traced span and recorded event.
+    /// recorded event, and [`sw_probe::trace::from_flight`] reads its
+    /// rings back as a timeline.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
     }
@@ -236,14 +233,13 @@ impl CoreGroup {
         self.cancel.as_ref()
     }
 
-    /// Attaches a simulated-time tracer to subsequent runs: each CPE
-    /// gets its own track (process `"cpe-dma"`) carrying its DMA and
-    /// kernel spans, each mesh link its own (process `"mesh"`). Span
-    /// durations come from the calibrated [`BandwidthModel`] for DMA
-    /// and the pipeline model's cycle report for kernels. Pass
-    /// [`Tracer::disabled`] to turn tracing back off.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Replaces the flight recorder with a fresh, enabled one that
+    /// retains `events` per ring (the default is
+    /// [`sw_probe::flight::RING_EVENTS`], a black-box tail). Size it to
+    /// the run's event count to keep a whole run for
+    /// [`sw_probe::trace::from_flight`].
+    pub fn set_flight_capacity(&mut self, events: usize) {
+        self.flight = Arc::new(FlightRecorder::with_capacity(events));
     }
 
     /// Runs `f` on all 64 CPE threads (SPMD), returning traffic
@@ -279,19 +275,10 @@ impl CoreGroup {
         if self.cancel.is_some() {
             mesh.set_cancel_flag(&sync.token_fired);
         }
-        mesh.set_tracer(&self.tracer);
         mesh.set_flight_recorder(&self.flight);
         if let Some(inj) = &self.injector {
             mesh.set_fault_injector(inj);
         }
-        // One trace track per CPE; sentinel ids when tracing is off.
-        let tracks: Vec<TrackId> = (0..N_CPES)
-            .map(|i| {
-                let c = Coord::from_id(i);
-                self.tracer
-                    .track("cpe-dma", format!("CPE ({},{})", c.row, c.col))
-            })
-            .collect();
         // Each worker takes exclusive ownership of its port for the run;
         // dropping it folds its traffic into `mesh.stats()`.
         let ports: Vec<Mutex<Option<MeshPort>>> = mesh
@@ -310,7 +297,6 @@ impl CoreGroup {
             .histogram("sim.dma.bytes_per_descriptor", &DESC_BYTES_BUCKETS);
         let start = Instant::now();
         let mem = &self.mem;
-        let tracer = &self.tracer;
         let model = &self.model;
         let injector = self.injector.as_ref();
         let flight = &*self.flight;
@@ -329,8 +315,6 @@ impl CoreGroup {
                 sync,
                 counters: &counters,
                 bytes_hist: &bytes_hist,
-                tracer,
-                track: tracks[i],
                 model,
                 injector,
                 flight,
@@ -386,8 +370,6 @@ pub struct CpeCtx<'a> {
     sync: &'a RunSync,
     counters: &'a DmaCounters,
     bytes_hist: &'a Histogram,
-    tracer: &'a Tracer,
-    track: TrackId,
     model: &'a BandwidthModel,
     injector: Option<&'a Arc<FaultInjector>>,
     /// The run's flight recorder. It owns this CPE's simulated-time
@@ -411,8 +393,7 @@ impl<'a> CpeCtx<'a> {
     }
 
     /// Counts a completed DMA receipt, charges its modelled duration
-    /// to the DMA lane, records the issue/complete event pair, and,
-    /// when tracing, emits the span.
+    /// to the DMA lane, and records the issue/complete event pair.
     fn note_dma(&mut self, name: &'static str, r: &Receipt) {
         self.counters.record(r.mode, r.bytes_cpe as u64);
         self.bytes_hist.observe(r.bytes_cpe as u64);
@@ -420,19 +401,9 @@ impl<'a> CpeCtx<'a> {
         self.flight
             .record(self.ring(), EventKind::DmaIssue, code, r.bytes_cpe as u64);
         let cycles = self.model.receipt_cycles(r);
-        let (t0, t1) = self.flight.advance(self.ring(), Lane::Dma, cycles);
+        let t1 = self.flight.advance(self.ring(), Lane::Dma, cycles);
         self.flight
             .record_at(self.ring(), t1, EventKind::DmaComplete, code, cycles);
-        if self.tracer.is_enabled() {
-            self.tracer.span_args(
-                self.track,
-                "dma",
-                name,
-                t0,
-                t1,
-                &[("bytes", r.bytes_cpe as u64)],
-            );
-        }
     }
 
     /// Aborts the run from this CPE: cancels every barrier (so peers
@@ -642,44 +613,6 @@ impl<'a> CpeCtx<'a> {
         );
     }
 
-    /// Row broadcast that aborts the run (structured) on deadlock.
-    pub fn mesh_row_bcast(&self, v: sw_arch::V256) {
-        if let Err(e) = self.port.row_bcast(v) {
-            self.mesh_fail(e);
-        }
-        self.charge_mesh(1);
-    }
-
-    /// Column broadcast that aborts the run on deadlock.
-    pub fn mesh_col_bcast(&self, v: sw_arch::V256) {
-        if let Err(e) = self.port.col_bcast(v) {
-            self.mesh_fail(e);
-        }
-        self.charge_mesh(1);
-    }
-
-    /// Row receive that aborts the run on starvation.
-    pub fn mesh_getr(&self) -> sw_arch::V256 {
-        match self.port.getr() {
-            Ok(v) => {
-                self.charge_mesh(1);
-                v
-            }
-            Err(e) => self.mesh_fail(e),
-        }
-    }
-
-    /// Column receive that aborts the run on starvation.
-    pub fn mesh_getc(&self) -> sw_arch::V256 {
-        match self.port.getc() {
-            Ok(v) => {
-                self.charge_mesh(1);
-                v
-            }
-            Err(e) => self.mesh_fail(e),
-        }
-    }
-
     /// Batched row broadcast of a word group; aborts the run on
     /// deadlock.
     pub fn mesh_row_bcast_words(&self, words: &[sw_arch::V256]) {
@@ -763,21 +696,11 @@ impl<'a> CpeCtx<'a> {
         };
         let mut machine = Machine::new(self.ldm.raw_mut(), &mut comm);
         let report = machine.run(prog);
-        let (t0, t1) = self
+        let t1 = self
             .flight
             .advance(self.ring(), Lane::Compute, report.cycles);
         self.flight
             .record_at(self.ring(), t1, EventKind::KernelEnd, 0, report.cycles);
-        if self.tracer.is_enabled() {
-            self.tracer.span_args(
-                self.track,
-                "compute",
-                "kernel",
-                t0,
-                t1,
-                &[("instructions", report.instructions)],
-            );
-        }
         report
     }
 }

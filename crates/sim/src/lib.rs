@@ -34,7 +34,7 @@ pub use core_group::{CoreGroup, CpeAbort, CpeCtx, CpeError, RunError};
 pub use stats::{DmaTotals, RunStats};
 pub use sw_mesh::MeshTransport;
 pub use sw_probe::flight::{FlightRecorder, Lane};
-pub use sw_probe::trace::{TraceData, Tracer};
+pub use sw_probe::trace::TraceData;
 pub use timing::{
     CritBound, CritSegment, CriticalPath, Dag, Resource, TaskId, TaskTrace, TimingResult,
 };

@@ -19,7 +19,7 @@
 //! a formula.
 
 use sw_arch::time::{cycles_to_secs, Cycles};
-use sw_probe::trace::Tracer;
+use sw_probe::trace::TraceData;
 
 /// Identifier of a task inside one [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,25 +155,22 @@ impl Dag {
         (result, out)
     }
 
-    /// Schedules the DAG and emits the timeline onto `tracer` — one
-    /// span per task on one track per resource (process `"timing-dag"`,
+    /// Schedules the DAG and appends the timeline to `out` — one span
+    /// per task on one track per resource (process `"timing-dag"`,
     /// categories `"dma"` / `"compute"` / `"sync"`). Returns what
-    /// [`Dag::trace`] returns; with a disabled tracer it *is*
-    /// [`Dag::trace`] plus one branch.
-    pub fn emit_trace(&self, tracer: &Tracer) -> (TimingResult, Vec<TaskTrace>) {
+    /// [`Dag::trace`] returns.
+    pub fn emit_trace(&self, out: &mut TraceData) -> (TimingResult, Vec<TaskTrace>) {
         let (result, tasks) = self.trace();
-        if tracer.is_enabled() {
-            let dma = tracer.track("timing-dag", "DMA engine");
-            let cpes = tracer.track("timing-dag", "CPE cluster");
-            let lat = tracer.track("timing-dag", "latency");
-            for t in &tasks {
-                let (track, cat) = match t.resource {
-                    Resource::Dma => (dma, "dma"),
-                    Resource::Cpes => (cpes, "compute"),
-                    Resource::None => (lat, "sync"),
-                };
-                tracer.span(track, cat, t.label, t.start, t.end);
-            }
+        let dma = out.track("timing-dag", "DMA engine");
+        let cpes = out.track("timing-dag", "CPE cluster");
+        let lat = out.track("timing-dag", "latency");
+        for t in &tasks {
+            let (track, cat) = match t.resource {
+                Resource::Dma => (dma, "dma"),
+                Resource::Cpes => (cpes, "compute"),
+                Resource::None => (lat, "sync"),
+            };
+            out.span(track, cat, t.label, t.start, t.end);
         }
         (result, tasks)
     }
@@ -524,10 +521,9 @@ mod tests {
         let l0 = d.task(Resource::Dma, 100, &[], "load0");
         let c0 = d.task(Resource::Cpes, 300, &[l0], "compute0");
         let _s = d.task(Resource::None, 40, &[c0], "sync");
-        let tracer = Tracer::enabled();
-        let (r, tasks) = d.emit_trace(&tracer);
+        let mut data = TraceData::default();
+        let (r, tasks) = d.emit_trace(&mut data);
         assert_eq!(r, d.schedule());
-        let data = tracer.take();
         assert_eq!(data.tracks.len(), 3);
         assert_eq!(data.spans.len(), tasks.len());
         for (span, task) in data.spans.iter().zip(&tasks) {
@@ -537,11 +533,12 @@ mod tests {
         assert_eq!(data.spans[0].cat, "dma");
         assert_eq!(data.spans[1].cat, "compute");
         assert_eq!(data.spans[2].cat, "sync");
-        // Disabled tracer: same result, nothing collected.
-        let off = Tracer::disabled();
-        let (r2, _) = d.emit_trace(&off);
+        // A second emit appends three more tracks after the first.
+        let (r2, _) = d.emit_trace(&mut data);
         assert_eq!(r2, r);
-        assert!(off.take().is_empty());
+        assert_eq!(data.tracks.len(), 6);
+        assert_eq!(data.spans.len(), 2 * tasks.len());
+        assert_ne!(data.spans[3].track, data.spans[0].track);
     }
 
     fn assert_path_tiles(d: &Dag) {

@@ -189,12 +189,13 @@ fn mismatched_communication_scheme_is_diagnosed() {
             if ctx.coord == Coord::new(0, 0) {
                 // Way beyond the buffer capacity of any single receiver.
                 for i in 0..1024 {
-                    ctx.mesh_row_bcast(sw_arch::V256::splat(i as f64));
+                    ctx.mesh_row_bcast_words(&[sw_arch::V256::splat(i as f64)]);
                 }
             } else if ctx.coord.row == 0 && ctx.coord.col != 7 {
                 // These drain correctly...
+                let mut word = [0.0; 4];
                 for _ in 0..1024 {
-                    let _ = ctx.mesh_getr();
+                    ctx.mesh_get_panel(false, &mut word);
                 }
             }
             // ...but (0,7) never receives: the sender must block and
@@ -259,12 +260,10 @@ fn brow_and_rank_modes_through_the_runtime() {
 
 #[test]
 fn traced_run_produces_valid_chrome_trace() {
-    use sw_probe::trace::validate_chrome_trace;
-    use sw_sim::Tracer;
+    use sw_probe::trace::{from_flight, validate_chrome_trace};
+    use sw_sim::TraceData;
 
-    let tracer = Tracer::enabled();
     let mut cg = CoreGroup::new();
-    cg.set_tracer(tracer.clone());
     let mat = cg.mem.install(HostMatrix::zeros(16 * 64, 4)).unwrap();
     cg.run(|ctx| {
         let buf = ctx.ldm.alloc(16 * 4).unwrap();
@@ -274,13 +273,25 @@ fn traced_run_produces_valid_chrome_trace() {
         ctx.dma_pe_put(MatRegion::new(mat, id * 16, 0, 16, 4), buf)
             .unwrap();
     });
-    let data = tracer.take();
-    // 64 CPE tracks plus 16 mesh link tracks were registered.
-    assert_eq!(data.tracks.len(), 64 + 16);
+    let mut data = TraceData::default();
+    let overwritten = from_flight(cg.flight(), &mut data);
+    assert!(overwritten.iter().all(|&n| n == 0));
+    // 64 CPE tracks plus the MPE's.
+    let cpe_tracks = data.tracks.iter().filter(|t| t.process == "cpe").count();
+    assert_eq!(cpe_tracks, 64);
     // Two DMA spans per CPE, each with a modelled nonzero duration,
-    // back to back on that CPE's private timeline.
+    // back to back on that CPE's private timeline (the trace walks the
+    // rings in CPE order).
     let dma_spans: Vec<_> = data.spans.iter().filter(|s| s.cat == "dma").collect();
     assert_eq!(dma_spans.len(), 2 * 64);
+    for pair in dma_spans.chunks(2) {
+        assert_eq!(
+            pair[0].track, pair[1].track,
+            "two spans on each CPE's track"
+        );
+        assert_eq!((pair[0].name, pair[1].name), ("pe.get", "pe.put"));
+        assert_eq!(pair[0].end, pair[1].start, "back to back");
+    }
     for s in &dma_spans {
         assert!(
             s.end > s.start,

@@ -5,7 +5,6 @@
 //! panic.
 
 use std::time::Duration;
-use sw26010_dgemm::mem::MemError;
 use sw26010_dgemm::sim::CoreGroup;
 use sw_dgemm::gen::random_matrix;
 use sw_dgemm::reference::{dgemm_naive, gemm_tolerance};
@@ -220,32 +219,6 @@ fn stuck_cpe_degrades_onto_survivors_bitwise_clean() {
         "the stuck CPE's abort is recorded: {:?}",
         report.stats.panicked_cpes
     );
-}
-
-/// With degradation disabled, the same stuck CPE surfaces as the
-/// structured retry-budget error instead of being mapped out.
-#[test]
-fn degrade_off_surfaces_retry_budget_exhaustion() {
-    let p = BlockingParams::test_small();
-    let (a, b, c0) = operands(&p, (1, 1, 1), 61);
-    let mut c = c0.clone();
-    let spec = FaultSpec {
-        stuck: Some(StuckSpec { cpe: 9, epoch: 0 }),
-        ..FaultSpec::seeded(13)
-    };
-    let err = DgemmRunner::new(Variant::Pe)
-        .params(p)
-        .faults(spec)
-        .degrade(false)
-        .run(1.5, &a, &b, 0.5, &mut c)
-        .expect_err("degrade(false) must surface the failure");
-    match err {
-        DgemmError::Mem(MemError::RetryBudgetExhausted { attempts, what }) => {
-            assert_eq!(attempts, 3, "budget is 1 try + 2 retries");
-            assert!(what.contains("op 0"), "{what}");
-        }
-        other => panic!("expected RetryBudgetExhausted, got {other}"),
-    }
 }
 
 /// Transient DMA failures below the retry budget are healed in place

@@ -15,7 +15,7 @@ use sw_dgemm::timing::build_shared_dag;
 use sw_dgemm::{BlockingParams, Variant};
 use sw_mem::dma::BandwidthModel;
 use sw_probe::trace::validate_chrome_trace;
-use sw_sim::Tracer;
+use sw_sim::TraceData;
 
 const GOLDEN_PATH: &str = "tests/golden/trace_db_small.json";
 
@@ -26,9 +26,9 @@ fn tiny_db_trace_json() -> String {
     let model = BandwidthModel::calibrated();
     let (dag, _) = build_shared_dag(Variant::Db, 2 * p.bm(), p.bn(), p.bk(), p, &model)
         .expect("tiny DB plan must validate");
-    let tracer = Tracer::enabled();
-    dag.emit_trace(&tracer);
-    tracer.take().to_chrome_json()
+    let mut trace = TraceData::default();
+    dag.emit_trace(&mut trace);
+    trace.to_chrome_json()
 }
 
 #[test]
