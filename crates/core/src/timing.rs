@@ -1,7 +1,10 @@
 //! Timing mode: discrete-event Gflops estimates at arbitrary sizes.
 //!
-//! Each variant's MPE-side schedule is unrolled into a task DAG over
-//! the DMA channel and the CPE cluster (see `sw_sim::timing`):
+//! Each variant's MPE-side schedule is unrolled into a stream of tasks
+//! over the DMA channel and the CPE cluster (see `sw_sim::timing`).
+//! An estimate schedules each task as it is issued, on a
+//! [`Timeline`]; [`build_shared_dag`] keeps the same stream as a
+//! [`Dag`] for the tools that trace it or walk its critical path.
 //!
 //! * DMA task durations come from the calibrated bandwidth model
 //!   (Figure 4 curves) plus explicit per-descriptor startup — so the
@@ -16,7 +19,6 @@
 //!   small-m prefetch penalty are emergent.
 
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::DgemmError;
@@ -30,7 +32,7 @@ use sw_arch::time::Cycles;
 use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
 use sw_isa::{EngineBackend, ExecReport, Machine, NullComm};
 use sw_mem::dma::{BandwidthModel, DmaMode};
-use sw_sim::{Dag, Resource, TaskId};
+use sw_sim::{Dag, Resource, TaskSink, Timeline};
 
 /// Cycles charged per strip step for the inter-step synchronization the
 /// collective scheme needs (mesh transit + pacing).
@@ -109,8 +111,11 @@ fn cache_misses() -> &'static sw_probe::Counter {
     C.get_or_init(|| sw_probe::metrics::global().counter(KERNEL_CACHE_MISSES_METRIC))
 }
 
-fn kernel_cache() -> &'static Mutex<HashMap<(usize, u64), ExecReport>> {
-    static CACHE: OnceLock<Mutex<HashMap<(usize, u64), ExecReport>>> = OnceLock::new();
+/// What [`measure_kernel`] is memoized on: the generator's inputs.
+type KernelKey = (usize, usize, usize, KernelStyle);
+
+fn kernel_cache() -> &'static Mutex<HashMap<KernelKey, ExecReport>> {
+    static CACHE: OnceLock<Mutex<HashMap<KernelKey, ExecReport>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -138,18 +143,18 @@ pub fn kernel_cache_reset() {
 /// local; the communication instructions it would use occupy the same
 /// pipeline with the same latency).
 ///
-/// Reports are memoized by a hash of the generated instruction stream.
-/// This is sound because an [`ExecReport`] is a pure function of the
-/// stream: the pipeline model's stalls depend only on register indices,
-/// pipes, and latencies, and no instruction branches on `f64` data
-/// (`bne` tests an integer register that only `setl`/`addl` write). A
-/// sweep over many matrix sizes therefore executes each distinct kernel
+/// Reports are memoized by `(pm, pn, pk, style)`, and the cache is
+/// looked up before any kernel is generated. This is sound because the
+/// report is a pure function of those four inputs: the generator and
+/// the synthetic LDM layout depend on nothing else, and an
+/// [`ExecReport`] is a pure function of the stream — the pipeline
+/// model's stalls depend only on register indices, pipes, and
+/// latencies, and no instruction branches on `f64` data (`bne` tests an
+/// integer register that only `setl`/`addl` write). A sweep over many
+/// matrix sizes therefore generates and executes each distinct kernel
 /// shape once instead of once per size.
 pub fn measure_kernel(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> ExecReport {
-    let prog = build_kernel_prog(pm, pn, pk, style);
-    let mut hasher = DefaultHasher::new();
-    prog.hash(&mut hasher);
-    let key = (prog.len(), hasher.finish());
+    let key = (pm, pn, pk, style);
     if let Some(r) = kernel_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -159,7 +164,7 @@ pub fn measure_kernel(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> Ex
         return *r;
     }
     cache_misses().inc();
-    let report = execute_kernel(pm, pn, pk, &prog);
+    let report = measure_kernel_uncached(pm, pn, pk, style);
     kernel_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -226,6 +231,7 @@ fn execute_kernel(pm: usize, pn: usize, pk: usize, prog: &[sw_isa::Instr]) -> Ex
 }
 
 /// Estimates one of the data-sharing variants with explicit blocking.
+/// The schedule is scheduled as it is unrolled; no task is stored.
 pub fn estimate_shared(
     variant: Variant,
     m: usize,
@@ -234,15 +240,17 @@ pub fn estimate_shared(
     params: BlockingParams,
     model: &BandwidthModel,
 ) -> Result<TimingReport, DgemmError> {
-    let (dag, kernel) = build_shared_dag(variant, m, n, k, params, model)?;
-    let result = dag.schedule();
-    Ok(report(variant, m, n, k, result, kernel))
+    let (plan, costs, kernel) = price_shared(variant, m, n, k, params, model)?;
+    let mut timeline = Timeline::new();
+    unroll_shared(&mut timeline, &plan, &costs);
+    Ok(report(variant, m, n, k, timeline.result(), kernel))
 }
 
 /// Builds the MPE-side schedule of a data-sharing variant as a task
-/// DAG (exposed so tools can render the timeline; see the
-/// `trace_overlap` harness binary), along with the measured kernel
-/// report its compute durations are based on.
+/// DAG (exposed so tools can render the timeline or walk its critical
+/// path; see the `trace_overlap` harness binary), along with the
+/// measured kernel report its compute durations are based on. It holds
+/// the same tasks [`estimate_shared`] schedules.
 pub fn build_shared_dag(
     variant: Variant,
     m: usize,
@@ -251,73 +259,101 @@ pub fn build_shared_dag(
     params: BlockingParams,
     model: &BandwidthModel,
 ) -> Result<(Dag, ExecReport), DgemmError> {
+    let (plan, costs, kernel) = price_shared(variant, m, n, k, params, model)?;
+    let mut dag = Dag::new();
+    unroll_shared(&mut dag, &plan, &costs);
+    Ok((dag, kernel))
+}
+
+/// Task durations of one CG block of a data-sharing variant.
+struct SharedCosts {
+    load_a: Cycles,
+    load_b: Cycles,
+    /// One C block load or store.
+    io_c: Cycles,
+    block_compute: Cycles,
+}
+
+/// Plans a data-sharing variant and prices its tasks: DMA durations
+/// from the bandwidth model, compute from the measured kernel.
+fn price_shared(
+    variant: Variant,
+    m: usize,
+    n: usize,
+    k: usize,
+    params: BlockingParams,
+    model: &BandwidthModel,
+) -> Result<(GemmPlan, SharedCosts, ExecReport), DgemmError> {
     assert!(
         variant != Variant::Raw,
         "use estimate_raw for the RAW baseline"
     );
     let plan = GemmPlan::new(m, n, k, params, variant.double_buffered())?;
-    let mapping = variant.mapping();
     let p = plan.params;
     let kernel = measure_kernel(p.pm, p.pn, p.pk, variant.kernel_style());
-    let block_compute: Cycles = 8 * (kernel.cycles + STEP_SYNC_CYCLES);
 
     // DMA durations per CG block.
     let (a_fp, b_fp, c_fp) = (m * k * 8, k * n * 8, m * n * 8);
     let (bm, bn, bk) = (p.bm(), p.bn(), p.bk());
-    let b_cycles = model.transfer_cycles(DmaMode::Pe, 64, bk * bn * 8, p.pk * 8, b_fp);
-    let (ac_mode, ac_desc, ac_run) = match mapping {
+    let (ac_mode, ac_desc, ac_run) = match variant.mapping() {
         Mapping::Pe => (DmaMode::Pe, 64, p.pm * 8),
         Mapping::Row => (DmaMode::Row, 8, bm * 8),
     };
-    let a_cycles = model.transfer_cycles(ac_mode, ac_desc, bm * bk * 8, ac_run, a_fp);
-    let c_cycles = model.transfer_cycles(ac_mode, ac_desc, bm * bn * 8, ac_run, c_fp);
+    let costs = SharedCosts {
+        load_a: model.transfer_cycles(ac_mode, ac_desc, bm * bk * 8, ac_run, a_fp),
+        load_b: model.transfer_cycles(DmaMode::Pe, 64, bk * bn * 8, p.pk * 8, b_fp),
+        io_c: model.transfer_cycles(ac_mode, ac_desc, bm * bn * 8, ac_run, c_fp),
+        block_compute: 8 * (kernel.cycles + STEP_SYNC_CYCLES),
+    };
+    Ok((plan, costs, kernel))
+}
 
-    // Build the MPE-side schedule as a DAG. Dependence lists live on
-    // the stack: `Dag::task` stores them inline, and at large sizes
-    // this loop emits ~10⁶ tasks, so per-task allocation is the
-    // engine's hot path.
-    let mut dag = Dag::new();
-    let mut prev_compute: Option<TaskId> = None;
-    fn dep(t: &Option<TaskId>) -> &[TaskId] {
-        match t {
-            Some(x) => std::slice::from_ref(x),
-            None => &[],
-        }
-    }
+/// Issues the MPE-side schedule into `sink` in program order:
+/// Algorithm 2 when the plan is double-buffered, Algorithm 1 otherwise.
+/// Dependence lists live on the stack, so the unroll itself allocates
+/// nothing.
+fn unroll_shared<S: TaskSink>(sink: &mut S, plan: &GemmPlan, costs: &SharedCosts) {
+    let &SharedCosts {
+        load_a,
+        load_b,
+        io_c,
+        block_compute,
+    } = costs;
+    let mut prev_compute: Option<S::Id> = None;
     for _j in 0..plan.grid_n {
         for _l in 0..plan.grid_k {
             // B is resident: reloading it must wait until the previous
             // (j, l) iteration's last block stopped using it.
-            let b_task = dag.task(Resource::Dma, b_cycles, dep(&prev_compute), "load B");
+            let b_task = sink.task(Resource::Dma, load_b, prev_compute.as_slice(), "load B");
             if plan.double_buffered {
                 // Algorithm 2.
-                let mut pref_a = dag.task(Resource::Dma, a_cycles, dep(&prev_compute), "load A0");
-                let mut pref_c = dag.task(Resource::Dma, c_cycles, dep(&prev_compute), "load C0");
+                let mut pref_a =
+                    sink.task(Resource::Dma, load_a, prev_compute.as_slice(), "load A0");
+                let mut pref_c = sink.task(Resource::Dma, io_c, prev_compute.as_slice(), "load C0");
                 for i in 0..plan.grid_m {
-                    let (next_a, next_c) = if i + 1 < plan.grid_m {
+                    let next = (i + 1 < plan.grid_m).then(|| {
                         // The i+1 prefetch reuses the buffers compute
                         // i-1 released (two-deep rotation).
-                        let a = dag.task(Resource::Dma, a_cycles, dep(&prev_compute), "prefetch A");
-                        let c = dag.task(Resource::Dma, c_cycles, dep(&prev_compute), "prefetch C");
-                        (Some(a), Some(c))
-                    } else {
-                        (None, None)
-                    };
+                        let deps = prev_compute.as_slice();
+                        let a = sink.task(Resource::Dma, load_a, deps, "prefetch A");
+                        let c = sink.task(Resource::Dma, io_c, deps, "prefetch C");
+                        (a, c)
+                    });
                     let mut deps = [pref_a, pref_c, b_task, b_task];
                     let mut n_deps = 3;
                     if let Some(pc) = prev_compute {
                         deps[3] = pc;
                         n_deps = 4;
                     }
-                    let compute = dag.task(
+                    let compute = sink.task(
                         Resource::Cpes,
                         block_compute,
                         &deps[..n_deps],
                         "block multiply",
                     );
-                    dag.task(Resource::Dma, c_cycles, &[compute], "store C");
+                    sink.task(Resource::Dma, io_c, &[compute], "store C");
                     prev_compute = Some(compute);
-                    if let (Some(a), Some(c)) = (next_a, next_c) {
+                    if let Some((a, c)) = next {
                         pref_a = a;
                         pref_c = c;
                     }
@@ -325,21 +361,20 @@ pub fn build_shared_dag(
             } else {
                 // Algorithm 1: strictly serial per block.
                 for _i in 0..plan.grid_m {
-                    let a = dag.task(Resource::Dma, a_cycles, dep(&prev_compute), "load A");
-                    let c = dag.task(Resource::Dma, c_cycles, dep(&prev_compute), "load C");
-                    let compute = dag.task(
+                    let a = sink.task(Resource::Dma, load_a, prev_compute.as_slice(), "load A");
+                    let c = sink.task(Resource::Dma, io_c, prev_compute.as_slice(), "load C");
+                    let compute = sink.task(
                         Resource::Cpes,
                         block_compute,
                         &[a, c, b_task],
                         "block multiply",
                     );
-                    dag.task(Resource::Dma, c_cycles, &[compute], "store C");
+                    sink.task(Resource::Dma, io_c, &[compute], "store C");
                     prev_compute = Some(compute);
                 }
             }
         }
     }
-    Ok((dag, kernel))
 }
 
 /// [`build_shared_dag`] under the benchmark's historical signature: the
@@ -357,7 +392,9 @@ pub fn build_shared_dag_with(
     build_shared_dag(variant, m, n, k, params, model)
 }
 
-/// Estimates the RAW baseline with explicit blocking.
+/// Estimates the RAW baseline with explicit blocking: one DMA task then
+/// one compute task per wave of 64 thread-level sub-blocks, each wave
+/// after the previous one, scheduled as they are issued.
 pub fn estimate_raw(
     m: usize,
     n: usize,
@@ -382,19 +419,18 @@ pub fn estimate_raw(
     let compute_per_wave = chunks as u64 * kernel.cycles;
     let waves = (m / 8 / raw.pm) * (n / 8 / raw.pn);
 
-    let mut dag = Dag::new();
-    let mut prev: Option<TaskId> = None;
+    let mut timeline = Timeline::new();
+    let mut prev: Option<Cycles> = None;
     for _ in 0..waves {
-        let deps: &[TaskId] = match &prev {
-            Some(t) => std::slice::from_ref(t),
-            None => &[],
-        };
-        let dma = dag.task(Resource::Dma, dma_per_wave, deps, "panel traffic");
-        let compute = dag.task(Resource::Cpes, compute_per_wave, &[dma], "sub-block update");
-        prev = Some(compute);
+        let dma = timeline.task(
+            Resource::Dma,
+            dma_per_wave,
+            prev.as_slice(),
+            "panel traffic",
+        );
+        prev = Some(timeline.task(Resource::Cpes, compute_per_wave, &[dma], "sub-block update"));
     }
-    let result = dag.schedule();
-    Ok(report(Variant::Raw, m, n, k, result, kernel))
+    Ok(report(Variant::Raw, m, n, k, timeline.result(), kernel))
 }
 
 fn report(

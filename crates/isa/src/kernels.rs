@@ -56,7 +56,7 @@ impl Operand {
 }
 
 /// Code shape to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelStyle {
     /// Loads next to uses, no pipelining.
     Naive,

@@ -187,7 +187,9 @@ pub mod fault_code {
 }
 
 /// DMA operation codes for [`EventKind::DmaIssue`] / [`EventKind::DmaComplete`];
-/// names match the `CpeCtx` DMA wrapper span names.
+/// names match the `CpeCtx` DMA wrapper span names. `"backoff"` is the
+/// wait before a transient-fault retry: it holds the DMA lane and moves
+/// no bytes.
 pub fn dma_op_code(name: &str) -> u32 {
     match name {
         "pe.get" => 1,
@@ -197,6 +199,7 @@ pub fn dma_op_code(name: &str) -> u32 {
         "row.put" => 5,
         "brow.get" => 6,
         "rank.get" => 7,
+        "backoff" => 8,
         _ => 0,
     }
 }
@@ -211,6 +214,7 @@ pub fn dma_op_name(code: u32) -> &'static str {
         5 => "row.put",
         6 => "brow.get",
         7 => "rank.get",
+        8 => "backoff",
         _ => "dma",
     }
 }
@@ -659,6 +663,7 @@ mod tests {
             "row.put",
             "brow.get",
             "rank.get",
+            "backoff",
         ] {
             assert_eq!(dma_op_name(dma_op_code(op)), op);
         }

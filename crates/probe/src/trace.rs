@@ -16,6 +16,8 @@
 //! Processes group tracks: each distinct process name becomes a `pid`,
 //! each track a `tid` with a `thread_name` metadata record.
 
+use std::collections::BTreeMap;
+
 use crate::flight::{self, fault_code, mesh_outcome, EventKind, FlightRecorder, MPE_RING, N_RINGS};
 use crate::metrics::escape_json;
 use sw_arch::consts::MESH_TRANSIT_CYCLES;
@@ -367,7 +369,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
     let mut pairs = 0usize;
     let mut last_ts: Option<u64> = None;
     // Open-span depth per (pid, tid).
-    let mut open_spans: Vec<((u64, u64), usize)> = Vec::new();
+    let mut open_spans: BTreeMap<(u64, u64), usize> = BTreeMap::new();
 
     let mut rest = body;
     while let Some(obj_start) = rest.find('{') {
@@ -375,21 +377,25 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
         if rest[..obj_start].contains(']') {
             break;
         }
-        let obj_end = match object_end(&rest[obj_start..]) {
-            Some(n) => obj_start + n,
+        let (obj_end, f) = match scan_event(&rest[obj_start..]) {
+            Some((n, f)) => (obj_start + n, f),
             None => return Err("unterminated event object".into()),
         };
         let obj = &rest[obj_start..=obj_end];
         events += 1;
 
-        let ph = str_field(obj, "ph").ok_or_else(|| format!("event missing \"ph\": {obj}"))?;
-        let pid = num_field(obj, "pid").ok_or_else(|| format!("event missing \"pid\": {obj}"))?;
-        let tid = num_field(obj, "tid").ok_or_else(|| format!("event missing \"tid\": {obj}"))?;
-        if str_field(obj, "name").is_none() {
+        let ph = f.ph.ok_or_else(|| format!("event missing \"ph\": {obj}"))?;
+        let pid = f
+            .pid
+            .ok_or_else(|| format!("event missing \"pid\": {obj}"))?;
+        let tid = f
+            .tid
+            .ok_or_else(|| format!("event missing \"tid\": {obj}"))?;
+        if !f.name {
             return Err(format!("event missing \"name\": {obj}"));
         }
         if ph != "M" {
-            let ts = num_field(obj, "ts").ok_or_else(|| format!("event missing \"ts\": {obj}"))?;
+            let ts = f.ts.ok_or_else(|| format!("event missing \"ts\": {obj}"))?;
             if let Some(prev) = last_ts {
                 if ts < prev {
                     return Err(format!("ts went backwards: {prev} -> {ts} at {obj}"));
@@ -397,20 +403,16 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
             }
             last_ts = Some(ts);
             let key = (pid, tid);
-            match ph.as_str() {
-                "B" => match open_spans.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, depth)) => *depth += 1,
-                    None => open_spans.push((key, 1)),
-                },
+            match ph {
+                "B" => *open_spans.entry(key).or_insert(0) += 1,
                 "E" => {
-                    let slot = open_spans
-                        .iter_mut()
-                        .find(|(k, _)| *k == key)
-                        .filter(|(_, depth)| *depth > 0)
+                    let depth = open_spans
+                        .get_mut(&key)
+                        .filter(|depth| **depth > 0)
                         .ok_or_else(|| {
                             format!("\"E\" without open \"B\" on pid={pid} tid={tid}")
                         })?;
-                    slot.1 -= 1;
+                    *depth -= 1;
                     pairs += 1;
                 }
                 "i" | "X" => {}
@@ -420,7 +422,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
         rest = &rest[obj_end + 1..];
     }
 
-    if let Some(((pid, tid), depth)) = open_spans.iter().find(|(_, d)| *d > 0) {
+    if let Some(((pid, tid), depth)) = open_spans.iter().find(|(_, d)| **d > 0) {
         return Err(format!(
             "{depth} unmatched \"B\" event(s) on pid={pid} tid={tid}"
         ));
@@ -428,30 +430,58 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
     Ok(ChromeTraceSummary { events, pairs })
 }
 
-/// Byte offset of the `}` closing the object that starts at `s[0]`
-/// (which must be `{`), respecting nesting and strings.
-fn object_end(s: &str) -> Option<usize> {
+/// The top-level fields of one event object that the check reads.
+#[derive(Default)]
+struct EventFields<'a> {
+    /// `ph` as written, escapes left in place.
+    ph: Option<&'a str>,
+    /// Whether a string `name` is present.
+    name: bool,
+    pid: Option<u64>,
+    tid: Option<u64>,
+    ts: Option<u64>,
+}
+
+/// Reads the object that starts at `s[0]` (which must be `{`) in one
+/// pass, respecting nesting and strings: returns the byte offset of its
+/// closing `}` and its top-level fields.
+fn scan_event(s: &str) -> Option<(usize, EventFields<'_>)> {
     let bytes = s.as_bytes();
+    let mut fields = EventFields::default();
     let mut depth = 0usize;
-    let mut in_str = false;
+    // Offset of the opening quote while inside a string.
+    let mut string_at: Option<usize> = None;
     let mut escaped = false;
     for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
+        if let Some(open) = string_at {
             match b {
                 _ if escaped => escaped = false,
                 b'\\' => escaped = true,
-                b'"' => in_str = false,
+                b'"' => {
+                    string_at = None;
+                    // A top-level string followed by `: ` is a key.
+                    if let Some(value) = s[i + 1..].strip_prefix(": ").filter(|_| depth == 1) {
+                        match &s[open + 1..i] {
+                            "ph" => fields.ph = string_value(value),
+                            "name" => fields.name = string_value(value).is_some(),
+                            "pid" => fields.pid = number_value(value),
+                            "tid" => fields.tid = number_value(value),
+                            "ts" => fields.ts = number_value(value),
+                            _ => {}
+                        }
+                    }
+                }
                 _ => {}
             }
             continue;
         }
         match b {
-            b'"' => in_str = true,
+            b'"' => string_at = Some(i),
             b'{' => depth += 1,
             b'}' => {
                 depth -= 1;
                 if depth == 0 {
-                    return Some(i);
+                    return Some((i, fields));
                 }
             }
             _ => {}
@@ -460,32 +490,28 @@ fn object_end(s: &str) -> Option<usize> {
     None
 }
 
-/// Value of a `"key": "string"` field in a flat-ish JSON object.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = &obj[at..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
+/// The string at the start of `value`, escapes left in place.
+fn string_value(value: &str) -> Option<&str> {
+    let body = value.strip_prefix('"')?;
+    let bytes = body.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => return Some(&body[..i]),
+            b'\\' => i += 2,
+            _ => i += 1,
         }
     }
     None
 }
 
-/// Value of a `"key": 123` field in a flat-ish JSON object.
-fn num_field(obj: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let at = obj.find(&pat)? + pat.len();
-    let digits: String = obj[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// The unsigned integer at the start of `value`.
+fn number_value(value: &str) -> Option<u64> {
+    let end = value
+        .bytes()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(value.len());
+    value[..end].parse().ok()
 }
 
 #[cfg(test)]

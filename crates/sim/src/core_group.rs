@@ -499,8 +499,15 @@ impl<'a> CpeCtx<'a> {
                         what: format!("{name} (CPE {}, op {op_idx})", self.coord),
                     });
                 }
+                // The backoff holds the DMA lane: an issue/complete
+                // pair makes it a span like any transfer.
+                let code = flight::dma_op_code("backoff");
+                let cycles = DMA_RETRY_BACKOFF_CYCLES << retry;
                 self.flight
-                    .advance(self.ring(), Lane::Dma, DMA_RETRY_BACKOFF_CYCLES << retry);
+                    .record(self.ring(), EventKind::DmaIssue, code, 0);
+                let t1 = self.flight.advance(self.ring(), Lane::Dma, cycles);
+                self.flight
+                    .record_at(self.ring(), t1, EventKind::DmaComplete, code, cycles);
                 retry += 1;
                 self.flight
                     .record(self.ring(), EventKind::RetryAttempt, retry, op_idx);

@@ -11,10 +11,11 @@
 //!   reference.
 //! * **Timing mode** ([`timing`]) — a discrete-event engine over two
 //!   serial resources (the DMA channel and the lock-stepped CPE
-//!   cluster). DGEMM variants encode their block schedules as task DAGs
-//!   whose durations come from the calibrated DMA model (`sw-mem`) and
-//!   from cycle counts measured by the ISA executor (`sw-isa`); the
-//!   engine computes the makespan, from which Gflops follow.
+//!   cluster). DGEMM variants issue their block schedules as task
+//!   streams whose durations come from the calibrated DMA model
+//!   (`sw-mem`) and from cycle counts measured by the ISA executor
+//!   (`sw-isa`); the engine computes the makespan, from which Gflops
+//!   follow.
 //!
 //! Overlap effects — double buffering hiding DMA under compute, the
 //! prologue cost the paper observes for small m in Figure 7 — *emerge*
@@ -36,5 +37,6 @@ pub use sw_mesh::MeshTransport;
 pub use sw_probe::flight::{FlightRecorder, Lane};
 pub use sw_probe::trace::TraceData;
 pub use timing::{
-    CritBound, CritSegment, CriticalPath, Dag, Resource, TaskId, TaskTrace, TimingResult,
+    CritBound, CritSegment, CriticalPath, Dag, Resource, TaskId, TaskSink, TaskTrace, Timeline,
+    TimingResult,
 };

@@ -1,7 +1,7 @@
 //! Discrete-event timing engine.
 //!
-//! A DGEMM variant expresses one run as a DAG of tasks over two serial
-//! resources:
+//! A DGEMM variant expresses one run as a stream of tasks over two
+//! serial resources:
 //!
 //! * [`Resource::Dma`] — the core group's single DMA channel; all block
 //!   transfers serialize on it;
@@ -11,12 +11,18 @@
 //! * [`Resource::None`] — pure latency (mesh synchronization, barrier
 //!   costs) that occupies no resource.
 //!
-//! Tasks are processed in insertion order (the program order of the
+//! Tasks are processed in issue order (the program order of the
 //! MPE-side schedule): each starts when its dependences have finished
 //! *and* its resource is free. Whether DMA hides under compute is
 //! therefore decided by the dependence structure the variant builds —
 //! Algorithm 1 (serial) versus Algorithm 2 (double-buffered) — not by
 //! a formula.
+//!
+//! [`Timeline`] owns that rule and applies it to each task as it is
+//! issued, so an estimate needs no task storage. A [`Dag`] records the
+//! tasks for tools that need more than the totals (per-task traces, the
+//! critical path) and replays them through a [`Timeline`]. Both accept
+//! tasks through [`TaskSink`], so one unroll of a schedule feeds either.
 
 use sw_arch::time::{cycles_to_secs, Cycles};
 use sw_probe::trace::TraceData;
@@ -36,10 +42,93 @@ pub enum Resource {
     None,
 }
 
+/// Where a schedule's tasks go as it is unrolled: a [`Dag`] that keeps
+/// them, or a [`Timeline`] that schedules each one on arrival.
+pub trait TaskSink {
+    /// What a task is referred to by in later tasks' dependence lists.
+    type Id: Copy;
+
+    /// Issues a task that may start once every task in `deps` has
+    /// finished (at most [`MAX_TASK_DEPS`] of them, all issued
+    /// earlier).
+    fn task(
+        &mut self,
+        resource: Resource,
+        duration: Cycles,
+        deps: &[Self::Id],
+        label: &'static str,
+    ) -> Self::Id;
+}
+
+/// The scheduling rule, applied to one task at a time in issue order:
+/// a task starts at `max(its dependences' finish, its resource's free
+/// time)`. Holds only the per-resource state, so scheduling a stream
+/// of any length allocates nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Timeline {
+    dma_free: Cycles,
+    cpes_free: Cycles,
+    dma_busy: Cycles,
+    cpes_busy: Cycles,
+    makespan: Cycles,
+}
+
+impl Timeline {
+    /// An empty timeline: every resource free at cycle 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules a task whose dependences have all finished by
+    /// `ready`, returning its start cycle.
+    #[inline]
+    pub fn place(&mut self, resource: Resource, duration: Cycles, ready: Cycles) -> Cycles {
+        let (free, busy) = match resource {
+            Resource::Dma => (&mut self.dma_free, &mut self.dma_busy),
+            Resource::Cpes => (&mut self.cpes_free, &mut self.cpes_busy),
+            Resource::None => {
+                self.makespan = self.makespan.max(ready + duration);
+                return ready;
+            }
+        };
+        let start = ready.max(*free);
+        *free = start + duration;
+        *busy += duration;
+        self.makespan = self.makespan.max(start + duration);
+        start
+    }
+
+    /// Makespan and per-resource busy time of everything placed so far.
+    pub fn result(&self) -> TimingResult {
+        TimingResult {
+            makespan_cycles: self.makespan,
+            dma_busy_cycles: self.dma_busy,
+            cpes_busy_cycles: self.cpes_busy,
+        }
+    }
+}
+
+/// Tasks are named by their finish cycle: that is all a later task
+/// needs of a dependence.
+impl TaskSink for Timeline {
+    type Id = Cycles;
+
+    #[inline]
+    fn task(
+        &mut self,
+        resource: Resource,
+        duration: Cycles,
+        deps: &[Cycles],
+        _label: &'static str,
+    ) -> Cycles {
+        let ready = deps.iter().copied().max().unwrap_or(0);
+        self.place(resource, duration, ready) + duration
+    }
+}
+
 /// Most dependences a task may declare. The MPE-side schedules need at
 /// most four (two prefetches, the resident-B load, and the previous
-/// compute); keeping them inline makes [`Dag::task`] allocation-free,
-/// which matters because a large-size estimate builds ~10⁶ tasks.
+/// compute); keeping them inline makes [`Dag::task`] allocation-free.
 pub const MAX_TASK_DEPS: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
@@ -117,15 +206,17 @@ impl Dag {
         self.tasks.is_empty()
     }
 
-    /// Like [`Dag::schedule`], but also returns the per-task timeline
-    /// (label, resource, start, end) for inspection and debugging.
-    pub fn trace(&self) -> (TimingResult, Vec<TaskTrace>) {
-        let result = self.schedule();
-        // Re-run the same deterministic pass, recording intervals.
-        let mut finish = vec![0u64; self.tasks.len()];
-        let mut dma_free = 0u64;
-        let mut cpes_free = 0u64;
-        let mut out = Vec::with_capacity(self.tasks.len());
+    /// Replays the tasks in issue order through a [`Timeline`]. For
+    /// each task, `visit(index, ready, start, finish)` sees the latest
+    /// finish among its dependences, its start cycle, and the finish
+    /// cycle of every earlier task. Returns the totals and every task's
+    /// finish cycle.
+    fn replay(
+        &self,
+        mut visit: impl FnMut(usize, Cycles, Cycles, &[Cycles]),
+    ) -> (TimingResult, Vec<Cycles>) {
+        let mut finish = Vec::with_capacity(self.tasks.len());
+        let mut timeline = Timeline::new();
         for (i, t) in self.tasks.iter().enumerate() {
             let ready = t
                 .deps()
@@ -133,25 +224,26 @@ impl Dag {
                 .map(|&d| finish[d as usize])
                 .max()
                 .unwrap_or(0);
-            let start = match t.resource {
-                Resource::Dma => ready.max(dma_free),
-                Resource::Cpes => ready.max(cpes_free),
-                Resource::None => ready,
-            };
-            let end = start + t.duration;
-            match t.resource {
-                Resource::Dma => dma_free = end,
-                Resource::Cpes => cpes_free = end,
-                Resource::None => {}
-            }
-            finish[i] = end;
+            let start = timeline.place(t.resource, t.duration, ready);
+            visit(i, ready, start, &finish);
+            finish.push(start + t.duration);
+        }
+        (timeline.result(), finish)
+    }
+
+    /// Like [`Dag::schedule`], but also returns the per-task timeline
+    /// (label, resource, start, end) for inspection and debugging.
+    pub fn trace(&self) -> (TimingResult, Vec<TaskTrace>) {
+        let mut out = Vec::with_capacity(self.tasks.len());
+        let (result, _) = self.replay(|i, _, start, _| {
+            let t = &self.tasks[i];
             out.push(TaskTrace {
                 label: t.label,
                 resource: t.resource,
                 start,
-                end,
+                end: start + t.duration,
             });
-        }
+        });
         (result, out)
     }
 
@@ -178,44 +270,7 @@ impl Dag {
     /// Runs the engine, returning the makespan and per-resource busy
     /// time.
     pub fn schedule(&self) -> TimingResult {
-        let mut finish = vec![0u64; self.tasks.len()];
-        let mut dma_free = 0u64;
-        let mut cpes_free = 0u64;
-        let mut dma_busy = 0u64;
-        let mut cpes_busy = 0u64;
-        let mut makespan = 0u64;
-        for (i, t) in self.tasks.iter().enumerate() {
-            let ready = t
-                .deps()
-                .iter()
-                .map(|&d| finish[d as usize])
-                .max()
-                .unwrap_or(0);
-            let start = match t.resource {
-                Resource::Dma => ready.max(dma_free),
-                Resource::Cpes => ready.max(cpes_free),
-                Resource::None => ready,
-            };
-            let end = start + t.duration;
-            match t.resource {
-                Resource::Dma => {
-                    dma_free = end;
-                    dma_busy += t.duration;
-                }
-                Resource::Cpes => {
-                    cpes_free = end;
-                    cpes_busy += t.duration;
-                }
-                Resource::None => {}
-            }
-            finish[i] = end;
-            makespan = makespan.max(end);
-        }
-        TimingResult {
-            makespan_cycles: makespan,
-            dma_busy_cycles: dma_busy,
-            cpes_busy_cycles: cpes_busy,
-        }
+        self.replay(|_, _, _, _| {}).0
     }
 }
 
@@ -231,63 +286,37 @@ impl Dag {
     /// the makespan (the causal analogue of the interpreter's
     /// stall-attribution invariant).
     pub fn critical_path(&self) -> CriticalPath {
-        let n = self.tasks.len();
-        let mut finish = vec![0u64; n];
         // The decision that fixed each task's start time.
-        let mut binding: Vec<CritBound> = vec![CritBound::RunStart; n];
-        let mut dma_free = 0u64;
-        let mut cpes_free = 0u64;
-        let mut last_dma = u32::MAX;
-        let mut last_cpes = u32::MAX;
-        let mut makespan = 0u64;
-        let mut crit_end = usize::MAX;
-        for (i, t) in self.tasks.iter().enumerate() {
-            let mut ready = 0u64;
-            let mut bind_dep = u32::MAX;
-            for &d in t.deps() {
-                if finish[d as usize] > ready || bind_dep == u32::MAX {
-                    ready = ready.max(finish[d as usize]);
-                    if finish[d as usize] == ready {
-                        bind_dep = d;
-                    }
-                }
-            }
-            let (rfree, rlast) = match t.resource {
-                Resource::Dma => (dma_free, last_dma),
-                Resource::Cpes => (cpes_free, last_cpes),
-                Resource::None => (0, u32::MAX),
+        let mut binding: Vec<CritBound> = Vec::with_capacity(self.tasks.len());
+        // Last occupant of the DMA channel and of the CPE cluster.
+        let mut last = [u32::MAX; 2];
+        let (result, finish) = self.replay(|i, ready, start, finish| {
+            let t = &self.tasks[i];
+            let queue = match t.resource {
+                Resource::Dma => Some(&mut last[0]),
+                Resource::Cpes => Some(&mut last[1]),
+                Resource::None => None,
             };
-            let start = ready.max(rfree);
-            binding[i] = if start == 0 {
-                CritBound::RunStart
-            } else if ready == start && bind_dep != u32::MAX {
-                // Ties between a dependence and the resource queue go
-                // to the dependence: it is the causal edge.
-                CritBound::Dependence(bind_dep)
-            } else {
-                debug_assert!(rlast != u32::MAX, "resource-bound task with idle resource");
-                CritBound::ResourceQueue(rlast)
-            };
-            let end = start + t.duration;
-            match t.resource {
-                Resource::Dma => {
-                    dma_free = end;
-                    last_dma = i as u32;
+            // Ties between dependences go to the first declared; ties
+            // between a dependence and the resource queue go to the
+            // dependence: it is the causal edge.
+            let bind_dep = t.deps().iter().find(|&&d| finish[d as usize] == ready);
+            binding.push(match bind_dep {
+                _ if start == 0 => CritBound::RunStart,
+                Some(&d) if start == ready => CritBound::Dependence(d),
+                _ => {
+                    let prev = queue.as_deref().copied().unwrap_or(u32::MAX);
+                    debug_assert!(prev != u32::MAX, "resource-bound task with idle resource");
+                    CritBound::ResourceQueue(prev)
                 }
-                Resource::Cpes => {
-                    cpes_free = end;
-                    last_cpes = i as u32;
-                }
-                Resource::None => {}
+            });
+            if let Some(slot) = queue {
+                *slot = i as u32;
             }
-            finish[i] = end;
-            if end > makespan || crit_end == usize::MAX {
-                makespan = end;
-                crit_end = i;
-            }
-        }
+        });
         let mut segments = Vec::new();
-        if crit_end != usize::MAX {
+        // The first task to finish at the makespan ends the path.
+        if let Some(crit_end) = finish.iter().position(|&f| f == result.makespan_cycles) {
             // Walk the binding chain back to cycle 0. Predecessor
             // indices strictly decrease (both edge kinds point at
             // earlier tasks), so this terminates.
@@ -310,9 +339,26 @@ impl Dag {
             segments.reverse();
         }
         CriticalPath {
-            makespan_cycles: makespan,
+            makespan_cycles: result.makespan_cycles,
             segments,
         }
+    }
+}
+
+/// Records every task so the schedule can be replayed, traced and
+/// walked for its critical path.
+impl TaskSink for Dag {
+    type Id = TaskId;
+
+    #[inline]
+    fn task(
+        &mut self,
+        resource: Resource,
+        duration: Cycles,
+        deps: &[TaskId],
+        label: &'static str,
+    ) -> TaskId {
+        Dag::task(self, resource, duration, deps, label)
     }
 }
 
@@ -635,19 +681,22 @@ mod tests {
         assert_eq!(top[1].3, 4);
     }
 
-    /// Property: on random DAGs the critical path tiles `[0, makespan]`
-    /// exactly — same invariant style as the stall-attribution suite.
-    #[test]
-    fn critical_path_attribution_sums_exactly_on_random_dags() {
-        // Local splitmix64; the workspace is std-only.
-        let mut state = 0x0dd5_beefu64;
-        let mut next = move || {
+    /// Local splitmix64; the workspace is std-only.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
-        };
+        }
+    }
+
+    /// Property: on random DAGs the critical path tiles `[0, makespan]`
+    /// exactly — same invariant style as the stall-attribution suite.
+    #[test]
+    fn critical_path_attribution_sums_exactly_on_random_dags() {
+        let mut next = splitmix(0x0dd5_beef);
         for _ in 0..300 {
             let mut d = Dag::new();
             let mut ids = Vec::new();
@@ -670,6 +719,43 @@ mod tests {
                 ids.push(d.task(resource, duration, &deps, "t"));
             }
             assert_path_tiles(&d);
+        }
+    }
+
+    /// Property: streaming a random DAG's tasks into a [`Timeline`]
+    /// gives exactly what the stored DAG's replay gives.
+    #[test]
+    fn timeline_stream_equals_dag_replay_on_random_dags() {
+        let mut next = splitmix(0x5ca1_ab1e);
+        for _ in 0..300 {
+            let mut d = Dag::new();
+            let mut tl = Timeline::new();
+            let mut ends: Vec<Cycles> = Vec::new();
+            let n = (next() % 60) as usize;
+            for i in 0..n {
+                let resource = match next() % 3 {
+                    0 => Resource::Dma,
+                    1 => Resource::Cpes,
+                    _ => Resource::None,
+                };
+                let duration = next() % 100;
+                let mut deps = Vec::new();
+                if i > 0 {
+                    for _ in 0..(next() % (MAX_TASK_DEPS as u64 + 1)) {
+                        deps.push((next() % i as u64) as usize);
+                    }
+                }
+                let ids: Vec<TaskId> = deps.iter().map(|&j| TaskId(j)).collect();
+                let fin: Vec<Cycles> = deps.iter().map(|&j| ends[j]).collect();
+                TaskSink::task(&mut d, resource, duration, &ids, "t");
+                ends.push(TaskSink::task(&mut tl, resource, duration, &fin, "t"));
+            }
+            let (r, tasks) = d.trace();
+            assert_eq!(tl.result(), r);
+            assert_eq!(r, d.schedule());
+            assert_eq!(d.critical_path().makespan_cycles, r.makespan_cycles);
+            let got: Vec<Cycles> = tasks.iter().map(|t| t.end).collect();
+            assert_eq!(got, ends);
         }
     }
 

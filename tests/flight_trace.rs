@@ -60,9 +60,8 @@ fn span_cycles(trace: &TraceData) -> Vec<[u64; N_LANES]> {
 }
 
 /// Per CPE, span time per lane equals the ring's busy cycles, and
-/// these sum to its clock. With `backoff`, DMA retry backoff sits on
-/// the DMA lane between transfers, outside any span.
-fn assert_lanes(rec: &FlightRecorder, trace: &TraceData, backoff: bool) {
+/// these sum to its clock.
+fn assert_lanes(rec: &FlightRecorder, trace: &TraceData) {
     let first = trace
         .tracks
         .iter()
@@ -71,15 +70,7 @@ fn assert_lanes(rec: &FlightRecorder, trace: &TraceData, backoff: bool) {
     let spans = span_cycles(trace);
     for ring in 0..MPE_RING {
         let a = rec.ring_attribution(ring);
-        let mut got = spans[first + ring];
-        let dma = Lane::Dma as usize;
-        if backoff {
-            assert!(
-                got[dma] <= a.busy[dma],
-                "ring {ring}: dma spans exceed the lane"
-            );
-            got[dma] = a.busy[dma];
-        }
+        let got = spans[first + ring];
         assert_eq!(got, a.busy, "ring {ring}: span cycles per lane");
         assert_eq!(got.iter().sum::<u64>(), a.clock, "ring {ring}");
     }
@@ -97,7 +88,7 @@ fn clean_runs_trace_every_byte_and_every_lane_cycle() {
             .map(|s| s.args.iter().find(|(k, _)| *k == "bytes").unwrap().1)
             .sum();
         assert_eq!(bytes, report.stats.dma.total_bytes(), "{v}");
-        assert_lanes(cg.flight(), &trace, false);
+        assert_lanes(cg.flight(), &trace);
     }
 }
 
@@ -116,5 +107,6 @@ fn healed_faulted_run_yields_a_valid_trace() {
     check_shape(&trace);
     assert!(trace.spans.iter().any(|s| s.cat == "fault"));
     assert!(trace.spans.iter().any(|s| s.cat == "retry"));
-    assert_lanes(cg.flight(), &trace, true);
+    assert!(trace.spans.iter().any(|s| s.name == "backoff"));
+    assert_lanes(cg.flight(), &trace);
 }
