@@ -173,15 +173,13 @@ pub fn measure_kernel(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> Ex
 }
 
 /// [`measure_kernel`] without the memoization — the engine benchmark's
-/// baseline, and a direct way to double-check a cached report.
+/// baseline, and a direct way to double-check a cached report. The
+/// block kernel runs over a tightly packed synthetic LDM image.
 pub fn measure_kernel_uncached(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> ExecReport {
-    let prog = build_kernel_prog(pm, pn, pk, style);
-    execute_kernel(pm, pn, pk, &prog)
-}
-
-/// Generates the block kernel over a tightly packed synthetic LDM image.
-fn build_kernel_prog(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> Vec<sw_isa::Instr> {
-    let (a_base, b_base, c_base, alpha_addr) = kernel_layout(pm, pn, pk);
+    let a_base = 0;
+    let b_base = (a_base + pm * pk).next_multiple_of(4);
+    let c_base = (b_base + pk * pn).next_multiple_of(4);
+    let alpha_addr = c_base + pm * pn;
     let cfg = BlockKernelCfg {
         pm,
         pn,
@@ -210,28 +208,13 @@ fn build_kernel_prog(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> Vec
             report.render_text()
         );
     }
-    prog
-}
-
-fn kernel_layout(pm: usize, pn: usize, pk: usize) -> (usize, usize, usize, usize) {
-    // Pack panels tightly into a synthetic LDM image.
-    let a_base = 0;
-    let b_base = (a_base + pm * pk).next_multiple_of(4);
-    let c_base = (b_base + pk * pn).next_multiple_of(4);
-    let alpha_addr = c_base + pm * pn;
-    (a_base, b_base, c_base, alpha_addr)
-}
-
-fn execute_kernel(pm: usize, pn: usize, pk: usize, prog: &[sw_isa::Instr]) -> ExecReport {
-    let (_, _, _, alpha_addr) = kernel_layout(pm, pn, pk);
     let mut ldm = vec![0.0f64; alpha_addr + 1];
     ldm[alpha_addr] = 1.0;
-    let mut comm = NullComm;
-    Machine::new(&mut ldm, &mut comm).run(prog)
+    Machine::new(&mut ldm, &mut NullComm).run(&prog)
 }
 
 /// Estimates one of the data-sharing variants with explicit blocking.
-/// The schedule is scheduled as it is unrolled; no task is stored.
+/// Each task is scheduled as it is unrolled; none is stored.
 pub fn estimate_shared(
     variant: Variant,
     m: usize,
