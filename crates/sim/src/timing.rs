@@ -82,7 +82,7 @@ impl Timeline {
     /// Schedules a task whose dependences have all finished by
     /// `ready`, returning its start cycle.
     #[inline]
-    pub fn place(&mut self, resource: Resource, duration: Cycles, ready: Cycles) -> Cycles {
+    fn place(&mut self, resource: Resource, duration: Cycles, ready: Cycles) -> Cycles {
         let (free, busy) = match resource {
             Resource::Dma => (&mut self.dma_free, &mut self.dma_busy),
             Resource::Cpes => (&mut self.cpes_free, &mut self.cpes_busy),
