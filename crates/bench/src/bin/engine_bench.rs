@@ -13,7 +13,8 @@
 //!    timing-mode estimation), seed engine — `Vec`-allocating
 //!    interpreter, `Vec`-dependence DAG, no kernel memoization —
 //!    versus the current engine, cold (kernel-report cache reset
-//!    before each measured round) and warm.
+//!    before each cold sweep; each timed arm repeats its sweep for at
+//!    least 250 ms) and warm.
 //!
 //! Every comparison first asserts the engines agree exactly (same
 //! `ExecReport`, same LDM image, same makespan per estimate), so the
@@ -383,6 +384,26 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Shortest wall time one arm of an interleaved sweep round runs.
+const ARM_FLOOR: Duration = Duration::from_millis(250);
+
+/// Calls `f` once and returns how many calls fill `floor`.
+fn reps_for<F: FnMut()>(floor: Duration, mut f: F) -> u32 {
+    let t = Instant::now();
+    f();
+    let once = t.elapsed().max(Duration::from_micros(1));
+    floor.as_nanos().div_ceil(once.as_nanos()).max(1) as u32
+}
+
+/// Mean time per call of `reps` calls of `f`.
+fn time_reps<F: FnMut()>(reps: u32, mut f: F) -> Duration {
+    let t = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t.elapsed() / reps
+}
+
 /// Times `f` over `rounds` calls, returning the fastest round.
 fn best_of<F: FnMut()>(rounds: usize, mut f: F) -> Duration {
     let mut best = Duration::MAX;
@@ -561,12 +582,15 @@ fn main() {
     let sizes: Vec<usize> = PAPER_FIG6_SCHED.iter().map(|&(s, _)| s).collect();
 
     // 1. Fig. 6 sweep, seed vs current engine, in *interleaved
-    //    rounds*: each round times one seed sweep then one cold sweep
-    //    (kernel-report cache reset first), and the reported speedup
-    //    is the median of the per-round ratios. Pairing cancels slow
-    //    drift (CPU frequency scaling, background load) that separate
-    //    seed-then-current phases would bake into the ratio — the
-    //    floor gates below need that stability.
+    //    rounds*: each round times one seed arm then one cold arm
+    //    (kernel-report cache reset before every cold sweep), and the
+    //    reported speedup is the median of the per-round ratios of
+    //    per-sweep times. Pairing cancels slow drift (CPU frequency
+    //    scaling, background load) that separate seed-then-current
+    //    phases would bake into the ratio — the floor gates below need
+    //    that stability. A cold sweep takes tens of milliseconds, too
+    //    short to time against scheduler noise, so each arm repeats its
+    //    sweep until it has run for at least `ARM_FLOOR`.
     assert_eq!(
         kernel_cache_stats().misses,
         0,
@@ -579,6 +603,10 @@ fn main() {
             }
         }
     };
+    let cold_sweep = || {
+        kernel_cache_reset();
+        run_sweep();
+    };
     let seed_sweep = || {
         for &s in &sizes {
             for v in Variant::ALL {
@@ -586,28 +614,23 @@ fn main() {
             }
         }
     };
+    // The first cold sweep sizes the cold arm and records the cache
+    // traffic of one cold sweep.
+    let cold_reps = reps_for(ARM_FLOOR, cold_sweep);
+    let cache = kernel_cache_stats();
+    let seed_reps = reps_for(ARM_FLOOR, seed_sweep);
     let mut pair_ratios: Vec<f64> = Vec::new();
     let mut cold_best = Duration::MAX;
     let mut seed_time = Duration::MAX;
-    let mut cache = None;
-    for round in 0..5 {
-        let t = Instant::now();
-        seed_sweep();
-        let s = t.elapsed();
+    for _ in 0..5 {
+        let s = time_reps(seed_reps, seed_sweep);
         seed_time = seed_time.min(s);
-        kernel_cache_reset();
-        let t = Instant::now();
-        run_sweep();
-        let c = t.elapsed();
-        if round == 0 {
-            cache = Some(kernel_cache_stats());
-        }
+        let c = time_reps(cold_reps, cold_sweep);
         cold_best = cold_best.min(c);
         pair_ratios.push(s.as_secs_f64() / c.as_secs_f64());
     }
     pair_ratios.sort_by(f64::total_cmp);
     let speedup_cold = pair_ratios[pair_ratios.len() / 2];
-    let cache = cache.unwrap_or_default();
 
     // Warm: the report cache now holds every kernel shape the sweep
     // needs.
@@ -669,7 +692,8 @@ fn main() {
         seed_time.as_secs_f64() * 1e3
     );
     println!(
-        "decoded  (cold)    : {:>10.1} ms   {speedup_cold:.2}x (median of 5 interleaved rounds)",
+        "decoded  (cold)    : {:>10.1} ms   {speedup_cold:.2}x (median of 5 interleaved rounds, \
+         {cold_reps} cold sweeps per round)",
         cold_best.as_secs_f64() * 1e3
     );
     println!(

@@ -9,10 +9,15 @@
 //! [`hint`]) are what the production crates import in place of `std`.
 //! In a normal build they are direct `std` re-exports (plus a
 //! `#[repr(transparent)]` cell wrapper) — zero cost, nothing
-//! instrumented, hot paths identical to before. Compiled with
+//! instrumented — except [`thread::yield_now`], which yields to the
+//! next [`fiber`] when called on one. Compiled with
 //! `RUSTFLAGS='--cfg sw_check'` they switch to the instrumented
 //! [`checked`] types, and the same primitive source code becomes
 //! model-checkable.
+//!
+//! **The fiber executor** ([`fiber`]) runs the functional runtime's
+//! 64 CPE bodies round-robin on one thread, and decides when such a
+//! run is deadlocked.
 //!
 //! **The checker** ([`check`], [`Config`], [`models`]) explores every
 //! interleaving of a small model (up to DPOR equivalence and the
@@ -33,6 +38,7 @@ mod explore;
 mod hb;
 
 pub mod checked;
+pub mod fiber;
 pub mod models;
 pub mod report;
 
@@ -98,10 +104,20 @@ pub mod cell {
 /// Thread yield/sleep/spawn for the instrumented primitives.
 pub mod thread {
     #[cfg(not(sw_check))]
-    pub use std::thread::{sleep, spawn, yield_now, JoinHandle};
+    pub use std::thread::{sleep, spawn, JoinHandle};
 
     #[cfg(sw_check)]
     pub use crate::checked::thread::{sleep, spawn, yield_now, JoinHandle};
+
+    /// Yields the current [`crate::fiber`] to the next one when called
+    /// on a fiber, and the OS thread's time slice otherwise.
+    #[cfg(not(sw_check))]
+    #[inline]
+    pub fn yield_now() {
+        if !crate::fiber::suspend() {
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// Time sources: virtual inside a model execution (`sw_check`), real

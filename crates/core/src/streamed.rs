@@ -2,16 +2,20 @@
 //!
 //! [`strip_step`] is the plain-Rust twin of the ISA micro-kernel
 //! (`sw_isa::kernels`): the same tile order (16×4 register tiles over
-//! the thread block), the same per-k traffic (4 A words + 4 splatted B
+//! the thread block), the same traffic (4 A words + 4 splatted B
 //! scalars per tile-iteration, re-broadcast per tile exactly as
 //! Algorithm 3 does), and the same FMA accumulation order — so its
 //! results are bitwise-identical to the ISA kernel and to
 //! [`crate::reference::dgemm_chunked_fma`].
 //!
-//! Received operands are consumed *from the mesh stream directly into
-//! registers* (stack arrays) and never staged in LDM, mirroring the
-//! hardware kernel and respecting the LDM budget of §III-C.2 (which
-//! counts only the thread's own blocks).
+//! Each register tile moves its operands in one mesh episode per
+//! operand: the A panel (4·pK words) and then the B words (4·pK
+//! splatted words, k-major), in the order the per-k stream would send
+//! them. The mesh charges time and makes fault decisions per word, so
+//! the simulated statistics are those of the per-k stream; only the
+//! host pays for fewer episodes. Received operands are held in host
+//! scratch for one tile and never staged in LDM, respecting the LDM
+//! budget of §III-C.2 (which counts only the thread's own blocks).
 
 // Register arrays are index-coupled to the instruction encoding; indexed
 // loops are clearer than iterator chains here.
@@ -58,44 +62,41 @@ pub fn strip_step(
     debug_assert_eq!(b_own.len(), pk * pn);
     debug_assert_eq!(c.len(), pm * pn);
 
-    let mut acol = [0.0f64; 16];
-    let mut bvals = [0.0f64; 4];
+    // One tile's received operands: the A panel, 16 rows by pk
+    // k-columns, and the B words, 4 per k.
+    let mut a_recv = vec![0.0f64; pm * pk];
+    let mut b_words = vec![V256::ZERO; 4 * pk];
     for j0 in (0..pn).step_by(4) {
+        // --- A panel of the tile (4·pK mesh words, one episode). ---
+        if let Operand::Recv(net) = role.a {
+            recv_panel(ctx, net, &mut a_recv);
+        } else if let Operand::LdmBcast(net) = role.a {
+            bcast_panel(ctx, net, ctx.ldm.slice(a_own));
+        }
+        // --- B scalars of the tile (4·pK splatted words, k-major). ---
+        match role.b {
+            Operand::Ldm | Operand::LdmBcast(_) => {
+                let b = ctx.ldm.slice(b_own);
+                for (k, words) in b_words.chunks_exact_mut(4).enumerate() {
+                    for (j, w) in words.iter_mut().enumerate() {
+                        *w = V256::splat(b[(j0 + j) * pk + k]);
+                    }
+                }
+                if let Operand::LdmBcast(net) = role.b {
+                    bcast_words(ctx, net, &b_words);
+                }
+            }
+            Operand::Recv(net) => recv_words(ctx, net, &mut b_words),
+        }
+        let a = match role.a {
+            Operand::Recv(_) => &a_recv[..],
+            Operand::Ldm | Operand::LdmBcast(_) => ctx.ldm.slice(a_own),
+        };
         // Accumulators of the 16×4 register tile.
         let mut acc = [[0.0f64; 4]; 16];
         for k in 0..pk {
-            // --- A column of this k (4 mesh words). ---
-            // One 4-word group per synchronization episode; the port
-            // still consumes one `send_idx` per word, so the fault
-            // injector decides each word's drops on its own.
-            match role.a {
-                Operand::Ldm | Operand::LdmBcast(_) => {
-                    acol.copy_from_slice(&ctx.ldm.slice(a_own)[k * pm..k * pm + 16]);
-                    if let Operand::LdmBcast(net) = role.a {
-                        bcast_panel(ctx, net, &acol);
-                    }
-                }
-                Operand::Recv(net) => recv_panel(ctx, net, &mut acol),
-            }
-            // --- B scalars of this k (4 splatted mesh words). ---
-            match role.b {
-                Operand::Ldm | Operand::LdmBcast(_) => {
-                    let b = ctx.ldm.slice(b_own);
-                    for (j, bv) in bvals.iter_mut().enumerate() {
-                        *bv = b[(j0 + j) * pk + k];
-                    }
-                    if let Operand::LdmBcast(net) = role.b {
-                        bcast_words(ctx, net, &bvals.map(V256::splat));
-                    }
-                }
-                Operand::Recv(net) => {
-                    let mut words = [V256::ZERO; 4];
-                    recv_words(ctx, net, &mut words);
-                    for (bv, w) in bvals.iter_mut().zip(&words) {
-                        *bv = w.0[0];
-                    }
-                }
-            }
+            let acol = &a[k * pm..k * pm + 16];
+            let bvals: [f64; 4] = std::array::from_fn(|j| b_words[4 * k + j].0[0]);
             // --- 16 lane-groups of FMA, the vmad order's net effect. ---
             for (r, acc_r) in acc.iter_mut().enumerate() {
                 for (j, acc_rj) in acc_r.iter_mut().enumerate() {

@@ -175,39 +175,46 @@ fn mid_run_cancel_frees_the_group_promptly() {
 
 #[test]
 fn cancel_releases_mesh_blocked_cpes_before_the_fuse() {
-    // A wedged CPE leaves its peers blocked on the mesh. With a 60 s
-    // fuse, only the fired token can end the run in time: it must
-    // release the ring and turn waits, not wait the fuse out.
-    // A cancel emits no diagnostics bundle, so no bundle directory is
-    // set up here.
-    let p = BlockingParams::test_small();
-    let a = gen::random_matrix(128, 128, 81);
-    let b = gen::random_matrix(128, 128, 82);
-    let mut c = gen::random_matrix(128, 128, 83);
+    // A token fired while CPEs wait on the mesh must release the ring
+    // waits, not wait the fuse out. Mesh row 0 waits for a panel its
+    // sender (0,0) never sends — (0,0) itself waits on its column,
+    // which nobody feeds — and every other CPE but the last waits at
+    // `sync_all`. The last CPE fires the token in the pass in which
+    // the others first block, so the run is cancelled before it could
+    // be found deadlocked, and a 60 s fuse could only be outlived.
+    use sw_probe::flight::{self, EventKind};
+    use sw_sim::CpeError;
+
     let token = CancelToken::new();
-    let firer = {
-        let token = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            token.cancel();
-        })
-    };
+    let mut cg = CoreGroup::with_mesh_timeout(Duration::from_secs(60));
+    cg.set_cancel_token(Some(token.clone()));
     let start = Instant::now();
-    let err = DgemmRunner::new(Variant::Pe)
-        .params(p)
-        .faults(FaultSpec {
-            wedge: Some(WedgeSpec { cpe: 18, epoch: 0 }),
-            ..FaultSpec::seeded(0)
+    let err = cg
+        .try_run(|ctx| {
+            let mut panel = [0.0; 16];
+            if ctx.coord.id() == 63 {
+                token.cancel();
+            } else if ctx.coord.row == 0 {
+                ctx.mesh_get_panel(ctx.coord.col == 0, &mut panel);
+            } else {
+                ctx.sync_all();
+            }
         })
-        .mesh_timeout(Duration::from_secs(60))
-        .cancel(token)
-        .run(1.5, &a, &b, 0.5, &mut c)
-        .expect_err("a wedged run cannot complete");
+        .expect_err("a cancelled run cannot complete");
     let elapsed = start.elapsed();
-    firer.join().unwrap();
-    assert_eq!(err, DgemmError::Cancelled { deadline: false });
     assert!(
         elapsed < Duration::from_secs(30),
         "cancel took {elapsed:?}: mesh waits ran out the fuse"
     );
+    assert_eq!(err.failures.len(), 63, "every CPE but the firer unwinds");
+    assert!(err.failures.iter().all(|f| f.error == CpeError::Cancelled));
+    // Each row-0 CPE's receive ended as a cancelled episode.
+    for col in 0..8usize {
+        let cancelled = cg.flight().tail(col).iter().any(|e| {
+            e.kind == EventKind::MeshEpisode && e.code >> 8 == flight::mesh_outcome::CANCELLED
+        });
+        assert!(cancelled, "CPE (0,{col}) ended its receive cancelled");
+    }
+    cg.set_cancel_token(None);
+    assert_clean_run(&mut cg, 91);
 }

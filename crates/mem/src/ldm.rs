@@ -70,6 +70,9 @@ impl LdmBuf {
 pub struct Ldm {
     data: Vec<f64>,
     watermark: usize,
+    /// Doubles from offset 0 that may have been written since the LDM
+    /// was zero: what [`Ldm::clear`] has to zero again.
+    dirty: usize,
 }
 
 impl Default for Ldm {
@@ -84,6 +87,7 @@ impl Ldm {
         Ldm {
             data: vec![0.0; LDM_DOUBLES],
             watermark: 0,
+            dirty: 0,
         }
     }
 
@@ -117,7 +121,17 @@ impl Ldm {
         self.watermark = 0;
         if cfg!(debug_assertions) {
             self.data.fill(f64::NAN);
+            self.dirty = LDM_DOUBLES;
         }
+    }
+
+    /// Returns the LDM to the state [`Ldm::new`] gives it — all zeros,
+    /// nothing allocated — without reallocating. Zeroes only the prefix
+    /// written since the LDM was last zero.
+    pub fn clear(&mut self) {
+        self.watermark = 0;
+        self.data[..self.dirty].fill(0.0);
+        self.dirty = 0;
     }
 
     /// Read access to a buffer's contents.
@@ -129,6 +143,7 @@ impl Ldm {
     /// Write access to a buffer's contents.
     #[inline]
     pub fn slice_mut(&mut self, buf: LdmBuf) -> &mut [f64] {
+        self.dirty = self.dirty.max(buf.end());
         &mut self.data[buf.off..buf.off + buf.len]
     }
 
@@ -142,6 +157,7 @@ impl Ldm {
     /// Raw write access by absolute LDM offset.
     #[inline]
     pub fn raw_mut(&mut self) -> &mut [f64] {
+        self.dirty = LDM_DOUBLES;
         &mut self.data
     }
 }
@@ -194,6 +210,22 @@ mod tests {
         ldm.reset();
         let b = ldm.alloc(100).unwrap();
         assert_eq!(b.offset(), 0);
+    }
+
+    #[test]
+    fn clear_restores_a_fresh_ldm() {
+        let fresh = Ldm::new();
+        let mut ldm = Ldm::new();
+        let _ = ldm.alloc(40).unwrap();
+        let a = ldm.alloc(100).unwrap();
+        ldm.slice_mut(a).fill(7.0);
+        ldm.clear();
+        assert_eq!(ldm.raw(), fresh.raw());
+        assert_eq!(ldm.free_doubles(), fresh.free_doubles());
+        // Raw writes may land anywhere.
+        ldm.raw_mut()[LDM_DOUBLES - 1] = -1.0;
+        ldm.clear();
+        assert_eq!(ldm.raw(), fresh.raw());
     }
 
     #[test]

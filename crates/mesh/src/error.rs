@@ -7,18 +7,20 @@ use std::time::Duration;
 ///
 /// The register-communication networks are blocking: a broadcast into a
 /// full receive buffer and a `getr`/`getc` on an empty one both wait.
-/// When the wait exceeds the mesh's deadlock fuse the operation returns
-/// this error instead of hanging — the runtime converts it into a
-/// structured DGEMM error carrying a rendezvous summary.
+/// When the wait can never end — the fiber executor found no CPE of the
+/// run able to progress, or the mesh's wall-clock fuse tripped — the
+/// operation returns this error instead of hanging; the runtime
+/// converts it into a structured DGEMM error carrying a rendezvous
+/// summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeshError {
-    /// A blocked operation outlived the deadlock timeout.
+    /// A blocked operation can never complete.
     Deadlock {
         /// `(row, col)` of the CPE whose operation blocked.
         coord: (u8, u8),
         /// The blocked operation (`"row-broadcast"`, `"getr"`, …).
         op: &'static str,
-        /// The fuse that tripped.
+        /// The mesh's wall-clock fuse, the outer bound of the wait.
         timeout: Duration,
     },
     /// A blocked operation gave up because the run's cancel flag was
@@ -45,7 +47,7 @@ impl fmt::Display for MeshError {
         match self {
             MeshError::Deadlock { coord, op, timeout } => write!(
                 f,
-                "mesh deadlock: CPE ({}, {}) {op} blocked >{timeout:?}",
+                "mesh deadlock: CPE ({}, {}) {op} can never complete (fuse {timeout:?})",
                 coord.0, coord.1
             ),
             MeshError::Cancelled { coord, op } => write!(

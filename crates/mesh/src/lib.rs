@@ -10,7 +10,7 @@
 //! is built from.
 //!
 //! This crate provides the functional implementation used by the
-//! 64-thread runtime: [`Mesh::new`] hands out one [`MeshPort`] per CPE;
+//! 64-CPE fiber runtime: [`Mesh::new`] hands out one [`MeshPort`] per CPE;
 //! ports move [`sw_arch::V256`] words through bounded buffers, so
 //! producers block when consumers lag. Receive paths are separate per
 //! direction (row vs column), matching the separate `getr`/`getc`
@@ -24,11 +24,13 @@
 //! that calls [`MeshPort::end_step`] after each strip step is paced by
 //! the mesh itself, as blocking `getr`/`getc` pace it on the hardware.
 //!
-//! A blocked port returns [`MeshError::Deadlock`] after a configurable
-//! timeout instead of hanging the test suite — communication schemes
-//! with mismatched send/receive counts (the classic register-
-//! communication deadlock on real hardware) surface as structured
-//! errors the runtime converts into a per-group rendezvous summary.
+//! A blocked port returns [`MeshError::Deadlock`] instead of hanging
+//! the test suite — at once when the fiber executor finds that no CPE
+//! of the run can progress, and after a configurable wall-clock fuse
+//! at the latest. Communication schemes with mismatched send/receive
+//! counts (the classic register-communication deadlock on real
+//! hardware) thus surface as structured errors the runtime converts
+//! into a per-group rendezvous summary.
 //! Every blocked wait also honours the run's cancel flag
 //! ([`Mesh::set_cancel_flag`]). A [`sw_faults::FaultInjector`] installed
 //! via [`Mesh::set_fault_injector`] can deterministically drop words and

@@ -43,11 +43,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use sw_arch::coord::{Coord, MESH_COLS, MESH_ROWS, N_CPES};
 use sw_arch::V256;
+use sw_check::fiber;
 use sw_faults::FaultInjector;
 use sw_probe::flight::{self, EventKind, FlightRecorder};
 
-/// Default time a blocked send/receive waits before declaring the
-/// communication scheme deadlocked.
+/// Default wall-clock fuse of a blocked send/receive. On the fiber
+/// runtime the executor's exact deadlock detection ends a stuck run
+/// first; the fuse is the outer bound.
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Host buffer depth of the mesh, in 256-bit words: the slots of each
@@ -104,7 +106,8 @@ impl Mesh {
     }
 
     /// Builds a mesh whose blocked operations fail with
-    /// [`MeshError::Deadlock`] after `timeout`.
+    /// [`MeshError::Deadlock`] after `timeout` at the latest (sooner
+    /// when the fiber executor finds the run deadlocked).
     pub fn with_timeout(timeout: Duration) -> Self {
         let counters = Arc::new(MeshCounters::default());
         let grid = Arc::new(GridCounters::default());
@@ -262,11 +265,6 @@ impl Link {
     fn try_recv(&self) -> Option<V256> {
         self.ring.try_pop(self.pos)
     }
-
-    /// Blocking receive.
-    fn recv(&self, wait: &Wait<'_>) -> Result<V256, Stop> {
-        wait.until(|| self.ring.try_pop(self.pos))
-    }
 }
 
 /// An open sending episode on one network (see [`Link::open`]): the
@@ -287,8 +285,9 @@ impl Outbox<'_> {
 
 /// Why a blocked mesh operation gave up.
 enum Stop {
-    /// The deadlock fuse tripped.
-    Fuse,
+    /// The run is deadlocked: the fiber executor found no CPE able to
+    /// progress, or the wall-clock fuse tripped.
+    Deadlock,
     /// The run's cancel flag was raised.
     Cancelled,
 }
@@ -297,8 +296,8 @@ impl Stop {
     /// The flight-recorder outcome of an episode that stopped so.
     fn outcome(&self, get: bool) -> u32 {
         match (self, get) {
-            (Stop::Fuse, false) => flight::mesh_outcome::DEADLOCK,
-            (Stop::Fuse, true) => flight::mesh_outcome::STARVED,
+            (Stop::Deadlock, false) => flight::mesh_outcome::DEADLOCK,
+            (Stop::Deadlock, true) => flight::mesh_outcome::STARVED,
             (Stop::Cancelled, _) => flight::mesh_outcome::CANCELLED,
         }
     }
@@ -312,23 +311,26 @@ struct Wait<'a> {
 }
 
 impl Wait<'_> {
-    /// Retries `attempt` with spin → yield → park backoff until it
-    /// yields a value, the fuse trips or the run is cancelled.
+    /// Retries `attempt`, yielding between retries, until it yields a
+    /// value, the run is found deadlocked or cancelled, or the fuse
+    /// trips. A retry that succeeds tells the fiber executor the run
+    /// progressed.
     fn until<T>(&self, mut attempt: impl FnMut() -> Option<T>) -> Result<T, Stop> {
         if let Some(v) = attempt() {
             return Ok(v);
         }
         let mut backoff = Backoff::new(self.timeout);
         loop {
-            if let Some(v) = attempt() {
-                return Ok(v);
-            }
             // Relaxed: a stale read only delays the unwind by a round.
             if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 return Err(Stop::Cancelled);
             }
             if !backoff.snooze() {
-                return Err(Stop::Fuse);
+                return Err(Stop::Deadlock);
+            }
+            if let Some(v) = attempt() {
+                fiber::note_progress();
+                return Ok(v);
             }
         }
     }
@@ -434,7 +436,7 @@ impl MeshPort {
         let coord = (self.coord.row, self.coord.col);
         match stop {
             Stop::Cancelled => MeshError::Cancelled { coord, op },
-            Stop::Fuse => MeshError::Deadlock {
+            Stop::Deadlock => MeshError::Deadlock {
                 coord,
                 op,
                 timeout: self.timeout,
@@ -528,10 +530,10 @@ impl MeshPort {
     }
 
     /// The shared receive path of both networks, batched over
-    /// `n_words`: drains words into `sink(word_index, word)` and
-    /// tallies once. A timeout first accounts the words that did
-    /// arrive, then records one starved word — exactly what `n_words`
-    /// per-word calls would have recorded.
+    /// `n_words`: drains words into `sink(word_index, word)` through the
+    /// ring's bulk pop and tallies once. A deadlock first accounts the
+    /// words that did arrive, then records one starved word — exactly
+    /// what `n_words` per-word calls would have recorded.
     fn get_stream(
         &self,
         n_words: usize,
@@ -539,29 +541,40 @@ impl MeshPort {
         col_net: bool,
         op: &'static str,
     ) -> Result<(), MeshError> {
+        if n_words == 0 {
+            return Ok(());
+        }
         let rx = if col_net { &self.col } else { &self.row };
-        let wait = self.wait();
-        for w in 0..n_words {
-            match rx.recv(&wait) {
-                Ok(v) => sink(w, v),
-                Err(stop) => {
-                    Tally::add(&self.tally.recv, col_net, w as u64);
-                    if let Stop::Fuse = stop {
-                        // One word of unmet demand: the rendezvous
-                        // summary's deadlock signature, counted at once
-                        // so a live mesh shows who is starving.
-                        self.cell().add_starved(col_net);
-                    }
-                    self.flight_episode(col_net, true, stop.outcome(true), w as u64);
-                    return Err(self.stopped(stop, op));
+        let mut got = 0;
+        let drained = self.wait().until(|| {
+            let before = got;
+            rx.ring.pop_into(rx.pos, n_words - got, |v| {
+                sink(got, v);
+                got += 1;
+            });
+            if got > before {
+                // Freed ring space: a blocked sender may now proceed.
+                fiber::note_progress();
+            }
+            (got == n_words).then_some(())
+        });
+        Tally::add(&self.tally.recv, col_net, got as u64);
+        match drained {
+            Ok(()) => {
+                self.flight_episode(col_net, true, flight::mesh_outcome::OK, n_words as u64);
+                Ok(())
+            }
+            Err(stop) => {
+                if let Stop::Deadlock = stop {
+                    // One word of unmet demand: the rendezvous
+                    // summary's deadlock signature, counted at once so
+                    // a live mesh shows who is starving.
+                    self.cell().add_starved(col_net);
                 }
+                self.flight_episode(col_net, true, stop.outcome(true), got as u64);
+                Err(self.stopped(stop, op))
             }
         }
-        Tally::add(&self.tally.recv, col_net, n_words as u64);
-        if n_words > 0 {
-            self.flight_episode(col_net, true, flight::mesh_outcome::OK, n_words as u64);
-        }
-        Ok(())
     }
 
     /// Ends this CPE's current strip step: hands the turn of each line

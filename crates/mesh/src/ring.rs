@@ -1,5 +1,4 @@
-//! Lock-free bounded broadcast rings and the hybrid backoff they wait
-//! with.
+//! Lock-free bounded broadcast rings and the backoff they wait with.
 //!
 //! The mesh's fast path gives every mesh row and every mesh column one
 //! [`BroadcastRing`]: a power-of-two circular buffer of words shared by
@@ -29,11 +28,13 @@
 //!
 //! Blocking is layered on top with [`Backoff`]: a full ring, a ring
 //! held by another sender, or an empty ring on the receive side is
-//! waited out with a spin → yield → park progression, and the deadlock
-//! fuse is preserved — the deadline is captured lazily on the first
-//! non-spin wait, so the uncontended path never reads the clock, yet a
-//! peer that never drains still trips [`crate::MeshError::Deadlock`]
-//! after the configured timeout.
+//! waited out by yielding between retries — to the next CPE fiber on
+//! the functional runtime (see [`sw_check::fiber`]), to the OS
+//! scheduler elsewhere. A wait gives up with
+//! [`crate::MeshError::Deadlock`] once the fiber executor finds the run
+//! deadlocked, or once the wall-clock fuse trips; the fuse deadline is
+//! armed lazily on the first failed retry, so the uncontended path
+//! never reads the clock.
 
 // Concurrency vocabulary comes from the sw-check facade: plain `std`
 // re-exports in a normal build (zero-cost, the hot path is unchanged),
@@ -42,6 +43,7 @@
 use std::mem::MaybeUninit;
 use sw_arch::V256;
 use sw_check::cell::UnsafeCell;
+use sw_check::fiber;
 use sw_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use sw_check::time::{Duration, Instant};
 
@@ -207,10 +209,13 @@ impl BroadcastRing {
         })
     }
 
-    /// Member `pos` dequeues its oldest unread word, if any, stepping
-    /// over the words masked off for it.
+    /// Member `pos` dequeues up to `limit` of its unread words, oldest
+    /// first, handing each to `sink`, and returns how many it took.
+    /// Words masked off for the member are stepped over. One acquire
+    /// load of the tail and at most one release store of the member's
+    /// cursor per call, however many words move.
     #[inline]
-    pub fn try_pop(&self, pos: usize) -> Option<V256> {
+    pub fn pop_into(&self, pos: usize, limit: usize, mut sink: impl FnMut(V256)) -> usize {
         let bit = 1u8 << pos;
         // Relaxed: only this member writes its own cursor. The acquire
         // on `tail` pairs with the producer's release publish; both
@@ -218,18 +223,28 @@ impl BroadcastRing {
         let start = self.heads[pos].0.load(Ordering::Relaxed);
         let tail = self.tail.0.load(Ordering::Acquire);
         let mut head = start;
-        while head != tail {
+        let mut got = 0;
+        while head != tail && got < limit {
             let slot = self.read(head);
             head = head.wrapping_add(1);
             if slot.skip & bit == 0 {
-                self.heads[pos].0.store(head, Ordering::Release);
-                return Some(slot.word);
+                sink(slot.word);
+                got += 1;
             }
         }
         if head != start {
             self.heads[pos].0.store(head, Ordering::Release);
         }
-        None
+        got
+    }
+
+    /// Member `pos` dequeues its oldest unread word, if any: a
+    /// [`BroadcastRing::pop_into`] of at most one word.
+    #[inline]
+    pub fn try_pop(&self, pos: usize) -> Option<V256> {
+        let mut out = None;
+        self.pop_into(pos, 1, |v| out = Some(v));
+        out
     }
 }
 
@@ -365,36 +380,21 @@ impl Episode<'_> {
     }
 }
 
-/// How many exponential spin rounds before yielding the time slice.
-/// Under the model checker the spin/yield phases shrink to one round
-/// each so small models reach every phase (including the timed park)
-/// within a few scheduler steps.
-#[cfg(not(sw_check))]
-const SPIN_ROUNDS: u32 = 6;
+/// Under the model checker, virtual time passes only through timed
+/// sleeps, so a waiter sleeps this quantum where it would yield; that
+/// lets the fuse model trip the fuse in bounded virtual time.
 #[cfg(sw_check)]
-const SPIN_ROUNDS: u32 = 1;
-/// How many yield rounds before parking in timed sleeps.
-#[cfg(not(sw_check))]
-const YIELD_ROUNDS: u32 = 10;
-#[cfg(sw_check)]
-const YIELD_ROUNDS: u32 = 1;
-/// Park quantum once spinning and yielding have not helped; short
-/// enough that a late wakeup costs microseconds, long enough that a
-/// genuinely blocked run does not burn a core until the fuse trips.
-const PARK_SLEEP: Duration = Duration::from_micros(50);
+const CHECK_QUANTUM: Duration = Duration::from_micros(50);
 
-/// Spin → yield → park waiter with a lazily armed deadline.
+/// Yield-and-retry waiter with a lazily armed wall-clock fuse.
 ///
-/// The progression: `2^k` busy spins for the first [`SPIN_ROUNDS`]
-/// rounds (contention that resolves in nanoseconds never leaves
-/// userspace), then [`YIELD_ROUNDS`] of `thread::yield_now`, then
-/// timed [`PARK_SLEEP`] parks. The deadline clock is read only when
-/// the spin phase is exhausted, so a wait that resolves immediately
-/// costs no `Instant::now` call at all.
+/// Each [`Backoff::snooze`] yields once: to the next CPE fiber when
+/// the caller runs on one, to the OS scheduler otherwise. The fuse
+/// deadline is read from the clock on the first snooze, so a wait that
+/// resolves at its first attempt never reads the clock.
 pub(crate) struct Backoff {
     timeout: Duration,
     deadline: Option<Instant>,
-    round: u32,
 }
 
 impl Backoff {
@@ -402,34 +402,30 @@ impl Backoff {
         Backoff {
             timeout,
             deadline: None,
-            round: 0,
         }
     }
 
-    /// Waits one round. Returns `false` once the deadlock fuse (the
-    /// timeout measured from the first non-spin round) has tripped.
+    /// Waits one round. Returns `false` once the fiber executor has
+    /// found the run deadlocked or the fuse has tripped.
     #[inline]
     pub fn snooze(&mut self) -> bool {
-        if self.round < SPIN_ROUNDS {
-            for _ in 0..(1u32 << self.round) {
-                sw_check::hint::spin_loop();
-            }
-            self.round += 1;
-            return true;
-        }
-        let deadline = *self
-            .deadline
-            .get_or_insert_with(|| Instant::now() + self.timeout);
-        if Instant::now() >= deadline {
+        if fiber::deadlocked() {
             return false;
         }
-        if self.round < SPIN_ROUNDS + YIELD_ROUNDS {
-            sw_check::thread::yield_now();
-            self.round += 1;
-        } else {
-            sw_check::thread::sleep(PARK_SLEEP);
+        let now = Instant::now();
+        if now >= *self.deadline.get_or_insert(now + self.timeout) {
+            return false;
         }
+        Self::pause();
         true
+    }
+
+    #[inline]
+    fn pause() {
+        #[cfg(not(sw_check))]
+        sw_check::thread::yield_now();
+        #[cfg(sw_check)]
+        sw_check::thread::sleep(CHECK_QUANTUM);
     }
 }
 
@@ -438,23 +434,11 @@ impl Backoff {
 #[cfg(sw_check)]
 impl Backoff {
     /// `snooze` with the deadline check skipped: the fuse never trips,
-    /// so a peer that never drains parks this thread forever — which
-    /// the checker reports as a livelock.
+    /// so a peer that never drains keeps this thread waiting forever —
+    /// which the checker reports as a livelock.
     pub(crate) fn snooze_mutant_fuse_skip(&mut self) -> bool {
-        if self.round < SPIN_ROUNDS {
-            for _ in 0..(1u32 << self.round) {
-                sw_check::hint::spin_loop();
-            }
-            self.round += 1;
-            return true;
-        }
         // MUTANT: the deadline arm + check belong here.
-        if self.round < SPIN_ROUNDS + YIELD_ROUNDS {
-            sw_check::thread::yield_now();
-            self.round += 1;
-        } else {
-            sw_check::thread::sleep(PARK_SLEEP);
-        }
+        Self::pause();
         true
     }
 }

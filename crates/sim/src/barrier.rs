@@ -1,23 +1,21 @@
-//! Cancellable barriers for the 64-thread runtime.
+//! Cancellable barriers for the functional runtime.
 //!
 //! `std::sync::Barrier` has no way out: once a worker waits, it stays
 //! until all its peers arrive. That is exactly wrong for a run in which
 //! one CPE hits a structured failure (a DMA retry budget, a mesh
 //! deadlock) — its 63 peers would hang on the next `sync` forever. A
 //! [`CancellableBarrier`] adds a poisoned state: [`CancellableBarrier::
-//! cancel`] wakes every current and future waiter with
+//! cancel`] fails every current and future waiter with
 //! [`BarrierCancelled`], which the CPE context converts into an orderly
 //! unwind, letting [`crate::CoreGroup::try_run`] collect the failure
 //! and return.
 //!
 //! The implementation is a sense-reversing barrier on atomics: arrival
-//! is one `fetch_add`, the release is one generation-counter bump, and
-//! waiters observe it with a spin → yield → park progression instead of
-//! taking a mutex on every crossing. `sync_all` fires between every
-//! strip step of every functional run, so the fast path (all 64 CPEs
-//! arrive within a few microseconds of each other, the common case on a
-//! many-core host) stays entirely in userspace; only stragglers fall
-//! back to a condvar with a short timed park.
+//! is one `fetch_add`, the release is one generation-counter bump.
+//! A waiter retries its check and, while the generation is unreleased,
+//! yields — to the next CPE fiber when it runs on one (see
+//! [`sw_check::fiber`]), to the OS scheduler otherwise. A run the
+//! fiber executor finds deadlocked fails its barrier waits too.
 
 // Concurrency vocabulary comes from the sw-check facade: plain `std`
 // re-exports in a normal build (zero-cost, the hot path is unchanged),
@@ -25,31 +23,13 @@
 // source is model-checked by `check_models`.
 use std::sync::Arc;
 use sw_arch::coord::{MESH_ROWS, N_CPES};
+use sw_check::fiber;
 use sw_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use sw_check::sync::{Condvar, Mutex};
-use sw_check::time::Duration;
 
 /// The barrier was cancelled while (or before) waiting; the run is
 /// being torn down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrierCancelled;
-
-/// Busy-spin rounds (exponential, `2^k` spins each) before yielding.
-/// Under the model checker the spin/yield phases shrink to one round
-/// each so small models reach every phase (including the condvar park)
-/// within a few scheduler steps.
-#[cfg(not(sw_check))]
-const SPIN_ROUNDS: u32 = 6;
-#[cfg(sw_check)]
-const SPIN_ROUNDS: u32 = 1;
-/// `yield_now` rounds before parking on the condvar.
-#[cfg(not(sw_check))]
-const YIELD_ROUNDS: u32 = 10;
-#[cfg(sw_check)]
-const YIELD_ROUNDS: u32 = 1;
-/// Timed-park quantum; bounds the cost of a missed wakeup without a
-/// handshake on every release.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// A reusable barrier whose waiters can be released early by
 /// [`CancellableBarrier::cancel`].
@@ -69,10 +49,6 @@ pub(crate) struct CancellableBarrier {
     /// The released clock maximum per generation parity, published by
     /// the last arrival before it bumps `generation`.
     released: [AtomicU64; 2],
-    /// Parking lot for stragglers; the lock guards nothing but the
-    /// condvar protocol.
-    lock: Mutex<()>,
-    cv: Condvar,
 }
 
 impl CancellableBarrier {
@@ -84,8 +60,6 @@ impl CancellableBarrier {
             cancelled: AtomicBool::new(false),
             clocks: [AtomicU64::new(0), AtomicU64::new(0)],
             released: [AtomicU64::new(0), AtomicU64::new(0)],
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
         }
     }
 
@@ -117,7 +91,7 @@ impl CancellableBarrier {
             // Last arrival: harvest the maximum and re-zero the slot
             // for generation gen+2 (which cannot start arriving until
             // this release is observed), then publish it where the
-            // spinning waiters of *this* generation will look.
+            // waiters of *this* generation will look.
             let max = self.clocks[slot].swap(0, Ordering::AcqRel);
             self.released[slot].store(max, Ordering::Release);
             // Reset the count for the next generation *before*
@@ -126,118 +100,28 @@ impl CancellableBarrier {
             // reset.
             self.count.store(0, Ordering::Release);
             self.generation.fetch_add(1, Ordering::Release);
-            // Pair with parked waiters: taking the lock orders this
-            // notify after any park-side re-check in progress.
-            drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
-            self.cv.notify_all();
             return Ok(max);
         }
-        let mut round = 0u32;
         loop {
             // A completed generation wins over a concurrent cancel,
             // matching the lock-based predecessor's semantics.
             if self.generation.load(Ordering::Acquire) != gen {
+                fiber::note_progress();
                 // The Acquire load above synchronizes with the
                 // generation bump, which the releaser ordered after
                 // the `released` publish.
                 return Ok(self.released[slot].load(Ordering::Acquire));
             }
-            if self.cancelled.load(Ordering::Acquire) {
+            if self.cancelled.load(Ordering::Acquire) || fiber::deadlocked() {
                 return Err(BarrierCancelled);
             }
-            if round < SPIN_ROUNDS {
-                for _ in 0..(1u32 << round) {
-                    sw_check::hint::spin_loop();
-                }
-                round += 1;
-            } else if round < SPIN_ROUNDS + YIELD_ROUNDS {
-                sw_check::thread::yield_now();
-                round += 1;
-            } else {
-                let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-                // Re-check under the lock so a release that fired
-                // between the atomic check and the park is not missed;
-                // the timed wait is belt and braces on top.
-                if self.generation.load(Ordering::Acquire) == gen
-                    && !self.cancelled.load(Ordering::Acquire)
-                {
-                    let _ = self
-                        .cv
-                        .wait_timeout(guard, PARK_TIMEOUT)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
+            sw_check::thread::yield_now();
         }
     }
 
-    /// Poisons the barrier, waking all waiters with an error.
+    /// Poisons the barrier: every waiter fails at its next check.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Release);
-        drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
-        self.cv.notify_all();
-    }
-}
-
-/// Seeded defects for the model-check suite ([`crate::check_models`]):
-/// mutated copies of the verified operations above, compiled only
-/// under the checker cfg so production builds never contain them.
-/// Every mutant must be *caught* by `sw-check` — a mutant that passes
-/// means the suite lost its teeth.
-#[cfg(sw_check)]
-impl CancellableBarrier {
-    /// `wait` with the under-lock re-check removed: a release or
-    /// cancel firing between the lock-free check and the park is
-    /// missed, and progress comes to depend on the timed park expiring
-    /// — the checker's lost-wakeup signal.
-    pub(crate) fn wait_mutant_park_unchecked(&self) -> Result<(), BarrierCancelled> {
-        if self.cancelled.load(Ordering::Acquire) {
-            return Err(BarrierCancelled);
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        let slot = (gen & 1) as usize;
-        self.clocks[slot].fetch_max(0, Ordering::AcqRel);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            let max = self.clocks[slot].swap(0, Ordering::AcqRel);
-            self.released[slot].store(max, Ordering::Release);
-            self.count.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
-            drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let mut round = 0u32;
-        loop {
-            if self.generation.load(Ordering::Acquire) != gen {
-                return Ok(());
-            }
-            if self.cancelled.load(Ordering::Acquire) {
-                return Err(BarrierCancelled);
-            }
-            if round < SPIN_ROUNDS {
-                for _ in 0..(1u32 << round) {
-                    sw_check::hint::spin_loop();
-                }
-                round += 1;
-            } else if round < SPIN_ROUNDS + YIELD_ROUNDS {
-                sw_check::thread::yield_now();
-                round += 1;
-            } else {
-                let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-                // MUTANT: the generation/cancel re-check belongs here.
-                let _ = self
-                    .cv
-                    .wait_timeout(guard, PARK_TIMEOUT)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-    }
-
-    /// `cancel` that poisons without notifying: a parked waiter is
-    /// stranded until its timed park expires, which the checker
-    /// reports as a lost wakeup.
-    pub(crate) fn cancel_mutant_no_notify(&self) {
-        self.cancelled.store(true, Ordering::Release);
-        // MUTANT: the lock + notify_all belong here.
     }
 }
 
@@ -283,7 +167,8 @@ impl RunSync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::RefCell;
+    use sw_check::fiber::Fibers;
 
     #[test]
     fn barrier_releases_all_waiters() {
@@ -304,24 +189,25 @@ mod tests {
 
     #[test]
     fn generations_do_not_bleed_into_each_other() {
-        // Hammer the reuse path: a fast thread must never slip through
-        // a stale generation while a slow peer is still leaving the
-        // previous one.
+        // Hammer the reuse path on fibers: a fast fiber must never slip
+        // through a stale generation while a slow peer is still leaving
+        // the previous one.
         let b = CancellableBarrier::new(8);
         let inside = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..500 {
-                        b.wait().unwrap();
-                        let seen = inside.fetch_add(1, Ordering::SeqCst);
-                        assert!(seen < 8, "more waiters inside than participants");
-                        b.wait().unwrap();
-                        inside.fetch_sub(1, Ordering::SeqCst);
-                    }
-                });
+        let panics = Fibers::new(8).run(&|i| {
+            for round in 0..500 {
+                b.wait().unwrap();
+                let seen = inside.fetch_add(1, Ordering::SeqCst);
+                assert!(seen < 8, "more waiters inside than participants");
+                if (round + i) % 3 == 0 {
+                    // Stagger the leavers across passes.
+                    sw_check::thread::yield_now();
+                }
+                b.wait().unwrap();
+                inside.fetch_sub(1, Ordering::SeqCst);
             }
         });
+        assert!(panics.is_empty());
         assert_eq!(inside.load(Ordering::SeqCst), 0);
     }
 
@@ -331,28 +217,30 @@ mod tests {
         // g*10 + p, so every release must return g*10 + 3 — including
         // across the parity flip between adjacent generations.
         let b = CancellableBarrier::new(4);
-        std::thread::scope(|s| {
-            for p in 0..4u64 {
-                let b = &b;
-                s.spawn(move || {
-                    for g in 0..200u64 {
-                        let got = b.wait_clock(g * 10 + p).unwrap();
-                        assert_eq!(got, g * 10 + 3, "participant {p} generation {g}");
-                    }
-                });
+        let panics = Fibers::new(4).run(&|p| {
+            let p = p as u64;
+            for g in 0..200u64 {
+                let got = b.wait_clock(g * 10 + p).unwrap();
+                assert_eq!(got, g * 10 + 3, "participant {p} generation {g}");
             }
         });
+        assert!(panics.is_empty());
     }
 
     #[test]
-    fn cancel_wakes_current_and_future_waiters() {
+    fn cancel_fails_current_and_future_waiters() {
         let b = CancellableBarrier::new(3);
-        std::thread::scope(|s| {
-            let h = s.spawn(|| b.wait());
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            b.cancel();
-            assert_eq!(h.join().unwrap(), Err(BarrierCancelled));
+        let got = RefCell::new(Vec::new());
+        Fibers::new(2).run(&|i| {
+            if i == 0 {
+                let r = b.wait();
+                got.borrow_mut().push(r);
+            } else {
+                // Fiber 0 is already waiting.
+                b.cancel();
+            }
         });
+        assert_eq!(*got.borrow(), [Err(BarrierCancelled)]);
         // Late arrivals fail immediately instead of hanging.
         assert_eq!(b.wait(), Err(BarrierCancelled));
     }
@@ -361,9 +249,10 @@ mod tests {
     fn cancel_racing_last_arrival_strands_nobody() {
         // The exhaustive interleaving version of this race is the
         // `sim/barrier-cancel-vs-last-arrival` model; this is the
-        // tier-1 smoke test of the same property. Two waiters and a
-        // canceller race: a waiter may pass (completed generation wins
-        // over cancel) or fail, but every thread must return.
+        // tier-1 smoke test of the same property on OS threads. Two
+        // waiters and a canceller race: a waiter may pass (completed
+        // generation wins over cancel) or fail, but every thread must
+        // return.
         for _ in 0..200 {
             let b = CancellableBarrier::new(2);
             std::thread::scope(|s| {
@@ -381,38 +270,44 @@ mod tests {
 
     #[test]
     fn wait_clock_maximum_arrives_with_the_laggard() {
-        // Fast participants bring small clocks and park; the lagging
-        // CPE shows up last carrying the generation maximum. Everyone
-        // — including the parked threads woken by the laggard's
-        // release — must observe the laggard's clock.
+        // Fast participants bring small clocks and wait; the lagging
+        // fiber shows up last, several passes later, carrying the
+        // generation maximum. Everyone must observe the laggard's clock.
         let b = CancellableBarrier::new(4);
-        std::thread::scope(|s| {
-            let mut fast = Vec::new();
-            for p in 0..3u64 {
-                let b = &b;
-                fast.push(s.spawn(move || b.wait_clock(p + 1)));
-            }
-            // Long enough that the fast waiters exhaust their spin and
-            // yield budgets and reach the condvar park.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            let got = b.wait_clock(999).unwrap();
-            assert_eq!(got, 999, "laggard gets its own maximum back");
-            for h in fast {
-                assert_eq!(h.join().unwrap(), Ok(999), "parked waiter gets the max");
+        let got = RefCell::new(Vec::new());
+        Fibers::new(4).run(&|p| {
+            if p == 3 {
+                for _ in 0..5 {
+                    sw_check::fiber::note_progress();
+                    sw_check::thread::yield_now();
+                }
+                let r = b.wait_clock(999);
+                got.borrow_mut().push((p, r));
+            } else {
+                let r = b.wait_clock(p as u64 + 1);
+                got.borrow_mut().push((p, r));
             }
         });
+        let mut got = got.into_inner();
+        got.sort_by_key(|(p, _)| *p);
+        assert_eq!(got, (0..4).map(|p| (p, Ok(999))).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cancel_wakes_parked_waiters() {
-        // Let the waiter reach the condvar-park phase before
-        // cancelling, to cover the timed-park wakeup path.
-        let b = CancellableBarrier::new(2);
-        std::thread::scope(|s| {
-            let h = s.spawn(|| b.wait());
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            b.cancel();
-            assert_eq!(h.join().unwrap(), Err(BarrierCancelled));
+    fn a_barrier_short_of_participants_fails_once_the_run_is_deadlocked() {
+        // Three of four participants ever arrive: the fiber executor
+        // finds the run stuck and every waiter fails instead of hanging.
+        let b = CancellableBarrier::new(4);
+        let got = RefCell::new(Vec::new());
+        Fibers::new(3).run(&|p| {
+            let r = b.wait();
+            got.borrow_mut().push((p, r));
         });
+        assert_eq!(
+            *got.borrow(),
+            (0..3)
+                .map(|p| (p, Err(BarrierCancelled)))
+                .collect::<Vec<_>>()
+        );
     }
 }

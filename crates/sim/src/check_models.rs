@@ -2,29 +2,23 @@
 //! `--cfg sw_check`, where [`crate::barrier`] runs on the
 //! checker-instrumented types).
 //!
-//! The correct models prove, across every explored interleaving under
-//! the simulated C11 memory model: a release frees every waiter
-//! without depending on a timed-park rescue (no lost wakeups),
+//! The models prove, across every explored interleaving under the
+//! simulated C11 memory model: a release frees every waiter,
 //! `wait_clock` returns the generation maximum to every participant
 //! (including a lagging one), cancel never strands a waiter — even
 //! racing the last arrival — and the barrier is reusable across
-//! generations. Each liveness property is paired with a seeded-defect
-//! mutant (see the `cfg(sw_check)` block in `barrier.rs`) that the
-//! checker must catch.
+//! generations. Waiters yield between checks, so a waiter that could
+//! never be released shows up as the checker's deadlock or livelock.
 
 use crate::barrier::{BarrierCancelled, CancellableBarrier};
 use std::sync::Arc;
 use sw_check::models::{Expect, NamedModel};
-use sw_check::{thread, Config, ViolationKind};
+use sw_check::{thread, Config};
 
-/// Barrier progress must never depend on a timed park expiring: any
-/// forced condvar-timeout rescue is a lost wakeup.
-fn forbid_rescue(cfg: &mut Config) {
-    cfg.forbid_timeout_rescue = true;
-}
+fn no_tune(_: &mut Config) {}
 
-/// Two participants cross one generation; no interleaving may need a
-/// timeout rescue, race, or deadlock.
+/// Two participants cross one generation; no interleaving may race or
+/// deadlock.
 fn barrier_release() {
     let b = Arc::new(CancellableBarrier::new(2));
     let w = b.clone();
@@ -61,9 +55,8 @@ fn barrier_reuse() {
     t.join().unwrap();
 }
 
-/// Cancel must wake a blocked waiter (the barrier wants 2 arrivals and
-/// only ever gets 1) and fail all later waits — with no interleaving
-/// depending on the park timeout.
+/// Cancel must release a blocked waiter (the barrier wants 2 arrivals
+/// and only ever gets 1) and fail all later waits.
 fn barrier_cancel_wakes() {
     let b = Arc::new(CancellableBarrier::new(2));
     let w = b.clone();
@@ -81,7 +74,7 @@ fn barrier_cancel_wakes() {
 
 /// Cancel racing the last arrival: either the generation completes
 /// (both Ok) or the cancel wins for one or both waiters — but nobody
-/// may strand, race, or need a timeout rescue.
+/// may strand or race.
 fn barrier_cancel_vs_last_arrival() {
     let b = Arc::new(CancellableBarrier::new(2));
     let w = b.clone();
@@ -97,80 +90,44 @@ fn barrier_cancel_vs_last_arrival() {
     canceller.join().unwrap();
 }
 
-/// Mutant: the straggler parks without re-checking under the lock.
-fn barrier_mutant_park_unchecked() {
-    let b = Arc::new(CancellableBarrier::new(2));
-    let w = b.clone();
-    let t = thread::spawn(move || {
-        w.wait_mutant_park_unchecked().unwrap();
-    });
-    b.wait_mutant_park_unchecked().unwrap();
-    t.join().unwrap();
-}
-
-/// Mutant: cancel poisons but never notifies the parked waiter.
-fn barrier_mutant_cancel_no_notify() {
-    let b = Arc::new(CancellableBarrier::new(2));
-    let w = b.clone();
-    let t = thread::spawn(move || {
-        assert_eq!(w.wait(), Err(BarrierCancelled));
-    });
-    b.cancel_mutant_no_notify();
-    t.join().unwrap();
-}
-
 /// The sim crate's registered models, consumed by the `sw-check`
 /// binary and the crate's own `model_check` integration test.
 pub fn models() -> Vec<NamedModel> {
     vec![
         NamedModel {
             name: "sim/barrier-release",
-            about: "one generation releases both waiters with no timeout rescue",
+            about: "one generation releases both waiters",
             expect: Expect::Pass,
-            tune: forbid_rescue,
+            tune: no_tune,
             body: barrier_release,
         },
         NamedModel {
             name: "sim/barrier-wait-clock-max",
             about: "wait_clock returns the generation maximum to every participant",
             expect: Expect::Pass,
-            tune: forbid_rescue,
+            tune: no_tune,
             body: barrier_wait_clock_max,
         },
         NamedModel {
             name: "sim/barrier-reuse",
             about: "generations do not bleed: count reset and parity slots hold",
             expect: Expect::Pass,
-            tune: forbid_rescue,
+            tune: no_tune,
             body: barrier_reuse,
         },
         NamedModel {
             name: "sim/barrier-cancel",
-            about: "cancel wakes a blocked waiter and fails later waits",
+            about: "cancel releases a blocked waiter and fails later waits",
             expect: Expect::Pass,
-            tune: forbid_rescue,
+            tune: no_tune,
             body: barrier_cancel_wakes,
         },
         NamedModel {
             name: "sim/barrier-cancel-vs-last-arrival",
             about: "cancel racing the last arrival strands nobody",
             expect: Expect::Pass,
-            tune: forbid_rescue,
+            tune: no_tune,
             body: barrier_cancel_vs_last_arrival,
-        },
-        NamedModel {
-            name: "sim/barrier-mutant-park-unchecked",
-            about: "SEEDED DEFECT: park without under-lock re-check loses the wakeup",
-            expect: Expect::Violation(ViolationKind::LostWakeup),
-            tune: forbid_rescue,
-            body: barrier_mutant_park_unchecked,
-        },
-        NamedModel {
-            name: "sim/barrier-mutant-cancel-no-notify",
-            about: "SEEDED DEFECT: cancel without notify strands the parked waiter",
-            expect: Expect::Violation(ViolationKind::LostWakeup),
-            tune: forbid_rescue,
-            body: barrier_mutant_cancel_no_notify,
         },
     ]
 }

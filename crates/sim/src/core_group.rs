@@ -1,15 +1,27 @@
-//! The functional 64-thread core-group runtime.
+//! The functional core-group runtime.
 //!
 //! [`CoreGroup::run`] mirrors the `athread` programming model of the
 //! real machine: the "MPE side" (the caller) installs matrices in main
-//! memory and dispatches to 64 CPE threads; each thread receives a
-//! [`CpeCtx`] with its coordinates, its private LDM, its mesh port, and
-//! DMA entry points, and runs the same SPMD closure.
+//! memory and dispatches to 64 CPEs; each receives a [`CpeCtx`] with
+//! its coordinates, its private LDM, its mesh port, and DMA entry
+//! points, and runs the same SPMD closure.
 //!
-//! The 64 threads are a persistent [`crate::pool::CpePool`] owned by
-//! the `CoreGroup`: they are spawned lazily on the first `run` and
-//! parked between runs, so a sweep that calls `run` once per matrix
-//! size per variant no longer pays 64 thread spawns per call.
+//! The 64 CPEs are stackful fibers ([`sw_check::fiber`]) that run
+//! round-robin on the calling thread, so a run uses one host core and
+//! no OS thread per CPE. A CPE that waits — for a mesh word, ring
+//! space, its line's turn or a barrier — retries and yields to the
+//! next CPE, the way a `getr` on the hardware stalls until a mate has
+//! sent the word. Every `CpeCtx` call stays synchronous, ISA kernels
+//! that run `getr`/`getc` inside the interpreter included. Host
+//! parallelism comes from running several core groups side by side.
+//!
+//! The `CoreGroup` keeps the 64 fiber stacks and the 64 LDMs across
+//! runs; each run starts every LDM in the state [`Ldm::new`] gives it.
+//! Because every CPE of a run is on one thread, the executor knows when
+//! a run can no longer progress: once every CPE has failed its retry
+//! for two passes in a row, the run is deadlocked, its blocked mesh
+//! waits fail with [`MeshError::Deadlock`] and its barrier waits unwind
+//! as cancelled, without waiting out the mesh's wall-clock fuse.
 //!
 //! # Failure model
 //!
@@ -17,7 +29,7 @@
 //! deadlock, an injected fault it cannot recover from — calls
 //! [`CpeCtx::abort`], which cancels the run's barriers (so its 63
 //! peers unwind instead of hanging) and panics with a typed
-//! [`CpeAbort`] payload. [`CoreGroup::try_run`] catches every worker
+//! [`CpeAbort`] payload. [`CoreGroup::try_run`] catches every CPE
 //! panic, downcasts the typed ones into a [`RunError`] carrying all
 //! failures plus the per-CPE mesh traffic snapshot (the rendezvous
 //! summary's input), and re-raises anything it does not recognize.
@@ -25,12 +37,13 @@
 
 use crate::barrier::RunSync;
 use crate::cancel::CancelToken;
-use crate::pool::CpePool;
 use crate::stats::{DmaCounters, RunStats};
+use std::cell::Cell;
 use std::panic::{panic_any, resume_unwind};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use sw_arch::coord::{Coord, N_CPES};
+use sw_check::fiber::Fibers;
 use sw_faults::{apply_ldm_flip, apply_payload_fault, DmaFault, FaultInjector};
 use sw_isa::{CommPort, ExecReport, Instr, Machine};
 use sw_mem::dma::{self, BandwidthModel, MatRegion, Receipt};
@@ -91,7 +104,7 @@ pub struct CpeAbort {
     pub error: CpeError,
 }
 
-/// A 64-thread run that did not complete cleanly.
+/// A 64-CPE run that did not complete cleanly.
 #[derive(Debug)]
 pub struct RunError {
     /// Every CPE that aborted, in CPE-id order (includes the
@@ -149,14 +162,22 @@ fn install_quiet_abort_hook() {
     });
 }
 
+/// The 64 CPEs' persistent state: their fiber stacks and their LDMs.
+struct Cpes {
+    fibers: Fibers,
+    ldms: Vec<Ldm>,
+}
+
 /// One core group: shared main memory plus the machinery to launch
-/// 64-thread functional runs.
+/// 64-CPE functional runs.
 pub struct CoreGroup {
     /// The CG's main memory. Install inputs / extract outputs here.
     pub mem: MainMemory,
+    /// The mesh's wall-clock deadlock fuse: the outer bound on any
+    /// blocked wait, behind the executor's exact deadlock detection.
     mesh_timeout: std::time::Duration,
-    /// Persistent CPE workers, spawned on first use.
-    pool: Option<CpePool>,
+    /// Fiber stacks and LDMs, made on first use and kept across runs.
+    cpes: Option<Cpes>,
     /// Charges simulated durations to DMA operations.
     model: BandwidthModel,
     /// Fault oracle consulted by DMA wrappers and mesh ports; `None`
@@ -182,7 +203,7 @@ impl CoreGroup {
         CoreGroup {
             mem: MainMemory::new(),
             mesh_timeout: std::time::Duration::from_secs(10),
-            pool: None,
+            cpes: None,
             model: BandwidthModel::calibrated(),
             injector: None,
             flight: FlightRecorder::new(),
@@ -200,14 +221,16 @@ impl CoreGroup {
         &self.flight
     }
 
-    /// Shortens the mesh deadlock fuse (tests of failure paths).
+    /// Sets the mesh's wall-clock deadlock fuse. Exact deadlock
+    /// detection ends a stuck run before any fuse; the fuse bounds a
+    /// blocked wait that runs off a fiber.
     pub fn with_mesh_timeout(timeout: std::time::Duration) -> Self {
         let mut cg = Self::new();
         cg.mesh_timeout = timeout;
         cg
     }
 
-    /// Sets the mesh deadlock fuse for subsequent runs.
+    /// Sets the mesh's wall-clock deadlock fuse for subsequent runs.
     pub fn set_mesh_timeout(&mut self, timeout: std::time::Duration) {
         self.mesh_timeout = timeout;
     }
@@ -242,13 +265,12 @@ impl CoreGroup {
         self.flight = Arc::new(FlightRecorder::with_capacity(events));
     }
 
-    /// Runs `f` on all 64 CPE threads (SPMD), returning traffic
-    /// statistics. Panics in any CPE propagate — including structured
+    /// Runs `f` on all 64 CPEs (SPMD), returning traffic statistics. Panics in any CPE propagate — including structured
     /// [`CpeAbort`]s, rendered as a message. Use [`CoreGroup::try_run`]
     /// to receive structured failures instead.
     pub fn run<F>(&mut self, f: F) -> RunStats
     where
-        F: Fn(&mut CpeCtx) + Sync,
+        F: Fn(&mut CpeCtx),
     {
         match self.try_run(f) {
             Ok(stats) => stats,
@@ -256,20 +278,40 @@ impl CoreGroup {
         }
     }
 
-    /// Runs `f` on all 64 CPE threads (SPMD). Structured CPE aborts
-    /// come back as a [`RunError`]; panics the runtime does not
-    /// recognize are recorded in the published statistics
-    /// (`sim.cpe.panics`, [`RunStats::panicked_cpes`]) and re-raised.
+    /// Runs `f` on all 64 CPEs (SPMD), as fibers on the calling
+    /// thread. Structured CPE aborts come back as a [`RunError`]; panics
+    /// the runtime does not recognize are recorded in the published
+    /// statistics (`sim.cpe.panics`, [`RunStats::panicked_cpes`]) and
+    /// re-raised.
+    ///
+    /// # Panics
+    /// When called from inside a CPE body: a core-group run cannot
+    /// start another.
     // The Err carries the full teardown evidence (per-CPE failures +
     // mesh grid) by design; runs are far too coarse for its size to
     // matter on the happy path.
     #[allow(clippy::result_large_err)]
     pub fn try_run<F>(&mut self, f: F) -> Result<RunStats, RunError>
     where
-        F: Fn(&mut CpeCtx) + Sync,
+        F: Fn(&mut CpeCtx),
     {
+        assert!(
+            !sw_check::fiber::on_fiber(),
+            "CoreGroup::try_run called from a CPE body: a core-group run cannot start another"
+        );
         install_quiet_abort_hook();
-        let pool = self.pool.get_or_insert_with(|| CpePool::new(N_CPES));
+        let cpes = self.cpes.get_or_insert_with(|| Cpes {
+            fibers: Fibers::new(N_CPES),
+            ldms: (0..N_CPES).map(|_| Ldm::new()).collect(),
+        });
+        let ldms: Vec<Cell<Option<&mut Ldm>>> = cpes
+            .ldms
+            .iter_mut()
+            .map(|ldm| {
+                ldm.clear();
+                Cell::new(Some(ldm))
+            })
+            .collect();
         let sync = Arc::new(RunSync::new());
         let mesh = Mesh::with_timeout(self.mesh_timeout);
         if self.cancel.is_some() {
@@ -279,12 +321,12 @@ impl CoreGroup {
         if let Some(inj) = &self.injector {
             mesh.set_fault_injector(inj);
         }
-        // Each worker takes exclusive ownership of its port for the run;
+        // Each CPE takes exclusive ownership of its port for the run;
         // dropping it folds its traffic into `mesh.stats()`.
-        let ports: Vec<Mutex<Option<MeshPort>>> = mesh
+        let ports: Vec<Cell<Option<MeshPort>>> = mesh
             .ports()
             .into_iter()
-            .map(|p| Mutex::new(Some(p)))
+            .map(|p| Cell::new(Some(p)))
             .collect();
         // Bind the cancellation token (if any) to this run's barriers:
         // a fire from any thread — before or during the run — poisons
@@ -301,15 +343,11 @@ impl CoreGroup {
         let injector = self.injector.as_ref();
         let flight = &*self.flight;
         let sync: &RunSync = &sync;
-        let panics = pool.try_run(&|i: usize| {
-            let port = ports[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("port taken once per run");
+        let panics = cpes.fibers.run(&|i: usize| {
+            let port = ports[i].take().expect("port taken once per run");
             let mut ctx = CpeCtx {
                 coord: port.coord(),
-                ldm: Ldm::new(),
+                ldm: ldms[i].take().expect("LDM taken once per run"),
                 port,
                 mem,
                 sync,
@@ -363,8 +401,9 @@ impl CoreGroup {
 pub struct CpeCtx<'a> {
     /// This CPE's mesh coordinates.
     pub coord: Coord,
-    /// This CPE's 64 KB scratch pad.
-    pub ldm: Ldm,
+    /// This CPE's 64 KB scratch pad, kept by the core group across
+    /// runs and cleared at the start of each.
+    pub ldm: &'a mut Ldm,
     port: MeshPort,
     mem: &'a MainMemory,
     sync: &'a RunSync,
@@ -544,19 +583,19 @@ impl<'a> CpeCtx<'a> {
     /// `PE_MODE` get into `buf`.
     pub fn dma_pe_get(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
         self.dma_with_faults("pe.get", Some(buf), |c| {
-            dma::pe_get(c.mem, region, &mut c.ldm, buf)
+            dma::pe_get(c.mem, region, c.ldm, buf)
         })
     }
 
     /// `PE_MODE` put from `buf`.
     pub fn dma_pe_put(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
-        self.dma_with_faults("pe.put", None, |c| dma::pe_put(c.mem, region, &c.ldm, buf))
+        self.dma_with_faults("pe.put", None, |c| dma::pe_put(c.mem, region, c.ldm, buf))
     }
 
     /// `BCAST_MODE` get (all 64 CPEs call this with the same region).
     pub fn dma_bcast_get(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
         self.dma_with_faults("bcast.get", Some(buf), |c| {
-            dma::bcast_get(c.mem, region, &mut c.ldm, buf)
+            dma::bcast_get(c.mem, region, c.ldm, buf)
         })
     }
 
@@ -565,7 +604,7 @@ impl<'a> CpeCtx<'a> {
     pub fn dma_row_get(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
         self.sync_row();
         self.dma_with_faults("row.get", Some(buf), |c| {
-            dma::row_get(c.mem, region, c.coord.col as usize, &mut c.ldm, buf)
+            dma::row_get(c.mem, region, c.coord.col as usize, c.ldm, buf)
         })
     }
 
@@ -573,7 +612,7 @@ impl<'a> CpeCtx<'a> {
     pub fn dma_row_put(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
         self.sync_row();
         self.dma_with_faults("row.put", None, |c| {
-            dma::row_put(c.mem, region, c.coord.col as usize, &c.ldm, buf)
+            dma::row_put(c.mem, region, c.coord.col as usize, c.ldm, buf)
         })
     }
 
@@ -581,7 +620,7 @@ impl<'a> CpeCtx<'a> {
     pub fn dma_brow_get(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
         self.sync_row();
         self.dma_with_faults("brow.get", Some(buf), |c| {
-            dma::brow_get(c.mem, region, &mut c.ldm, buf)
+            dma::brow_get(c.mem, region, c.ldm, buf)
         })
     }
 
@@ -589,7 +628,7 @@ impl<'a> CpeCtx<'a> {
     /// shares).
     pub fn dma_rank_get(&mut self, region: MatRegion, buf: LdmBuf) -> Result<Receipt, MemError> {
         self.dma_with_faults("rank.get", Some(buf), |c| {
-            dma::rank_get(c.mem, region, c.coord.id(), &mut c.ldm, buf)
+            dma::rank_get(c.mem, region, c.coord.id(), c.ldm, buf)
         })
     }
 

@@ -2,11 +2,11 @@
 //!
 //! Two execution modes share one front-end:
 //!
-//! * **Functional mode** ([`CoreGroup::run`]) — dispatches to a
-//!   persistent pool of 64 OS threads, one per CPE, each owning a 64 KB
-//!   [`sw_mem::Ldm`], a
-//!   [`sw_mesh::MeshPort`] onto the register-communication mesh, and a
-//!   DMA handle onto the shared main memory. Data movement and
+//! * **Functional mode** ([`CoreGroup::run`]) — runs the 64 CPEs as
+//!   stackful fibers on the calling thread, each owning a 64 KB
+//!   [`sw_mem::Ldm`], a [`sw_mesh::MeshPort`] onto the
+//!   register-communication mesh, and a DMA handle onto the shared
+//!   main memory. Data movement and
 //!   arithmetic really happen; results are bit-checkable against a host
 //!   reference.
 //! * **Timing mode** ([`timing`]) — a discrete-event engine over two
@@ -26,7 +26,6 @@ pub mod cancel;
 #[cfg(sw_check)]
 pub mod check_models;
 pub mod core_group;
-pub(crate) mod pool;
 pub mod stats;
 pub mod timing;
 
