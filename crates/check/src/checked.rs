@@ -450,6 +450,8 @@ pub mod thread {
 
     /// A scheduling point: the model scheduler prefers switching away
     /// after a yield, which is what makes polling loops explorable.
+    /// Outside a model it yields like the normal build's facade: to
+    /// the next fiber on a fiber, to the OS scheduler otherwise.
     pub fn yield_now() {
         match current() {
             Some(ctx) => {
@@ -458,7 +460,11 @@ pub mod thread {
                     kind: OpKind::Yield,
                 });
             }
-            None => std::thread::yield_now(),
+            None => {
+                if !crate::fiber::suspend() {
+                    std::thread::yield_now();
+                }
+            }
         }
     }
 
@@ -474,24 +480,6 @@ pub mod thread {
                 });
             }
             None => std::thread::sleep(dur),
-        }
-    }
-}
-
-pub mod hint {
-    use super::*;
-
-    /// Treated as a yield inside a model (loom does the same): a spin
-    /// loop is only correct if another thread can run during it.
-    pub fn spin_loop() {
-        match current() {
-            Some(ctx) => {
-                ctx.visible(Op {
-                    loc: None,
-                    kind: OpKind::Yield,
-                });
-            }
-            None => std::hint::spin_loop(),
         }
     }
 }

@@ -81,8 +81,10 @@ struct Stack {
     len: usize,
 }
 
-// The mapping is plain memory owned by this value; nothing else holds
-// a pointer into it between runs.
+// SAFETY: `base`/`len` describe a mapping this value owns alone; no
+// other value holds a pointer into it outside `Fibers::run`, which
+// borrows the `Fibers` mutably, so moving or sharing the descriptor
+// between threads races on nothing.
 unsafe impl Send for Stack {}
 unsafe impl Sync for Stack {}
 
@@ -169,6 +171,10 @@ unsafe extern "C" fn switch(save: *mut *mut u8, to: *mut u8) {
 
 /// The first code a fresh fiber runs: calls `r13(r12)`, which never
 /// returns. The undefined return address ends every unwind here.
+///
+/// # Safety
+/// Never called: only entered by `switch` through a frame `prepare`
+/// laid out.
 #[unsafe(naked)]
 unsafe extern "C" fn trampoline() {
     std::arch::naked_asm!(
@@ -238,8 +244,12 @@ fn exec() -> Option<&'static Exec<'static>> {
 
 /// Body of every fiber: runs the SPMD body for the current index,
 /// records a panic, marks the fiber done and leaves for good.
-extern "C" fn fiber_main(exec: *const Exec<'static>) {
-    // SAFETY: `prepare` passed the live executor.
+///
+/// # Safety
+/// Entered only from `trampoline`, with the `Exec` of the live
+/// `Fibers::run` that prepared this fiber.
+unsafe extern "C" fn fiber_main(exec: *const Exec<'static>) {
+    // SAFETY: per the contract, `exec` is the live executor.
     let exec = unsafe { &*exec };
     let i = exec.current.get();
     exec.progress.set(true);

@@ -5,8 +5,8 @@
 //!
 //! # Two faces
 //!
-//! **The facade modules** ([`sync`], [`cell`], [`thread`], [`time`],
-//! [`hint`]) are what the production crates import in place of `std`.
+//! **The facade modules** ([`sync`], [`cell`], [`thread`], [`time`])
+//! are what the production crates import in place of `std`.
 //! In a normal build they are direct `std` re-exports (plus a
 //! `#[repr(transparent)]` cell wrapper) — zero cost, nothing
 //! instrumented — except [`thread::yield_now`], which yields to the
@@ -130,12 +130,4 @@ pub mod time {
 
     #[cfg(sw_check)]
     pub use crate::checked::time::Instant;
-}
-
-pub mod hint {
-    #[cfg(not(sw_check))]
-    pub use std::hint::spin_loop;
-
-    #[cfg(sw_check)]
-    pub use crate::checked::hint::spin_loop;
 }

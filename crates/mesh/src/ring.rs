@@ -381,8 +381,9 @@ impl Episode<'_> {
 }
 
 /// Under the model checker, virtual time passes only through timed
-/// sleeps, so a waiter sleeps this quantum where it would yield; that
-/// lets the fuse model trip the fuse in bounded virtual time.
+/// sleeps, so a waiter off a fiber sleeps this quantum where it would
+/// yield; that lets the fuse model trip the fuse in bounded virtual
+/// time.
 #[cfg(sw_check)]
 const CHECK_QUANTUM: Duration = Duration::from_micros(50);
 
@@ -425,7 +426,9 @@ impl Backoff {
         #[cfg(not(sw_check))]
         sw_check::thread::yield_now();
         #[cfg(sw_check)]
-        sw_check::thread::sleep(CHECK_QUANTUM);
+        if !fiber::suspend() {
+            sw_check::thread::sleep(CHECK_QUANTUM);
+        }
     }
 }
 

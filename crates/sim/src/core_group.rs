@@ -221,9 +221,9 @@ impl CoreGroup {
         &self.flight
     }
 
-    /// Sets the mesh's wall-clock deadlock fuse. Exact deadlock
-    /// detection ends a stuck run before any fuse; the fuse bounds a
-    /// blocked wait that runs off a fiber.
+    /// A core group whose mesh has the wall-clock deadlock fuse
+    /// `timeout`. Exact deadlock detection ends a stuck run before any
+    /// fuse trips; the fuse bounds every blocked wait.
     pub fn with_mesh_timeout(timeout: std::time::Duration) -> Self {
         let mut cg = Self::new();
         cg.mesh_timeout = timeout;
@@ -265,7 +265,8 @@ impl CoreGroup {
         self.flight = Arc::new(FlightRecorder::with_capacity(events));
     }
 
-    /// Runs `f` on all 64 CPEs (SPMD), returning traffic statistics. Panics in any CPE propagate — including structured
+    /// Runs `f` on all 64 CPEs (SPMD), returning traffic statistics.
+    /// Panics in any CPE propagate — including structured
     /// [`CpeAbort`]s, rendered as a message. Use [`CoreGroup::try_run`]
     /// to receive structured failures instead.
     pub fn run<F>(&mut self, f: F) -> RunStats
