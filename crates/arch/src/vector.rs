@@ -9,8 +9,10 @@
 /// `fma` mirrors the SW26010 `vmad` instruction: one rounding per lane
 /// (`f64::mul_add`), which is what makes the simulator's DGEMM results
 /// reproducible against a host reference that uses the same accumulation
-/// order.
+/// order. Transparent over its lanes, so a word slice and a lane slice
+/// can view the same memory ([`V256::as_lanes`], [`V256::from_lanes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(transparent)]
 pub struct V256(pub [f64; 4]);
 
 impl V256 {
@@ -87,6 +89,27 @@ impl V256 {
     pub fn hsum(self) -> f64 {
         (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
     }
+
+    /// Views words as their lanes: lane `l` of word `w` is element
+    /// `4w + l`.
+    #[inline]
+    pub fn as_lanes(words: &[V256]) -> &[f64] {
+        // SAFETY: `V256` is transparent over `[f64; 4]`, so `n` words
+        // are `4n` contiguous, initialized `f64`s.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), 4 * words.len()) }
+    }
+
+    /// Views a lane slice whose length is a multiple of 4 as words.
+    ///
+    /// # Panics
+    /// When the length is not a multiple of 4.
+    #[inline]
+    pub fn from_lanes(lanes: &[f64]) -> &[V256] {
+        assert_eq!(lanes.len() % 4, 0, "a word is 4 lanes");
+        // SAFETY: `V256` is transparent over `[f64; 4]`, whose
+        // alignment is `f64`'s, and the length divides into words.
+        unsafe { std::slice::from_raw_parts(lanes.as_ptr().cast(), lanes.len() / 4) }
+    }
 }
 
 impl From<[f64; 4]> for V256 {
@@ -117,6 +140,14 @@ mod tests {
         let mut dst = [0.0; 4];
         v.store(&mut dst);
         assert_eq!(dst, [1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn lane_views_round_trip() {
+        let lanes: Vec<f64> = (0..8).map(f64::from).collect();
+        let words = V256::from_lanes(&lanes);
+        assert_eq!(words, [V256::load(&lanes), V256::load(&lanes[4..])]);
+        assert_eq!(V256::as_lanes(words), &lanes[..]);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use sw_bench::paper::PAPER_FIG6_SCHED;
+use sw_bench::thread_cpu_time;
 use sw_dgemm::timing::{estimate, kernel_cache_reset, kernel_cache_stats};
 use sw_dgemm::Variant;
 use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
@@ -395,13 +396,14 @@ fn reps_for<F: FnMut()>(floor: Duration, mut f: F) -> u32 {
     floor.as_nanos().div_ceil(once.as_nanos()).max(1) as u32
 }
 
-/// Mean time per call of `reps` calls of `f`.
+/// Mean thread CPU time per call of `reps` calls of `f`: the probe
+/// pairs' clock, blind to time the host gives other processes.
 fn time_reps<F: FnMut()>(reps: u32, mut f: F) -> Duration {
-    let t = Instant::now();
+    let t = thread_cpu_time();
     for _ in 0..reps {
         f();
     }
-    t.elapsed() / reps
+    (thread_cpu_time() - t) / reps
 }
 
 /// Times `f` over `rounds` calls, returning the fastest round.
@@ -590,7 +592,9 @@ fn main() {
     //    phases would bake into the ratio — the floor gates below need
     //    that stability. A cold sweep takes tens of milliseconds, too
     //    short to time against scheduler noise, so each arm repeats its
-    //    sweep until it has run for at least `ARM_FLOOR`.
+    //    sweep until it has run for at least `ARM_FLOOR`, and each arm
+    //    is timed in thread CPU time, so time the host gives to other
+    //    processes lands in neither arm.
     assert_eq!(
         kernel_cache_stats().misses,
         0,

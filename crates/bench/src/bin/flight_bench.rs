@@ -6,8 +6,11 @@
 //! for it — so its cost is gated like a correctness property: the same
 //! `SCHED` run at the paper's production blocking (default 1536³,
 //! `--size` to override) is timed with the recorder on and off,
-//! interleaved round by round so drift hits both arms equally. The
-//! per-round overhead is the on/off wall-time ratio; the reported
+//! interleaved round by round so drift hits both arms equally. Each arm
+//! is timed in the thread CPU time of the one thread the run executes
+//! on ([`sw_bench::thread_cpu_time`]), so time the host gives to other
+//! processes does not land in either arm. The per-round overhead is
+//! the on/off CPU-time ratio; the reported
 //! number is the median across rounds, and the gate (fatal under
 //! `--assert`) requires
 //!
@@ -22,7 +25,8 @@
 //! base, not a probe); what is gated is the marginal cost of event
 //! recording, which is the only part `set_enabled(false)` turns off.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use sw_bench::thread_cpu_time;
 use sw_dgemm::gen::random_matrix;
 use sw_dgemm::{DgemmRunner, Matrix, Variant};
 use sw_sim::CoreGroup;
@@ -76,13 +80,14 @@ fn parse_cli() -> Cli {
     cli
 }
 
+/// One run's thread CPU time.
 fn run_once(cg: &mut CoreGroup, a: &Matrix, b: &Matrix, c0: &Matrix) -> Duration {
     let mut c = c0.clone();
-    let t = Instant::now();
+    let t = thread_cpu_time();
     DgemmRunner::new(Variant::Sched)
         .run_on(cg, 1.5, a, b, 0.5, &mut c)
         .expect("fig6-size run failed");
-    let dt = t.elapsed();
+    let dt = thread_cpu_time() - t;
     std::hint::black_box(c);
     dt
 }

@@ -2,9 +2,8 @@
 //!
 //! Runs every registered model (the checker's built-in scenarios plus,
 //! when the workspace is compiled with `RUSTFLAGS='--cfg sw_check'`,
-//! the ported production primitives: the mesh broadcast ring and
-//! backoff fuse, the cancellable barrier, the flight-recorder ring, and the
-//! service's tenant queues) and
+//! the ported production primitives: the cancellable barrier, the
+//! flight-recorder ring, and the service's tenant queues) and
 //! checks each against its declared expectation — correct primitives
 //! must pass exhaustively, seeded-defect mutants must be caught with a
 //! replayable interleaving.
@@ -12,8 +11,8 @@
 //! ```text
 //! RUSTFLAGS='--cfg sw_check' cargo run -p sw-bench --bin sw-check
 //! sw-check --list
-//! sw-check --model mesh/ring-bcast-fifo --seed 7
-//! sw-check --model mesh/ring-mutant-relaxed-tail --replay '0.1.1.0'
+//! sw-check --model sim/barrier-release --seed 7
+//! sw-check --model probe/flight-mutant-relaxed-publish --replay '0.1.1.0'
 //! sw-check --json check.json
 //! ```
 //!
@@ -43,14 +42,6 @@ fn all_models() -> Vec<Entry> {
         .collect();
     #[cfg(sw_check)]
     {
-        out.extend(
-            sw_mesh::check_models::models()
-                .into_iter()
-                .map(|model| Entry {
-                    origin: "mesh",
-                    model,
-                }),
-        );
         out.extend(
             sw_sim::check_models::models()
                 .into_iter()
@@ -97,7 +88,7 @@ fn main() {
         eprintln!(
             "sw-check: built without --cfg sw_check; running the {} built-in models only \
              (rebuild with RUSTFLAGS='--cfg sw_check' to model-check the ported \
-             mesh/sim/probe/serve primitives)",
+             sim/probe/serve primitives)",
             entries.len()
         );
     }

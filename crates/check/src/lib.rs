@@ -1,7 +1,7 @@
 //! `sw-check`: a deterministic-scheduler model checker (in the style
 //! of loom/CDSChecker) plus a happens-before race detector for the
-//! runtime's lock-free concurrency layer — the mesh broadcast rings, the
-//! cancellable barrier, and the flight recorder.
+//! runtime's concurrency layer — the cancellable barrier, the flight
+//! recorder and the service's tenant queues.
 //!
 //! # Two faces
 //!
@@ -71,8 +71,8 @@ pub mod sync {
 /// (`with`/`with_mut`). The normal-build wrapper is
 /// `#[repr(transparent)]` over `std::cell::UnsafeCell` and compiles to
 /// the bare pointer accesses. Deliberately `!Sync` here, exactly like
-/// `std`'s cell: containers (e.g. the mesh ring) assert their own
-/// sharing discipline; under `sw_check` the checker verifies it.
+/// `std`'s cell: containers assert their own sharing discipline;
+/// under `sw_check` the checker verifies it.
 pub mod cell {
     #[cfg(sw_check)]
     pub use crate::checked::UnsafeCell;

@@ -13,13 +13,12 @@
 //! splatted words, k-major), in the order the per-k stream would send
 //! them. The mesh charges time and makes fault decisions per word, so
 //! the simulated statistics are those of the per-k stream; only the
-//! host pays for fewer episodes. Received operands are held in host
-//! scratch for one tile and never staged in LDM, respecting the LDM
+//! host pays for fewer episodes. A received operand is computed on
+//! straight out of the mesh: the tile holds its A and B receive windows
+//! (on different networks) across the 16×4 FMA and then releases both,
+//! as a `getr`/`getc` word feeds `vmad` from a register on the
+//! hardware. Nothing received is staged in LDM, respecting the LDM
 //! budget of §III-C.2 (which counts only the thread's own blocks).
-
-// Register arrays are index-coupled to the instruction encoding; indexed
-// loops are clearer than iterator chains here.
-#![allow(clippy::needless_range_loop)]
 
 use crate::sharing::StepRole;
 use sw_arch::V256;
@@ -38,7 +37,9 @@ pub const STRIP_PM: usize = 16;
 /// `a_own`/`b_own` are this thread's resident blocks (used and
 /// broadcast when the role says so; `a_own` must be the panel for this
 /// step, i.e. the thread's own A block). `c` is the LDM-resident C
-/// block being accumulated.
+/// block being accumulated. The step allocates nothing: received
+/// operands are read where they sit in the mesh, and the splatted B
+/// words a broadcaster sends are written straight into it.
 ///
 /// Requires `pm == STRIP_PM` (one register tile of rows), as the
 /// collective scheme does.
@@ -62,80 +63,82 @@ pub fn strip_step(
     debug_assert_eq!(b_own.len(), pk * pn);
     debug_assert_eq!(c.len(), pm * pn);
 
-    // One tile's received operands: the A panel, 16 rows by pk
-    // k-columns, and the B words, 4 per k.
-    let mut a_recv = vec![0.0f64; pm * pk];
-    let mut b_words = vec![V256::ZERO; 4 * pk];
     for j0 in (0..pn).step_by(4) {
         // --- A panel of the tile (4·pK mesh words, one episode). ---
-        if let Operand::Recv(net) = role.a {
-            recv_panel(ctx, net, &mut a_recv);
-        } else if let Operand::LdmBcast(net) = role.a {
-            bcast_panel(ctx, net, ctx.ldm.slice(a_own));
-        }
-        // --- B scalars of the tile (4·pK splatted words, k-major). ---
-        match role.b {
-            Operand::Ldm | Operand::LdmBcast(_) => {
-                let b = ctx.ldm.slice(b_own);
-                for (k, words) in b_words.chunks_exact_mut(4).enumerate() {
-                    for (j, w) in words.iter_mut().enumerate() {
-                        *w = V256::splat(b[(j0 + j) * pk + k]);
-                    }
-                }
-                if let Operand::LdmBcast(net) = role.b {
-                    bcast_words(ctx, net, &b_words);
-                }
+        let a_recv = match role.a {
+            Operand::Recv(net) => Some(ctx.mesh_recv_window(net == Net::Col, 4 * pk)),
+            Operand::LdmBcast(net) => {
+                bcast_panel(ctx, net, ctx.ldm.slice(a_own));
+                None
             }
-            Operand::Recv(net) => recv_words(ctx, net, &mut b_words),
-        }
-        let a = match role.a {
-            Operand::Recv(_) => &a_recv[..],
-            Operand::Ldm | Operand::LdmBcast(_) => ctx.ldm.slice(a_own),
+            Operand::Ldm => None,
         };
-        // Accumulators of the 16×4 register tile.
-        let mut acc = [[0.0f64; 4]; 16];
-        for k in 0..pk {
-            let acol = &a[k * pm..k * pm + 16];
-            let bvals: [f64; 4] = std::array::from_fn(|j| b_words[4 * k + j].0[0]);
-            // --- 16 lane-groups of FMA, the vmad order's net effect. ---
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                for (j, acc_rj) in acc_r.iter_mut().enumerate() {
-                    *acc_rj = acol[r].mul_add(bvals[j], *acc_rj);
-                }
+        // --- B scalars of the tile (4·pK splatted words, k-major). ---
+        // This CPE's own B columns of the tile, each pK long.
+        let cols = &ctx.ldm.slice(b_own)[j0 * pk..(j0 + 4) * pk];
+        let own_b: [&[f64]; 4] = std::array::from_fn(|j| &cols[j * pk..(j + 1) * pk]);
+        let b_recv = match role.b {
+            Operand::Recv(net) => Some(ctx.mesh_recv_window(net == Net::Col, 4 * pk)),
+            Operand::LdmBcast(net) => {
+                ctx.mesh_bcast(net == Net::Col, 4 * pk, |w| {
+                    V256::splat(own_b[w % 4][w / 4])
+                });
+                None
             }
-        }
+            Operand::Ldm => None,
+        };
+        let a = match &a_recv {
+            Some(window) => V256::as_lanes(window),
+            None => ctx.ldm.slice(a_own),
+        };
+        let acc = match &b_recv {
+            Some(window) => tile_product(
+                a,
+                window
+                    .chunks_exact(4)
+                    .map(|w| std::array::from_fn(|j| w[j].0[0])),
+            ),
+            None => tile_product(a, (0..pk).map(|k| own_b.map(|col| col[k]))),
+        };
+        // The tile's operands are consumed: let go of the mesh words.
+        drop((a_recv, b_recv));
         // Tile epilogue: C += α·acc, one FMA per element.
-        let cs = ctx.ldm.slice_mut(c);
-        for j in 0..4 {
-            for r in 0..16 {
-                let idx = (j0 + j) * pm + r;
-                cs[idx] = acc[r][j].mul_add(alpha, cs[idx]);
+        let cs = &mut ctx.ldm.slice_mut(c)[j0 * pm..(j0 + 4) * pm];
+        for (cj, acc_j) in cs.chunks_exact_mut(pm).zip(&acc) {
+            for (cr, acc_rj) in cj.iter_mut().zip(acc_j) {
+                *cr = acc_rj.mul_add(alpha, *cr);
             }
         }
     }
+}
+
+/// The 16×4 register tile `A_panel · B`, column-major like C: `a`
+/// holds 16 rows per k, and `b` yields the tile's 4 B scalars per k.
+/// Each accumulator's FMA chain runs over k in order — the vmad order's
+/// net effect. The rows go in two halves, so that one half's 8×4
+/// accumulators stay in vector registers.
+fn tile_product(a: &[f64], b: impl Iterator<Item = [f64; 4]> + Clone) -> [[f64; STRIP_PM]; 4] {
+    let mut acc = [[0.0f64; STRIP_PM]; 4];
+    for half in [0..8, 8..16] {
+        let mut h = [[0.0f64; 8]; 4];
+        for (acol, bk) in a.chunks_exact(STRIP_PM).zip(b.clone()) {
+            let acol: &[f64; 8] = acol[half.clone()].try_into().expect("a half is 8 rows");
+            for (h_j, bkj) in h.iter_mut().zip(bk) {
+                for (x, &ar) in h_j.iter_mut().zip(acol) {
+                    *x = ar.mul_add(bkj, *x);
+                }
+            }
+        }
+        for (acc_j, h_j) in acc.iter_mut().zip(&h) {
+            acc_j[half.clone()].copy_from_slice(h_j);
+        }
+    }
+    acc
 }
 
 fn bcast_panel(ctx: &CpeCtx, net: Net, panel: &[f64]) {
     match net {
         Net::Row => ctx.mesh_row_bcast_panel(panel),
         Net::Col => ctx.mesh_col_bcast_panel(panel),
-    }
-}
-
-fn recv_panel(ctx: &CpeCtx, net: Net, out: &mut [f64]) {
-    ctx.mesh_get_panel(net == Net::Col, out);
-}
-
-fn bcast_words(ctx: &CpeCtx, net: Net, words: &[V256]) {
-    match net {
-        Net::Row => ctx.mesh_row_bcast_words(words),
-        Net::Col => ctx.mesh_col_bcast_words(words),
-    }
-}
-
-fn recv_words(ctx: &CpeCtx, net: Net, out: &mut [V256]) {
-    match net {
-        Net::Row => ctx.mesh_getr_words(out),
-        Net::Col => ctx.mesh_getc_words(out),
     }
 }

@@ -14,15 +14,18 @@
 //! ports move [`sw_arch::V256`] words through bounded buffers, so
 //! producers block when consumers lag. Receive paths are separate per
 //! direction (row vs column), matching the separate `getr`/`getc`
-//! instructions. One lock-free broadcast ring per mesh row and per mesh
-//! column carries the words: a broadcast writes each word once and
-//! every mate reads it through its own cursor. Each ring holds
-//! [`HOST_BUFFER_DEPTH`] words, a host wall-clock knob: the hardware's
-//! 8-entry receive buffer is not modelled by any buffer here, and no
-//! simulated clock depends on the depth. Above the rings, every mesh
-//! row and column keeps a strip-step turn, so a collective schedule
-//! that calls [`MeshPort::end_step`] after each strip step is paced by
-//! the mesh itself, as blocking `getr`/`getc` pace it on the hardware.
+//! instructions. One broadcast ring per mesh row and per mesh column
+//! carries the words: a broadcast writes each word once and every mate
+//! reads it through its own cursor, in place, through a borrowed
+//! [`Window`]. The rings are plain single-thread memory, because every
+//! port of a run lives on the thread that runs its CPE fibers. Each
+//! ring holds [`HOST_BUFFER_DEPTH`] words, a host wall-clock knob: the
+//! hardware's 8-entry receive buffer is not modelled by any buffer
+//! here, and no simulated clock depends on the depth. Above the rings,
+//! every mesh row and column keeps a strip-step turn, so a collective
+//! schedule that calls [`MeshPort::end_step`] after each strip step is
+//! paced by the mesh itself, as blocking `getr`/`getc` pace it on the
+//! hardware.
 //!
 //! A blocked port returns [`MeshError::Deadlock`] instead of hanging
 //! the test suite — at once when the fiber executor finds that no CPE
@@ -36,8 +39,6 @@
 //! via [`Mesh::set_fault_injector`] can deterministically drop words and
 //! wedge a CPE (suppress all its sends) to exercise that path.
 
-#[cfg(sw_check)]
-pub mod check_models;
 pub mod error;
 pub mod port;
 mod ring;
@@ -45,12 +46,23 @@ pub mod stats;
 mod turn;
 
 pub use error::MeshError;
-pub use port::{Mesh, MeshPort, MeshTransport, HOST_BUFFER_DEPTH};
+pub use port::{Mesh, MeshPort, MeshTransport, Window, HOST_BUFFER_DEPTH};
 pub use stats::{CellTraffic, MeshGridStats, MeshStats};
+
+/// Runs `body(i)` on `n` CPE fibers and re-raises the first panic.
+#[cfg(test)]
+pub(crate) fn on_fibers(n: usize, body: impl Fn(usize)) {
+    let panics = sw_check::fiber::Fibers::new(n).run(&body);
+    if let Some((_, p)) = panics.into_iter().next() {
+        std::panic::resume_unwind(p);
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use sw_arch::coord::{MESH_COLS, N_CPES};
     use sw_arch::{Coord, V256};
 
     #[test]
@@ -107,100 +119,102 @@ mod tests {
     }
 
     #[test]
-    fn panel_roundtrip_across_threads() {
+    fn panel_roundtrip_across_fibers() {
         let mesh = Mesh::new();
         let ports = mesh.ports();
         let panel: Vec<f64> = (0..256).map(|i| i as f64).collect();
-        std::thread::scope(|s| {
-            let mut iter = ports.into_iter();
-            let sender_port = iter.next().unwrap(); // (0,0)
-            let rest: Vec<_> = iter.collect();
-            let panel_ref = &panel;
-            s.spawn(move || {
-                sender_port.row_bcast_panel(panel_ref).unwrap();
-            });
-            for p in rest {
-                let panel_ref = &panel;
-                s.spawn(move || {
-                    if p.coord().row == 0 && p.coord().col != 0 {
-                        let mut out = vec![0.0; 256];
-                        p.recv_row_panel(&mut out).unwrap();
-                        assert_eq!(&out, panel_ref);
-                    }
-                });
+        let received = Cell::new(0);
+        on_fibers(N_CPES, |id| {
+            let p = &ports[id];
+            match (p.coord().row, p.coord().col) {
+                (0, 0) => p.row_bcast_panel(&panel).unwrap(),
+                (0, _) => {
+                    let mut out = vec![0.0; 256];
+                    p.recv_row_panel(&mut out).unwrap();
+                    assert_eq!(out, panel);
+                    received.set(received.get() + 1);
+                }
+                _ => {}
             }
         });
+        assert_eq!(received.get(), 7);
     }
 
     #[test]
     fn backpressure_blocks_then_drains() {
-        // Send far beyond the host buffer depth from one thread; the
-        // sender must block until the receivers drain, and all data
-        // arrives in order.
+        // Send far beyond the host buffer depth: the sender must wait
+        // until the receivers drain, which start only after it has
+        // filled the ring, and all data arrives in order.
         let mesh = Mesh::new();
         let ports = mesh.ports();
-        let cap = HOST_BUFFER_DEPTH;
-        std::thread::scope(|s| {
-            let mut iter = ports.into_iter();
-            let sender = iter.next().unwrap();
-            let handle = s.spawn(move || {
-                for i in 0..(4 * cap) {
-                    sender.row_bcast(V256::splat(i as f64)).unwrap();
+        let n = 4 * HOST_BUFFER_DEPTH;
+        let filled = Cell::new(false);
+        on_fibers(MESH_COLS, |col| {
+            let p = &ports[col]; // row 0
+            if col == 0 {
+                for i in 0..n {
+                    if i == HOST_BUFFER_DEPTH {
+                        filled.set(true);
+                    }
+                    p.row_bcast(V256::splat(i as f64)).unwrap();
                 }
-            });
-            let mut receivers: Vec<_> = iter.filter(|p| p.coord().row == 0).collect();
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            for i in 0..(4 * cap) {
-                for p in &mut receivers {
-                    assert_eq!(p.getr().unwrap(), V256::splat(i as f64));
-                }
+                return;
             }
-            handle.join().unwrap();
+            while !filled.get() {
+                sw_check::fiber::suspend();
+            }
+            for i in 0..n {
+                assert_eq!(p.getr().unwrap(), V256::splat(i as f64));
+            }
         });
     }
 
     #[test]
     fn deadlock_surfaces_as_structured_error() {
-        let timeout = std::time::Duration::from_millis(50);
-        let mesh = Mesh::with_timeout(timeout);
+        // Nobody ever sends: the fiber executor finds the run stuck long
+        // before the 10 s fuse.
+        let mesh = Mesh::new();
         let ports = mesh.ports();
-        let err = ports[Coord::new(0, 3).id()].getr().unwrap_err(); // nobody ever sends
-        assert_eq!(
-            err,
-            MeshError::Deadlock {
-                coord: (0, 3),
-                op: "getr",
-                timeout,
-            }
-        );
+        let start = std::time::Instant::now();
+        on_fibers(1, |_| {
+            let err = ports[Coord::new(0, 3).id()].getr().unwrap_err();
+            assert_eq!(
+                err,
+                MeshError::Deadlock {
+                    coord: (0, 3),
+                    op: "getr",
+                    timeout: std::time::Duration::from_secs(10),
+                }
+            );
+        });
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
         // The starved receive is visible in the per-CPE grid snapshot.
         assert_eq!(mesh.grid_stats().cells[0][3].row_starved, 1);
     }
 
     #[test]
     fn cancel_flag_releases_a_blocked_receive() {
-        // A 10 s fuse, but the run is cancelled after 20 ms: the blocked
-        // receive gives up promptly, as a cancellation, not a deadlock.
-        let mesh = Mesh::with_timeout(std::time::Duration::from_secs(10));
+        // A peer fiber raises the run's cancel flag while (4,1) waits:
+        // the blocked receive gives up as a cancellation, not a
+        // deadlock.
+        let mesh = Mesh::new();
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         mesh.set_cancel_flag(&flag);
         let ports = mesh.ports();
-        let start = std::time::Instant::now();
-        let err = std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+        on_fibers(2, |i| {
+            if i == 1 {
                 flag.store(true, std::sync::atomic::Ordering::Relaxed);
-            });
-            ports[Coord::new(4, 1).id()].getc().unwrap_err()
-        });
-        assert_eq!(
-            err,
-            MeshError::Cancelled {
-                coord: (4, 1),
-                op: "getc"
+                return;
             }
-        );
-        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+            let err = ports[Coord::new(4, 1).id()].getc().unwrap_err();
+            assert_eq!(
+                err,
+                MeshError::Cancelled {
+                    coord: (4, 1),
+                    op: "getc"
+                }
+            );
+        });
         // A cancelled wait is not starvation.
         assert_eq!(mesh.grid_stats().cells[4][1].col_starved, 0);
     }
@@ -208,8 +222,7 @@ mod tests {
     #[test]
     fn wedged_cpe_sends_nothing_and_peers_starve() {
         use sw_faults::{FaultInjector, FaultSpec, WedgeSpec};
-        let timeout = std::time::Duration::from_millis(50);
-        let mesh = Mesh::with_timeout(timeout);
+        let mesh = Mesh::new();
         let mut spec = FaultSpec::seeded(1);
         spec.wedge = Some(WedgeSpec {
             cpe: Coord::new(2, 3).id(),
@@ -218,8 +231,13 @@ mod tests {
         let inj = FaultInjector::new(spec);
         mesh.set_fault_injector(&inj);
         let ports = mesh.ports();
-        ports[Coord::new(2, 3).id()].row_bcast(V256::ZERO).unwrap();
-        assert!(ports[Coord::new(2, 0).id()].getr().is_err());
+        on_fibers(2, |i| {
+            if i == 0 {
+                ports[Coord::new(2, 3).id()].row_bcast(V256::ZERO).unwrap();
+            } else {
+                assert!(ports[Coord::new(2, 0).id()].getr().is_err());
+            }
+        });
         drop(ports);
         assert_eq!(mesh.stats().row_words_sent, 0);
         assert_eq!(mesh.grid_stats().cells[2][0].row_starved, 1);
@@ -231,7 +249,7 @@ mod tests {
         // Two senders in the same row push before anyone drains — the
         // ring serializes the two episodes into one FIFO per receiver,
         // and neither sender reads its own word back.
-        let mesh = Mesh::with_timeout(std::time::Duration::from_secs(5));
+        let mesh = Mesh::new();
         let ports = mesh.ports();
         ports[Coord::new(1, 0).id()]
             .row_bcast(V256::splat(1.0))
@@ -258,10 +276,10 @@ mod tests {
 
     #[test]
     fn panels_arrive_intact_and_count_per_copy() {
-        let mesh = Mesh::with_timeout(std::time::Duration::from_secs(5));
+        let mesh = Mesh::new();
         let ports = mesh.ports();
         // 8 words, well inside the host buffer depth, so the
-        // single-threaded send-then-drain below cannot block.
+        // send-then-drain below cannot block.
         let panel: Vec<f64> = (0..32).map(|i| i as f64 * 0.5).collect();
         ports[Coord::new(4, 4).id()]
             .row_bcast_panel(&panel)
@@ -284,6 +302,7 @@ mod tests {
         let (stats, grid) = (mesh.stats(), mesh.grid_stats());
         assert_eq!(stats.row_words_sent, 8 * 7);
         assert_eq!(stats.col_words_received, 8);
+        assert_eq!(stats.words_gathered, 0, "clean windows are lent in place");
         assert_eq!(grid.cells[4][4].col_sent, 8 * 7);
         assert_eq!(grid.cells[7][4].col_recv, 8);
     }

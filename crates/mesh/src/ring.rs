@@ -1,250 +1,284 @@
-//! Lock-free bounded broadcast rings and the backoff they wait with.
+//! Bounded broadcast rings and the backoff they wait with.
 //!
-//! The mesh's fast path gives every mesh row and every mesh column one
-//! [`BroadcastRing`]: a power-of-two circular buffer of words shared by
-//! the line's eight CPEs. A broadcast writes each word once, and every
-//! other member reads it through its own consumer cursor — the host
-//! analogue of one hardware put reaching all seven mates. Each slot
-//! carries a skip mask of the members that must step over the word:
-//! always the sender itself, plus any mate the fault injector dropped
-//! the word for.
+//! The mesh gives every mesh row and every mesh column one
+//! [`BroadcastRing`]: a circular buffer of words shared by the line's
+//! eight CPEs. A broadcast writes each word once, and every other
+//! member reads it through its own cursor — the host analogue of one
+//! hardware put reaching all seven mates. Each slot carries a skip mask
+//! of the members that must step over the word: always the sender
+//! itself, plus any mate the fault injector dropped the word for.
+//!
+//! All CPEs of a run are fibers on one thread (see [`sw_check::fiber`]),
+//! so a ring is plain single-thread memory: its cursors are `Cell`s and
+//! the type is neither `Send` nor `Sync`. The slots are stored as
+//! struct-of-arrays, a word array and a skip-mask array.
+//!
+//! *Depth and slots.* A sender may run at most `depth` words ahead of
+//! the slowest member that still needs a word; that is the ring's
+//! back-pressure ([`Episode::room`]). The ring has twice as many slots
+//! as its depth, so a member's last `depth` consumed words stay intact
+//! until it consumes more: a receiver consumes words as they arrive,
+//! exactly as a copying receive would, and can still borrow them in
+//! place afterwards ([`BroadcastRing::window`]). The word array also
+//! repeats the first `depth` slots after the last one, so any run of at
+//! most `depth` slots is one contiguous slice whatever its start. A
+//! sender publishes a run of words with slice copies and one tail
+//! update ([`Episode::publish`]); a receiver consumes its words as runs
+//! of slots ([`BroadcastRing::pop_runs`]).
 //!
 //! One producer at a time: a sender claims the ring for a whole episode
-//! ([`BroadcastRing::try_claim`], an acquire test-and-set on a flag that
-//! the returned [`Episode`] releases on drop). The collective schedule
-//! never has two senders on one line in one strip step — `sw-lint`
-//! proves that statically — and the port layer's per-line turn
-//! (`turn.rs`) orders the steps' senders, which the ring itself knows
-//! nothing about. The claim means a schedule that breaks either rule is
-//! serialized per episode instead of racing on the slots, so memory
-//! safety rests on neither.
+//! ([`BroadcastRing::try_claim`] sets a flag that the returned
+//! [`Episode`] clears on drop). The collective schedule never has two
+//! senders on one line in one strip step — `sw-lint` proves that
+//! statically — and the port layer's per-line turn (`turn.rs`) orders
+//! the steps' senders. The claim keeps a schedule that breaks either
+//! rule from interleaving two senders' words within an episode.
 //!
-//! The producer may not lap the slowest member that still needs a
-//! slot. A sender with no unread words on the line when it claims the
-//! ring is *caught up*: its own cursor guards nothing, so fullness is
-//! judged on the other members only, and the episode steps the
-//! sender's cursor to the tail when it ends. The producer caches the
-//! limit this implies and reloads the cursors only when it reaches it.
+//! A sender with no unread words on the line when it claims the ring is
+//! *caught up*: its own cursor guards nothing, so fullness is judged on
+//! the other members only, and the episode steps the sender's cursor to
+//! the tail when it ends.
 //!
 //! Blocking is layered on top with [`Backoff`]: a full ring, a ring
-//! held by another sender, or an empty ring on the receive side is
+//! held by another sender, or missing words on the receive side are
 //! waited out by yielding between retries — to the next CPE fiber on
-//! the functional runtime (see [`sw_check::fiber`]), to the OS
-//! scheduler elsewhere. A wait gives up with
-//! [`crate::MeshError::Deadlock`] once the fiber executor finds the run
-//! deadlocked, or once the wall-clock fuse trips; the fuse deadline is
-//! armed lazily on the first failed retry, so the uncontended path
-//! never reads the clock.
+//! the functional runtime, to the OS scheduler elsewhere. A wait gives
+//! up with [`crate::MeshError::Deadlock`] once the fiber executor finds
+//! the run deadlocked, or once the wall-clock fuse trips; the fuse
+//! deadline is armed lazily on the first failed retry, so the
+//! uncontended path never reads the clock.
 
-// Concurrency vocabulary comes from the sw-check facade: plain `std`
-// re-exports in a normal build (zero-cost, the hot path is unchanged),
-// checker-instrumented types under `--cfg sw_check` so this exact
-// source is model-checked by `check_models`.
+use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
+use std::time::{Duration, Instant};
 use sw_arch::V256;
-use sw_check::cell::UnsafeCell;
 use sw_check::fiber;
-use sw_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use sw_check::time::{Duration, Instant};
-
-/// Pads (and aligns) a value to its own 128-byte region so atomics
-/// written by different threads — a ring's producer and consumer
-/// cursors, a line's strip-step turn — never share a cache line (128
-/// covers the 64 B line size plus adjacent-line prefetching).
-#[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub T);
 
 /// Most members one ring serves: the skip mask has one bit per member.
 const MAX_MEMBERS: usize = 8;
 
-/// One published word and the members that must not read it.
-#[derive(Clone, Copy)]
-struct Slot {
-    word: V256,
-    /// Bit `m` set: member `m` steps over this word.
-    skip: u8,
+/// A ring slot's word before the sender writes it.
+type Uninit = MaybeUninit<V256>;
+
+/// The words a sender publishes: a slice, or words made on the fly.
+/// Either way the ring writes every slot it publishes.
+pub(crate) enum Source<'a, F> {
+    Slice(&'a [V256]),
+    Made(F),
 }
 
-/// The producer's side of a ring, touched only by the claim holder
-/// (plus the claim flag itself, which would-be senders test).
-struct Producer {
-    /// Set while a sender holds the ring for an episode.
-    claimed: AtomicBool,
-    /// First cursor value the tail may not reach: the slowest guarding
-    /// member's cursor plus the capacity. A cache, written back by each
-    /// episode; stale values are only ever too low (cursors never move
-    /// backwards), which costs a reload, never a lapped reader.
-    limit: AtomicUsize,
+impl<'a> Source<'a, fn(usize) -> V256> {
+    pub fn slice(words: &'a [V256]) -> Self {
+        Source::Slice(words)
+    }
+}
+
+impl<F: Fn(usize) -> V256> Source<'_, F> {
+    /// Writes source words `i..i + dst.len()` into all of `dst` (a
+    /// slice too short panics before writing).
+    fn fill(&self, i: usize, dst: &mut [Uninit]) {
+        match self {
+            Source::Slice(src) => {
+                let src = &src[i..i + dst.len()];
+                for (d, s) in dst.iter_mut().zip(src) {
+                    d.write(*s);
+                }
+            }
+            Source::Made(word) => {
+                for (k, d) in dst.iter_mut().enumerate() {
+                    d.write(word(i + k));
+                }
+            }
+        }
+    }
 }
 
 /// A bounded single-producer-at-a-time, multi-consumer ring of mesh
 /// words shared by the members of one mesh row or column.
 ///
-/// Capacity must be a power of two (cursors are free-running and
-/// wrapped with a mask). Slots hold [`MaybeUninit`] so the buffer
-/// costs no initialization; `Slot` is `Copy`, so overwritten slots need
-/// no drops.
+/// Cursors are free-running and wrapped with a mask, so the depth must
+/// be a power of two. Words are [`MaybeUninit`], so the buffer costs no
+/// initialization; only published slots are ever read.
 pub(crate) struct BroadcastRing {
-    /// Producer cursor: next slot to fill. Written only by the claim
-    /// holder; every member reads it.
-    tail: CachePadded<AtomicUsize>,
-    producer: CachePadded<Producer>,
-    /// Per-member consumer cursors: next slot that member reads.
-    /// Written only by that member's thread.
-    heads: Box<[CachePadded<AtomicUsize>]>,
-    slots: Box<[UnsafeCell<MaybeUninit<Slot>>]>,
+    /// Producer cursor: next slot to fill.
+    tail: Cell<usize>,
+    /// Set while a sender holds the ring for an episode.
+    claimed: Cell<bool>,
+    /// Per-member cursors: next slot that member reads.
+    heads: Box<[Cell<usize>]>,
+    /// Slot `s` at position `s`, and slots below `depth` once more at
+    /// `2 · depth + s`.
+    words: Box<[UnsafeCell<Uninit>]>,
+    /// Per-slot skip masks: bit `m` set, member `m` steps over the word.
+    skip: Box<[Cell<u8>]>,
+    /// How far the sender may run ahead of a guarding member.
+    depth: usize,
+    /// Slot mask: the ring has `2 · depth` slots.
     mask: usize,
 }
 
-// The slot array is raced only in the disciplined pattern: the claim
-// holder writes a slot strictly before publishing it with a release
-// tail store, and only once every member that still needs the slot's
-// previous word has released its cursor past it (acquire loads in
-// `Episode::reload`); a member reads slots strictly after an acquire
-// tail load. The claim makes the producer unique, and each cursor has
-// one reader thread because the mesh hands each member position to
-// exactly one `!Sync` port.
-unsafe impl Send for BroadcastRing {}
-unsafe impl Sync for BroadcastRing {}
-
-/// Which producer [`Episode::push`] compiles: the sound one, or one of
-/// the seeded defects the `cfg(sw_check)` block below exposes to the
-/// model-check suite. Production builds only instantiate [`SOUND`].
-const SOUND: u8 = 0;
-const RELAXED_TAIL: u8 = 1;
-const SLOT_AFTER_PUBLISH: u8 = 2;
-const IGNORE_LAST_CURSOR: u8 = 3;
-const UNCLAIMED: u8 = 4;
-
 impl BroadcastRing {
-    pub fn new(members: usize, capacity: usize) -> Self {
-        assert!(
-            capacity.is_power_of_two(),
-            "ring capacity must be a power of two"
-        );
+    pub fn new(members: usize, depth: usize) -> Self {
+        assert!(depth.is_power_of_two(), "ring depth must be a power of two");
         assert!(
             (1..=MAX_MEMBERS).contains(&members),
             "a ring serves 1..={MAX_MEMBERS} members"
         );
         BroadcastRing {
-            tail: CachePadded(AtomicUsize::new(0)),
-            producer: CachePadded(Producer {
-                claimed: AtomicBool::new(false),
-                limit: AtomicUsize::new(capacity),
-            }),
-            heads: (0..members)
-                .map(|_| CachePadded(AtomicUsize::new(0)))
-                .collect(),
-            slots: (0..capacity)
+            tail: Cell::new(0),
+            claimed: Cell::new(false),
+            heads: (0..members).map(|_| Cell::new(0)).collect(),
+            words: (0..3 * depth)
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                 .collect(),
-            mask: capacity - 1,
+            skip: (0..2 * depth).map(|_| Cell::new(0)).collect(),
+            depth,
+            mask: 2 * depth - 1,
         }
     }
 
-    /// Copies out slot `idx` (a free-running cursor value).
-    ///
-    /// Callers guarantee the slot is published to them and not being
-    /// rewritten: see the `Sync` impl.
+    /// Slots in the ring.
+    fn slots(&self) -> usize {
+        self.mask + 1
+    }
+
+    /// The skip mask of slot `idx` (a free-running cursor value).
     #[inline]
-    fn read(&self, idx: usize) -> Slot {
-        // SAFETY: per the caller contract, the slot was initialized by
-        // a publish ordered before this read, and no producer writes it
-        // until this reader's cursor has passed it.
-        self.slots[idx & self.mask].with(|p| unsafe { (*p).assume_init_read() })
+    fn skip_at(&self, idx: usize) -> u8 {
+        self.skip[idx & self.mask].get()
+    }
+
+    /// Pointer to position `at` of the word array.
+    #[inline]
+    fn word_ptr(&self, at: usize) -> *mut V256 {
+        UnsafeCell::raw_get(self.words[at..].as_ptr()).cast()
+    }
+
+    /// Writes source words `i..i + len` into slots `slot..` (`slot +
+    /// len` at most the slot count), then repeats those below `depth`.
+    fn put<F: Fn(usize) -> V256>(&self, slot: usize, src: &Source<F>, i: usize, len: usize) {
+        let at = self.word_ptr(slot);
+        // SAFETY: both ranges lie inside the word array, and the
+        // producer writes only slots no member still needs (see
+        // `Episode::publish`), so no other reference to them is live.
+        // `fill` initializes all `len` words before the repeat copies
+        // them.
+        unsafe {
+            src.fill(i, std::slice::from_raw_parts_mut(at.cast(), len));
+            let repeat = len.min(self.depth.saturating_sub(slot));
+            if repeat > 0 {
+                let copy = self.word_ptr(self.slots() + slot);
+                std::ptr::copy_nonoverlapping(at, copy, repeat);
+            }
+        }
+    }
+
+    /// Steps member `pos`'s cursor over published slots masked off for
+    /// it and returns the cursor.
+    fn skip_masked(&self, pos: usize) -> usize {
+        let bit = 1u8 << pos;
+        let tail = self.tail.get();
+        let mut head = self.heads[pos].get();
+        while head != tail && self.skip_at(head) & bit != 0 {
+            head = head.wrapping_add(1);
+        }
+        self.heads[pos].set(head);
+        head
     }
 
     /// Claims the ring for one sending episode as member `pos`, or
     /// `None` while another member holds it.
-    #[inline]
     pub fn try_claim(&self, pos: usize) -> Option<Episode<'_>> {
-        self.claim::<SOUND>(pos)
-    }
-
-    fn claim<const DEFECT: u8>(&self, pos: usize) -> Option<Episode<'_>> {
-        // Test before test-and-set: a waiting sender only reads the
-        // flag, so it neither bounces the holder's cache line nor looks
-        // like progress to the model checker. The acquire swap pairs
-        // with the previous holder's release in `Episode::drop`: its
-        // tail, slots and cached limit are ours.
-        let claimed = &self.producer.0.claimed;
-        if DEFECT != UNCLAIMED
-            && (claimed.load(Ordering::Relaxed) || claimed.swap(true, Ordering::Acquire))
-        {
+        if self.claimed.replace(true) {
             return None;
         }
-        // Relaxed: the claim above ordered the last tail store before
-        // us, and nobody else writes the tail while we hold the claim.
-        let tail = self.tail.0.load(Ordering::Relaxed);
         // Step over published words masked off for us (our own earlier
         // words, or words dropped on our link) so that a sender whose
-        // only backlog is such words still counts as caught up. Safe to
-        // read: the slots are published and we are the only producer.
-        let bit = 1u8 << pos;
-        let head = self.heads[pos].0.load(Ordering::Relaxed);
-        let mut h = head;
-        while h != tail && self.read(h).skip & bit != 0 {
-            h = h.wrapping_add(1);
-        }
-        if h != head {
-            self.heads[pos].0.store(h, Ordering::Release);
-        }
-        let caught_up = h == tail;
-        // A cached limit was computed by some sender with its own
-        // cursor left out, which is sound for every later caught-up
-        // sender (that sender's cursor was then stepped to the tail).
-        // A sender with unread words must also guard its own cursor,
-        // so it reloads before its first push.
-        let limit = if caught_up {
-            self.producer.0.limit.load(Ordering::Relaxed)
-        } else {
-            tail
-        };
+        // only backlog is such words still counts as caught up.
+        let caught_up = self.skip_masked(pos) == self.tail.get();
         Some(Episode {
             ring: self,
             pos,
-            tail,
-            limit,
             caught_up,
         })
     }
 
-    /// Member `pos` dequeues up to `limit` of its unread words, oldest
-    /// first, handing each to `sink`, and returns how many it took.
-    /// Words masked off for the member are stepped over. One acquire
-    /// load of the tail and at most one release store of the member's
-    /// cursor per call, however many words move.
-    #[inline]
-    pub fn pop_into(&self, pos: usize, limit: usize, mut sink: impl FnMut(V256)) -> usize {
+    /// The union of the skip masks of the `n` slots from cursor value
+    /// `from` (`n` at most the slot count).
+    fn skip_union(&self, from: usize, n: usize) -> u8 {
+        let at = from & self.mask;
+        let wrap = (at + n).saturating_sub(self.slots());
+        // A branch-free fold: it vectorizes, unlike a search that stops
+        // at the first hit.
+        let union = |s: &[Cell<u8>]| s.iter().fold(0, |m, c| m | c.get());
+        union(&self.skip[at..at + n - wrap]) | union(&self.skip[..wrap])
+    }
+
+    /// The words of the `n` published slots from cursor value `start`
+    /// (`n` at most `depth`). They stay intact while every member that
+    /// guards the producer is within `depth` slots of `start`: a
+    /// receiver that borrows the words it consumed last must not
+    /// consume more while it holds them.
+    pub fn window(&self, start: usize, n: usize) -> &[V256] {
+        let behind = self.tail.get().wrapping_sub(start);
+        assert!(
+            n <= self.depth && (n..=self.slots()).contains(&behind),
+            "a window is at most `depth` published slots not yet rewritten"
+        );
+        // SAFETY: the slots are published and not yet rewritten (the
+        // producer rewrites a slot a whole slot count after writing
+        // it), so their words are initialized at both copies, and
+        // positions `at..at + n` lie inside the word array (`at` is
+        // below the slot count, `n` at most `depth`). While the caller
+        // keeps the guarding cursors within `depth` of `start`, the
+        // producer stays within `2 · depth` of it (`Episode::room`) and
+        // rewrites none of them.
+        unsafe { std::slice::from_raw_parts(self.word_ptr(start & self.mask), n) }
+    }
+
+    /// Member `pos`'s cursor.
+    #[cfg(test)]
+    pub fn head(&self, pos: usize) -> usize {
+        self.heads[pos].get()
+    }
+
+    /// Member `pos` consumes up to `limit` of its unread words, oldest
+    /// first, stepping over words masked off for it, and returns how
+    /// many it consumed. The consumed slots are handed to `run` as
+    /// unbroken runs `(start, len)` of cursor values, each at most
+    /// `depth` long and consumed before `run` sees it: borrow their
+    /// words with [`Self::window`].
+    pub fn pop_runs(&self, pos: usize, limit: usize, mut run: impl FnMut(usize, usize)) -> usize {
         let bit = 1u8 << pos;
-        // Relaxed: only this member writes its own cursor. The acquire
-        // on `tail` pairs with the producer's release publish; both
-        // pairings are model-checked by `check_models` and the mutants.
-        let start = self.heads[pos].0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        let mut head = start;
+        let tail = self.tail.get();
+        let mut head = self.heads[pos].get();
         let mut got = 0;
         while head != tail && got < limit {
-            let slot = self.read(head);
-            head = head.wrapping_add(1);
-            if slot.skip & bit == 0 {
-                sink(slot.word);
-                got += 1;
+            let k = tail.wrapping_sub(head).min(limit - got).min(self.depth);
+            // The whole stretch at once when nothing in it is masked
+            // off for us, else up to the first masked slot.
+            let mut len = k;
+            if self.skip_union(head, k) & bit != 0 {
+                len = (0..k)
+                    .position(|i| self.skip_at(head.wrapping_add(i)) & bit != 0)
+                    .unwrap_or(k);
             }
-        }
-        if head != start {
-            self.heads[pos].0.store(head, Ordering::Release);
+            let start = head;
+            head = head.wrapping_add(len.max(1));
+            self.heads[pos].set(head);
+            if len > 0 {
+                run(start, len);
+                got += len;
+            }
         }
         got
     }
 
-    /// Member `pos` dequeues its oldest unread word, if any: a
-    /// [`BroadcastRing::pop_into`] of at most one word.
-    #[inline]
+    /// Member `pos` dequeues its oldest unread word, if any.
     pub fn try_pop(&self, pos: usize) -> Option<V256> {
-        let mut out = None;
-        self.pop_into(pos, 1, |v| out = Some(v));
-        out
+        let mut at = None;
+        self.pop_runs(pos, 1, |start, _| at = Some(start));
+        at.map(|start| self.window(start, 1)[0])
     }
 }
 
@@ -253,139 +287,62 @@ impl BroadcastRing {
 pub(crate) struct Episode<'a> {
     ring: &'a BroadcastRing,
     pos: usize,
-    /// The ring's tail as this episode has advanced it.
-    tail: usize,
-    /// Cached fullness bound (see [`Producer::limit`]).
-    limit: usize,
     /// The sender had no unread words when it claimed the ring, so its
     /// own cursor guards no slot.
     caught_up: bool,
 }
 
 impl Episode<'_> {
-    /// Publishes `word` to every member whose bit in `skip` is clear
-    /// (the sender's own bit is added here), unless the ring is full.
-    #[inline]
-    pub fn try_push(&mut self, word: V256, skip: u8) -> bool {
-        self.push::<SOUND>(word, skip)
-    }
-
-    /// The producer, generic over [`SOUND`] or one seeded defect; the
-    /// defect branches are constant-folded away.
-    #[inline]
-    fn push<const DEFECT: u8>(&mut self, word: V256, skip: u8) -> bool {
-        if self.tail == self.limit && !self.reload::<DEFECT>() {
-            return false; // full
-        }
+    /// Words the ring can take now: the sender may run at most `depth`
+    /// words ahead of any guarding member.
+    pub fn room(&self) -> usize {
         let ring = self.ring;
-        let tail = self.tail;
-        let slot = Slot {
-            word,
-            skip: skip | 1 << self.pos,
-        };
-        let publish = if DEFECT == RELAXED_TAIL {
-            Ordering::Relaxed // MUTANT: was Ordering::Release.
-        } else {
-            Ordering::Release
-        };
-        if DEFECT == SLOT_AFTER_PUBLISH {
-            // MUTANT: the publish belongs below the slot write.
-            ring.tail.0.store(tail.wrapping_add(1), publish);
-        }
-        // SAFETY: the claim makes us the only producer, and `limit`
-        // proves every guarding member's cursor is past this slot's
-        // previous word; the slot stays invisible until the publish.
-        ring.slots[tail & ring.mask].with_mut(|p| unsafe { (*p).write(slot) });
-        if DEFECT != SLOT_AFTER_PUBLISH {
-            ring.tail.0.store(tail.wrapping_add(1), publish);
-        }
-        self.tail = tail.wrapping_add(1);
-        true
+        let tail = ring.tail.get();
+        let lag = (ring.heads.iter().enumerate())
+            .filter(|&(m, _)| m != self.pos || !self.caught_up)
+            .map(|(_, head)| tail.wrapping_sub(head.get()))
+            .max()
+            .unwrap_or(0);
+        ring.depth - lag
     }
 
-    /// Reloads the guarding cursors and recomputes [`Self::limit`].
-    /// Returns whether there is room for one more word.
-    fn reload<const DEFECT: u8>(&mut self) -> bool {
-        let last = self.ring.heads.len() - 1;
-        let mut lag = 0;
-        for (m, head) in self.ring.heads.iter().enumerate() {
-            if m == self.pos && self.caught_up {
-                continue;
-            }
-            if DEFECT == IGNORE_LAST_CURSOR && m == last {
-                continue; // MUTANT: every guarding cursor counts.
-            }
-            // Acquire pairs with the member's release in `try_pop`:
-            // its reads of the slots it passed happen before our
-            // overwrite.
-            lag = lag.max(self.tail.wrapping_sub(head.0.load(Ordering::Acquire)));
+    /// Publishes source words `from..from + n` (`n` at most
+    /// [`Self::room`]): the `i`-th reaches every member whose bit in
+    /// `skip(i)` is clear (the sender's own bit is added here).
+    pub fn publish<F: Fn(usize) -> V256>(
+        &self,
+        src: &Source<F>,
+        from: usize,
+        n: usize,
+        mut skip: impl FnMut(usize) -> u8,
+    ) {
+        assert!(n <= self.room(), "publish beyond the ring's room");
+        let ring = self.ring;
+        let tail = ring.tail.get();
+        let own = 1u8 << self.pos;
+        for i in 0..n {
+            ring.skip[tail.wrapping_add(i) & ring.mask].set(skip(i) | own);
         }
-        self.limit = self.tail.wrapping_sub(lag).wrapping_add(self.ring.mask + 1);
-        self.tail != self.limit
+        // Every member that reads or holds a slot is within `depth` of
+        // the tail, and these slots are a whole slot count past theirs.
+        let at = tail & ring.mask;
+        let first = n.min(ring.slots() - at);
+        ring.put(at, src, from, first);
+        ring.put(0, src, from + first, n - first);
+        ring.tail.set(tail.wrapping_add(n));
     }
 }
 
 impl Drop for Episode<'_> {
     fn drop(&mut self) {
-        // The checker tears an explored execution down by unwinding its
-        // threads; announcing more ops then would panic inside a panic.
-        #[cfg(sw_check)]
-        if std::thread::panicking() {
-            return;
-        }
         let ring = self.ring;
         if self.caught_up {
             // The sender never reads its own words: step past them.
-            ring.heads[self.pos].0.store(self.tail, Ordering::Release);
+            ring.heads[self.pos].set(ring.tail.get());
         }
-        ring.producer.0.limit.store(self.limit, Ordering::Relaxed);
-        ring.producer.0.claimed.store(false, Ordering::Release);
+        ring.claimed.set(false);
     }
 }
-
-/// Seeded defects for the model-check suite ([`crate::check_models`]):
-/// the producer above compiled with one deliberate fault each, only
-/// under the checker cfg so production builds never contain them.
-/// Every mutant must be *caught* by `sw-check` — a mutant that passes
-/// means the suite lost its teeth.
-#[cfg(sw_check)]
-impl BroadcastRing {
-    /// `try_claim` that never takes the claim: two senders can then
-    /// write the same slot at once.
-    pub(crate) fn try_claim_mutant_unclaimed(&self, pos: usize) -> Option<Episode<'_>> {
-        self.claim::<UNCLAIMED>(pos)
-    }
-}
-
-#[cfg(sw_check)]
-impl Episode<'_> {
-    /// `try_push` with the publishing store weakened to `Relaxed`: a
-    /// reader's slot read is no longer ordered after the slot write,
-    /// which the checker reports as a data race.
-    pub(crate) fn try_push_mutant_relaxed_tail(&mut self, word: V256, skip: u8) -> bool {
-        self.push::<RELAXED_TAIL>(word, skip)
-    }
-
-    /// `try_push` with the slot write sunk below the publish: a reader
-    /// can observe the new tail before the slot holds data.
-    pub(crate) fn try_push_mutant_slot_after_publish(&mut self, word: V256, skip: u8) -> bool {
-        self.push::<SLOT_AFTER_PUBLISH>(word, skip)
-    }
-
-    /// `try_push` whose fullness check ignores the last member's
-    /// cursor: the producer can overwrite a slot that member has not
-    /// read yet.
-    pub(crate) fn try_push_mutant_ignore_cursor(&mut self, word: V256, skip: u8) -> bool {
-        self.push::<IGNORE_LAST_CURSOR>(word, skip)
-    }
-}
-
-/// Under the model checker, virtual time passes only through timed
-/// sleeps, so a waiter off a fiber sleeps this quantum where it would
-/// yield; that lets the fuse model trip the fuse in bounded virtual
-/// time.
-#[cfg(sw_check)]
-const CHECK_QUANTUM: Duration = Duration::from_micros(50);
 
 /// Yield-and-retry waiter with a lazily armed wall-clock fuse.
 ///
@@ -408,7 +365,6 @@ impl Backoff {
 
     /// Waits one round. Returns `false` once the fiber executor has
     /// found the run deadlocked or the fuse has tripped.
-    #[inline]
     pub fn snooze(&mut self) -> bool {
         if fiber::deadlocked() {
             return false;
@@ -417,31 +373,9 @@ impl Backoff {
         if now >= *self.deadline.get_or_insert(now + self.timeout) {
             return false;
         }
-        Self::pause();
-        true
-    }
-
-    #[inline]
-    fn pause() {
-        #[cfg(not(sw_check))]
-        sw_check::thread::yield_now();
-        #[cfg(sw_check)]
         if !fiber::suspend() {
-            sw_check::thread::sleep(CHECK_QUANTUM);
+            std::thread::yield_now();
         }
-    }
-}
-
-/// Seeded defect for the model-check suite: see the producer mutant
-/// block above.
-#[cfg(sw_check)]
-impl Backoff {
-    /// `snooze` with the deadline check skipped: the fuse never trips,
-    /// so a peer that never drains keeps this thread waiting forever —
-    /// which the checker reports as a livelock.
-    pub(crate) fn snooze_mutant_fuse_skip(&mut self) -> bool {
-        // MUTANT: the deadline arm + check belong here.
-        Self::pause();
         true
     }
 }
@@ -449,199 +383,94 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
+    use crate::on_fibers;
 
     fn w(i: usize) -> V256 {
         V256::splat(i as f64)
     }
 
-    /// Pushes `words` as one episode of member `pos`; panics if full.
-    fn send(r: &BroadcastRing, pos: usize, words: impl IntoIterator<Item = V256>) {
-        let mut ep = r.try_claim(pos).expect("ring is free");
-        for v in words {
-            assert!(ep.try_push(v, 0), "ring unexpectedly full");
-        }
+    fn ws(range: std::ops::Range<usize>) -> Vec<V256> {
+        range.map(w).collect()
+    }
+
+    /// Publishes `words` as one episode of member `pos`; panics if
+    /// they do not fit.
+    fn send(r: &BroadcastRing, pos: usize, words: &[V256]) {
+        let ep = r.try_claim(pos).expect("ring is free");
+        assert!(ep.room() >= words.len(), "ring unexpectedly full");
+        ep.publish(&Source::slice(words), 0, words.len(), |_| 0);
+    }
+
+    /// Member `pos` consumes up to `limit` words; returns them and the
+    /// runs they came in.
+    fn take(r: &BroadcastRing, pos: usize, limit: usize) -> (Vec<V256>, Vec<(usize, usize)>) {
+        let (mut got, mut runs) = (Vec::new(), Vec::new());
+        r.pop_runs(pos, limit, |start, len| {
+            got.extend_from_slice(r.window(start, len));
+            runs.push((start, len));
+        });
+        (got, runs)
+    }
+
+    fn drain(r: &BroadcastRing, pos: usize) -> Vec<V256> {
+        take(r, pos, usize::MAX).0
     }
 
     #[test]
     fn fifo_per_receiver_with_two_consumers() {
         let r = BroadcastRing::new(3, 8);
-        send(&r, 0, (0..5).map(w));
+        send(&r, 0, &ws(0..5));
         // The consumers drain at different paces; each sees every word
         // in order.
         assert_eq!(r.try_pop(1), Some(w(0)));
         assert_eq!(r.try_pop(1), Some(w(1)));
-        for i in 0..5 {
-            assert_eq!(r.try_pop(2), Some(w(i)));
-        }
-        assert_eq!(r.try_pop(2), None);
-        for i in 2..5 {
-            assert_eq!(r.try_pop(1), Some(w(i)));
-        }
-        assert_eq!(r.try_pop(1), None);
+        assert_eq!(drain(&r, 2), ws(0..5));
+        assert_eq!(drain(&r, 1), ws(2..5));
     }
 
     #[test]
     fn sender_never_reads_its_own_word() {
         let r = BroadcastRing::new(3, 8);
-        send(&r, 1, [w(7)]);
+        send(&r, 1, &[w(7)]);
         assert_eq!(r.try_pop(1), None, "the sender skips its own word");
         assert_eq!(r.try_pop(0), Some(w(7)));
         assert_eq!(r.try_pop(2), Some(w(7)));
         // Member 1 had unread words when member 0 sent, so its own word
         // stays masked off for it while the others read it.
-        send(&r, 0, [w(8)]);
-        send(&r, 1, [w(9)]);
-        assert_eq!(r.try_pop(1), Some(w(8)));
-        assert_eq!(r.try_pop(1), None);
-        assert_eq!(r.try_pop(0), Some(w(9)));
-        assert_eq!(r.try_pop(0), None);
+        send(&r, 0, &[w(8)]);
+        send(&r, 1, &[w(9)]);
+        assert_eq!(drain(&r, 1), [w(8)]);
+        assert_eq!(drain(&r, 0), [w(9)]);
     }
 
     #[test]
     fn drop_mask_hides_a_word_from_exactly_one_receiver() {
         let r = BroadcastRing::new(4, 8);
-        let mut ep = r.try_claim(0).unwrap();
-        assert!(ep.try_push(w(1), 0));
-        assert!(ep.try_push(w(2), 1 << 2)); // lost on member 2's link
-        assert!(ep.try_push(w(3), 0));
+        let ep = r.try_claim(0).unwrap();
+        // Word 2 is lost on member 2's link.
+        ep.publish(&Source::Made(|i| w(i + 1)), 0, 3, |i| {
+            if i == 1 {
+                1 << 2
+            } else {
+                0
+            }
+        });
         drop(ep);
         for m in [1, 3] {
-            let got: Vec<_> = std::iter::from_fn(|| r.try_pop(m)).collect();
-            assert_eq!(got, vec![w(1), w(2), w(3)], "member {m}");
+            assert_eq!(take(&r, m, 9), (ws(1..4), vec![(0, 3)]), "member {m}");
         }
-        let got: Vec<_> = std::iter::from_fn(|| r.try_pop(2)).collect();
-        assert_eq!(got, vec![w(1), w(3)], "member 2 never sees word 2");
+        let (got, runs) = take(&r, 2, 9);
+        assert_eq!(got, [w(1), w(3)], "member 2 never sees word 2");
+        assert_eq!(runs, [(0, 1), (2, 1)], "the drop breaks the run");
     }
 
     #[test]
     fn wraps_around_many_times() {
         let r = BroadcastRing::new(2, 4);
         for i in 0..1000 {
-            send(&r, 0, [w(i)]);
+            send(&r, 0, &[w(i)]);
             assert_eq!(r.try_pop(1), Some(w(i)));
         }
-    }
-
-    #[test]
-    fn sender_blocks_at_full_depth_until_the_slowest_receiver_drains() {
-        let r = BroadcastRing::new(3, 4);
-        let mut ep = r.try_claim(0).unwrap();
-        for i in 0..4 {
-            assert!(ep.try_push(w(i), 0));
-        }
-        assert!(!ep.try_push(w(4), 0), "fifth push must report full");
-        // The fast receiver drains everything; the slow one still pins
-        // the oldest slot, so the ring stays full.
-        for i in 0..4 {
-            assert_eq!(r.try_pop(1), Some(w(i)));
-        }
-        assert!(!ep.try_push(w(4), 0), "slowest receiver decides");
-        assert_eq!(r.try_pop(2), Some(w(0)));
-        assert!(ep.try_push(w(4), 0), "one slot freed");
-        assert!(!ep.try_push(w(5), 0));
-
-        // Threaded: the sender waits out a receiver that starts late.
-        drop(ep);
-        let r = BroadcastRing::new(3, 4);
-        let n = 64;
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut ep = r.try_claim(0).unwrap();
-                let mut b = Backoff::new(Duration::from_secs(10));
-                for i in 0..n {
-                    while !ep.try_push(w(i), 0) {
-                        assert!(b.snooze(), "producer timed out");
-                    }
-                }
-            });
-            for m in [1, 2] {
-                let r = &r;
-                s.spawn(move || {
-                    if m == 2 {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    let mut b = Backoff::new(Duration::from_secs(10));
-                    for i in 0..n {
-                        let v = loop {
-                            match r.try_pop(m) {
-                                Some(v) => break v,
-                                None => assert!(b.snooze(), "consumer timed out"),
-                            }
-                        };
-                        assert_eq!(v, w(i));
-                    }
-                });
-            }
-        });
-    }
-
-    /// Blocking receive of `n` words as member `pos`.
-    fn recv_n(r: &BroadcastRing, pos: usize, n: usize) -> Vec<V256> {
-        let mut b = Backoff::new(Duration::from_secs(10));
-        let mut got = Vec::with_capacity(n);
-        while got.len() < n {
-            match r.try_pop(pos) {
-                Some(v) => got.push(v),
-                None => assert!(b.snooze(), "member {pos} timed out"),
-            }
-        }
-        got
-    }
-
-    /// Blocking send of `words` as one episode of member `pos`.
-    fn send_blocking(r: &BroadcastRing, pos: usize, words: impl IntoIterator<Item = V256>) {
-        let mut b = Backoff::new(Duration::from_secs(10));
-        let mut ep = loop {
-            match r.try_claim(pos) {
-                Some(ep) => break ep,
-                None => assert!(b.snooze(), "member {pos} never got the claim"),
-            }
-        };
-        for v in words {
-            while !ep.try_push(v, 0) {
-                assert!(b.snooze(), "member {pos} timed out sending");
-            }
-        }
-    }
-
-    #[test]
-    fn claim_hands_off_between_two_senders_across_a_barrier() {
-        // Two strip steps on one line: member 0 broadcasts, a barrier,
-        // then member 1 broadcasts. Each step streams far more words
-        // than the ring holds, so the hand-off also crosses the wrap.
-        let r = BroadcastRing::new(3, 8);
-        let barrier = Barrier::new(3);
-        let n = 200;
-        let first: Vec<_> = (0..n).map(w).collect();
-        let second: Vec<_> = (1000..1000 + n).map(w).collect();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                send_blocking(&r, 0, first.clone());
-                barrier.wait();
-                assert_eq!(recv_n(&r, 0, n), second);
-            });
-            s.spawn(|| {
-                assert_eq!(recv_n(&r, 1, n), first);
-                barrier.wait();
-                send_blocking(&r, 1, second.clone());
-            });
-            assert_eq!(recv_n(&r, 2, n), first);
-            barrier.wait();
-            assert_eq!(recv_n(&r, 2, n), second);
-        });
-        for m in 0..3 {
-            assert_eq!(r.try_pop(m), None, "member {m} drained");
-        }
-    }
-
-    #[test]
-    fn a_held_claim_excludes_other_senders() {
-        let r = BroadcastRing::new(2, 8);
-        let ep = r.try_claim(0).unwrap();
-        assert!(r.try_claim(1).is_none());
-        drop(ep);
-        assert!(r.try_claim(1).is_some());
     }
 
     #[test]
@@ -657,17 +486,145 @@ mod tests {
     }
 
     #[test]
-    fn cursors_do_not_false_share() {
-        // The padded producer cursor and each consumer cursor must live
-        // ≥128 B apart (the alignment contract the type encodes).
-        let r = BroadcastRing::new(8, 8);
-        let tail = &r.tail as *const _ as usize;
-        let heads: Vec<usize> = r.heads.iter().map(|h| h as *const _ as usize).collect();
-        for (i, &h) in heads.iter().enumerate() {
-            assert!(h.abs_diff(tail) >= 128);
-            for &g in &heads[i + 1..] {
-                assert!(h.abs_diff(g) >= 128);
+    fn sender_is_held_at_full_depth_by_the_slowest_receiver() {
+        let r = BroadcastRing::new(3, 4);
+        let ep = r.try_claim(0).unwrap();
+        assert_eq!(ep.room(), 4);
+        ep.publish(&Source::Made(w), 0, 4, |_| 0);
+        assert_eq!(ep.room(), 0, "a fifth word must not fit");
+        // The fast receiver drains everything; the slow one still pins
+        // the oldest word, so the ring stays full.
+        assert_eq!(drain(&r, 1).len(), 4);
+        assert_eq!(ep.room(), 0, "slowest receiver decides");
+        assert_eq!(r.try_pop(2), Some(w(0)));
+        assert_eq!(ep.room(), 1, "one slot freed");
+    }
+
+    #[test]
+    fn a_held_claim_excludes_other_senders() {
+        let r = BroadcastRing::new(2, 8);
+        let ep = r.try_claim(0).unwrap();
+        assert!(r.try_claim(1).is_none());
+        drop(ep);
+        assert!(r.try_claim(1).is_some());
+    }
+
+    #[test]
+    fn claim_hands_off_between_two_senders_on_fibers() {
+        // Two strip steps on one line: member 0 broadcasts, then member
+        // 1. Each step streams far more words than the ring holds, so
+        // both senders wait on the ring and the hand-off crosses the
+        // wrap; every member reads one FIFO in episode order.
+        let r = BroadcastRing::new(3, 8);
+        let n = 200;
+        let (first, second) = (ws(0..n), ws(1000..1000 + n));
+        let first_done = Cell::new(false);
+        let wait_a_pass = |who: usize| {
+            assert!(!fiber::deadlocked(), "member {who} is stuck");
+            assert!(fiber::suspend());
+        };
+        let blocking_send = |pos: usize, words: &[V256]| {
+            let ep = loop {
+                match r.try_claim(pos) {
+                    Some(ep) => break ep,
+                    None => wait_a_pass(pos),
+                }
+            };
+            let mut sent = 0;
+            while sent < words.len() {
+                let run = ep.room().min(words.len() - sent);
+                if run == 0 {
+                    wait_a_pass(pos);
+                    continue;
+                }
+                ep.publish(&Source::slice(words), sent, run, |_| 0);
+                fiber::note_progress();
+                sent += run;
+            }
+        };
+        let recv = |pos: usize, want: usize| {
+            let mut got = Vec::new();
+            while got.len() < want {
+                let (words, _) = take(&r, pos, want - got.len());
+                if words.is_empty() {
+                    wait_a_pass(pos);
+                } else {
+                    fiber::note_progress();
+                    got.extend(words);
+                }
+            }
+            got
+        };
+        on_fibers(3, |pos| match pos {
+            0 => {
+                blocking_send(0, &first);
+                first_done.set(true);
+                assert_eq!(recv(0, n), second);
+            }
+            1 => {
+                assert_eq!(recv(1, n), first);
+                while !first_done.get() {
+                    wait_a_pass(1);
+                }
+                blocking_send(1, &second);
+            }
+            _ => {
+                assert_eq!(recv(2, n), first);
+                assert_eq!(recv(2, n), second);
+            }
+        });
+        for m in 0..3 {
+            assert_eq!(r.try_pop(m), None, "member {m} drained");
+        }
+    }
+
+    // The `window_*` tests exercise the raw-slice code (the word array
+    // with its repeated slots, borrowed windows, the publish copies) on
+    // one plain thread, so they run under Miri.
+
+    #[test]
+    fn window_borrows_one_run_in_place_at_every_wrap_offset() {
+        let depth = 8;
+        for offset in 0..2 * depth {
+            for n in 1..=depth {
+                let r = BroadcastRing::new(2, depth);
+                // Move both cursors to `offset`, a depth at a time.
+                for from in (0..offset).step_by(depth) {
+                    send(&r, 0, &ws(from..offset.min(from + depth)));
+                    drain(&r, 1);
+                }
+                let words = ws(100..100 + n);
+                send(&r, 0, &words);
+                let (got, runs) = take(&r, 1, n);
+                assert_eq!(runs, [(offset, n)], "offset {offset}, n {n}");
+                assert_eq!(got, words, "offset {offset}, n {n}");
             }
         }
+    }
+
+    #[test]
+    fn window_steps_over_leading_masked_words() {
+        let r = BroadcastRing::new(3, 8);
+        send(&r, 1, &[w(1)]); // member 1's own word
+        send(&r, 0, &[w(2), w(3)]);
+        assert_eq!(take(&r, 1, 2), (vec![w(2), w(3)], vec![(1, 2)]));
+    }
+
+    #[test]
+    fn window_stays_intact_while_the_sender_runs_a_depth_ahead() {
+        let r = BroadcastRing::new(2, 4);
+        send(&r, 0, &ws(0..3));
+        let (_, runs) = take(&r, 1, 3);
+        let held = r.window(runs[0].0, 3);
+        // Member 1 holds its last three words and consumes nothing
+        // more; the sender fills the ring to a depth past its cursor,
+        // across the end of the slots.
+        for round in 0..2 {
+            let ep = r.try_claim(0).unwrap();
+            assert_eq!(ep.room(), 4 - 2 * round);
+            ep.publish(&Source::Made(|i| w(10 + round + i)), 0, 2, |_| 0);
+        }
+        assert_eq!(held, ws(0..3), "the borrowed words are intact");
+        assert_eq!(take(&r, 1, 4).0, [w(10), w(11), w(11), w(12)]);
     }
 }

@@ -18,6 +18,7 @@ pub(crate) struct MeshCounters {
     col_sent: Counter,
     row_recv: Counter,
     col_recv: Counter,
+    gathered: Counter,
 }
 
 impl MeshCounters {
@@ -33,6 +34,9 @@ impl MeshCounters {
     pub fn add_col_recv(&self, n: u64) {
         self.col_recv.add(n);
     }
+    pub fn add_gathered(&self, n: u64) {
+        self.gathered.add(n);
+    }
 
     pub fn snapshot(&self) -> MeshStats {
         MeshStats {
@@ -40,6 +44,7 @@ impl MeshCounters {
             col_words_sent: self.col_sent.get(),
             row_words_received: self.row_recv.get(),
             col_words_received: self.col_recv.get(),
+            words_gathered: self.gathered.get(),
         }
     }
 }
@@ -56,6 +61,11 @@ pub struct MeshStats {
     pub row_words_received: u64,
     /// Words consumed from column receive buffers.
     pub col_words_received: u64,
+    /// Received words copied out of the rings into port scratch rather
+    /// than read where they sit: windows that drops broke up or that
+    /// outnumbered a ring's slots. A host cost only; 0 on a clean run
+    /// whose windows fit the rings.
+    pub words_gathered: u64,
 }
 
 impl MeshStats {
@@ -74,6 +84,8 @@ impl MeshStats {
             .add(self.row_words_received);
         reg.counter("sim.mesh.col.words_received")
             .add(self.col_words_received);
+        reg.counter("sim.mesh.words_gathered")
+            .add(self.words_gathered);
     }
 }
 
@@ -233,6 +245,7 @@ mod tests {
             col_words_sent: 5,
             row_words_received: 7,
             col_words_received: 5,
+            words_gathered: 0,
         };
         s.publish(&reg);
         s.publish(&reg); // accumulates, run after run

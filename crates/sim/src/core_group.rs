@@ -43,12 +43,13 @@ use std::panic::{panic_any, resume_unwind};
 use std::sync::Arc;
 use std::time::Instant;
 use sw_arch::coord::{Coord, N_CPES};
+use sw_arch::V256;
 use sw_check::fiber::Fibers;
 use sw_faults::{apply_ldm_flip, apply_payload_fault, DmaFault, FaultInjector};
 use sw_isa::{CommPort, ExecReport, Instr, Machine};
 use sw_mem::dma::{self, BandwidthModel, MatRegion, Receipt};
 use sw_mem::{Ldm, LdmBuf, MainMemory, MemError};
-use sw_mesh::{Mesh, MeshError, MeshGridStats, MeshPort};
+use sw_mesh::{Mesh, MeshError, MeshGridStats, MeshPort, Window};
 use sw_probe::flight::{self, EventKind, FlightRecorder, Lane};
 use sw_probe::metrics::Histogram;
 
@@ -660,38 +661,27 @@ impl<'a> CpeCtx<'a> {
         );
     }
 
-    /// Batched row broadcast of a word group; aborts the run on
+    /// Broadcasts `n_words` words `word_at(0..n_words)` on the column
+    /// (`col_net`) or row network in one episode, written straight
+    /// into the mesh (see [`MeshPort::bcast`]); aborts the run on
     /// deadlock.
-    pub fn mesh_row_bcast_words(&self, words: &[sw_arch::V256]) {
-        if let Err(e) = self.port.row_bcast_words(words) {
+    pub fn mesh_bcast(&self, col_net: bool, n_words: usize, word_at: impl Fn(usize) -> V256) {
+        if let Err(e) = self.port.bcast(col_net, n_words, word_at) {
             self.mesh_fail(e);
         }
-        self.charge_mesh(words.len());
+        self.charge_mesh(n_words);
     }
 
-    /// Batched column broadcast of a word group; aborts the run on
-    /// deadlock.
-    pub fn mesh_col_bcast_words(&self, words: &[sw_arch::V256]) {
-        if let Err(e) = self.port.col_bcast_words(words) {
-            self.mesh_fail(e);
-        }
-        self.charge_mesh(words.len());
-    }
-
-    /// Batched row receive into a word group; aborts on starvation.
-    pub fn mesh_getr_words(&self, out: &mut [sw_arch::V256]) {
-        if let Err(e) = self.port.getr_words(out) {
-            self.mesh_fail(e);
-        }
-        self.charge_mesh(out.len());
-    }
-
-    /// Batched column receive into a word group; aborts on starvation.
-    pub fn mesh_getc_words(&self, out: &mut [sw_arch::V256]) {
-        if let Err(e) = self.port.getc_words(out) {
-            self.mesh_fail(e);
-        }
-        self.charge_mesh(out.len());
+    /// Waits for this CPE's next `n_words` words on the column
+    /// (`col_net`) or row network and lends them where they sit in the
+    /// mesh (see [`MeshPort::recv_window`]); aborts on starvation.
+    pub fn mesh_recv_window(&self, col_net: bool, n_words: usize) -> Window<'_> {
+        let window = self
+            .port
+            .recv_window(col_net, n_words)
+            .unwrap_or_else(|e| self.mesh_fail(e));
+        self.charge_mesh(n_words);
+        window
     }
 
     /// Batched row-panel broadcast (`&[f64]`, length a multiple of 4);

@@ -102,11 +102,9 @@ fn a_core_group_moved_to_another_thread_still_runs() {
         let stats = cg.run(|ctx| {
             let v = sw_arch::V256::splat(ctx.coord.row as f64);
             if ctx.coord.col == 0 {
-                ctx.mesh_row_bcast_words(&[v]);
+                ctx.mesh_bcast(false, 1, |_| v);
             } else {
-                let mut got = [sw_arch::V256::ZERO];
-                ctx.mesh_getr_words(&mut got);
-                assert_eq!(got[0], v);
+                assert_eq!(*ctx.mesh_recv_window(false, 1), [v]);
             }
             ctx.sync_all();
         });

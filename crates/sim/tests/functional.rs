@@ -189,7 +189,7 @@ fn mismatched_communication_scheme_is_diagnosed() {
             if ctx.coord == Coord::new(0, 0) {
                 // Way beyond the buffer capacity of any single receiver.
                 for i in 0..1024 {
-                    ctx.mesh_row_bcast_words(&[sw_arch::V256::splat(i as f64)]);
+                    ctx.mesh_bcast(false, 1, |_| sw_arch::V256::splat(i as f64));
                 }
             } else if ctx.coord.row == 0 && ctx.coord.col != 7 {
                 // These drain correctly...

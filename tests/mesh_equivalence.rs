@@ -17,7 +17,7 @@ use sw_dgemm::{
     WedgeSpec,
 };
 use sw_faults::FaultInjector;
-use sw_mesh::Mesh;
+use sw_mesh::{Mesh, HOST_BUFFER_DEPTH};
 use sw_probe::metrics::MetricValue;
 
 /// Serializes the tests that install a `FaultSpec`. The fault-delta
@@ -90,6 +90,41 @@ fn clean_runs_match_chunked_reference_and_balance() {
         assert_eq!(mesh.row_words_sent, mesh.row_words_received, "{v}: row");
         assert_eq!(mesh.col_words_sent, mesh.col_words_received, "{v}: col");
     }
+}
+
+/// At the paper's blocking a strip step's A and B windows (4·pK = 384
+/// words) fit the host rings, so a clean run computes on every
+/// received word where it sits and gathers none.
+#[test]
+fn clean_paper_blocking_run_gathers_no_words() {
+    let p = Variant::Sched.paper_params();
+    assert!(4 * p.pk <= HOST_BUFFER_DEPTH);
+    let (a, b, c0) = operands(&p, (1, 1, 1), 61);
+    let (c, r) = run(Variant::Sched, p, &a, &b, &c0, None);
+    let mesh = r.expect("paper-blocking run failed").stats.mesh;
+    assert_eq!(c, reference(&p, &a, &b, &c0));
+    assert!(mesh.row_words_received > 0 && mesh.col_words_received > 0);
+    assert_eq!(mesh.words_gathered, 0);
+}
+
+/// A pK whose windows outnumber the ring's slots (4·pK > the host
+/// buffer depth): every window is gathered as its words arrive, and C
+/// is still bitwise the chunked reference.
+#[test]
+fn windows_longer_than_the_rings_match_chunked_reference() {
+    let p = BlockingParams {
+        pk: 144,
+        ..BlockingParams::test_small()
+    };
+    assert!(4 * p.pk > HOST_BUFFER_DEPTH);
+    let (a, b, c0) = operands(&p, (1, 1, 1), 67);
+    let (c, r) = run(Variant::Sched, p, &a, &b, &c0, None);
+    let mesh = r.expect("deep-pK run failed").stats.mesh;
+    assert_eq!(c, reference(&p, &a, &b, &c0));
+    assert_eq!(
+        mesh.words_gathered,
+        mesh.row_words_received + mesh.col_words_received
+    );
 }
 
 /// The bulk broadcasts make one drop decision per (word, mate), keyed
