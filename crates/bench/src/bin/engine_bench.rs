@@ -4,11 +4,10 @@
 //! Two measurements:
 //!
 //! 1. **Interpreter throughput** (instructions/second) on the
-//!    production kernel streams, for the *seed* engine (re-implemented
-//!    here verbatim, with its per-instruction `Vec` source-register
-//!    queries), the reference engine (`Machine::run_reference`,
-//!    allocation-free source sets), and the predecoded engine
-//!    (`run_decoded`).
+//!    production kernel streams, for the *seed* interpreter (kept
+//!    verbatim in `tests/support/seed_engine.rs`, with its
+//!    per-instruction `Vec` source-register queries) and the engine
+//!    (`Machine::run`).
 //! 2. **Fig. 6 sweep wall time** (10 square sizes × 5 variants of
 //!    timing-mode estimation), seed engine — `Vec`-allocating
 //!    interpreter, `Vec`-dependence DAG, no kernel memoization —
@@ -28,173 +27,28 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use sw_bench::paper::PAPER_FIG6_SCHED;
-use sw_bench::thread_cpu_time;
+use sw_bench::{json_number, thread_cpu_time};
 use sw_dgemm::timing::{estimate, kernel_cache_reset, kernel_cache_stats};
 use sw_dgemm::Variant;
 use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
-use sw_isa::{DecodedProgram, Instr, Machine, SinkComm};
+use sw_isa::{Instr, Machine, SinkComm};
+
+#[path = "../../../../tests/support/seed_engine.rs"]
+mod seed_engine;
 
 /// A faithful re-implementation of the seed revision's execution
-/// engine, kept as the benchmark baseline: per-instruction `Vec`
-/// source queries in the interpreter, `Vec`-backed task dependences in
-/// the discrete-event DAG, and no kernel-report memoization.
+/// engine, kept as the benchmark baseline: the seed interpreter,
+/// `Vec`-backed task dependences in the discrete-event DAG, and no
+/// kernel-report memoization.
 mod seed {
-    use sw_arch::consts::{MESH_TRANSIT_CYCLES, VREG_COUNT};
-    use sw_arch::V256;
+    use sw_arch::consts::MESH_TRANSIT_CYCLES;
     use sw_dgemm::variants::raw::RawParams;
     use sw_dgemm::{GemmPlan, Variant};
     use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
-    use sw_isa::{ExecReport, IReg, Instr, VReg};
+    use sw_isa::ExecReport;
     use sw_mem::dma::{BandwidthModel, DmaMode};
 
-    const IREG_COUNT: usize = 8;
-    const BRANCH_TAKEN_PENALTY: u64 = 2;
     const STEP_SYNC_CYCLES: u64 = MESH_TRANSIT_CYCLES + 40;
-
-    fn vsrcs(i: &Instr) -> Vec<VReg> {
-        match *i {
-            Instr::Vmad { a, b, c, .. } => vec![a, b, c],
-            Instr::Vstd { s, .. } => vec![s],
-            _ => vec![],
-        }
-    }
-
-    fn isrcs(i: &Instr) -> Vec<IReg> {
-        match *i {
-            Instr::Vldd { base, .. }
-            | Instr::Vstd { base, .. }
-            | Instr::Ldde { base, .. }
-            | Instr::Vldr { base, .. }
-            | Instr::Lddec { base, .. } => vec![base],
-            Instr::Addl { s, .. } | Instr::Bne { s, .. } => vec![s],
-            _ => vec![],
-        }
-    }
-
-    /// The seed `Machine::run` loop, heap-allocating source sets per
-    /// dynamic instruction. Broadcasts are sunk and receives return
-    /// zero (`SinkComm` semantics).
-    pub fn run(prog: &[Instr], ldm: &mut [f64]) -> ExecReport {
-        let mut vregs = [V256::ZERO; VREG_COUNT];
-        let mut iregs = [0i64; IREG_COUNT];
-        let mut report = ExecReport::default();
-        let mut vready = [0u64; VREG_COUNT];
-        let mut iready = [0u64; IREG_COUNT];
-        let mut cur: u64 = 0;
-        let mut p0_used = false;
-        let mut p1_used = false;
-        let mut last_issue: u64 = 0;
-        let mut pc = 0usize;
-
-        let addr = |iregs: &[i64; IREG_COUNT], base: IReg, off: i64| -> usize {
-            let a = iregs[base.idx()] + off;
-            assert!(a >= 0);
-            a as usize
-        };
-
-        while pc < prog.len() {
-            let instr = prog[pc];
-            report.instructions += 1;
-            assert!(report.instructions <= 200_000_000, "runaway loop");
-
-            let mut t = cur;
-            for r in vsrcs(&instr) {
-                t = t.max(vready[r.idx()]);
-            }
-            for r in isrcs(&instr) {
-                t = t.max(iready[r.idx()]);
-            }
-            if let Some(d) = instr.vdst() {
-                t = t.max(vready[d.idx()]);
-            }
-            if let Some(d) = instr.idst() {
-                t = t.max(iready[d.idx()]);
-            }
-            loop {
-                if t > cur {
-                    cur = t;
-                    p0_used = false;
-                    p1_used = false;
-                }
-                let used = match instr.pipe() {
-                    sw_isa::instr::Pipe::P0 => &mut p0_used,
-                    sw_isa::instr::Pipe::P1 => &mut p1_used,
-                };
-                if !*used {
-                    *used = true;
-                    break;
-                }
-                t += 1;
-            }
-            if p0_used && p1_used {
-                report.dual_issue_cycles += 1;
-            }
-            last_issue = last_issue.max(t);
-
-            if let Some(d) = instr.vdst() {
-                vready[d.idx()] = t + instr.latency();
-            }
-            if let Some(d) = instr.idst() {
-                iready[d.idx()] = t + instr.latency();
-            }
-            let mut next_pc = pc + 1;
-            match instr {
-                Instr::Vmad { a, b, c, d } => {
-                    report.vmads += 1;
-                    vregs[d.idx()] = vregs[a.idx()].fma(vregs[b.idx()], vregs[c.idx()]);
-                }
-                Instr::Vldd { d, base, off } => {
-                    let a = addr(&iregs, base, off);
-                    vregs[d.idx()] = V256::load(&ldm[a..]);
-                }
-                Instr::Vstd { s, base, off } => {
-                    let a = addr(&iregs, base, off);
-                    vregs[s.idx()].store(&mut ldm[a..a + 4]);
-                }
-                Instr::Ldde { d, base, off } => {
-                    let a = addr(&iregs, base, off);
-                    vregs[d.idx()] = V256::splat(ldm[a]);
-                }
-                Instr::Vldr { d, base, off, .. } => {
-                    let a = addr(&iregs, base, off);
-                    vregs[d.idx()] = V256::load(&ldm[a..]);
-                }
-                Instr::Lddec { d, base, off, .. } => {
-                    let a = addr(&iregs, base, off);
-                    vregs[d.idx()] = V256::splat(ldm[a]);
-                }
-                Instr::Getr { d } | Instr::Getc { d } => {
-                    vregs[d.idx()] = V256::ZERO;
-                }
-                Instr::Vclr { d } => {
-                    vregs[d.idx()] = V256::ZERO;
-                }
-                Instr::Addl { d, s, imm } => {
-                    iregs[d.idx()] = iregs[s.idx()] + imm;
-                }
-                Instr::Setl { d, imm } => {
-                    iregs[d.idx()] = imm;
-                }
-                Instr::Bne { s, target } => {
-                    if iregs[s.idx()] != 0 {
-                        report.taken_branches += 1;
-                        next_pc = target;
-                        cur = t + 1 + BRANCH_TAKEN_PENALTY;
-                        p0_used = false;
-                        p1_used = false;
-                    }
-                }
-                Instr::Nop => {}
-            }
-            pc = next_pc;
-        }
-        report.cycles = if report.instructions == 0 {
-            0
-        } else {
-            last_issue + 1
-        };
-        report
-    }
 
     /// The seed DAG: task dependences heap-allocated per task.
     #[derive(Default)]
@@ -239,7 +93,7 @@ mod seed {
 
     /// The seed `measure_kernel`: regenerates and re-executes the
     /// kernel stream on every call (no memoization), on the
-    /// `Vec`-allocating interpreter.
+    /// seed interpreter.
     pub fn measure_kernel(pm: usize, pn: usize, pk: usize, style: KernelStyle) -> ExecReport {
         let a_base = 0;
         let b_base = (a_base + pm * pk).next_multiple_of(4);
@@ -258,7 +112,7 @@ mod seed {
         };
         let mut ldm = vec![0.0f64; alpha_addr + 1];
         ldm[alpha_addr] = 1.0;
-        run(&gen_block_kernel(&cfg, style), &mut ldm)
+        super::seed_engine::run(&gen_block_kernel(&cfg, style), &mut ldm).0
     }
 
     /// The seed shared-variant estimate: same schedule construction as
@@ -363,27 +217,18 @@ mod seed {
     }
 }
 
-/// Hardware-normalized probe-overhead gate: the fig6-sweep speedup
-/// over the in-process seed engine is a ratio of two same-machine
-/// measurements, so if the observability hooks (registry counters,
-/// flight recorder, `PROBE = false` interpreter) cost anything on the
-/// hot path, the cold speedup drops. Two pins in the committed
-/// `BENCH_engine.json` guard it: `speedup_cold_floor`, a conservative
-/// absolute lower bound carried forward verbatim on regeneration, and
-/// `speedup_cold` itself, the previous full run's measured median,
-/// which the *symmetric* drift gate compares against — the measured
-/// median must stay within 2% plus the run's own noise floor of the
-/// reference, in either direction, so stale references surface as
-/// failures instead of being silently banked as headroom.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
+// Hardware-normalized probe-overhead gate: the fig6-sweep speedup
+// over the in-process seed engine is a ratio of two same-machine
+// measurements, so if the observability hooks (registry counters,
+// flight recorder, `PROBE = false` interpreter) cost anything on the
+// hot path, the cold speedup drops. Two pins in the committed
+// `BENCH_engine.json` guard it: `speedup_cold_floor`, a conservative
+// absolute lower bound carried forward verbatim on regeneration, and
+// `speedup_cold` itself, the previous full run's measured median,
+// which the *symmetric* drift gate compares against — the measured
+// median must stay within 2% plus the run's own noise floor of the
+// reference, in either direction, so stale references surface as
+// failures instead of being silently banked as headroom.
 
 /// Shortest wall time one arm of an interleaved sweep round runs.
 const ARM_FLOOR: Duration = Duration::from_millis(250);
@@ -503,55 +348,44 @@ struct InterpRow {
     stream: &'static str,
     instructions: u64,
     seed_mips: f64,
-    reference_mips: f64,
-    decoded_mips: f64,
+    engine_mips: f64,
 }
 
 fn bench_interpreters(style: KernelStyle, stream: &'static str) -> InterpRow {
     let cfg = kernel_cfg(32);
     let prog: Vec<Instr> = gen_block_kernel(&cfg, style);
-    let decoded = DecodedProgram::new(&prog);
     let fresh_ldm = || {
         let mut l = vec![0.0f64; 8192];
         l[cfg.alpha_addr] = 1.0;
         l
     };
 
-    // Equivalence gate: all three engines must agree exactly (report
-    // and LDM image). Always runs, regardless of --filter.
+    // Equivalence gate: the engine must agree with the seed exactly
+    // (report, registers and LDM image). Always runs, regardless of
+    // --filter.
     let mut l1 = fresh_ldm();
-    let r_seed = seed::run(&prog, &mut l1);
+    let (r_seed, v_seed, i_seed) = seed_engine::run(&prog, &mut l1);
     let mut l2 = fresh_ldm();
     let mut comm = SinkComm;
-    let r_ref = Machine::new(&mut l2, &mut comm).run_reference(&prog);
-    let mut l3 = fresh_ldm();
-    let mut comm = SinkComm;
-    let r_dec = Machine::new(&mut l3, &mut comm).run_decoded(&decoded);
+    let mut m = Machine::new(&mut l2, &mut comm);
+    let r_engine = m.run(&prog);
     assert_eq!(
-        r_seed, r_ref,
-        "seed vs reference reports diverge on {stream}"
+        r_seed, r_engine,
+        "seed vs engine reports diverge on {stream}"
     );
-    assert_eq!(
-        r_ref, r_dec,
-        "reference vs decoded reports diverge on {stream}"
-    );
-    assert_eq!(l1, l2, "seed vs reference LDM diverges on {stream}");
-    assert_eq!(l2, l3, "reference vs decoded LDM diverges on {stream}");
+    assert_eq!(v_seed, m.vregs, "seed vs engine vregs diverge on {stream}");
+    assert_eq!(i_seed, m.iregs, "seed vs engine iregs diverge on {stream}");
+    assert_eq!(l1, l2, "seed vs engine LDM diverges on {stream}");
 
     let floor = Duration::from_millis(300);
     let mut ldm = fresh_ldm();
     let seed_s = secs_per_call(floor, || {
-        black_box(seed::run(&prog, &mut ldm));
+        black_box(seed_engine::run(&prog, &mut ldm));
     });
     let mut ldm = fresh_ldm();
     let mut comm = SinkComm;
-    let ref_s = secs_per_call(floor, || {
-        black_box(Machine::new(&mut ldm, &mut comm).run_reference(&prog));
-    });
-    let mut ldm = fresh_ldm();
-    let mut comm = SinkComm;
-    let dec_s = secs_per_call(floor, || {
-        black_box(Machine::new(&mut ldm, &mut comm).run_decoded(&decoded));
+    let engine_s = secs_per_call(floor, || {
+        black_box(Machine::new(&mut ldm, &mut comm).run(&prog));
     });
 
     let mips = |s: f64| r_seed.instructions as f64 / s / 1e6;
@@ -559,8 +393,7 @@ fn bench_interpreters(style: KernelStyle, stream: &'static str) -> InterpRow {
         stream,
         instructions: r_seed.instructions,
         seed_mips: mips(seed_s),
-        reference_mips: mips(ref_s),
-        decoded_mips: mips(dec_s),
+        engine_mips: mips(engine_s),
     }
 }
 
@@ -675,18 +508,17 @@ fn main() {
 
     println!("== interpreter throughput (Minstr/s) ==");
     println!(
-        "{:<8} {:>10} {:>8} {:>8} {:>8} {:>9}",
-        "stream", "instrs", "seed", "ref", "decoded", "dec/seed"
+        "{:<8} {:>10} {:>8} {:>8} {:>12}",
+        "stream", "instrs", "seed", "engine", "engine/seed"
     );
     for r in &rows {
         println!(
-            "{:<8} {:>10} {:>8.1} {:>8.1} {:>8.1} {:>8.2}x",
+            "{:<8} {:>10} {:>8.1} {:>8.1} {:>11.2}x",
             r.stream,
             r.instructions,
             r.seed_mips,
-            r.reference_mips,
-            r.decoded_mips,
-            r.decoded_mips / r.seed_mips
+            r.engine_mips,
+            r.engine_mips / r.seed_mips
         );
     }
     println!();
@@ -696,12 +528,12 @@ fn main() {
         seed_time.as_secs_f64() * 1e3
     );
     println!(
-        "decoded  (cold)    : {:>10.1} ms   {speedup_cold:.2}x (median of 5 interleaved rounds, \
+        "engine   (cold)    : {:>10.1} ms   {speedup_cold:.2}x (median of 5 interleaved rounds, \
          {cold_reps} cold sweeps per round)",
         cold_best.as_secs_f64() * 1e3
     );
     println!(
-        "decoded  (warm)    : {:>10.1} ms   {:.2}x",
+        "engine   (warm)    : {:>10.1} ms   {:.2}x",
         warm.as_secs_f64() * 1e3,
         seed_time.as_secs_f64() / warm.as_secs_f64()
     );
@@ -740,10 +572,10 @@ fn main() {
     let noise = 100.0 * (pair_ratios[pair_ratios.len() - 1] - pair_ratios[0]) / (2.0 * measured);
     let sweep_floor = match pinned(FLOOR_KEY) {
         Some(fl) => {
-            println!("decoded  cold sweep : {measured:.2}x vs floor {fl:.2}x");
+            println!("engine   cold sweep : {measured:.2}x vs floor {fl:.2}x");
             if measured < 0.98 * fl {
                 failures.push(format!(
-                    "decoded fig6 cold speedup {measured:.2}x fell below 98% of the \
+                    "engine fig6 cold speedup {measured:.2}x fell below 98% of the \
                      pinned floor {fl:.2}x"
                 ));
             }
@@ -756,7 +588,7 @@ fn main() {
             // a shared machine.
             let fl = 0.85 * measured;
             println!(
-                "decoded  cold sweep : {measured:.2}x; no pinned {FLOOR_KEY}, initializing to \
+                "engine   cold sweep : {measured:.2}x; no pinned {FLOOR_KEY}, initializing to \
                  {fl:.2}x"
             );
             fl
@@ -774,12 +606,12 @@ fn main() {
         let allowed = PROBE_TOL_PCT + noise;
         let dir = if overhead >= 0.0 { "cost" } else { "headroom" };
         println!(
-            "decoded  probe drift: {overhead:+.1}% vs reference {reference:.2}x \
+            "engine   probe drift: {overhead:+.1}% vs reference {reference:.2}x \
              ({dir}; noise floor {noise:.1}%, allowed {allowed:.1}%)"
         );
         if overhead.abs() > allowed {
             failures.push(format!(
-                "decoded cold-sweep drift {overhead:+.1}% vs the pinned reference \
+                "engine cold-sweep drift {overhead:+.1}% vs the pinned reference \
                  {reference:.2}x exceeds the symmetric band {allowed:.1}% \
                  ({PROBE_TOL_PCT}% tolerance + {noise:.1}% measured noise); \
                  regenerate BENCH_engine.json to re-bless if deliberate"
@@ -787,7 +619,7 @@ fn main() {
         }
         probe_overhead_pct = overhead;
     } else {
-        println!("decoded  probe drift: no pinned {REFERENCE_KEY} yet (first full run pins it)");
+        println!("engine   probe drift: no pinned {REFERENCE_KEY} yet (first full run pins it)");
     }
 
     if failures.is_empty() {
@@ -814,15 +646,14 @@ fn main() {
             format!(
                 concat!(
                     "    {{\"stream\": \"{}\", \"instructions\": {}, ",
-                    "\"seed_minstr_per_s\": {:.1}, \"reference_minstr_per_s\": {:.1}, ",
-                    "\"decoded_minstr_per_s\": {:.1}, \"decoded_speedup_vs_seed\": {:.2}}}"
+                    "\"seed_minstr_per_s\": {:.1}, \"engine_minstr_per_s\": {:.1}, ",
+                    "\"engine_speedup_vs_seed\": {:.2}}}"
                 ),
                 r.stream,
                 r.instructions,
                 r.seed_mips,
-                r.reference_mips,
-                r.decoded_mips,
-                r.decoded_mips / r.seed_mips
+                r.engine_mips,
+                r.engine_mips / r.seed_mips
             )
         })
         .collect();

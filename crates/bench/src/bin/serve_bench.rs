@@ -36,6 +36,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sw_bench::json_number;
 use sw_dgemm::gen::random_matrix;
 use sw_dgemm::{
     reference, AbftPolicy, BlockingParams, DgemmRunner, FaultSpec, Matrix, Variant, WedgeSpec,
@@ -512,16 +513,6 @@ fn phase_load_curve(p: &Profile, probs: &[Problem], direct_ms: f64) -> Vec<LoadP
         });
     }
     curve
-}
-
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {

@@ -17,7 +17,13 @@
 //! 3. **warm cache ≈ free**: resolving a shape already in the tune
 //!    cache performs no search (the `tune.searches` counter does not
 //!    move) and costs at most 1% of the cold search, and the cache
-//!    file round-trips across a fresh instance (a new process).
+//!    file round-trips across a fresh instance (a new process);
+//! 4. **ranking unchanged**: every shape tunes to the blocking, and
+//!    counts the feasible candidates, that the committed
+//!    `BENCH_tune.json` records for the same profile. The search is
+//!    deterministic, so a change to the stall prover, the lint or the
+//!    model that moves the ranking fails here until the record is
+//!    regenerated on purpose.
 //!
 //! ```text
 //! tune-bench [--short] [--assert]
@@ -28,6 +34,7 @@
 //! untouched. `--assert` makes every gate fatal (exit 1).
 
 use std::time::Instant;
+use sw_bench::json_number;
 use sw_dgemm::tunecache::TuneCache;
 use sw_dgemm::tuner::{resolve_in, search, TunePolicy, TuneRequest};
 use sw_dgemm::Variant;
@@ -203,6 +210,10 @@ fn main() {
     let top_k = if cli.short { 6 } else { 8 };
     println!("== tune_bench ({label}): staged autotuner sweep, top_k = {top_k} ==");
     let bw = BandwidthModel::calibrated();
+    // The committed record this profile's ranking must reproduce.
+    let record = std::fs::read_to_string("BENCH_tune.json")
+        .ok()
+        .filter(|t| t.contains(&format!("\"profile\": \"{label}\"")));
     let mut gate_misses: Vec<String> = Vec::new();
     let mut rows: Vec<Row> = Vec::new();
 
@@ -281,6 +292,40 @@ fn main() {
             pruned_pct: s.pruned_pct(),
             search_ms,
         });
+    }
+
+    // Gate 4: each shape's ranking matches the committed record.
+    match &record {
+        Some(text) => {
+            for r in &rows {
+                let Some(line) = text
+                    .lines()
+                    .find(|l| l.contains(&format!("\"shape\": \"{}\"", r.shape)))
+                else {
+                    gate_misses.push(format!("{}: no committed ranking to compare", r.shape));
+                    continue;
+                };
+                let got = [
+                    r.dims.0, r.dims.1, r.dims.2, r.tuned.pm, r.tuned.pn, r.tuned.pk, r.feasible,
+                ];
+                let keys = [
+                    "m", "n", "k", "tuned_pm", "tuned_pn", "tuned_pk", "feasible",
+                ];
+                let want = keys.map(|k| json_number(line, k).map_or(-1, |x| x as i64));
+                if got.map(|x| x as i64) != want {
+                    gate_misses.push(format!(
+                        "{}: ranking moved: (m, n, k, pM, pN, pK, feasible) = {got:?}, \
+                         committed {want:?}; regenerate BENCH_tune.json if deliberate",
+                        r.shape
+                    ));
+                }
+            }
+            println!(
+                "ranking  : {} shapes checked against BENCH_tune.json",
+                rows.len()
+            );
+        }
+        None => println!("ranking  : no committed {label}-profile record; not checked"),
     }
 
     // Gate 1b: strictly better somewhere tall-skinny.

@@ -15,7 +15,7 @@
 //! *simulator's own* throughput on the same artefacts, using the
 //! dependency-free [`harness`]; `engine_bench` (a harness binary)
 //! measures the execution engine itself — interpreter instr/s and
-//! fig6-sweep wall time, seed engine vs the predecoded/cached one —
+//! fig6-sweep wall time, seed engine vs the current one —
 //! and writes `BENCH_engine.json`.
 //!
 //! Output convention: every binary prints a paper-vs-reproduction
@@ -28,6 +28,19 @@ pub mod report;
 pub use report::{csv_arg, write_csv, Table};
 
 use std::time::Duration;
+
+/// The number after `"key":` in a flat JSON text (the first match), as
+/// the bench binaries write their records: enough to read a pinned
+/// value back without a JSON parser.
+pub fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start();
+    let end = rest
+        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
 
 /// CPU time the calling thread has used so far
 /// (`CLOCK_THREAD_CPUTIME_ID`). A single-core-group run executes on its

@@ -112,7 +112,7 @@ fn shared_layout(p: &BlockingParams, double_buffered: bool) -> (LdmLayout, Block
 /// role shares modulo operand sources. Stage 1 lints the stream
 /// against the layout for feasibility; stage 2 feeds it to the static
 /// stall prover for a per-candidate cycle bound.
-pub(crate) fn candidate_kernel(
+pub fn candidate_kernel(
     p: &BlockingParams,
     style: KernelStyle,
     double_buffered: bool,

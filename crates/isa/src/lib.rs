@@ -28,7 +28,6 @@
 //!   code generation" direction).
 
 pub mod comm;
-pub mod decoded;
 pub mod encoding;
 pub mod instr;
 pub mod kernels;
@@ -39,7 +38,6 @@ pub mod sched;
 pub mod tiling;
 
 pub use comm::{CommPort, NullComm, ScriptedComm, SinkComm};
-pub use decoded::DecodedProgram;
 pub use instr::{Instr, Net};
 pub use kernels::{BlockKernelCfg, Operand};
 pub use looped::{fits_icache, gen_block_kernel_looped, icache_footprint_bytes};

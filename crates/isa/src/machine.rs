@@ -20,18 +20,14 @@
 //!
 //! # Execution engine
 //!
-//! The hot path is [`Machine::run_decoded`]: it interprets a
-//! [`DecodedProgram`] whose per-instruction metadata (pipe, latency,
-//! source/destination register indices) was resolved once at decode
-//! time, so the dynamic loop performs no heap allocation and no
-//! metadata re-derivation. [`Machine::run`] decodes internally for
-//! one-shot use. [`Machine::run_reference`] preserves the original
-//! direct-from-[`Instr`] interpreter as a golden model: equivalence
-//! tests assert the two produce bitwise-identical numerics and
-//! field-for-field identical [`ExecReport`]s.
+//! There is one interpreter, and it reads the [`Instr`] stream
+//! directly: each dynamic instruction's pipe, latency and registers
+//! come from `Instr`'s accessors, which return fixed-size register
+//! sets, so there is no decode step and nothing is allocated per run. [`Machine::run`],
+//! [`Machine::try_run`] and [`Machine::run_probed`] all run it; the
+//! probed form adds the stall attribution behind a const generic.
 
 use crate::comm::CommPort;
-use crate::decoded::{DecodedProgram, NO_REG};
 use crate::instr::{Instr, Pipe, BRANCH_TAKEN_PENALTY};
 use crate::regs::IREG_COUNT;
 use sw_arch::consts::VREG_COUNT;
@@ -227,16 +223,16 @@ impl ExecReport {
 
 /// The CPE execution engine, named in the tune-cache key.
 ///
-/// There is one engine, the predecoded interpreter
-/// ([`Machine::run_decoded`]), checked against the
-/// [`Machine::run_reference`] oracle. This one-variant enum exists only
-/// because the benchmark passes `EngineBackend::default()` to
+/// There is one engine, the direct-from-[`Instr`] interpreter behind
+/// [`Machine::run`]. This one-variant enum exists only because the
+/// benchmark passes `EngineBackend::default()` to
 /// `timing::build_shared_dag_with`, `tuner::resolve`,
 /// `tuner::resolve_in` and `TuneCache::key`; it goes, with those
-/// parameters, in the next change to the benchmark.
+/// parameters, in the next change to the benchmark. Its variant keeps
+/// the name `Decoded` so the cache key segment `decoded` still hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineBackend {
-    /// The predecoded one-instruction-at-a-time interpreter.
+    /// The one interpreter.
     #[default]
     Decoded,
 }
@@ -319,260 +315,26 @@ impl<'a, C: CommPort> Machine<'a, C> {
     /// Like [`Machine::run`], returning a structured error instead of
     /// panicking when the instruction budget is exhausted.
     pub fn try_run(&mut self, prog: &[Instr]) -> Result<ExecReport, BudgetExceeded> {
-        self.try_run_decoded(&DecodedProgram::new(prog))
-    }
-
-    /// Runs a predecoded program (the zero-allocation hot path; decode
-    /// once with [`DecodedProgram::new`], run many times). Panics on
-    /// budget exhaustion like [`Machine::run`].
-    pub fn run_decoded(&mut self, prog: &DecodedProgram) -> ExecReport {
-        match self.try_run_decoded(prog) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs a predecoded program, returning a structured error when the
-    /// instruction budget is exhausted.
-    pub fn try_run_decoded(&mut self, prog: &DecodedProgram) -> Result<ExecReport, BudgetExceeded> {
-        self.exec_decoded::<false>(prog, &mut StallProbe::default())
-            .map(|(report, _)| report)
+        self.exec::<false>(prog).map(|(report, _)| report)
     }
 
     /// Like [`Machine::run`], but additionally classifies every
     /// simulated cycle of each pipe (issue, RAW, load-use, pipe
     /// conflict, loop overhead). Panics on budget exhaustion.
     pub fn run_probed(&mut self, prog: &[Instr]) -> (ExecReport, StallReport) {
-        self.run_decoded_probed(&DecodedProgram::new(prog))
-    }
-
-    /// Probed run over a predecoded program; panics on budget
-    /// exhaustion like [`Machine::run_decoded`].
-    pub fn run_decoded_probed(&mut self, prog: &DecodedProgram) -> (ExecReport, StallReport) {
-        match self.try_run_decoded_probed(prog) {
+        match self.exec::<true>(prog) {
             Ok(pair) => pair,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Probed run returning a structured error when the instruction
-    /// budget is exhausted.
-    pub fn try_run_decoded_probed(
-        &mut self,
-        prog: &DecodedProgram,
-    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
-        self.exec_decoded::<true>(prog, &mut StallProbe::default())
-    }
-
-    /// The decoded-stream engine. With `PROBE = false` every
-    /// attribution touch point is compiled out (the const generic is
-    /// the "cheap branch" the probes hide behind), so the unprobed
-    /// fig6 sweep pays nothing measurable — `engine_bench` asserts
-    /// <2% against the recorded baseline.
-    fn exec_decoded<const PROBE: bool>(
-        &mut self,
-        prog: &DecodedProgram,
-        probe: &mut StallProbe,
-    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
-        let instrs = prog.instrs.as_slice();
-        let mut report = ExecReport::default();
-        // Scoreboard: the cycle at which each register's pending write
-        // completes.
-        let mut vready = [0u64; VREG_COUNT];
-        let mut iready = [0u64; IREG_COUNT];
-        // Issue state: current cycle and which pipes issued in it.
-        let mut cur: u64 = 0;
-        let mut p0_used = false;
-        let mut p1_used = false;
-        let mut last_issue: u64 = 0;
-        let mut pc = 0usize;
-
-        while pc < instrs.len() {
-            let di = &instrs[pc];
-            report.instructions += 1;
-            if report.instructions > self.budget {
-                return Err(BudgetExceeded {
-                    pc,
-                    instr: di.op,
-                    executed: report.instructions,
-                    budget: self.budget,
-                });
-            }
-
-            // Earliest legal issue cycle: in order, sources ready (RAW),
-            // destination write drained (WAW).
-            let cur0 = cur;
-            let mut t = cur;
-            let mut ready = (0u64, false);
-            for &r in &di.vsrcs[..di.n_vsrcs as usize] {
-                let rt = vready[r as usize];
-                t = t.max(rt);
-                if PROBE {
-                    consider(&mut ready, rt, probe.vload[r as usize]);
-                }
-            }
-            if di.isrc != NO_REG {
-                let rt = iready[di.isrc as usize];
-                t = t.max(rt);
-                if PROBE {
-                    consider(&mut ready, rt, false);
-                }
-            }
-            if di.vdst != NO_REG {
-                let rt = vready[di.vdst as usize];
-                t = t.max(rt);
-                if PROBE {
-                    consider(&mut ready, rt, probe.vload[di.vdst as usize]);
-                }
-            }
-            if di.idst != NO_REG {
-                let rt = iready[di.idst as usize];
-                t = t.max(rt);
-                if PROBE {
-                    consider(&mut ready, rt, false);
-                }
-            }
-            // Find a free slot on the instruction's pipe.
-            loop {
-                if t > cur {
-                    cur = t;
-                    p0_used = false;
-                    p1_used = false;
-                }
-                let used = match di.pipe {
-                    Pipe::P0 => &mut p0_used,
-                    Pipe::P1 => &mut p1_used,
-                };
-                if !*used {
-                    *used = true;
-                    break;
-                }
-                t += 1;
-            }
-            if p0_used && p1_used {
-                report.dual_issue_cycles += 1;
-            }
-            last_issue = last_issue.max(t);
-            if PROBE {
-                probe.on_issue(di.pipe, t, cur0, ready);
-            }
-
-            // Retire: update the scoreboard and perform the effect.
-            if di.vdst != NO_REG {
-                vready[di.vdst as usize] = t + di.latency;
-                if PROBE {
-                    probe.on_vdst_write(di.vdst, di.latency == LOAD_LATENCY);
-                }
-            }
-            if di.idst != NO_REG {
-                iready[di.idst as usize] = t + di.latency;
-            }
-            let mut next_pc = pc + 1;
-            match di.op {
-                Instr::Vmad { a, b, c, d } => {
-                    report.vmads += 1;
-                    self.vregs[d.idx()] =
-                        self.vregs[a.idx()].fma(self.vregs[b.idx()], self.vregs[c.idx()]);
-                }
-                Instr::Vldd { d, base, off } => {
-                    let a = self.vaddr(base, off);
-                    self.vregs[d.idx()] = V256::load(&self.ldm[a..]);
-                }
-                Instr::Vstd { s, base, off } => {
-                    let a = self.vaddr(base, off);
-                    self.vregs[s.idx()].store(&mut self.ldm[a..a + 4]);
-                }
-                Instr::Ldde { d, base, off } => {
-                    let a = self.addr(base, off);
-                    self.vregs[d.idx()] = V256::splat(self.ldm[a]);
-                }
-                Instr::Vldr { d, base, off, net } => {
-                    let a = self.vaddr(base, off);
-                    let v = V256::load(&self.ldm[a..]);
-                    match net {
-                        crate::instr::Net::Row => self.comm.row_bcast(v),
-                        crate::instr::Net::Col => self.comm.col_bcast(v),
-                    }
-                    self.vregs[d.idx()] = v;
-                }
-                Instr::Lddec { d, base, off, net } => {
-                    let a = self.addr(base, off);
-                    let v = V256::splat(self.ldm[a]);
-                    match net {
-                        crate::instr::Net::Row => self.comm.row_bcast(v),
-                        crate::instr::Net::Col => self.comm.col_bcast(v),
-                    }
-                    self.vregs[d.idx()] = v;
-                }
-                Instr::Getr { d } => {
-                    self.vregs[d.idx()] = self.comm.getr();
-                }
-                Instr::Getc { d } => {
-                    self.vregs[d.idx()] = self.comm.getc();
-                }
-                Instr::Vclr { d } => {
-                    self.vregs[d.idx()] = V256::ZERO;
-                }
-                Instr::Addl { d, s, imm } => {
-                    self.iregs[d.idx()] = self.iregs[s.idx()] + imm;
-                }
-                Instr::Setl { d, imm } => {
-                    self.iregs[d.idx()] = imm;
-                }
-                Instr::Bne { s, target } => {
-                    if self.iregs[s.idx()] != 0 {
-                        report.taken_branches += 1;
-                        next_pc = target;
-                        // Pipeline refill bubble: nothing issues until
-                        // the fetch redirect completes.
-                        cur = t + 1 + BRANCH_TAKEN_PENALTY;
-                        p0_used = false;
-                        p1_used = false;
-                        if PROBE {
-                            probe.on_taken_branch(t);
-                        }
-                    }
-                }
-                Instr::Nop => {}
-            }
-            pc = next_pc;
-        }
-        report.cycles = if report.instructions == 0 {
-            0
-        } else {
-            last_issue + 1
-        };
-        let stall = if PROBE {
-            probe.finish(report.cycles)
-        } else {
-            StallReport::default()
-        };
-        Ok((report, stall))
-    }
-
-    /// The original direct-from-[`Instr`] interpreter, kept as the
-    /// golden model for the decoded engine (its only change since: the
-    /// same compiled-out attribution hooks as the hot path).
-    /// Equivalence tests (and the engine benchmark) run both and
-    /// compare registers, LDM, and [`ExecReport`] field for field.
-    pub fn run_reference(&mut self, prog: &[Instr]) -> ExecReport {
-        self.exec_reference::<false>(prog, &mut StallProbe::default())
-            .0
-    }
-
-    /// Probed variant of the golden model: identical attribution
-    /// semantics to [`Machine::run_probed`], implemented independently
-    /// over the raw [`Instr`] stream so the two engines cross-check
-    /// each other cycle for cycle.
-    pub fn run_reference_probed(&mut self, prog: &[Instr]) -> (ExecReport, StallReport) {
-        self.exec_reference::<true>(prog, &mut StallProbe::default())
-    }
-
-    fn exec_reference<const PROBE: bool>(
+    /// The interpreter. With `PROBE = false` every attribution touch
+    /// point is compiled out, so unprobed runs pay nothing for it.
+    fn exec<const PROBE: bool>(
         &mut self,
         prog: &[Instr],
-        probe: &mut StallProbe,
-    ) -> (ExecReport, StallReport) {
+    ) -> Result<(ExecReport, StallReport), BudgetExceeded> {
+        let mut probe = StallProbe::default();
         let mut report = ExecReport::default();
         // Scoreboard: the cycle at which each register's pending write
         // completes.
@@ -588,10 +350,14 @@ impl<'a, C: CommPort> Machine<'a, C> {
         while pc < prog.len() {
             let instr = prog[pc];
             report.instructions += 1;
-            assert!(
-                report.instructions <= self.budget,
-                "instruction budget exhausted — runaway loop?"
-            );
+            if report.instructions > self.budget {
+                return Err(BudgetExceeded {
+                    pc,
+                    instr,
+                    executed: report.instructions,
+                    budget: self.budget,
+                });
+            }
 
             // Earliest legal issue cycle: in order, sources ready (RAW),
             // destination write drained (WAW).
@@ -741,7 +507,7 @@ impl<'a, C: CommPort> Machine<'a, C> {
         } else {
             StallReport::default()
         };
-        (report, stall)
+        Ok((report, stall))
     }
 }
 
@@ -1198,12 +964,6 @@ mod tests {
             assert_eq!(plain, probed, "probing changed the report for {style:?}");
             assert_eq!(ldm_a, ldm_b, "probing changed the numerics for {style:?}");
             stall.check().unwrap();
-            let mut ldm_c = mk_ldm();
-            let mut comm_c = NullComm;
-            let (ref_rep, ref_stall) =
-                Machine::new(&mut ldm_c, &mut comm_c).run_reference_probed(&prog);
-            assert_eq!(ref_rep, probed, "engines disagree for {style:?}");
-            assert_eq!(ref_stall, stall, "attributions disagree for {style:?}");
         }
     }
 
@@ -1238,27 +998,6 @@ mod tests {
             stalls[1],
             stalls[0]
         );
-    }
-
-    #[test]
-    fn decoded_program_reusable_across_runs() {
-        let prog = [
-            Instr::Vclr { d: VReg(0) },
-            Instr::Vmad {
-                a: VReg(0),
-                b: VReg(1),
-                c: VReg(2),
-                d: VReg(2),
-            },
-        ];
-        let decoded = DecodedProgram::new(&prog);
-        let mut ldm = vec![0.0; 16];
-        let mut comm = NullComm;
-        let mut m = Machine::new(&mut ldm, &mut comm);
-        let r1 = m.run_decoded(&decoded);
-        let r2 = m.run_decoded(&decoded);
-        assert_eq!(r1, r2);
-        assert_eq!(r1.instructions, 2);
     }
 }
 
@@ -1426,45 +1165,5 @@ mod more_tests {
         };
         assert!(!r.vmad_occupancy().is_nan());
         assert_eq!(r.vmad_occupancy(), 0.0);
-    }
-
-    #[test]
-    fn decoded_matches_reference_on_kernels() {
-        // The shipped kernel generators are the most important streams:
-        // run both engines on each and require identical reports, stall
-        // attribution, register files, and LDM contents.
-        use crate::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
-        let cfg = BlockKernelCfg {
-            pm: 16,
-            pn: 8,
-            pk: 24,
-            a_src: Operand::Ldm,
-            b_src: Operand::Ldm,
-            a_base: 0,
-            b_base: 4096,
-            c_base: 6144,
-            alpha_addr: 8000,
-        };
-        for style in [KernelStyle::Naive, KernelStyle::Scheduled] {
-            let prog = gen_block_kernel(&cfg, style);
-            let mut ldm_a: Vec<f64> = (0..sw_arch::consts::LDM_DOUBLES)
-                .map(|i| (i % 97) as f64 * 0.25 - 11.5)
-                .collect();
-            let mut ldm_b = ldm_a.clone();
-            let mut comm_a = NullComm;
-            let mut comm_b = NullComm;
-            let mut ma = Machine::new(&mut ldm_a, &mut comm_a);
-            let (ra, sa) = ma.run_reference_probed(&prog);
-            let (va, ia) = (ma.vregs, ma.iregs);
-            let mut mb = Machine::new(&mut ldm_b, &mut comm_b);
-            let (rb, sb) = mb.run_probed(&prog);
-            let (vb, ib) = (mb.vregs, mb.iregs);
-            sb.check().unwrap();
-            assert_eq!(ra, rb, "reports differ for {style:?}");
-            assert_eq!(sa, sb, "stalls differ for {style:?}");
-            assert_eq!(va, vb, "vregs differ for {style:?}");
-            assert_eq!(ia, ib, "iregs differ for {style:?}");
-            assert_eq!(ldm_a, ldm_b, "LDM differs for {style:?}");
-        }
     }
 }

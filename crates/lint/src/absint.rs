@@ -141,7 +141,7 @@ enum Accel {
 /// Per-register net delta of one loop-body iteration, or `None` when
 /// the body is not simple (inner branch, `Setl`, non-self `Addl`, or
 /// an out-of-range integer register).
-fn loop_deltas(prog: &[Instr], head: usize, back: usize) -> Option<[i64; IREG_COUNT]> {
+pub(crate) fn loop_deltas(prog: &[Instr], head: usize, back: usize) -> Option<[i64; IREG_COUNT]> {
     let mut deltas = [0i64; IREG_COUNT];
     for (pc, i) in prog[head..=back].iter().enumerate() {
         match *i {

@@ -18,11 +18,16 @@
 //!
 //! Both claims are pinned by the cross-validation tests in
 //! `tests/stall_crosscheck.rs`.
+//!
+//! Counted loops are not walked trip by trip once their pipeline state
+//! repeats: the remaining trips are added in closed form
+//! (`Walk::summarize`), with the plain walk's result bit for bit.
 
+use crate::absint::loop_deltas;
 use sw_arch::consts::VREG_COUNT;
 use sw_isa::instr::{Pipe, BRANCH_TAKEN_PENALTY};
 use sw_isa::regs::IREG_COUNT;
-use sw_isa::{Instr, PipeBreakdown, StallKind, StallReport};
+use sw_isa::{IReg, Instr, PipeBreakdown, StallKind, StallReport};
 
 /// Result latency that marks a producer as load-class (LDM loads and
 /// register-communication receives); mirrors the executor's constant.
@@ -50,7 +55,9 @@ pub struct StaticStalls {
     pub report: StallReport,
     /// Whether the report is exact or a prefix lower bound.
     pub bound: Bound,
-    /// Dynamic instructions the prover walked.
+    /// Dynamic instructions the proof covers, summarized loop trips
+    /// included: the executor's `ExecReport::instructions` for an
+    /// exact proof, the length of the proven prefix for a lower bound.
     pub instructions: u64,
 }
 
@@ -150,7 +157,8 @@ pub struct StallScore {
     /// Tightness of the proof. A [`Bound::LowerBound`] makes `cycles`
     /// optimistic and the occupancies correspondingly inflated.
     pub bound: Bound,
-    /// Dynamic instructions the prover walked.
+    /// Dynamic instructions the proof covers, summarized loop trips
+    /// included (see [`StaticStalls::instructions`]).
     pub instructions: u64,
 }
 
@@ -182,20 +190,242 @@ pub fn prove_stalls(prog: &[Instr]) -> StaticStalls {
 }
 
 /// Proves a stall report with an explicit budget and entry state.
+///
+/// Counted loops are summarized, not walked trip by trip: see
+/// `Walk::summarize`. The result is the plain walk's, bit for bit.
 pub fn prove_stalls_budgeted(
     prog: &[Instr],
     budget: u64,
     entry_regs: [Option<i64>; IREG_COUNT],
 ) -> StaticStalls {
-    let mut probe = Attribution::default();
-    let mut instructions: u64 = 0;
-    let mut vready = [0u64; VREG_COUNT];
-    let mut iready = [0u64; IREG_COUNT];
-    let mut regs = entry_regs;
-    let mut cur: u64 = 0;
-    let mut p0_used = false;
-    let mut p1_used = false;
-    let mut last_issue: u64 = 0;
+    prove::<true>(prog, budget, entry_regs)
+}
+
+/// The prover's machine state: the executor's scoreboard, issue slots
+/// and attribution, over abstract integer registers.
+struct Walk {
+    probe: Attribution,
+    vready: [u64; VREG_COUNT],
+    iready: [u64; IREG_COUNT],
+    regs: [Option<i64>; IREG_COUNT],
+    cur: u64,
+    used: [bool; 2],
+    last_issue: u64,
+    instructions: u64,
+}
+
+/// The pipeline state at a loop head, with every cycle stamp taken
+/// relative to `cur`. Readiness at or before `cur` is clamped to 0:
+/// such a source can never bind an issue in the trip ahead (every
+/// instruction of the trip starts at `cur0 >= cur`, so its hazard is 0
+/// whatever it is tied with).
+#[derive(PartialEq)]
+struct Normalized {
+    vready: [u64; VREG_COUNT],
+    iready: [u64; IREG_COUNT],
+    vload: [bool; VREG_COUNT],
+    attributed: [u64; 2],
+    pending_refill: [u64; 2],
+    refill_last_end: u64,
+    last_issue: u64,
+}
+
+/// One arrival at a loop head through a taken backward branch.
+struct Arrival {
+    back: usize,
+    state: Normalized,
+    cur: u64,
+    report: StallReport,
+    refill_cum: u64,
+    instructions: u64,
+}
+
+impl Walk {
+    /// Issues `instr` at its earliest legal cycle, attributes the gap
+    /// behind it and updates the scoreboard; returns the issue cycle.
+    fn issue(&mut self, instr: Instr) -> u64 {
+        self.instructions += 1;
+        let cur0 = self.cur;
+        let mut t = self.cur;
+        let mut ready = (0u64, false);
+        for r in instr.vsrcs() {
+            let rt = self.vready[r.idx()];
+            t = t.max(rt);
+            consider(&mut ready, rt, self.probe.vload[r.idx()]);
+        }
+        for r in instr.isrcs() {
+            let rt = self.iready[r.idx()];
+            t = t.max(rt);
+            consider(&mut ready, rt, false);
+        }
+        if let Some(d) = instr.vdst() {
+            let rt = self.vready[d.idx()];
+            t = t.max(rt);
+            consider(&mut ready, rt, self.probe.vload[d.idx()]);
+        }
+        if let Some(d) = instr.idst() {
+            let rt = self.iready[d.idx()];
+            t = t.max(rt);
+            consider(&mut ready, rt, false);
+        }
+        let pipe = instr.pipe() as usize;
+        loop {
+            if t > self.cur {
+                self.cur = t;
+                self.used = [false; 2];
+            }
+            if !self.used[pipe] {
+                self.used[pipe] = true;
+                break;
+            }
+            t += 1;
+        }
+        self.last_issue = self.last_issue.max(t);
+        self.probe.on_issue(instr.pipe(), t, cur0, ready);
+
+        if let Some(d) = instr.vdst() {
+            self.vready[d.idx()] = t + instr.latency();
+            self.probe.vload[d.idx()] = instr.latency() == LOAD_LATENCY;
+        }
+        if let Some(d) = instr.idst() {
+            self.iready[d.idx()] = t + instr.latency();
+        }
+        t
+    }
+
+    /// A branch issued at `t` was taken: refill bubble, empty slots.
+    fn take_branch(&mut self, t: u64) {
+        self.cur = t + 1 + BRANCH_TAKEN_PENALTY;
+        self.used = [false; 2];
+        self.probe.on_taken_branch(t);
+    }
+
+    fn arrival(&self, back: usize) -> Arrival {
+        let cur = self.cur;
+        let p = &self.probe;
+        Arrival {
+            back,
+            state: Normalized {
+                vready: self.vready.map(|r| r.saturating_sub(cur)),
+                iready: self.iready.map(|r| r.saturating_sub(cur)),
+                vload: p.vload,
+                attributed: p.attributed.map(|a| cur.wrapping_sub(a)),
+                pending_refill: p.refill_snap.map(|s| p.refill_cum - s),
+                refill_last_end: cur.wrapping_sub(p.refill_last_end),
+                last_issue: cur.wrapping_sub(self.last_issue),
+            },
+            cur,
+            report: p.report,
+            refill_cum: p.refill_cum,
+            instructions: self.instructions,
+        }
+    }
+
+    /// Loop summary at the back edge `prog[back]` (target `head`,
+    /// counter `s`), just taken, whose previous trip ran from arrival
+    /// `prev` to `now`.
+    ///
+    /// The two arrivals have equal normalized states, and the walk of a
+    /// trip depends on nothing else while its branch is taken. So every
+    /// further trip adds what the last one did to `cur` (and to every
+    /// cycle stamp), to each report bucket, to `refill_cum`, to
+    /// `instructions` and to each known integer register. When the
+    /// body is simple and the counter reaches 0 after `T` more trips,
+    /// this skips `T − 1` of them in one step and leaves the last to
+    /// the plain walk. The skip is capped so the budget still stops
+    /// the walk on the same dynamic instruction.
+    fn summarize(
+        &mut self,
+        prog: &[Instr],
+        head: usize,
+        s: IReg,
+        budget: u64,
+        prev: &Arrival,
+        now: &Arrival,
+    ) {
+        let back = now.back;
+        let Some(deltas) = loop_deltas(prog, head, back) else {
+            return;
+        };
+        let (Some(v), step) = (self.regs[s.idx()], deltas[s.idx()]) else {
+            return;
+        };
+        let (v, step) = (v as i128, step as i128);
+        // `bne` tests for exact zero: a counter that is stuck, steps
+        // away from zero or steps over it never exits (runaway).
+        if step == 0 || v % step != 0 || v / step >= 0 {
+            return;
+        }
+        let body = &prog[head..=back];
+        let body_len = body.len() as u64;
+        let trips = ((-(v / step)) as u64 - 1).min((budget - self.instructions) / body_len);
+        // Registers must not saturate in the skipped trips; a register
+        // strays at most `trips · Σ|imm|` from where it is now.
+        let reach: i128 = body
+            .iter()
+            .map(|i| match *i {
+                Instr::Addl { imm, .. } => (imm as i128).abs(),
+                _ => 0,
+            })
+            .sum();
+        let span = trips as i128 * reach;
+        let in_i64 = |x: i128| (i64::MIN as i128..=i64::MAX as i128).contains(&x);
+        let fits = self
+            .regs
+            .iter()
+            .flatten()
+            .all(|&x| in_i64(x as i128 - span) && in_i64(x as i128 + span));
+        if trips == 0 || !fits {
+            return;
+        }
+
+        let shift = trips * (now.cur - prev.cur);
+        self.cur += shift;
+        self.last_issue += shift;
+        for r in self.vready.iter_mut().chain(self.iready.iter_mut()) {
+            *r += shift;
+        }
+        let p = &mut self.probe;
+        let refill = trips * (now.refill_cum - prev.refill_cum);
+        p.refill_cum += refill;
+        p.refill_last_end += shift;
+        for i in 0..2 {
+            p.attributed[i] += shift;
+            p.refill_snap[i] += refill;
+            let (a, b) = (now.report.pipes[i], prev.report.pipes[i]);
+            p.report.pipes[i] += PipeBreakdown {
+                issue: trips * (a.issue - b.issue),
+                raw: trips * (a.raw - b.raw),
+                load_use: trips * (a.load_use - b.load_use),
+                pipe_conflict: trips * (a.pipe_conflict - b.pipe_conflict),
+                loop_overhead: trips * (a.loop_overhead - b.loop_overhead),
+            };
+        }
+        self.instructions += trips * body_len;
+        for (r, d) in self.regs.iter_mut().zip(deltas) {
+            *r = r.map(|x| x + trips as i64 * d);
+        }
+    }
+}
+
+/// The prover's walk. `SUMMARIZE = false` walks every loop trip by
+/// trip; the unit tests hold the summarized walk to it.
+fn prove<const SUMMARIZE: bool>(
+    prog: &[Instr],
+    budget: u64,
+    entry_regs: [Option<i64>; IREG_COUNT],
+) -> StaticStalls {
+    let mut w = Walk {
+        probe: Attribution::default(),
+        vready: [0; VREG_COUNT],
+        iready: [0; IREG_COUNT],
+        regs: entry_regs,
+        cur: 0,
+        used: [false; 2],
+        last_issue: 0,
+        instructions: 0,
+    };
+    let mut last: Option<Arrival> = None;
     let mut pc = 0usize;
     let mut bound = Bound::Exact;
 
@@ -210,84 +440,43 @@ pub fn prove_stalls_budgeted(
 
     while pc < prog.len() {
         let instr = prog[pc];
-        if instructions >= budget || !regs_ok(&instr) {
+        if w.instructions >= budget || !regs_ok(&instr) {
             bound = Bound::LowerBound;
             break;
         }
-        instructions += 1;
-
-        let cur0 = cur;
-        let mut t = cur;
-        let mut ready = (0u64, false);
-        for r in instr.vsrcs() {
-            let rt = vready[r.idx()];
-            t = t.max(rt);
-            consider(&mut ready, rt, probe.vload[r.idx()]);
-        }
-        for r in instr.isrcs() {
-            let rt = iready[r.idx()];
-            t = t.max(rt);
-            consider(&mut ready, rt, false);
-        }
-        if let Some(d) = instr.vdst() {
-            let rt = vready[d.idx()];
-            t = t.max(rt);
-            consider(&mut ready, rt, probe.vload[d.idx()]);
-        }
-        if let Some(d) = instr.idst() {
-            let rt = iready[d.idx()];
-            t = t.max(rt);
-            consider(&mut ready, rt, false);
-        }
-        loop {
-            if t > cur {
-                cur = t;
-                p0_used = false;
-                p1_used = false;
-            }
-            let used = match instr.pipe() {
-                Pipe::P0 => &mut p0_used,
-                Pipe::P1 => &mut p1_used,
-            };
-            if !*used {
-                *used = true;
-                break;
-            }
-            t += 1;
-        }
-        last_issue = last_issue.max(t);
-        probe.on_issue(instr.pipe(), t, cur0, ready);
-
-        if let Some(d) = instr.vdst() {
-            vready[d.idx()] = t + instr.latency();
-            probe.vload[d.idx()] = instr.latency() == LOAD_LATENCY;
-        }
-        if let Some(d) = instr.idst() {
-            iready[d.idx()] = t + instr.latency();
-        }
+        let t = w.issue(instr);
         let mut next_pc = pc + 1;
         match instr {
             Instr::Addl { d, s, imm } => {
-                regs[d.idx()] = regs[s.idx()].map(|x| x.saturating_add(imm));
+                w.regs[d.idx()] = w.regs[s.idx()].map(|x| x.saturating_add(imm));
             }
             Instr::Setl { d, imm } => {
-                regs[d.idx()] = Some(imm);
+                w.regs[d.idx()] = Some(imm);
             }
-            Instr::Bne { s, target } => match regs[s.idx()] {
+            Instr::Bne { s, target } => match w.regs[s.idx()] {
                 None => {
                     // The branch itself issued (its timing is part of
                     // both outcomes) but the successor is unknown.
                     bound = Bound::LowerBound;
-                    pc = prog.len();
-                    continue;
+                    break;
                 }
                 Some(0) => {}
                 Some(_) => {
                     next_pc = target;
-                    cur = t + 1 + BRANCH_TAKEN_PENALTY;
-                    p0_used = false;
-                    p1_used = false;
-                    probe.on_taken_branch(t);
+                    w.take_branch(t);
+                    if SUMMARIZE && target <= pc {
+                        let now = w.arrival(pc);
+                        // Consecutive arrivals through this back edge
+                        // are one straight trip of the body apart.
+                        if let Some(prev) = last.as_ref().filter(|a| {
+                            a.back == pc
+                                && a.instructions + (pc - target + 1) as u64 == now.instructions
+                                && a.state == now.state
+                        }) {
+                            w.summarize(prog, target, s, budget, prev, &now);
+                        }
+                        last = Some(now);
+                    }
                 }
             },
             _ => {}
@@ -295,13 +484,17 @@ pub fn prove_stalls_budgeted(
         pc = next_pc;
     }
 
-    let cycles = if instructions == 0 { 0 } else { last_issue + 1 };
+    let cycles = if w.instructions == 0 {
+        0
+    } else {
+        w.last_issue + 1
+    };
     let report = match bound {
-        Bound::Exact => probe.finish(cycles),
+        Bound::Exact => w.probe.finish(cycles),
         Bound::LowerBound => {
             // Prefix attribution only: no tail, so each bucket is a
             // lower bound on the dynamic run's.
-            let mut r = probe.report;
+            let mut r = w.probe.report;
             r.cycles = cycles;
             r
         }
@@ -309,7 +502,7 @@ pub fn prove_stalls_budgeted(
     StaticStalls {
         report,
         bound,
-        instructions,
+        instructions: w.instructions,
     }
 }
 
@@ -483,6 +676,199 @@ mod tests {
         assert_eq!(score.instructions, proof.instructions);
         assert!(score.utilization > 0.0 && score.utilization <= 1.0);
         assert!(score.p0_occupancy >= 0.0 && score.p0_occupancy <= 1.0);
+    }
+
+    /// Proves `prog` both ways and requires the summarized walk to
+    /// equal the plain one: report, bound and instruction count.
+    fn summarized(prog: &[Instr], budget: u64, entry: [Option<i64>; IREG_COUNT]) -> StaticStalls {
+        let fast = prove::<true>(prog, budget, entry);
+        let plain = prove::<false>(prog, budget, entry);
+        assert_eq!(fast, plain, "summarized != plain walk at budget {budget}");
+        fast
+    }
+
+    /// `r1 = trips; loop { body; r1 -= 1; bne r1 }`.
+    fn counted(trips: i64, body: &[Instr]) -> Vec<Instr> {
+        let mut prog = vec![Instr::Setl {
+            d: IReg(1),
+            imm: trips,
+        }];
+        prog.extend_from_slice(body);
+        prog.push(Instr::Addl {
+            d: IReg(1),
+            s: IReg(1),
+            imm: -1,
+        });
+        prog.push(Instr::Bne {
+            s: IReg(1),
+            target: 1,
+        });
+        prog
+    }
+
+    fn vmad(d: u8) -> Instr {
+        Instr::Vmad {
+            a: VReg(0),
+            b: VReg(1),
+            c: VReg(d),
+            d: VReg(d),
+        }
+    }
+
+    #[test]
+    fn summaries_equal_the_plain_walk_on_looped_kernels_at_every_budget() {
+        use sw_isa::kernels::{BlockKernelCfg, KernelStyle, Operand};
+        let cfg = BlockKernelCfg {
+            pm: 16,
+            pn: 8,
+            pk: 64,
+            a_src: Operand::Ldm,
+            b_src: Operand::Ldm,
+            a_base: 0,
+            b_base: 1024,
+            c_base: 1536,
+            alpha_addr: 1664,
+        };
+        for style in [KernelStyle::Naive, KernelStyle::Scheduled] {
+            for unroll in [1, 4] {
+                let prog = sw_isa::gen_block_kernel_looped(&cfg, style, unroll);
+                let full = summarized(&prog, DEFAULT_STALL_BUDGET, [Some(0); IREG_COUNT]);
+                assert_eq!(full.bound, Bound::Exact);
+                assert_eq!(full.report, dynamic(&prog));
+                // Budgets that stop the walk inside, at the edges of
+                // and after summarized loops.
+                for budget in (0..=full.instructions + 1).step_by(37) {
+                    summarized(&prog, budget, [Some(0); IREG_COUNT]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_loop_is_summarized_exactly() {
+        let body = [vmad(16), vmad(17), Instr::Vclr { d: VReg(2) }];
+        let plain = |trips| prove::<false>(&counted(trips, &body), u64::MAX, [Some(0); IREG_COUNT]);
+        let (a, b) = (plain(1000), plain(1001));
+        let trips = 1_000_000_000;
+        let s = prove_stalls_budgeted(&counted(trips, &body), u64::MAX, [Some(0); IREG_COUNT]);
+        assert_eq!(s.bound, Bound::Exact);
+        assert!(s.report.check().is_ok());
+        let extra = (trips - 1000) as u64;
+        assert_eq!(
+            s.instructions,
+            a.instructions + extra * (b.instructions - a.instructions)
+        );
+        assert_eq!(
+            s.report.cycles,
+            a.report.cycles + extra * (b.report.cycles - a.report.cycles)
+        );
+    }
+
+    #[test]
+    fn a_runaway_counter_stops_at_the_budget_both_ways() {
+        // 7 steps by -2 past zero: `bne` never falls through.
+        let mut prog = counted(7, &[vmad(16)]);
+        prog[2] = Instr::Addl {
+            d: IReg(1),
+            s: IReg(1),
+            imm: -2,
+        };
+        for budget in [1000, 1001, 1002, 5000] {
+            let s = summarized(&prog, budget, [Some(0); IREG_COUNT]);
+            assert_eq!(s.bound, Bound::LowerBound);
+            assert_eq!(s.instructions, budget);
+        }
+    }
+
+    #[test]
+    fn unknown_registers_fall_back_or_stay_unknown() {
+        // Unknown counter: the walk stops at the first branch.
+        let mut entry = [Some(0i64); IREG_COUNT];
+        entry[3] = None;
+        let mut prog = counted(50, &[vmad(16)]);
+        prog[3] = Instr::Bne {
+            s: IReg(3),
+            target: 1,
+        };
+        let s = summarized(&prog, DEFAULT_STALL_BUDGET, entry);
+        assert_eq!(s.bound, Bound::LowerBound);
+        // A known counter next to an unknown pointer still summarizes;
+        // the pointer stays unknown.
+        let prog = counted(
+            50,
+            &[
+                vmad(16),
+                Instr::Addl {
+                    d: IReg(3),
+                    s: IReg(3),
+                    imm: 4,
+                },
+            ],
+        );
+        assert_eq!(
+            summarized(&prog, DEFAULT_STALL_BUDGET, entry).bound,
+            Bound::Exact
+        );
+    }
+
+    #[test]
+    fn bodies_that_are_not_simple_bail() {
+        let addl = |d, s, imm| Instr::Addl {
+            d: IReg(d),
+            s: IReg(s),
+            imm,
+        };
+        // `r2 = r4 + 1; r4 = r2 + 1` are not self-updates: r4 grows by
+        // 2 a trip. A second loop counts r4 down, so a summary that
+        // skipped those updates would time it wrong.
+        let mut copy = counted(40, &[vmad(16), addl(2, 4, 1), addl(4, 2, 1)]);
+        copy.extend([
+            vmad(17),
+            addl(4, 4, -1),
+            Instr::Bne {
+                s: IReg(4),
+                target: 6,
+            },
+        ]);
+        // An inner branch to the next instruction: every trip runs the
+        // same instructions, but the fifth pays no refill bubble.
+        let inner = vec![
+            Instr::Setl {
+                d: IReg(1),
+                imm: 40,
+            },
+            Instr::Setl { d: IReg(2), imm: 5 },
+            vmad(16),
+            addl(2, 2, -1),
+            Instr::Bne {
+                s: IReg(2),
+                target: 5,
+            },
+            vmad(16),
+            addl(1, 1, -1),
+            Instr::Bne {
+                s: IReg(1),
+                target: 2,
+            },
+        ];
+        for prog in [copy, inner] {
+            let s = summarized(&prog, DEFAULT_STALL_BUDGET, [Some(0); IREG_COUNT]);
+            assert_eq!(s.bound, Bound::Exact);
+            assert_eq!(s.report, dynamic(&prog));
+        }
+    }
+
+    #[test]
+    fn a_pipe_whose_lag_grows_never_becomes_steady() {
+        // P0 never issues in the body: its unattributed gap and pending
+        // refill grow every trip, so no two arrivals match.
+        let prog = counted(300, &[Instr::Vclr { d: VReg(0) }, Instr::Nop]);
+        let s = summarized(&prog, DEFAULT_STALL_BUDGET, [Some(0); IREG_COUNT]);
+        assert_eq!(s.bound, Bound::Exact);
+        assert_eq!(s.report, dynamic(&prog));
+        for budget in [10, 301, 902] {
+            summarized(&prog, budget, [Some(0); IREG_COUNT]);
+        }
     }
 
     #[test]

@@ -514,6 +514,10 @@ impl FlightRecorder {
     /// Clears every ring, clock, and ledger (between runs on a reused
     /// core group, or between bench arms). Producer threads must be
     /// quiescent.
+    ///
+    /// Slots are left as they are: [`tail`](Self::tail) reads at most
+    /// `head` slots, all written since the head was zeroed, so zeroing
+    /// the head empties the ring.
     pub fn reset(&self) {
         // Relaxed throughout: the contract requires quiescent
         // producers, so reset is single-threaded in practice and the
@@ -523,9 +527,6 @@ impl FlightRecorder {
             r.clock.store(0, Ordering::Relaxed);
             for b in &r.busy {
                 b.store(0, Ordering::Relaxed);
-            }
-            for s in r.slots.iter() {
-                s.store(0, Ordering::Relaxed);
             }
         }
     }
@@ -647,6 +648,24 @@ mod tests {
         assert_eq!(f.total(MPE_RING), 0);
         assert_eq!(f.clock(0), 0);
         assert_eq!(f.ring_attribution(0).total_busy(), 0);
+    }
+
+    #[test]
+    fn tail_after_reset_holds_only_new_events() {
+        let f = FlightRecorder::with_capacity(4);
+        for i in 0..6u64 {
+            f.record(2, EventKind::RetryAttempt, i as u32, i);
+        }
+        f.reset();
+        assert!(f.tail(2).is_empty());
+        f.advance(2, Lane::Mesh, 5);
+        f.record(2, EventKind::DmaIssue, dma_op_code("pe.put"), 77);
+        let tail = f.tail(2);
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail[0].seq, 0);
+        assert_eq!(tail[0].clock, 5);
+        assert_eq!(tail[0].kind, EventKind::DmaIssue);
+        assert_eq!(tail[0].arg, 77);
     }
 
     #[test]

@@ -13,6 +13,9 @@ use sw26010_dgemm::mem::{Ldm, MainMemory};
 use sw26010_dgemm::sim::{Dag, Resource};
 use sw_dgemm::gen::{random_matrix, SplitMix64};
 
+#[path = "support/seed_engine.rs"]
+mod seed_engine;
+
 /// Runs `body` once per case with a per-case RNG; panics carry the
 /// case index so a failure is reproducible by construction.
 fn cases(n: u64, test_salt: u64, mut body: impl FnMut(&mut SplitMix64)) {
@@ -452,14 +455,14 @@ fn padding_overhead_bounds() {
 }
 
 // ---------------------------------------------------------------------
-// Execution-engine equivalence: the decoded engine must match the seed
-// interpreter (`Machine::run_reference`) on random valid programs —
-// register file, LDM image, and ExecReport field for field.
+// Execution-engine equivalence: the engine (`Machine::run`) must match
+// the seed interpreter (`support/seed_engine.rs`) on random valid
+// programs — register file, LDM image, and ExecReport field for field.
 // ---------------------------------------------------------------------
 
 mod engine_equivalence {
     use sw26010_dgemm::isa::instr::{Instr, Net};
-    use sw26010_dgemm::isa::{DecodedProgram, IReg, Machine, SinkComm, VReg};
+    use sw26010_dgemm::isa::{IReg, Machine, SinkComm, VReg};
     use sw_dgemm::gen::SplitMix64;
 
     const LDM_LEN: usize = 512;
@@ -539,38 +542,22 @@ mod engine_equivalence {
         (0..LDM_LEN).map(|_| rng.range_f64(-8.0, 8.0)).collect()
     }
 
-    /// Runs `prog` on both engines and asserts exact agreement.
+    /// Runs `prog` on the engine and the seed and asserts exact
+    /// agreement.
     fn assert_engines_agree(prog: &[Instr], ldm0: &[f64], what: &str) {
-        let mut ldm_ref = ldm0.to_vec();
-        let mut comm_ref = SinkComm;
-        let mut m_ref = Machine::new(&mut ldm_ref, &mut comm_ref);
-        let r_ref = m_ref.run_reference(prog);
-        let (v_ref, i_ref) = (m_ref.vregs, m_ref.iregs);
+        let mut ldm_seed = ldm0.to_vec();
+        let (r_seed, v_seed, i_seed) = crate::seed_engine::run(prog, &mut ldm_seed);
 
-        let decoded = DecodedProgram::new(prog);
-        let mut ldm_dec = ldm0.to_vec();
-        let mut comm_dec = SinkComm;
-        let mut m_dec = Machine::new(&mut ldm_dec, &mut comm_dec);
-        let r_dec = m_dec.run_decoded(&decoded);
-        let (v_dec, i_dec) = (m_dec.vregs, m_dec.iregs);
+        let mut ldm = ldm0.to_vec();
+        let mut comm = SinkComm;
+        let mut m = Machine::new(&mut ldm, &mut comm);
+        let r = m.run(prog);
+        let (v, i) = (m.vregs, m.iregs);
 
-        assert_eq!(r_ref.cycles, r_dec.cycles, "{what}: cycles");
-        assert_eq!(
-            r_ref.instructions, r_dec.instructions,
-            "{what}: instructions"
-        );
-        assert_eq!(r_ref.vmads, r_dec.vmads, "{what}: vmads");
-        assert_eq!(
-            r_ref.dual_issue_cycles, r_dec.dual_issue_cycles,
-            "{what}: dual_issue_cycles"
-        );
-        assert_eq!(
-            r_ref.taken_branches, r_dec.taken_branches,
-            "{what}: taken_branches"
-        );
-        assert_eq!(v_ref, v_dec, "{what}: vector registers");
-        assert_eq!(i_ref, i_dec, "{what}: integer registers");
-        assert_eq!(ldm_ref, ldm_dec, "{what}: LDM image");
+        assert_eq!(r_seed, r, "{what}: report");
+        assert_eq!(v_seed, v, "{what}: vector registers");
+        assert_eq!(i_seed, i, "{what}: integer registers");
+        assert_eq!(ldm_seed, ldm, "{what}: LDM image");
     }
 
     /// Straight-line random programs over the full ISA.
@@ -689,8 +676,9 @@ fn fault_injection_is_deterministic() {
 // Stall attribution: with probes on, every simulated cycle of each pipe
 // is classified into exactly one bucket, so the per-pipe buckets sum
 // exactly to ExecReport::cycles — on random straight-line and counted-
-// loop programs, for the decoded engine and the golden model
-// (`run_reference`), and the two engines' attributions agree.
+// loop programs. The attribution equals the static stall prover's
+// (`sw_lint::prove_stalls`, an independent implementation), and the
+// report and LDM image equal the seed interpreter's.
 // ---------------------------------------------------------------------
 
 mod stall_attribution {
@@ -698,36 +686,43 @@ mod stall_attribution {
     use sw26010_dgemm::isa::instr::Instr;
     use sw26010_dgemm::isa::{IReg, Machine, SinkComm};
     use sw_dgemm::gen::SplitMix64;
+    use sw_lint::{prove_stalls, Bound};
 
-    /// Runs `prog` probed on both engines; asserts the defining
-    /// invariant (buckets sum to total cycles, per pipe) and exact
-    /// cross-engine agreement of reports and attributions.
+    /// Runs `prog` probed; asserts the defining invariant (buckets sum
+    /// to total cycles, per pipe), exact agreement with the static
+    /// prover's attribution and instruction count, and with the seed's
+    /// report and LDM image.
     fn assert_attribution_exact(prog: &[Instr], ldm0: &[f64], what: &str) {
-        let mut ldm_dec = ldm0.to_vec();
-        let mut comm_dec = SinkComm;
-        let mut m_dec = Machine::new(&mut ldm_dec, &mut comm_dec);
-        let (r_dec, s_dec) = m_dec.run_probed(prog);
+        let mut ldm = ldm0.to_vec();
+        let mut comm = SinkComm;
+        let mut m = Machine::new(&mut ldm, &mut comm);
+        let (r, s) = m.run_probed(prog);
 
-        s_dec.check().unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert_eq!(s_dec.cycles, r_dec.cycles, "{what}: stall total");
-        for (p, b) in s_dec.pipes.iter().enumerate() {
+        s.check().unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(s.cycles, r.cycles, "{what}: stall total");
+        for (p, b) in s.pipes.iter().enumerate() {
             assert_eq!(
                 b.total(),
-                r_dec.cycles,
+                r.cycles,
                 "{what}: pipe P{p} attribution {b:?} != {} cycles",
-                r_dec.cycles
+                r.cycles
             );
         }
         // Issue slots across both pipes must equal instructions.
-        assert_eq!(s_dec.issue_cycles(), r_dec.instructions, "{what}: issues");
+        assert_eq!(s.issue_cycles(), r.instructions, "{what}: issues");
 
-        let mut ldm_ref = ldm0.to_vec();
-        let mut comm_ref = SinkComm;
-        let mut m_ref = Machine::new(&mut ldm_ref, &mut comm_ref);
-        let (r_ref, s_ref) = m_ref.run_reference_probed(prog);
-        assert_eq!(r_ref, r_dec, "{what}: reports");
-        assert_eq!(s_ref, s_dec, "{what}: attributions");
-        assert_eq!(ldm_ref, ldm_dec, "{what}: LDM image");
+        let proved = prove_stalls(prog);
+        assert_eq!(proved.bound, Bound::Exact, "{what}: proof bound");
+        assert_eq!(proved.report, s, "{what}: attributions");
+        assert_eq!(
+            proved.instructions, r.instructions,
+            "{what}: proven instructions"
+        );
+
+        let mut ldm_seed = ldm0.to_vec();
+        let (r_seed, ..) = crate::seed_engine::run(prog, &mut ldm_seed);
+        assert_eq!(r_seed, r, "{what}: reports");
+        assert_eq!(ldm_seed, ldm, "{what}: LDM image");
     }
 
     /// Straight-line random programs over the full ISA.
