@@ -2,17 +2,15 @@
 //!
 //! Runs every registered model (the checker's built-in scenarios plus,
 //! when the workspace is compiled with `RUSTFLAGS='--cfg sw_check'`,
-//! the ported production primitives: the cancellable barrier, the
-//! flight-recorder ring, and the service's tenant queues) and
-//! checks each against its declared expectation — correct primitives
-//! must pass exhaustively, seeded-defect mutants must be caught with a
-//! replayable interleaving.
+//! the service's tenant queues) and checks each against its declared
+//! expectation — correct models must pass exhaustively, seeded-defect
+//! mutants must be caught with a replayable interleaving.
 //!
 //! ```text
 //! RUSTFLAGS='--cfg sw_check' cargo run -p sw-bench --bin sw-check
 //! sw-check --list
-//! sw-check --model sim/barrier-release --seed 7
-//! sw-check --model probe/flight-mutant-relaxed-publish --replay '0.1.1.0'
+//! sw-check --model serve/queue-handoff --seed 7
+//! sw-check --model serve/queue-mutant-push-no-notify --replay '0.0.1.1.1.0.0.1.1.1.0.0'
 //! sw-check --json check.json
 //! ```
 //!
@@ -41,32 +39,14 @@ fn all_models() -> Vec<Entry> {
         })
         .collect();
     #[cfg(sw_check)]
-    {
-        out.extend(
-            sw_sim::check_models::models()
-                .into_iter()
-                .map(|model| Entry {
-                    origin: "sim",
-                    model,
-                }),
-        );
-        out.extend(
-            sw_probe::check_models::models()
-                .into_iter()
-                .map(|model| Entry {
-                    origin: "probe",
-                    model,
-                }),
-        );
-        out.extend(
-            sw_serve::check_models::models()
-                .into_iter()
-                .map(|model| Entry {
-                    origin: "serve",
-                    model,
-                }),
-        );
-    }
+    out.extend(
+        sw_serve::check_models::models()
+            .into_iter()
+            .map(|model| Entry {
+                origin: "serve",
+                model,
+            }),
+    );
     out
 }
 
@@ -87,8 +67,8 @@ fn main() {
     if cfg!(not(sw_check)) {
         eprintln!(
             "sw-check: built without --cfg sw_check; running the {} built-in models only \
-             (rebuild with RUSTFLAGS='--cfg sw_check' to model-check the ported \
-             sim/probe/serve primitives)",
+             (rebuild with RUSTFLAGS='--cfg sw_check' to model-check the service's \
+             tenant queues)",
             entries.len()
         );
     }

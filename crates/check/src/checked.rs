@@ -1,198 +1,21 @@
-//! Checker-instrumented drop-ins for the `std` concurrency vocabulary
-//! the runtime primitives use.
+//! Checker-instrumented drop-ins for the `std` lock vocabulary the
+//! service's queues use: `Mutex`, `Condvar` and thread spawn/join.
 //!
 //! Every type here has two behaviours, selected at *runtime* by
 //! whether the current thread is a model worker (see
 //! [`crate::engine::current`]): inside a model execution, operations
-//! become visible ops routed through the deterministic scheduler and
-//! the happens-before engine; outside one, they defer to the real
-//! `std` implementation, so instrumented code keeps working in plain
-//! unit tests. Production crates never pay for this dispatch — their
-//! hot paths import these types only under `cfg(sw_check)`, and
-//! otherwise get direct `std` re-exports from the [`crate`] facade.
+//! become visible ops routed through the deterministic scheduler;
+//! outside one, they defer to the real `std` implementation, so
+//! instrumented code keeps working in plain unit tests. Production
+//! crates never pay for this dispatch — they import these types only
+//! under `cfg(sw_check)`, and otherwise get direct `std` re-exports
+//! from the [`crate`] facade.
 
-use crate::engine::{current, Op, OpKind, Rmw};
-use std::sync::atomic::Ordering;
+use crate::engine::{current, Op, OpKind};
 use std::time::Duration;
 
 fn addr_of<T: ?Sized>(x: &T) -> usize {
     x as *const T as *const u8 as usize
-}
-
-macro_rules! checked_atomic {
-    ($name:ident, $std:ty, $prim:ty) => {
-        /// Instrumented counterpart of the `std` atomic of the same
-        /// name. All orderings are simulated, not collapsed to SeqCst.
-        #[derive(Debug, Default)]
-        pub struct $name {
-            inner: $std,
-        }
-
-        impl $name {
-            pub fn new(v: $prim) -> Self {
-                Self {
-                    inner: <$std>::new(v),
-                }
-            }
-
-            /// Initial value for first-touch seeding: inside a model,
-            /// `inner` is never mutated, so it still holds the value
-            /// passed to `new`.
-            fn seed(&self) -> u64 {
-                self.inner.load(Ordering::Relaxed) as u64
-            }
-
-            fn op(&self, kind: OpKind) -> Option<u64> {
-                current().map(|ctx| {
-                    ctx.visible_atomic(
-                        addr_of(self),
-                        self.seed(),
-                        Op {
-                            loc: Some(addr_of(self)),
-                            kind,
-                        },
-                    )
-                })
-            }
-
-            pub fn load(&self, ord: Ordering) -> $prim {
-                match self.op(OpKind::Load(ord)) {
-                    Some(v) => v as $prim,
-                    None => self.inner.load(ord),
-                }
-            }
-
-            pub fn store(&self, v: $prim, ord: Ordering) {
-                if self.op(OpKind::Store(ord, v as u64)).is_none() {
-                    self.inner.store(v, ord);
-                }
-            }
-
-            pub fn swap(&self, v: $prim, ord: Ordering) -> $prim {
-                match self.op(OpKind::Rmw(ord, Rmw::Swap(v as u64))) {
-                    Some(old) => old as $prim,
-                    None => self.inner.swap(v, ord),
-                }
-            }
-
-            pub fn fetch_add(&self, v: $prim, ord: Ordering) -> $prim {
-                match self.op(OpKind::Rmw(ord, Rmw::Add(v as u64))) {
-                    Some(old) => old as $prim,
-                    None => self.inner.fetch_add(v, ord),
-                }
-            }
-
-            pub fn fetch_sub(&self, v: $prim, ord: Ordering) -> $prim {
-                match self.op(OpKind::Rmw(ord, Rmw::Sub(v as u64))) {
-                    Some(old) => old as $prim,
-                    None => self.inner.fetch_sub(v, ord),
-                }
-            }
-
-            pub fn fetch_max(&self, v: $prim, ord: Ordering) -> $prim {
-                match self.op(OpKind::Rmw(ord, Rmw::Max(v as u64))) {
-                    Some(old) => old as $prim,
-                    None => self.inner.fetch_max(v, ord),
-                }
-            }
-        }
-    };
-}
-
-checked_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-checked_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-
-/// Instrumented `AtomicBool` (the subset the runtime uses).
-#[derive(Debug, Default)]
-pub struct AtomicBool {
-    inner: std::sync::atomic::AtomicBool,
-}
-
-impl AtomicBool {
-    pub fn new(v: bool) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicBool::new(v),
-        }
-    }
-
-    fn op(&self, kind: OpKind) -> Option<u64> {
-        current().map(|ctx| {
-            ctx.visible_atomic(
-                addr_of(self),
-                self.inner.load(Ordering::Relaxed) as u64,
-                Op {
-                    loc: Some(addr_of(self)),
-                    kind,
-                },
-            )
-        })
-    }
-
-    pub fn load(&self, ord: Ordering) -> bool {
-        match self.op(OpKind::Load(ord)) {
-            Some(v) => v != 0,
-            None => self.inner.load(ord),
-        }
-    }
-
-    pub fn store(&self, v: bool, ord: Ordering) {
-        if self.op(OpKind::Store(ord, v as u64)).is_none() {
-            self.inner.store(v, ord);
-        }
-    }
-
-    pub fn swap(&self, v: bool, ord: Ordering) -> bool {
-        match self.op(OpKind::Rmw(ord, Rmw::Swap(v as u64))) {
-            Some(old) => old != 0,
-            None => self.inner.swap(v, ord),
-        }
-    }
-}
-
-/// Instrumented plain-memory cell: unordered conflicting accesses are
-/// reported as data races by the vector-clock detector. The closure
-/// API (`with`/`with_mut`) brackets the raw pointer access with the
-/// visible read/write op; the zero-cost facade twin in [`crate::cell`]
-/// has the identical API over a bare `std::cell::UnsafeCell`.
-#[derive(Debug, Default)]
-pub struct UnsafeCell<T> {
-    inner: std::cell::UnsafeCell<T>,
-}
-
-// Safety: the whole point of this type is to *detect* unsynchronized
-// sharing dynamically instead of preventing it statically; model
-// threads are physically serialized by the scheduler, so even a racy
-// model never performs a concurrent host-level access.
-unsafe impl<T: Send> Sync for UnsafeCell<T> {}
-
-impl<T> UnsafeCell<T> {
-    pub fn new(v: T) -> Self {
-        Self {
-            inner: std::cell::UnsafeCell::new(v),
-        }
-    }
-
-    /// Immutable access, checked as a plain read.
-    pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-        if let Some(ctx) = current() {
-            ctx.visible(Op {
-                loc: Some(addr_of(self)),
-                kind: OpKind::CellRead,
-            });
-        }
-        f(self.inner.get())
-    }
-
-    /// Mutable access, checked as a plain write.
-    pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-        if let Some(ctx) = current() {
-            ctx.visible(Op {
-                loc: Some(addr_of(self)),
-                kind: OpKind::CellWrite,
-            });
-        }
-        f(self.inner.get())
-    }
 }
 
 /// Instrumented mutex. Inside a model, contention is virtual (the
@@ -411,8 +234,8 @@ impl Condvar {
 }
 
 /// Thread operations. Model workers spawned with [`thread::spawn`]
-/// are scheduled by the checker; the join is a visible op carrying the
-/// child's happens-before clock.
+/// are scheduled by the checker; the join is a visible op that waits
+/// for the child's exit.
 pub mod thread {
     use super::*;
 
@@ -445,84 +268,6 @@ pub mod thread {
         match current() {
             Some(ctx) => JoinHandle::Model(ctx.spawn_model(f)),
             None => JoinHandle::Std(std::thread::spawn(f)),
-        }
-    }
-
-    /// A scheduling point: the model scheduler prefers switching away
-    /// after a yield, which is what makes polling loops explorable.
-    /// Outside a model it yields like the normal build's facade: to
-    /// the next fiber on a fiber, to the OS scheduler otherwise.
-    pub fn yield_now() {
-        match current() {
-            Some(ctx) => {
-                ctx.visible(Op {
-                    loc: None,
-                    kind: OpKind::Yield,
-                });
-            }
-            None => {
-                if !crate::fiber::suspend() {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Timed sleep in virtual time: the sleeper re-enables once
-    /// quiescence advances the clock past its deadline.
-    pub fn sleep(dur: Duration) {
-        match current() {
-            Some(ctx) => {
-                let until = ctx.now() + dur.as_nanos() as u64;
-                ctx.visible(Op {
-                    loc: None,
-                    kind: OpKind::Sleep { until },
-                });
-            }
-            None => std::thread::sleep(dur),
-        }
-    }
-}
-
-pub mod time {
-    use super::*;
-
-    /// Instant over virtual time inside a model, real time outside.
-    /// The two variants are never compared with each other in
-    /// practice: a value created inside a model execution stays
-    /// inside it.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-    pub enum Instant {
-        Real(std::time::Instant),
-        Virtual(u64),
-    }
-
-    impl Instant {
-        pub fn now() -> Instant {
-            match current() {
-                Some(ctx) => Instant::Virtual(ctx.now()),
-                None => Instant::Real(std::time::Instant::now()),
-            }
-        }
-
-        pub fn elapsed(&self) -> Duration {
-            match *self {
-                Instant::Real(i) => i.elapsed(),
-                Instant::Virtual(t0) => {
-                    let now = current().map(|c| c.now()).unwrap_or(t0);
-                    Duration::from_nanos(now.saturating_sub(t0))
-                }
-            }
-        }
-    }
-
-    impl std::ops::Add<Duration> for Instant {
-        type Output = Instant;
-        fn add(self, d: Duration) -> Instant {
-            match self {
-                Instant::Real(i) => Instant::Real(i + d),
-                Instant::Virtual(t) => Instant::Virtual(t + d.as_nanos() as u64),
-            }
         }
     }
 }

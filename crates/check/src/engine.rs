@@ -2,67 +2,32 @@
 //!
 //! One model **execution** runs every model thread as a real OS thread,
 //! but under a turnstile: a thread that reaches a *visible operation*
-//! (an instrumented atomic/cell/mutex/condvar/thread op) announces it
-//! and blocks; whichever announcement completes the "everyone settled"
-//! condition runs the scheduling step inline — picks the next thread
-//! (replaying the explorer's forced prefix, then the default policy),
-//! executes the op's effects against the happens-before state of
-//! [`crate::hb`], records the trace step, updates DPOR backtrack sets,
-//! and grants exactly one thread. At most one model thread is ever
-//! between grant and announce, so model memory accesses are physically
-//! serialized even when the *model* has a data race — races are caught
-//! logically by the vector-clock detector, never by corrupting the
-//! host process.
+//! (an instrumented mutex/condvar/thread op) announces it and blocks;
+//! whichever announcement completes the "everyone settled" condition
+//! runs the scheduling step inline — picks the next thread (replaying
+//! the explorer's forced prefix, then the default policy), executes the
+//! op's effect on the lock and condvar state, records the trace step,
+//! updates DPOR backtrack sets, and grants exactly one thread. At most
+//! one model thread is ever between grant and announce, so the model's
+//! code runs serialized.
 //!
-//! Blocking is virtual: `Mutex` contention, condvar parks, and timed
-//! sleeps suspend the model thread inside the engine. When no thread
-//! is runnable the engine reaches **quiescence**: virtual time jumps
-//! to the earliest pending deadline (waking sleepers and timed condvar
-//! waiters — counting every such *forced timeout*, the signature of a
-//! lost wakeup), and if nothing is wakeable the execution is reported
-//! as a deadlock with every thread's pending operation. Repeated
-//! quiescence cycles without a single write/unlock/notify are reported
-//! as a livelock.
+//! Blocking is virtual: `Mutex` contention and condvar parks suspend
+//! the model thread inside the engine. When no thread is runnable the
+//! engine reaches **quiescence**: virtual time jumps to the earliest
+//! timed condvar wait and wakes it — counting every such *forced
+//! timeout*, the signature of a lost wakeup — and if nothing is
+//! wakeable the execution is reported as a deadlock with every thread's
+//! pending operation. Repeated quiescence cycles without a single
+//! unlock/notify/exit are reported as a livelock.
 
-use crate::hb::{LocKind, LocState, VClock};
 use crate::report::{Schedule, ViolationKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Max model threads per execution (64 CPEs would be unexplorable;
 /// models use "small configurations" of 2–5 threads).
 pub(crate) const MAX_THREADS: usize = 16;
-
-/// Read-modify-write flavours used by the shim atomics.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Rmw {
-    Add(u64),
-    Sub(u64),
-    Max(u64),
-    Swap(u64),
-}
-
-impl Rmw {
-    fn apply(self, old: u64) -> u64 {
-        match self {
-            Rmw::Add(n) => old.wrapping_add(n),
-            Rmw::Sub(n) => old.wrapping_sub(n),
-            Rmw::Max(n) => old.max(n),
-            Rmw::Swap(n) => n,
-        }
-    }
-
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Rmw::Add(_) => "fetch_add",
-            Rmw::Sub(_) => "fetch_sub",
-            Rmw::Max(_) => "fetch_max",
-            Rmw::Swap(_) => "swap",
-        }
-    }
-}
 
 /// A visible operation, announced by a model thread before it may
 /// proceed. `loc` is the address of the shared object (stable within
@@ -77,11 +42,6 @@ pub(crate) struct Op {
 pub(crate) enum OpKind {
     /// First announcement of a freshly spawned thread.
     Begin,
-    Load(Ordering),
-    Store(Ordering, u64),
-    Rmw(Ordering, Rmw),
-    CellRead,
-    CellWrite,
     Lock,
     Unlock,
     /// Park on a condvar, atomically releasing `mutex`; `timeout` is
@@ -92,11 +52,6 @@ pub(crate) enum OpKind {
     },
     CvNotifyAll,
     CvNotifyOne,
-    Yield,
-    /// Timed sleep; enabled once virtual time reaches `until`.
-    Sleep {
-        until: u64,
-    },
     Spawn,
     Join {
         child: usize,
@@ -105,33 +60,11 @@ pub(crate) enum OpKind {
 }
 
 impl OpKind {
-    /// Whether the op conflicts with other accesses to the same
-    /// location (DPOR dependence needs "at least one write").
-    fn writes(self) -> bool {
-        !matches!(
-            self,
-            OpKind::Load(_)
-                | OpKind::CellRead
-                | OpKind::Yield
-                | OpKind::Sleep { .. }
-                | OpKind::Begin
-                | OpKind::Join { .. }
-                | OpKind::Exit
-                | OpKind::Spawn
-        )
-    }
-
     /// Ops that constitute progress for the livelock detector.
     fn progresses(self) -> bool {
         matches!(
             self,
-            OpKind::Store(..)
-                | OpKind::Rmw(..)
-                | OpKind::CellWrite
-                | OpKind::Unlock
-                | OpKind::CvNotifyAll
-                | OpKind::CvNotifyOne
-                | OpKind::Exit
+            OpKind::Unlock | OpKind::CvNotifyAll | OpKind::CvNotifyOne | OpKind::Exit
         )
     }
 }
@@ -149,16 +82,18 @@ pub(crate) struct TraceStep {
 }
 
 impl TraceStep {
+    /// Two steps of different threads on a shared lock or condvar.
+    /// Every op with a location changes that location's state, so a
+    /// shared location makes the pair dependent.
     fn dependent(&self, other: &TraceStep) -> bool {
         if self.tid == other.tid {
             return false;
         }
         let shares = |a: Option<usize>, b: Option<usize>| a.is_some() && a == b;
-        let overlap = shares(self.loc, other.loc)
+        shares(self.loc, other.loc)
             || shares(self.loc, other.loc2)
             || shares(self.loc2, other.loc)
-            || shares(self.loc2, other.loc2);
-        overlap && (self.kind.writes() || other.kind.writes())
+            || shares(self.loc2, other.loc2)
     }
 }
 
@@ -167,13 +102,12 @@ impl TraceStep {
 pub(crate) struct Frame {
     /// Runnable threads at this point.
     pub enabled: Vec<usize>,
-    /// The choice taken on the current path: (thread, forced stale
-    /// store index for a weak load).
-    pub choice: (usize, Option<usize>),
+    /// The thread chosen on the current path.
+    pub choice: usize,
     /// Choices already explored from this point.
-    pub tried: Vec<(usize, Option<usize>)>,
-    /// Choices queued by DPOR backtracking / weak-read branching.
-    pub pending: Vec<(usize, Option<usize>)>,
+    pub tried: Vec<usize>,
+    /// Choices queued by DPOR backtracking.
+    pub pending: Vec<usize>,
     /// Preemptive context switches on the path up to this choice.
     pub preemptions: u32,
 }
@@ -205,16 +139,9 @@ pub(crate) struct ThreadSt {
     /// Pending wait was granted as a cv reacquire (result carries the
     /// timed_out flag).
     pub cv_reacquire: bool,
-    /// Model-level exit clock (set when `Exit` executes).
-    pub exit_clock: Option<VClock>,
+    /// Set when `Exit` executes; a join waits for it.
+    pub exited: bool,
     pub handle: Option<std::thread::JoinHandle<()>>,
-    /// The op this thread last executed was a yield (scheduling hint).
-    pub yielded: bool,
-    /// Consecutive yields executed with no intervening non-yield op.
-    pub yields_in_row: u32,
-    /// `exec.progress_ops` when this thread last yielded; once past
-    /// the fairness bound the thread stays blocked until it changes.
-    pub progress_snapshot: u64,
 }
 
 impl ThreadSt {
@@ -227,28 +154,48 @@ impl ThreadSt {
             timed_out: false,
             cv_mutex: None,
             cv_reacquire: false,
-            exit_clock: None,
+            exited: false,
             handle: None,
-            yielded: false,
-            yields_in_row: 0,
-            progress_snapshot: 0,
         }
     }
 }
 
+/// What kind of shared object lives at an address.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LocKind {
+    Mutex,
+    Condvar,
+}
+
+impl LocKind {
+    pub fn name(self) -> &'static str {
+        match self {
+            LocKind::Mutex => "mutex",
+            LocKind::Condvar => "condvar",
+        }
+    }
+}
+
+/// Checker-side state of one mutex or condvar.
+#[derive(Debug)]
+pub(crate) struct Loc {
+    /// Display id, assigned in first-touch order (deterministic under
+    /// a fixed schedule, unlike the address used as the map key).
+    pub id: usize,
+    /// Mutex: the holding thread.
+    pub owner: Option<usize>,
+    /// Condvar: parked (thread, woken-by-timeout-at) queue in park
+    /// order.
+    pub cv_waiters: Vec<(usize, Option<u64>)>,
+}
+
 /// Per-execution dynamic state (reset between executions).
 pub(crate) struct ExecSt {
-    pub clocks: Vec<VClock>,
-    pub locs: HashMap<usize, LocState>,
+    pub locs: HashMap<usize, Loc>,
     pub loc_kinds: Vec<LocKind>,
     pub now: u64,
     pub trace: Vec<TraceStep>,
     pub forced_timeouts: u64,
-    pub stale_branches_capped: u64,
-    pub stale_branches: u32,
-    /// Total progress ops (stores/unlocks/notifies/exits) so far —
-    /// the signal that re-enables a fairness-blocked spinner.
-    pub progress_ops: u64,
     progress_since_quiescence: bool,
     livelock_strikes: u32,
 }
@@ -256,27 +203,27 @@ pub(crate) struct ExecSt {
 impl ExecSt {
     fn new() -> Self {
         ExecSt {
-            clocks: Vec::new(),
             locs: HashMap::new(),
             loc_kinds: Vec::new(),
             now: 0,
             trace: Vec::new(),
             forced_timeouts: 0,
-            stale_branches_capped: 0,
-            stale_branches: 0,
-            progress_ops: 0,
             progress_since_quiescence: true,
             livelock_strikes: 0,
         }
     }
 
     /// The location entry at `addr`, created on first touch.
-    fn loc(&mut self, addr: usize, kind: LocKind, init: Option<u64>) -> &mut LocState {
-        let next_id = self.loc_kinds.len();
+    fn loc(&mut self, addr: usize, kind: LocKind) -> &mut Loc {
+        let id = self.loc_kinds.len();
         let kinds = &mut self.loc_kinds;
         self.locs.entry(addr).or_insert_with(|| {
             kinds.push(kind);
-            LocState::new(next_id, kind, init)
+            Loc {
+                id,
+                owner: None,
+                cv_waiters: Vec::new(),
+            }
         })
     }
 }
@@ -298,17 +245,12 @@ pub(crate) struct RawViolation {
 #[derive(Clone, Debug)]
 pub(crate) struct EngineConfig {
     pub seed: u64,
-    pub weak_values: bool,
     pub max_steps: usize,
-    pub max_stale_branches: u32,
     pub preemption_bound: Option<u32>,
     pub forbid_timeout_rescue: bool,
     /// Consecutive quiescence cycles without progress before the
     /// execution is reported as a livelock.
     pub livelock_limit: u32,
-    /// Consecutive yields by one thread (with no progress anywhere)
-    /// before the fairness bound blocks it.
-    pub yield_bound: u32,
 }
 
 pub(crate) struct EngineSt {
@@ -366,19 +308,7 @@ impl EngineSt {
                 let addr = op.loc.expect("lock has a location");
                 self.locs_owner(addr).is_none()
             }
-            OpKind::Sleep { until } => self.exec.now >= until,
-            OpKind::Join { child } => self.threads[child].exit_clock.is_some(),
-            // Fairness bound: a thread that has spun past the yield
-            // budget blocks until some other thread makes progress.
-            // Extra spin iterations over unchanged state are
-            // stutter-equivalent, so pruning them is what keeps spin
-            // loops finitely explorable — and a spinner that can never
-            // be unblocked is a livelock, which quiescence reports.
-            OpKind::Yield => {
-                let t = &self.threads[tid];
-                t.yields_in_row < self.cfg.yield_bound
-                    || self.exec.progress_ops != t.progress_snapshot
-            }
+            OpKind::Join { child } => self.threads[child].exited,
             _ => true,
         }
     }
@@ -406,15 +336,14 @@ impl EngineSt {
         x ^ (x >> 31)
     }
 
-    /// Picks the next thread to run (and, for weak loads, the forced
-    /// store index), either replaying the forced prefix or extending
-    /// the stack with a fresh decision point.
-    fn decide(&mut self, runnable: &[usize]) -> Option<(usize, Option<usize>)> {
+    /// Picks the next thread to run, either replaying the forced prefix
+    /// or extending the stack with a fresh decision point.
+    fn decide(&mut self, runnable: &[usize]) -> Option<usize> {
         // Frames are 1:1 with trace steps. The stack persists across
         // executions (it IS the exploration state), so during replay
         // of the forced prefix the frame for this step already exists.
         let step = self.exec.trace.len();
-        if let Some(&(tid, read)) = self.forced.0.get(step) {
+        if let Some(&tid) = self.forced.0.get(step) {
             if !runnable.contains(&tid) {
                 self.internal_error = Some(format!(
                     "replay diverged at step {step}: thread {tid} not runnable"
@@ -427,22 +356,21 @@ impl EngineSt {
                 // materialize the frame so violations snapshot it.
                 self.stack.push(Frame {
                     enabled: runnable.to_vec(),
-                    choice: (tid, read),
-                    tried: vec![(tid, read)],
+                    choice: tid,
+                    tried: vec![tid],
                     pending: Vec::new(),
                     preemptions: 0,
                 });
             } else {
-                self.stack[step].choice = (tid, read);
+                self.stack[step].choice = tid;
             }
-            return Some((tid, read));
+            return Some(tid);
         }
         // Default policy: stay on the previously granted thread unless
-        // it yielded, parked, or blocked — switching only on yields
-        // keeps polling loops fair while preserving long runs DPOR can
+        // it parked or blocked, which preserves long runs DPOR can
         // reason about.
         let prev = self.last_granted;
-        let stay = prev.filter(|p| runnable.contains(p) && !self.threads[*p].yielded);
+        let stay = prev.filter(|p| runnable.contains(p));
         let tid = stay.unwrap_or_else(|| {
             *runnable
                 .iter()
@@ -452,8 +380,8 @@ impl EngineSt {
         let path_preemptions = self.stack.last().map(|f| f.preemptions).unwrap_or(0);
         let mut frame = Frame {
             enabled: runnable.to_vec(),
-            choice: (tid, None),
-            tried: vec![(tid, None)],
+            choice: tid,
+            tried: vec![tid],
             pending: Vec::new(),
             preemptions: path_preemptions,
         };
@@ -465,18 +393,16 @@ impl EngineSt {
                 if alt == tid {
                     continue;
                 }
-                let preempts = prev
-                    .map(|p| p != alt && runnable.contains(&p) && !self.threads[p].yielded)
-                    .unwrap_or(false);
+                let preempts = prev.is_some_and(|p| p != alt && runnable.contains(&p));
                 if preempts && path_preemptions >= bound {
                     self.preemption_pruned += 1;
                 } else {
-                    frame.pending.push((alt, None));
+                    frame.pending.push(alt);
                 }
             }
         }
         self.stack.push(frame);
-        Some((tid, None))
+        Some(tid)
     }
 
     /// DPOR: find the most recent step dependent with the step just
@@ -530,9 +456,8 @@ impl EngineSt {
             frame.enabled.clone()
         };
         for t in queue {
-            let c = (t, None);
-            if frame.choice != c && !frame.tried.contains(&c) && !frame.pending.contains(&c) {
-                frame.pending.push(c);
+            if frame.choice != t && !frame.tried.contains(&t) && !frame.pending.contains(&t) {
+                frame.pending.push(t);
             }
         }
     }
@@ -540,114 +465,20 @@ impl EngineSt {
     /// Executes thread `tid`'s announced op against the model state.
     /// Returns `false` if the op parked the thread instead of
     /// completing (cv wait).
-    fn execute(&mut self, tid: usize, forced_read: Option<usize>) -> bool {
+    fn execute(&mut self, tid: usize) -> bool {
         let op = self.threads[tid].pending.take().expect("op announced");
-        self.exec.clocks[tid].tick(tid);
-        let step = self.exec.trace.len();
         let mut result = 0u64;
         let mut loc_id = None;
         let mut loc2_id = None;
         let mut completed = true;
         match op.kind {
-            OpKind::Begin | OpKind::Yield | OpKind::Sleep { .. } => {}
-            OpKind::Load(ord) => {
-                let addr = op.loc.expect("load has a location");
-                let weak = self.cfg.weak_values;
-                let clock = self.exec.clocks[tid].clone();
-                let loc = self
-                    .exec
-                    .locs
-                    .get_mut(&addr)
-                    .expect("atomic seeded at announce");
-                loc_id = Some(loc.id);
-                let (i, alts) = loc.load_choice(tid, &clock, ord, weak, forced_read);
-                let mut clock = clock;
-                result = loc.commit_load(tid, &mut clock, ord, i);
-                self.exec.clocks[tid] = clock;
-                if !alts.is_empty() {
-                    // Register the stale alternatives at THIS step's
-                    // frame (frames are 1:1 with trace steps), deduping
-                    // against choices already tried on earlier paths.
-                    if self.exec.stale_branches < self.cfg.max_stale_branches {
-                        let frame = &mut self.stack[step];
-                        let mut added = false;
-                        for a in alts {
-                            let c = (tid, Some(a));
-                            if frame.choice != c
-                                && !frame.tried.contains(&c)
-                                && !frame.pending.contains(&c)
-                            {
-                                frame.pending.push(c);
-                                added = true;
-                            }
-                        }
-                        if added {
-                            self.exec.stale_branches += 1;
-                        }
-                    } else {
-                        self.exec.stale_branches_capped += alts.len() as u64;
-                    }
-                }
-            }
-            OpKind::Store(ord, val) => {
-                let addr = op.loc.expect("store has a location");
-                let clock = self.exec.clocks[tid].clone();
-                let loc = self
-                    .exec
-                    .locs
-                    .get_mut(&addr)
-                    .expect("atomic seeded at announce");
-                loc_id = Some(loc.id);
-                loc.store(tid, &clock, ord, val);
-            }
-            OpKind::Rmw(ord, rmw) => {
-                let addr = op.loc.expect("rmw has a location");
-                let mut clock = self.exec.clocks[tid].clone();
-                let loc = self
-                    .exec
-                    .locs
-                    .get_mut(&addr)
-                    .expect("atomic seeded at announce");
-                loc_id = Some(loc.id);
-                let old = loc.stores.last().expect("seeded").val;
-                result = loc.rmw(tid, &mut clock, ord, rmw.apply(old));
-                self.exec.clocks[tid] = clock;
-            }
-            OpKind::CellRead | OpKind::CellWrite => {
-                let addr = op.loc.expect("cell access has a location");
-                let clock = self.exec.clocks[tid].clone();
-                let loc = self.exec.loc(addr, LocKind::Cell, None);
-                loc_id = Some(loc.id);
-                let res = if matches!(op.kind, OpKind::CellRead) {
-                    loc.cell_read(tid, &clock, step)
-                } else {
-                    loc.cell_write(tid, &clock, step)
-                };
-                if let Err(race) = res {
-                    let (id, kname) = (loc.id, loc.kind.name());
-                    let msg = format!(
-                        "data race on {kname}#{id}: {} by {} at step {} is unordered with this {} by {}",
-                        if race.prior_write { "write" } else { "read" },
-                        self.threads[race.prior_thread].name,
-                        race.prior_step,
-                        if matches!(op.kind, OpKind::CellRead) { "read" } else { "write" },
-                        self.threads[tid].name,
-                    );
-                    // Record the racing access in the trace first so
-                    // the rendered schedule ends at the crime scene.
-                    self.push_trace(tid, op, loc_id, loc2_id, result);
-                    self.report_violation(ViolationKind::Race, msg);
-                    return true;
-                }
-            }
+            OpKind::Begin => {}
             OpKind::Lock => {
                 let addr = op.loc.expect("lock has a location");
-                let clock = &mut self.exec.clocks[tid];
                 let loc = self.exec.locs.get_mut(&addr).expect("mutex seeded");
                 loc_id = Some(loc.id);
                 debug_assert!(loc.owner.is_none(), "granted lock must be free");
                 loc.owner = Some(tid);
-                clock.join(&loc.unlock_clock);
                 if self.threads[tid].cv_reacquire {
                     self.threads[tid].cv_reacquire = false;
                     result = self.threads[tid].timed_out as u64;
@@ -655,23 +486,19 @@ impl EngineSt {
             }
             OpKind::Unlock => {
                 let addr = op.loc.expect("unlock has a location");
-                let clock = self.exec.clocks[tid].clone();
                 let loc = self.exec.locs.get_mut(&addr).expect("mutex seeded");
                 loc_id = Some(loc.id);
                 loc.owner = None;
-                loc.unlock_clock = clock;
             }
             OpKind::CvWait { mutex, timeout } => {
                 let cv_addr = op.loc.expect("cv wait has a location");
-                let clock = self.exec.clocks[tid].clone();
                 // Release the mutex...
                 let m = self.exec.locs.get_mut(&mutex).expect("mutex seeded");
                 loc2_id = Some(m.id);
                 m.owner = None;
-                m.unlock_clock = clock;
                 // ...and park on the condvar.
                 let wake_at = timeout.map(|d| self.exec.now + d);
-                let cv = self.exec.loc(cv_addr, LocKind::Condvar, None);
+                let cv = self.exec.loc(cv_addr, LocKind::Condvar);
                 loc_id = Some(cv.id);
                 cv.cv_waiters.push((tid, wake_at));
                 self.threads[tid].cv_mutex = Some(mutex);
@@ -681,7 +508,7 @@ impl EngineSt {
             }
             OpKind::CvNotifyAll | OpKind::CvNotifyOne => {
                 let cv_addr = op.loc.expect("notify has a location");
-                let cv = self.exec.loc(cv_addr, LocKind::Condvar, None);
+                let cv = self.exec.loc(cv_addr, LocKind::Condvar);
                 loc_id = Some(cv.id);
                 let n = if matches!(op.kind, OpKind::CvNotifyOne) {
                     1.min(cv.cv_waiters.len())
@@ -705,42 +532,14 @@ impl EngineSt {
                 let child = self.threads.len();
                 let name = format!("t{child}");
                 self.threads.push(ThreadSt::new(name));
-                self.exec.clocks.push(self.exec.clocks[tid].clone());
                 self.live += 1;
                 result = child as u64;
             }
-            OpKind::Join { child } => {
-                let exit = self.threads[child]
-                    .exit_clock
-                    .clone()
-                    .expect("join granted only after child exit");
-                self.exec.clocks[tid].join(&exit);
-            }
-            OpKind::Exit => {
-                self.threads[tid].exit_clock = Some(self.exec.clocks[tid].clone());
-            }
+            OpKind::Join { .. } => {}
+            OpKind::Exit => self.threads[tid].exited = true,
         }
         if op.kind.progresses() {
             self.exec.progress_since_quiescence = true;
-            self.exec.progress_ops += 1;
-        }
-        if matches!(op.kind, OpKind::Yield) {
-            self.threads[tid].yielded = true;
-            // Reads between yields do NOT reset the spin budget — a
-            // spin loop's loads of unchanged state are stutter steps.
-            // The budget resets only when global progress happened
-            // since this thread last yielded.
-            if self.exec.progress_ops != self.threads[tid].progress_snapshot {
-                self.threads[tid].yields_in_row = 1;
-            } else {
-                self.threads[tid].yields_in_row += 1;
-            }
-            self.threads[tid].progress_snapshot = self.exec.progress_ops;
-        } else {
-            self.threads[tid].yielded = false;
-            if op.kind.progresses() {
-                self.threads[tid].yields_in_row = 0;
-            }
         }
         self.threads[tid].result = result;
         self.push_trace(tid, op, loc_id, loc2_id, result);
@@ -782,7 +581,7 @@ impl EngineSt {
     /// deadline, or report deadlock. Returns `true` if anything was
     /// woken.
     fn quiesce(&mut self) -> bool {
-        // Livelock: quiescence cycles without any store/unlock/notify.
+        // Livelock: quiescence cycles without any unlock/notify/exit.
         if !self.exec.progress_since_quiescence {
             self.exec.livelock_strikes += 1;
             if self.exec.livelock_strikes >= self.cfg.livelock_limit {
@@ -791,7 +590,7 @@ impl EngineSt {
                     ViolationKind::Livelock,
                     format!(
                         "no progress across {limit} quiescence cycles \
-                         (threads spin/sleep without ever writing)"
+                         (threads wait out timed parks without ever unlocking or notifying)"
                     ),
                 );
                 return false;
@@ -803,22 +602,10 @@ impl EngineSt {
 
         let mut wake_at = u64::MAX;
         for (t, th) in self.threads.iter().enumerate() {
-            match th.phase {
-                Phase::Announced => {
-                    if let Some(Op {
-                        kind: OpKind::Sleep { until },
-                        ..
-                    }) = th.pending
-                    {
-                        wake_at = wake_at.min(until);
-                    }
+            if th.phase == Phase::Parked {
+                if let Some((_, Some(at))) = self.find_cv_entry(t) {
+                    wake_at = wake_at.min(at);
                 }
-                Phase::Parked => {
-                    if let Some((_, Some(at))) = self.find_cv_entry(t) {
-                        wake_at = wake_at.min(at);
-                    }
-                }
-                _ => {}
             }
         }
         if wake_at == u64::MAX {
@@ -837,41 +624,19 @@ impl EngineSt {
                     )
                 })
                 .collect();
-            // A fairness-blocked spinner that nothing can ever unblock
-            // is a livelock, not a deadlock.
-            let spinning = self.threads.iter().any(|t| {
-                t.phase == Phase::Announced
-                    && matches!(
-                        t.pending,
-                        Some(Op {
-                            kind: OpKind::Yield,
-                            ..
-                        })
-                    )
-            });
-            if spinning {
-                self.report_violation(
-                    ViolationKind::Livelock,
-                    format!(
-                        "spin loops can never observe progress (no runnable writer): {}",
-                        blocked.join("; ")
-                    ),
-                );
-            } else {
-                self.report_violation(
-                    ViolationKind::Deadlock,
-                    format!(
-                        "all threads blocked with no pending deadline: {}",
-                        blocked.join("; ")
-                    ),
-                );
-            }
+            self.report_violation(
+                ViolationKind::Deadlock,
+                format!(
+                    "all threads blocked with no pending deadline: {}",
+                    blocked.join("; ")
+                ),
+            );
             return false;
         }
         self.exec.now = self.exec.now.max(wake_at);
-        // Wake every timed condvar waiter whose deadline passed; timed
-        // sleepers become enabled automatically. Forced condvar
-        // timeouts are the lost-wakeup signature and are counted.
+        // Wake every timed condvar waiter whose deadline passed. Forced
+        // condvar timeouts are the lost-wakeup signature and are
+        // counted.
         let due: Vec<usize> = (0..self.threads.len())
             .filter(|&t| {
                 self.threads[t].phase == Phase::Parked
@@ -936,10 +701,10 @@ impl EngineSt {
                 }
                 continue;
             }
-            let Some((tid, forced_read)) = self.decide(&runnable) else {
+            let Some(tid) = self.decide(&runnable) else {
                 return; // replay diverged
             };
-            let completed = self.execute(tid, forced_read);
+            let completed = self.execute(tid);
             self.dpor_update();
             if self.abort {
                 return;
@@ -1027,25 +792,10 @@ impl Ctx {
         st.threads[self.tid].result
     }
 
-    /// Seeds an atomic location (first touch) and announces an op on
-    /// it, in one lock section.
-    pub fn visible_atomic(&self, addr: usize, init: u64, op: Op) -> u64 {
-        {
-            let mut st = self.engine.lock();
-            st.exec.loc(addr, LocKind::Atomic, Some(init));
-        }
-        self.visible(op)
-    }
-
     /// Seeds a mutex location.
     pub fn seed_mutex(&self, addr: usize) {
         let mut st = self.engine.lock();
-        st.exec.loc(addr, LocKind::Mutex, None);
-    }
-
-    /// Current virtual time in nanoseconds (no scheduling point).
-    pub fn now(&self) -> u64 {
-        self.engine.lock().exec.now
+        st.exec.loc(addr, LocKind::Mutex);
     }
 
     /// Spawns a model thread: reserves a slot via a visible op, starts
@@ -1146,7 +896,6 @@ impl Engine {
         st.last_granted = None;
         // Root thread slot.
         st.threads.push(ThreadSt::new("main".into()));
-        st.exec.clocks.push(VClock::default());
         st.live = 1;
     }
 

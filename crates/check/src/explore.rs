@@ -33,30 +33,17 @@ pub struct Config {
     pub seed: u64,
     /// Max complete interleavings to explore.
     pub max_executions: u64,
-    /// Max visible ops per interleaving (cuts runaway spins).
+    /// Max visible ops per interleaving (cuts runaway loops).
     pub max_steps_per_exec: usize,
-    /// Max weak-read branch points registered per interleaving.
-    pub max_stale_reads: u32,
-    /// Simulate weak memory: relaxed/acquire loads may observe stale
-    /// stores still permitted by coherence and happens-before. Turn
-    /// off to check under sequential consistency only.
-    pub weak_values: bool,
     pub strategy: Strategy,
     /// Treat any forced condvar-timeout rescue as a lost-wakeup
     /// violation. Turn on for models whose progress must never depend
     /// on a timed park expiring.
     pub forbid_timeout_rescue: bool,
     /// Consecutive no-progress quiescence cycles before a livelock is
-    /// reported. Models that legitimately sleep through many timed
-    /// parks (e.g. a backoff fuse) need this above
-    /// `fuse_timeout / park_sleep`.
+    /// reported. Models that legitimately wait out many timed parks
+    /// (e.g. a backoff fuse) need this above `fuse_timeout / park`.
     pub livelock_limit: u32,
-    /// Fairness bound: after this many consecutive yields by one
-    /// thread with no progress op anywhere, the spinner blocks until
-    /// progress happens. Spin iterations over unchanged state are
-    /// stutter-equivalent, so this keeps spin-loop models finitely
-    /// explorable without hiding bugs.
-    pub yield_bound: u32,
     /// Replay exactly one schedule (from [`Schedule::parse`]) instead
     /// of exploring.
     pub replay: Option<Schedule>,
@@ -68,12 +55,9 @@ impl Default for Config {
             seed: 0,
             max_executions: 20_000,
             max_steps_per_exec: 5_000,
-            max_stale_reads: 16,
-            weak_values: true,
             strategy: Strategy::Dpor,
             forbid_timeout_rescue: false,
             livelock_limit: 16,
-            yield_bound: 2,
             replay: None,
         }
     }
@@ -87,16 +71,13 @@ impl Default for Config {
 pub fn check(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> CheckReport {
     let engine_cfg = EngineConfig {
         seed: cfg.seed,
-        weak_values: cfg.weak_values,
         max_steps: cfg.max_steps_per_exec,
-        max_stale_branches: cfg.max_stale_reads,
         preemption_bound: match cfg.strategy {
             Strategy::Dpor => None,
             Strategy::BoundedPreemption(k) => Some(k),
         },
         forbid_timeout_rescue: cfg.forbid_timeout_rescue,
         livelock_limit: cfg.livelock_limit.max(1),
-        yield_bound: cfg.yield_bound.max(1),
     };
     let engine = Engine::new(engine_cfg, Arc::new(body));
     let mut stats = ExploreStats::default();
@@ -109,7 +90,6 @@ pub fn check(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> CheckRepo
         let mut st = engine.lock();
         stats.executions += 1;
         stats.steps += st.exec.trace.len() as u64;
-        stats.stale_reads_capped += st.exec.stale_branches_capped;
         if st.step_budget_hit {
             stats.step_budget_hits += 1;
         }

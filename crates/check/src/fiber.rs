@@ -216,6 +216,8 @@ unsafe fn prepare(top: *mut u8, exec: *const Exec<'_>) -> *mut u8 {
 /// The state of one [`Fibers::run`], on the scheduler's stack.
 struct Exec<'a> {
     body: &'a dyn Fn(usize),
+    /// Polled once per pass; see [`Fibers::run_cancellable`].
+    cancel: &'a dyn Fn() -> bool,
     /// The scheduler's saved stack pointer while a fiber runs.
     sched: Cell<*mut u8>,
     /// Each fiber's saved stack pointer while it is suspended.
@@ -225,6 +227,7 @@ struct Exec<'a> {
     /// Set by [`note_progress`] during the current pass.
     progress: Cell<bool>,
     deadlocked: Cell<bool>,
+    cancelled: Cell<bool>,
     panics: RefCell<Vec<(usize, Payload)>>,
 }
 
@@ -285,6 +288,18 @@ impl Fibers {
     /// # Panics
     /// When called from a fiber: a run cannot start another run.
     pub fn run(&mut self, body: &dyn Fn(usize)) -> Vec<(usize, Payload)> {
+        self.run_cancellable(body, &|| false)
+    }
+
+    /// [`Fibers::run`], polling `cancel` before each pass: once it
+    /// returns true, [`cancelled`] reports it to every fiber for the
+    /// rest of the run. `cancel` may read state another thread writes;
+    /// the run reads it nowhere else.
+    pub fn run_cancellable(
+        &mut self,
+        body: &dyn Fn(usize),
+        cancel: &dyn Fn() -> bool,
+    ) -> Vec<(usize, Payload)> {
         assert!(
             !on_fiber(),
             "Fibers::run called from a fiber: a fiber run cannot start another"
@@ -292,12 +307,14 @@ impl Fibers {
         let n = self.stacks.len();
         let exec = Exec {
             body,
+            cancel,
             sched: Cell::new(ptr::null_mut()),
             sps: (0..n).map(|_| Cell::new(ptr::null_mut())).collect(),
             done: (0..n).map(|_| Cell::new(false)).collect(),
             current: Cell::new(0),
             progress: Cell::new(false),
             deadlocked: Cell::new(false),
+            cancelled: Cell::new(false),
             panics: RefCell::new(Vec::new()),
         };
         for (sp, stack) in exec.sps.iter().zip(&self.stacks) {
@@ -311,6 +328,9 @@ impl Fibers {
         let mut live = n;
         let mut stuck = 0;
         while live > 0 {
+            if !exec.cancelled.get() && (exec.cancel)() {
+                exec.cancelled.set(true);
+            }
             exec.progress.set(false);
             for i in 0..n {
                 if exec.done[i].get() {
@@ -374,6 +394,13 @@ pub fn note_progress() {
 #[inline]
 pub fn deadlocked() -> bool {
     exec().is_some_and(|e| e.deadlocked.get())
+}
+
+/// Whether the current run's cancel predicate has fired (see
+/// [`Fibers::run_cancellable`]). Always `false` off a fiber.
+#[inline]
+pub fn cancelled() -> bool {
+    exec().is_some_and(|e| e.cancelled.get())
 }
 
 #[cfg(test)]
@@ -480,6 +507,30 @@ mod tests {
             Some(0),
             "no verdict while fiber 0 progressed"
         );
+    }
+
+    #[test]
+    fn the_cancel_predicate_is_polled_before_each_pass() {
+        let mut f = Fibers::new(2);
+        let raised = Cell::new(false);
+        let seen = RefCell::new(Vec::new());
+        f.run_cancellable(
+            &|i| {
+                if i == 1 {
+                    raised.set(true);
+                    return;
+                }
+                // Fiber 0 runs first: the flag is down for all of pass
+                // 1 and reported from pass 2 on.
+                seen.borrow_mut().push(cancelled());
+                note_progress();
+                suspend();
+                seen.borrow_mut().push(cancelled());
+            },
+            &|| raised.get(),
+        );
+        assert_eq!(*seen.borrow(), [false, true]);
+        assert!(!cancelled(), "off a fiber nothing is cancelled");
     }
 
     #[test]

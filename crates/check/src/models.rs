@@ -1,15 +1,14 @@
-//! Built-in models: small self-contained concurrency scenarios that
-//! exercise every checker capability, each paired with a seeded-defect
-//! mutant the checker provably catches (the same methodology sw-lint
-//! uses for CPE programs). The production crates register their own
-//! models for the ported primitives under `cfg(sw_check)`; these ones
-//! use [`crate::checked`] directly so they run in every build.
+//! Built-in models: small self-contained lock and condvar scenarios
+//! that exercise every checker verdict, each correct model paired with
+//! a seeded-defect mutant the checker provably catches (the same
+//! methodology sw-lint uses for CPE programs). `sw-serve` registers
+//! its queue models under `cfg(sw_check)`; these ones use
+//! [`crate::checked`] directly so they run in every build.
 
 use crate::checked::thread;
-use crate::checked::{AtomicU64, Condvar, Mutex, UnsafeCell};
+use crate::checked::{Condvar, Mutex};
 use crate::explore::{check, Config};
 use crate::report::{CheckReport, Outcome, ViolationKind};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,109 +67,6 @@ fn forbid_rescue(cfg: &mut Config) {
     cfg.forbid_timeout_rescue = true;
 }
 
-// --- publish / subscribe ------------------------------------------------
-
-fn publish(release: bool) {
-    let data = Arc::new(UnsafeCell::new(0u64));
-    let flag = Arc::new(AtomicU64::new(0));
-    let (d, f) = (data.clone(), flag.clone());
-    let t = thread::spawn(move || {
-        d.with_mut(|p| unsafe { *p = 42 });
-        let ord = if release {
-            Ordering::Release
-        } else {
-            Ordering::Relaxed
-        };
-        f.store(1, ord);
-    });
-    while flag.load(Ordering::Acquire) == 0 {
-        thread::yield_now();
-    }
-    let v = data.with(|p| unsafe { *p });
-    assert_eq!(v, 42);
-    t.join().unwrap();
-}
-
-fn atomic_publish() {
-    publish(true);
-}
-
-fn atomic_publish_relaxed() {
-    publish(false);
-}
-
-// --- weak-value simulation ----------------------------------------------
-
-fn fresh_read(acquire: bool) {
-    let data = Arc::new(AtomicU64::new(0));
-    let ready = Arc::new(AtomicU64::new(0));
-    let (d, r) = (data.clone(), ready.clone());
-    let t = thread::spawn(move || {
-        d.store(1, Ordering::Relaxed);
-        r.store(1, Ordering::Release);
-    });
-    let ord = if acquire {
-        Ordering::Acquire
-    } else {
-        Ordering::Relaxed
-    };
-    if ready.load(ord) == 1 {
-        // With an acquire load this is synchronized and must see 1;
-        // with a relaxed load the checker may hand us the stale 0.
-        assert_eq!(
-            data.load(Ordering::Relaxed),
-            1,
-            "stale read slipped through"
-        );
-    }
-    t.join().unwrap();
-}
-
-fn acquire_fresh_read() {
-    fresh_read(true);
-}
-
-fn relaxed_stale_read() {
-    fresh_read(false);
-}
-
-// --- counters -----------------------------------------------------------
-
-fn counter_rmw() {
-    let c = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            let c = c.clone();
-            thread::spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(c.load(Ordering::Relaxed), 2);
-}
-
-fn counter_lossy() {
-    let c = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            let c = c.clone();
-            thread::spawn(move || {
-                // Mutant: load + store instead of an RMW — two threads
-                // can read the same value and lose an increment.
-                let v = c.load(Ordering::Relaxed);
-                c.store(v + 1, Ordering::Relaxed);
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(c.load(Ordering::Relaxed), 2);
-}
-
 // --- mutexes ------------------------------------------------------------
 
 fn mutex_counter() {
@@ -187,22 +83,6 @@ fn mutex_counter() {
         h.join().unwrap();
     }
     assert_eq!(*c.lock().unwrap(), 2);
-}
-
-fn cell_race() {
-    let c = Arc::new(UnsafeCell::new(0u64));
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            let c = c.clone();
-            thread::spawn(move || {
-                // Mutant: unlocked read-modify-write of plain memory.
-                c.with_mut(|p| unsafe { *p += 1 });
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
 }
 
 fn lock_order(same_order: bool) {
@@ -278,21 +158,34 @@ fn cv_lost_wakeup() {
 
 // --- livelock -----------------------------------------------------------
 
-fn livelock_sleepers() {
-    // Mutant shape: two threads each sleep-poll for a store the other
-    // never performs — no progress, forever.
-    let x = Arc::new(AtomicU64::new(0));
-    let y = Arc::new(AtomicU64::new(0));
-    let x2 = x.clone();
-    let t = thread::spawn(move || {
-        while x2.load(Ordering::Acquire) == 0 {
-            thread::sleep(Duration::from_micros(50));
-        }
-    });
-    while y.load(Ordering::Acquire) == 0 {
-        thread::sleep(Duration::from_micros(50));
+/// A flag that one thread sets and another waits for in timed parks.
+type Flag = Arc<(Mutex<bool>, Condvar)>;
+
+fn wait_for(flag: &Flag) {
+    let mut g = flag.0.lock().unwrap();
+    while !*g {
+        g = flag.1.wait_timeout(g, PARK).unwrap().0;
     }
-    x.store(1, Ordering::Release);
+}
+
+fn raise(flag: &Flag) {
+    *flag.0.lock().unwrap() = true;
+    flag.1.notify_all();
+}
+
+fn livelock_sleepers() {
+    // Mutant shape: two threads each wait out timed parks for a flag
+    // the other raises only after its own wait ends — no progress,
+    // forever.
+    let x: Flag = Arc::default();
+    let y: Flag = Arc::default();
+    let (x2, y2) = (x.clone(), y.clone());
+    let t = thread::spawn(move || {
+        wait_for(&x2);
+        raise(&y2);
+    });
+    wait_for(&y);
+    raise(&x);
     t.join().unwrap();
 }
 
@@ -301,60 +194,11 @@ fn livelock_sleepers() {
 pub fn builtin() -> Vec<NamedModel> {
     vec![
         NamedModel {
-            name: "atomic-publish",
-            about: "release store publishes a plain write to an acquire spin loop",
-            expect: Expect::Pass,
-            tune: no_tune,
-            body: atomic_publish,
-        },
-        NamedModel {
-            name: "atomic-publish-relaxed",
-            about: "mutant: publish flag store weakened to Relaxed -> data race on the cell",
-            expect: Expect::Violation(ViolationKind::Race),
-            tune: no_tune,
-            body: atomic_publish_relaxed,
-        },
-        NamedModel {
-            name: "acquire-fresh-read",
-            about: "acquire load of the ready flag guarantees the data store is visible",
-            expect: Expect::Pass,
-            tune: no_tune,
-            body: acquire_fresh_read,
-        },
-        NamedModel {
-            name: "relaxed-stale-read",
-            about: "mutant: relaxed ready load lets the data load observe the stale value",
-            expect: Expect::Violation(ViolationKind::Assert),
-            tune: no_tune,
-            body: relaxed_stale_read,
-        },
-        NamedModel {
-            name: "counter-rmw",
-            about: "two fetch_add increments always sum",
-            expect: Expect::Pass,
-            tune: no_tune,
-            body: counter_rmw,
-        },
-        NamedModel {
-            name: "counter-lossy",
-            about: "mutant: load+store increment loses an update under interleaving",
-            expect: Expect::Violation(ViolationKind::Assert),
-            tune: no_tune,
-            body: counter_lossy,
-        },
-        NamedModel {
             name: "mutex-counter",
             about: "mutex-guarded increments never race or lose updates",
             expect: Expect::Pass,
             tune: no_tune,
             body: mutex_counter,
-        },
-        NamedModel {
-            name: "cell-race",
-            about: "mutant: unlocked increments of plain memory -> data race",
-            expect: Expect::Violation(ViolationKind::Race),
-            tune: no_tune,
-            body: cell_race,
         },
         NamedModel {
             name: "lock-order-consistent",
@@ -386,7 +230,7 @@ pub fn builtin() -> Vec<NamedModel> {
         },
         NamedModel {
             name: "livelock-sleepers",
-            about: "mutant: two sleep-polling threads waiting on each other forever",
+            about: "mutant: two threads in timed parks, each waiting on the other forever",
             expect: Expect::Violation(ViolationKind::Livelock),
             tune: no_tune,
             body: livelock_sleepers,

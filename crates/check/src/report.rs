@@ -2,56 +2,41 @@
 //! schedule tokens, and exploration statistics (loud about every
 //! budget that truncated the search).
 
-use crate::engine::{OpKind, TraceStep};
-use crate::hb::LocKind;
+use crate::engine::{LocKind, OpKind, TraceStep};
 use std::fmt;
 
-/// A scheduling path: at each decision point, the chosen thread plus
-/// (for weak atomic loads) the forced store-history index.
+/// A scheduling path: the thread chosen at each decision point.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Schedule(pub Vec<(usize, Option<usize>)>);
+pub struct Schedule(pub Vec<usize>);
 
 impl Schedule {
-    /// Compact replay token, e.g. `0.1.1r0.2` — thread ids separated
-    /// by dots, `rN` marking a forced stale read of store index `N`.
+    /// Compact replay token, e.g. `0.1.1.2` — thread ids separated by
+    /// dots.
     pub fn token(&self) -> String {
         self.0
             .iter()
-            .map(|(t, r)| match r {
-                Some(i) => format!("{t}r{i}"),
-                None => format!("{t}"),
-            })
+            .map(|t| t.to_string())
             .collect::<Vec<_>>()
             .join(".")
     }
 
     /// Parses a token produced by [`Schedule::token`].
     pub fn parse(token: &str) -> Result<Schedule, String> {
-        let mut out = Vec::new();
-        for part in token.split('.').filter(|p| !p.is_empty()) {
-            let (t, r) = match part.split_once('r') {
-                Some((t, r)) => {
-                    let idx = r
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad read index in `{part}`"))?;
-                    (t, Some(idx))
-                }
-                None => (part, None),
-            };
-            let tid = t
-                .parse::<usize>()
-                .map_err(|_| format!("bad thread id in `{part}`"))?;
-            out.push((tid, r));
-        }
-        Ok(Schedule(out))
+        token
+            .split('.')
+            .filter(|p| !p.is_empty())
+            .map(|part| {
+                part.parse::<usize>()
+                    .map_err(|_| format!("bad thread id in `{part}`"))
+            })
+            .collect::<Result<_, _>>()
+            .map(Schedule)
     }
 }
 
 /// What went wrong on a violating interleaving.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViolationKind {
-    /// Unordered conflicting plain-memory accesses (vector clocks).
-    Race,
     /// A model assertion or panic fired.
     Assert,
     /// All threads blocked with no pending deadline.
@@ -66,7 +51,6 @@ pub enum ViolationKind {
 impl ViolationKind {
     pub fn name(self) -> &'static str {
         match self {
-            ViolationKind::Race => "data-race",
             ViolationKind::Assert => "assertion",
             ViolationKind::Deadlock => "deadlock",
             ViolationKind::Livelock => "livelock",
@@ -100,8 +84,6 @@ pub struct ExploreStats {
     pub branches: u64,
     /// Branch points still pending when the execution budget ran out.
     pub truncated_branches: u64,
-    /// Stale-read alternatives dropped by the per-execution cap.
-    pub stale_reads_capped: u64,
     /// Schedules pruned by the preemption bound.
     pub preemption_pruned: u64,
     /// Executions cut short by the per-execution step budget.
@@ -112,18 +94,15 @@ impl ExploreStats {
     /// True when any budget truncated the search: a passing result is
     /// then only `PassBounded`, never `Pass`.
     pub fn truncated(&self) -> bool {
-        self.truncated_branches > 0
-            || self.stale_reads_capped > 0
-            || self.preemption_pruned > 0
-            || self.step_budget_hits > 0
+        self.truncated_branches > 0 || self.preemption_pruned > 0 || self.step_budget_hits > 0
     }
 }
 
 /// Final verdict of a [`crate::check`] run.
 #[derive(Clone, Debug)]
 pub enum Outcome {
-    /// Every reachable interleaving (under the configured memory
-    /// model) was explored and no property failed.
+    /// Every reachable interleaving was explored (up to DPOR
+    /// equivalence) and no property failed.
     Pass,
     /// No violation found, but a budget truncated the search; the
     /// counts say exactly what was dropped.
@@ -156,7 +135,7 @@ impl CheckReport {
 impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.outcome {
-            Outcome::Pass => writeln!(f, "PASS: exhaustive within the configured memory model")?,
+            Outcome::Pass => writeln!(f, "PASS: exhaustive")?,
             Outcome::PassBounded => writeln!(
                 f,
                 "PASS (bounded): no violation found, but the search was truncated"
@@ -180,16 +159,16 @@ impl fmt::Display for CheckReport {
         if s.truncated() {
             writeln!(
                 f,
-                "TRUNCATED: {} branch points unexplored, {} stale reads capped, \
+                "TRUNCATED: {} branch points unexplored, \
                  {} schedules preemption-pruned, {} step-budget hits",
-                s.truncated_branches, s.stale_reads_capped, s.preemption_pruned, s.step_budget_hits
+                s.truncated_branches, s.preemption_pruned, s.step_budget_hits
             )?;
         }
         Ok(())
     }
 }
 
-/// Renders one trace step as `t1 atomic#2.load(Acquire) -> 1`.
+/// Renders one trace step as `t1 mutex#2.lock`.
 pub(crate) fn render_step(step: &TraceStep, names: &[String], loc_kinds: &[LocKind]) -> String {
     let who = names.get(step.tid).map(|s| s.as_str()).unwrap_or("?");
     let loc = |id: Option<usize>| -> String {
@@ -204,16 +183,6 @@ pub(crate) fn render_step(step: &TraceStep, names: &[String], loc_kinds: &[LocKi
     };
     let body = match step.kind {
         OpKind::Begin => "begin".to_string(),
-        OpKind::Load(ord) => format!("{}.load({ord:?}) -> {}", loc(step.loc), step.result),
-        OpKind::Store(ord, v) => format!("{}.store({v}, {ord:?})", loc(step.loc)),
-        OpKind::Rmw(ord, rmw) => format!(
-            "{}.{}({ord:?}) -> {}",
-            loc(step.loc),
-            rmw.name(),
-            step.result
-        ),
-        OpKind::CellRead => format!("{}.read", loc(step.loc)),
-        OpKind::CellWrite => format!("{}.write", loc(step.loc)),
         OpKind::Lock => {
             if step.result != 0 {
                 format!("{}.lock (cv reacquire, timed out)", loc(step.loc))
@@ -230,8 +199,6 @@ pub(crate) fn render_step(step: &TraceStep, names: &[String], loc_kinds: &[LocKi
         ),
         OpKind::CvNotifyAll => format!("{}.notify_all -> {} woken", loc(step.loc), step.result),
         OpKind::CvNotifyOne => format!("{}.notify_one -> {} woken", loc(step.loc), step.result),
-        OpKind::Yield => "yield".to_string(),
-        OpKind::Sleep { until } => format!("sleep(until {until}ns)"),
         OpKind::Spawn => format!("spawn -> t{}", step.result),
         OpKind::Join { child } => format!("join(t{child})"),
         OpKind::Exit => "exit".to_string(),
@@ -245,16 +212,16 @@ mod tests {
 
     #[test]
     fn schedule_token_round_trips() {
-        let s = Schedule(vec![(0, None), (1, Some(2)), (1, None), (3, Some(0))]);
+        let s = Schedule(vec![0, 1, 1, 3]);
         let tok = s.token();
-        assert_eq!(tok, "0.1r2.1.3r0");
+        assert_eq!(tok, "0.1.1.3");
         assert_eq!(Schedule::parse(&tok).unwrap(), s);
     }
 
     #[test]
     fn schedule_parse_rejects_garbage() {
         assert!(Schedule::parse("1.x.2").is_err());
-        assert!(Schedule::parse("1r?").is_err());
+        assert!(Schedule::parse("1r0").is_err());
         assert!(Schedule::parse("").unwrap().0.is_empty());
     }
 
@@ -262,7 +229,7 @@ mod tests {
     fn truncation_is_loud() {
         let mut stats = ExploreStats::default();
         assert!(!stats.truncated());
-        stats.stale_reads_capped = 1;
+        stats.step_budget_hits = 1;
         assert!(stats.truncated());
         let report = CheckReport {
             outcome: Outcome::PassBounded,

@@ -7,6 +7,7 @@ use crate::lint;
 use crate::padding::PadPlan;
 use crate::params::BlockingParams;
 use crate::plan::GemmPlan;
+use crate::streamed;
 use crate::tuner::{self, TunePolicy};
 use crate::variants::raw::{run_functional_raw, RawParams};
 use crate::variants::resilient::{run_resilient, ResilienceCfg};
@@ -350,6 +351,14 @@ impl DgemmRunner {
                     }
                 };
                 diag.plan = Some(plan);
+                if !streamed::executable(&plan.params) {
+                    return Err(DgemmError::BadParams(format!(
+                        "pM = {} cannot run functionally: the collective scheme \
+                         streams one {}-row register tile per CPE",
+                        plan.params.pm,
+                        streamed::STRIP_PM
+                    )));
+                }
                 lint::warn(&lint::lint_shared_cached(v, &plan.params));
                 if !resilient {
                     let stats = run_functional(cg, &plan, v.mapping(), io, alpha, beta)?;

@@ -20,6 +20,7 @@
 //! hardware. Nothing received is staged in LDM, respecting the LDM
 //! budget of §III-C.2 (which counts only the thread's own blocks).
 
+use crate::params::BlockingParams;
 use crate::sharing::StepRole;
 use sw_arch::V256;
 use sw_isa::{Net, Operand};
@@ -30,6 +31,14 @@ use sw_sim::CpeCtx;
 /// 16-row register tile. The functional shared-variant path runs only
 /// blockings with this `pm`.
 pub const STRIP_PM: usize = 16;
+
+/// Whether the functional shared-variant path can run `p`: the one
+/// executability predicate, which the runner checks before it runs a
+/// plan and the tuner before it hands out a blocking. The timing model
+/// and the tuner's enumeration accept more blockings than this.
+pub fn executable(p: &BlockingParams) -> bool {
+    p.pm == STRIP_PM
+}
 
 /// Executes one strip multiplication step on this CPE:
 /// `C_local (pm×pn) += α · A_step (pm×pk) · B_step (pk×pn)`.

@@ -35,7 +35,7 @@ use crate::lint::candidate_kernel;
 use crate::mapping::Mapping;
 use crate::model;
 use crate::params::BlockingParams;
-use crate::streamed::STRIP_PM;
+use crate::streamed::executable;
 use crate::timing::estimate_shared;
 use crate::tunecache::{CachedTune, TuneCache};
 use crate::variants::Variant;
@@ -452,7 +452,7 @@ pub fn resolve_in(
         // only where the aligned kernel can actually run it.
         if hit.params.validate(variant.double_buffered()).is_ok()
             && hit.params.divides(m, n, k)
-            && runnable(&hit.params)
+            && executable(&hit.params)
         {
             return Some(hit.params);
         }
@@ -478,16 +478,9 @@ pub fn resolve_in(
                 .iter()
                 .map(|c| (c.params, c.score_gflops)),
         )
-        .find(|(p, _)| runnable(p))?;
+        .find(|(p, _)| executable(p))?;
     cache.put(&key, CachedTune { params, gflops });
     Some(params)
-}
-
-/// Whether the functional shared-variant path can run `p`: the
-/// collective scheme streams one 16-row tile per CPE
-/// ([`crate::streamed::STRIP_PM`]), whatever the model would prefer.
-fn runnable(p: &BlockingParams) -> bool {
-    p.pm == STRIP_PM
 }
 
 /// The classic ranked-table interface: staged search near a square

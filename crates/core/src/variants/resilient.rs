@@ -74,10 +74,9 @@ pub(crate) fn run_resilient(
     cfg: &ResilienceCfg,
 ) -> Result<RunStats, DgemmError> {
     check_io(cg, plan, io)?;
-    // MPE-side recovery decisions land on the dedicated MPE ring so a
-    // diagnostics bundle shows the block-retry story next to the
-    // per-CPE event tails.
-    let flight = Arc::clone(cg.flight());
+    // MPE-side recovery decisions land on the recorder's dedicated MPE
+    // ring (`cg.flight()`) so a diagnostics bundle shows the
+    // block-retry story next to the per-CPE event tails.
     let p = &plan.params;
     let (bm, bn) = (p.bm(), p.bn());
     let mut failed = [false; N_CPES];
@@ -124,7 +123,7 @@ pub(crate) fn run_resilient(
                                     if let Some(inj) = &cfg.injector {
                                         inj.note_abft_detected();
                                     }
-                                    flight.record(
+                                    cg.flight().record(
                                         MPE_RING,
                                         EventKind::FaultDecision,
                                         flight::fault_code::ABFT_DETECT,
@@ -142,7 +141,7 @@ pub(crate) fn run_resilient(
                                             &c_before,
                                         )?;
                                         attempt += 1;
-                                        flight.record(
+                                        cg.flight().record(
                                             MPE_RING,
                                             EventKind::RetryAttempt,
                                             attempt,
@@ -172,7 +171,7 @@ pub(crate) fn run_resilient(
                                         if let Some(inj) = &cfg.injector {
                                             inj.note_cpe_failed();
                                         }
-                                        flight.record(
+                                        cg.flight().record(
                                             MPE_RING,
                                             EventKind::FaultDecision,
                                             flight::fault_code::CPE_FAILED,
@@ -185,7 +184,7 @@ pub(crate) fn run_resilient(
                                     cg.mem
                                         .write_region(io.c, i * bm, j * bn, bm, bn, &c_before)?;
                                     attempt += 1;
-                                    flight.record(
+                                    cg.flight().record(
                                         MPE_RING,
                                         EventKind::RetryAttempt,
                                         attempt,

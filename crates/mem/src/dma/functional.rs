@@ -1,10 +1,10 @@
 //! Functional execution of DMA descriptors.
 //!
-//! Each function is called *by a CPE thread* with its own LDM; collective
+//! Each function is called *by a CPE* with its own LDM; collective
 //! modes (`Row`, `Brow`, `Rank`) are expressed per-participant: every CPE
 //! involved issues the same region and receives exactly its share, which
 //! is equivalent to the hardware's single collective transaction and
-//! keeps the functional runtime free of cross-thread rendezvous (the row
+//! keeps the functional runtime free of cross-CPE rendezvous (the row
 //! synchronization the hardware requires is modelled by the caller with
 //! a row barrier, see `sw-sim`).
 
@@ -82,7 +82,7 @@ pub fn pe_get(
     check_buf(region.len(), buf, DmaMode::Pe)?;
     let b = mem.buffer(region.mat)?;
     let lda = b.rows;
-    let data = b.data.read().unwrap();
+    let data = b.data.borrow();
     let dst = ldm.slice_mut(buf);
     for c in 0..region.cols {
         let base = (region.col0 + c) * lda + region.row0;
@@ -108,7 +108,7 @@ pub fn pe_put(
     let b = mem.buffer(region.mat)?;
     let lda = b.rows;
     let src = ldm.slice(buf);
-    let mut data = b.data.write().unwrap();
+    let mut data = b.data.borrow_mut();
     for c in 0..region.cols {
         let base = (region.col0 + c) * lda + region.row0;
         data[base..base + region.rows]
@@ -171,7 +171,7 @@ pub fn row_get(
     check_buf(region.len() / MESH_COLS, buf, DmaMode::Row)?;
     let b = mem.buffer(region.mat)?;
     let lda = b.rows;
-    let data = b.data.read().unwrap();
+    let data = b.data.borrow();
     let dst = ldm.slice_mut(buf);
     for_owned_slices(
         &region,
@@ -203,7 +203,7 @@ pub fn row_put(
     let b = mem.buffer(region.mat)?;
     let lda = b.rows;
     let src = ldm.slice(buf);
-    let mut data = b.data.write().unwrap();
+    let mut data = b.data.borrow_mut();
     for_owned_slices(
         &region,
         lda,
@@ -248,7 +248,7 @@ pub fn rank_get(
     check_buf(region.len() / N_CPES, buf, DmaMode::Rank)?;
     let b = mem.buffer(region.mat)?;
     let lda = b.rows;
-    let data = b.data.read().unwrap();
+    let data = b.data.borrow();
     let dst = ldm.slice_mut(buf);
     for_owned_slices(&region, lda, td, N_CPES, cpe_id, |m, l, n| {
         dst[l..l + n].copy_from_slice(&data[m..m + n])

@@ -2,34 +2,32 @@
 //!
 //! CPEs never touch main memory directly in our DGEMM (as on the real
 //! machine, where LDM + DMA is the only fast path); they go through the
-//! DMA functions in [`crate::dma`], which take a `&MainMemory` and use
-//! the interior locks. Reads (matrix A and B blocks) take shared locks
-//! and proceed fully in parallel across the 64 CPE threads; writes
-//! (matrix C blocks) take the exclusive lock of the one matrix being
-//! written.
+//! DMA functions in [`crate::dma`], which take a `&MainMemory` and
+//! borrow the one matrix they move. All 64 CPEs of a core group run as
+//! fibers on one thread and a DMA call never yields mid-transfer, so
+//! those borrows never overlap: each matrix is a plain `RefCell`, and
+//! main memory is `Send` but not `Sync`.
 
 use crate::{HostMatrix, MemError};
-use std::sync::Arc;
-use std::sync::RwLock;
+use std::cell::RefCell;
 use sw_arch::consts::MAIN_MEMORY_BYTES;
 
 /// Handle to a matrix installed in [`MainMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatId(pub(crate) usize);
 
-/// One installed matrix: dimensions plus shared, lock-protected storage.
-#[derive(Debug, Clone)]
+/// One installed matrix: dimensions plus its column-major storage.
+#[derive(Debug)]
 pub(crate) struct Buffer {
     pub rows: usize,
     pub cols: usize,
-    pub data: Arc<RwLock<Vec<f64>>>,
+    pub data: RefCell<Vec<f64>>,
 }
 
 /// The 8 GB main memory of one core group.
 ///
 /// Installation and extraction happen on the "MPE side" (the host test
-/// or example); concurrent access from CPE threads happens only through
-/// the DMA layer.
+/// or example); CPEs reach it only through the DMA layer.
 #[derive(Debug, Default)]
 pub struct MainMemory {
     buffers: Vec<Option<Buffer>>,
@@ -60,7 +58,7 @@ impl MainMemory {
         self.buffers.push(Some(Buffer {
             rows,
             cols,
-            data: Arc::new(RwLock::new(m.into_vec())),
+            data: RefCell::new(m.into_vec()),
         }));
         Ok(id)
     }
@@ -82,8 +80,7 @@ impl MainMemory {
 
     /// MPE-side read of a rectangular region (column-major order).
     /// Used by the fault-tolerant runner to snapshot C blocks and to
-    /// verify ABFT checksums; takes the matrix's shared lock like any
-    /// DMA read.
+    /// verify ABFT checksums.
     pub fn read_region(
         &self,
         id: MatId,
@@ -101,7 +98,7 @@ impl MainMemory {
                 ),
             });
         }
-        let data = b.data.read().unwrap_or_else(|e| e.into_inner());
+        let data = b.data.borrow();
         let mut out = Vec::with_capacity(rows * cols);
         for c in 0..cols {
             let base = (col0 + c) * b.rows + row0;
@@ -112,8 +109,7 @@ impl MainMemory {
 
     /// MPE-side write of a rectangular region (column-major order,
     /// `vals.len() == rows * cols`). The restore half of the
-    /// fault-tolerant runner's snapshot/restore; takes the exclusive
-    /// lock like a DMA write.
+    /// fault-tolerant runner's snapshot/restore.
     pub fn write_region(
         &self,
         id: MatId,
@@ -140,7 +136,7 @@ impl MainMemory {
                 ),
             });
         }
-        let mut data = b.data.write().unwrap_or_else(|e| e.into_inner());
+        let mut data = b.data.borrow_mut();
         for c in 0..cols {
             let base = (col0 + c) * b.rows + row0;
             data[base..base + rows].copy_from_slice(&vals[c * rows..(c + 1) * rows]);
@@ -159,7 +155,7 @@ impl MainMemory {
         Ok(HostMatrix::from_col_major(
             b.rows,
             b.cols,
-            b.data.read().unwrap().clone(),
+            b.data.borrow().clone(),
         ))
     }
 

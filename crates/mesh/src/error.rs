@@ -23,8 +23,8 @@ pub enum MeshError {
         /// The mesh's wall-clock fuse, the outer bound of the wait.
         timeout: Duration,
     },
-    /// A blocked operation gave up because the run's cancel flag was
-    /// raised (see `Mesh::set_cancel_flag`).
+    /// A blocked operation gave up because the run's cancel token
+    /// fired (see `sw_check::fiber::cancelled`).
     Cancelled {
         /// `(row, col)` of the CPE whose operation blocked.
         coord: (u8, u8),

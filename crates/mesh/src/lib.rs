@@ -34,8 +34,9 @@
 //! counts (the classic register-communication deadlock on real
 //! hardware) thus surface as structured errors the runtime converts
 //! into a per-group rendezvous summary.
-//! Every blocked wait also honours the run's cancel flag
-//! ([`Mesh::set_cancel_flag`]). A [`sw_faults::FaultInjector`] installed
+//! Every blocked wait also gives up as [`MeshError::Cancelled`] once
+//! the run's cancel token has fired ([`sw_check::fiber::cancelled`]).
+//! A [`sw_faults::FaultInjector`] installed
 //! via [`Mesh::set_fault_injector`] can deterministically drop words and
 //! wedge a CPE (suppress all its sends) to exercise that path.
 
@@ -193,28 +194,31 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_releases_a_blocked_receive() {
-        // A peer fiber raises the run's cancel flag while (4,1) waits:
-        // the blocked receive gives up as a cancellation, not a
+    fn a_cancelled_run_releases_a_blocked_receive() {
+        // A peer fiber fires the run's cancel predicate while (4,1)
+        // waits: the blocked receive gives up as a cancellation, not a
         // deadlock.
         let mesh = Mesh::new();
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        mesh.set_cancel_flag(&flag);
         let ports = mesh.ports();
-        on_fibers(2, |i| {
-            if i == 1 {
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                return;
-            }
-            let err = ports[Coord::new(4, 1).id()].getc().unwrap_err();
-            assert_eq!(
-                err,
-                MeshError::Cancelled {
-                    coord: (4, 1),
-                    op: "getc"
+        let raised = Cell::new(false);
+        let panics = sw_check::fiber::Fibers::new(2).run_cancellable(
+            &|i| {
+                if i == 1 {
+                    raised.set(true);
+                    return;
                 }
-            );
-        });
+                let err = ports[Coord::new(4, 1).id()].getc().unwrap_err();
+                assert_eq!(
+                    err,
+                    MeshError::Cancelled {
+                        coord: (4, 1),
+                        op: "getc"
+                    }
+                );
+            },
+            &|| raised.get(),
+        );
+        assert!(panics.is_empty());
         // A cancelled wait is not starvation.
         assert_eq!(mesh.grid_stats().cells[4][1].col_starved, 0);
     }

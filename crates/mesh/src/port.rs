@@ -35,7 +35,10 @@
 //!
 //! A core group's ports all live on the thread that runs its CPE
 //! fibers, so the rings, turns and tallies are plain cells and a port
-//! is neither `Send` nor `Sync`. Traffic is tallied in the port and
+//! is neither `Send` nor `Sync`. A port borrows the run's flight
+//! recorder for the run. A blocked wait gives up once the fiber
+//! executor finds the run deadlocked or cancelled
+//! ([`fiber::deadlocked`], [`fiber::cancelled`]). Traffic is tallied in the port and
 //! folded into the mesh-wide [`MeshStats`] and the port's grid cell
 //! once, when the port drops (unwinding included); only starved
 //! receives count at once. [`Mesh::stats`] and [`Mesh::grid_stats`]
@@ -48,7 +51,6 @@ use crate::turn::{LineTurn, Steps};
 use std::cell::{Cell, RefCell};
 use std::ops::Deref;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use sw_arch::coord::{Coord, MESH_COLS, MESH_ROWS, N_CPES};
@@ -98,20 +100,20 @@ impl MeshTransport {
 
 /// The 8×8 register-communication mesh. Build one per core-group run,
 /// on the thread that runs the CPE fibers, and hand each CPE its
-/// [`MeshPort`].
-pub struct Mesh {
-    ports: RefCell<Option<Vec<MeshPort>>>,
+/// [`MeshPort`]. `'f` is the borrow of the run's flight recorder.
+pub struct Mesh<'f> {
+    ports: RefCell<Option<Vec<MeshPort<'f>>>>,
     counters: Rc<MeshCounters>,
     grid: Rc<GridCounters>,
 }
 
-impl Default for Mesh {
+impl Default for Mesh<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Mesh {
+impl<'f> Mesh<'f> {
     /// Builds a mesh with the default deadlock timeout.
     pub fn new() -> Self {
         Self::with_timeout(DEFAULT_TIMEOUT)
@@ -144,7 +146,6 @@ impl Mesh {
                     counters: Rc::clone(&counters),
                     grid: Rc::clone(&grid),
                     injector: None,
-                    cancel: None,
                     sends: Cell::new(0),
                     timeout,
                     flight: None,
@@ -159,7 +160,7 @@ impl Mesh {
     }
 
     /// Applies `f` to every port; panics once the ports are taken.
-    fn configure(&self, what: &str, f: impl FnMut(&mut MeshPort)) {
+    fn configure(&self, what: &str, f: impl FnMut(&mut MeshPort<'f>)) {
         let mut ports = self.ports.borrow_mut();
         let ports = ports
             .as_mut()
@@ -176,17 +177,6 @@ impl Mesh {
         });
     }
 
-    /// Installs the run's cancel flag: once it is raised, any blocked
-    /// wait of a port — for its line's turn, a ring claim, ring space or
-    /// a word — gives up with [`MeshError::Cancelled`] instead of
-    /// waiting out the deadlock fuse, so a cancelled run
-    /// unwinds promptly even where a peer stopped mid-step. The flag is
-    /// polled only while waiting. Like [`Mesh::set_fault_injector`],
-    /// must be called before the ports are taken.
-    pub fn set_cancel_flag(&self, flag: &Arc<AtomicBool>) {
-        self.configure("set_cancel_flag", |p| p.cancel = Some(Arc::clone(flag)));
-    }
-
     /// Attaches the run's flight recorder: every synchronization
     /// episode (and every injected mesh fault) is then recorded on the
     /// owning CPE's event ring, stamped with that CPE's current clock.
@@ -195,10 +185,8 @@ impl Mesh {
     /// inside the kernel's cycle report. Like
     /// [`Mesh::set_fault_injector`], must be called before the ports
     /// are taken.
-    pub fn set_flight_recorder(&self, recorder: &Arc<FlightRecorder>) {
-        self.configure("set_flight_recorder", |p| {
-            p.flight = Some(Arc::clone(recorder))
-        });
+    pub fn set_flight_recorder(&self, recorder: &'f FlightRecorder) {
+        self.configure("set_flight_recorder", |p| p.flight = Some(recorder));
     }
 
     /// Per-CPE traffic snapshot (the rendezvous summary's input): the
@@ -209,7 +197,7 @@ impl Mesh {
 
     /// Takes the 64 ports (id order). Panics if called twice — each CPE
     /// owns its port exclusively.
-    pub fn ports(&self) -> Vec<MeshPort> {
+    pub fn ports(&self) -> Vec<MeshPort<'f>> {
         self.ports
             .borrow_mut()
             .take()
@@ -263,7 +251,7 @@ enum Stop {
     /// The run is deadlocked: the fiber executor found no CPE able to
     /// progress, or the wall-clock fuse tripped.
     Deadlock,
-    /// The run's cancel flag was raised.
+    /// The run's cancel token fired.
     Cancelled,
 }
 
@@ -278,16 +266,14 @@ impl Stop {
     }
 }
 
-/// How a port's blocked operations wait: the deadlock fuse, plus the
-/// run's cancel flag.
-struct Wait<'a> {
+/// How a port's blocked operations wait: the deadlock fuse.
+struct Wait {
     timeout: Duration,
-    cancel: Option<&'a AtomicBool>,
 }
 
-impl Wait<'_> {
+impl Wait {
     /// Retries `attempt`, yielding between retries, until it yields a
-    /// value, the run is found deadlocked or cancelled, or the fuse
+    /// value, the run is found cancelled or deadlocked, or the fuse
     /// trips. A retry that succeeds tells the fiber executor the run
     /// progressed.
     fn until<T>(&self, mut attempt: impl FnMut() -> Option<T>) -> Result<T, Stop> {
@@ -296,8 +282,7 @@ impl Wait<'_> {
         }
         let mut backoff = Backoff::new(self.timeout);
         loop {
-            // Relaxed: a stale read only delays the unwind by a round.
-            if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            if fiber::cancelled() {
                 return Err(Stop::Cancelled);
             }
             if !backoff.snooze() {
@@ -370,7 +355,7 @@ impl WindowSlot {
 /// depth — gathered into the port's scratch. The port receives nothing
 /// more on that network until the window drops.
 pub struct Window<'p> {
-    port: &'p MeshPort,
+    port: &'p MeshPort<'p>,
     col_net: bool,
     words: Lent<'p>,
 }
@@ -409,7 +394,7 @@ impl Drop for Window<'_> {
 /// A port is neither `Send` nor `Sync`: the CPE fiber that owns it is
 /// the only reader of its two ring positions, and it shares the rings
 /// with the other ports of its run on that fiber's thread.
-pub struct MeshPort {
+pub struct MeshPort<'f> {
     coord: Coord,
     row: Link,
     col: Link,
@@ -423,9 +408,6 @@ pub struct MeshPort {
     counters: Rc<MeshCounters>,
     grid: Rc<GridCounters>,
     injector: Option<Arc<FaultInjector>>,
-    /// Raised when the run is cancelled; every blocked wait then gives
-    /// up (see [`Mesh::set_cancel_flag`]).
-    cancel: Option<Arc<AtomicBool>>,
     /// Broadcast words issued by this port (the injector's
     /// deterministic per-send coordinate).
     sends: Cell<u64>,
@@ -433,10 +415,10 @@ pub struct MeshPort {
     /// The run's black box; episodes/faults are recorded on this
     /// port's CPE ring (events only, no time charging — see
     /// [`Mesh::set_flight_recorder`]).
-    flight: Option<Arc<FlightRecorder>>,
+    flight: Option<&'f FlightRecorder>,
 }
 
-impl MeshPort {
+impl MeshPort<'_> {
     /// The CPE this port belongs to.
     #[inline]
     pub fn coord(&self) -> Coord {
@@ -458,7 +440,7 @@ impl MeshPort {
 
     /// Records one synchronization episode on this CPE's flight ring.
     fn flight_episode(&self, col_net: bool, get: bool, outcome: u32, words: u64) {
-        if let Some(f) = &self.flight {
+        if let Some(f) = self.flight {
             f.record(
                 self.coord.id(),
                 EventKind::MeshEpisode,
@@ -470,16 +452,15 @@ impl MeshPort {
 
     /// Records an injected mesh fault on this CPE's flight ring.
     fn flight_fault(&self, code: u32, arg: u64) {
-        if let Some(f) = &self.flight {
+        if let Some(f) = self.flight {
             f.record(self.coord.id(), EventKind::FaultDecision, code, arg);
         }
     }
 
     /// How this port's blocked operations wait.
-    fn wait(&self) -> Wait<'_> {
+    fn wait(&self) -> Wait {
         Wait {
             timeout: self.timeout,
-            cancel: self.cancel.as_deref(),
         }
     }
 
@@ -836,7 +817,7 @@ impl MeshPort {
     }
 }
 
-impl Drop for MeshPort {
+impl Drop for MeshPort<'_> {
     /// Folds the port's traffic into the mesh-wide counters and its
     /// grid cell — also while unwinding, so a failed run still reports
     /// the words it moved.
@@ -1104,28 +1085,31 @@ mod tests {
     }
 
     #[test]
-    fn ring_turn_wait_is_released_by_the_cancel_flag() {
+    fn ring_turn_wait_is_released_by_a_cancelled_run() {
         // (3,2) sends at step 1, but nobody ever ends step 0 on row 3;
         // a peer fiber cancels the run instead.
         let mesh = Mesh::new();
-        let flag = Arc::new(AtomicBool::new(false));
-        mesh.set_cancel_flag(&flag);
         let ports = mesh.ports();
         let p = &ports[Coord::new(3, 2).id()];
         p.end_step();
-        on_fibers(2, |i| {
-            if i == 1 {
-                flag.store(true, Ordering::Relaxed);
-                return;
-            }
-            assert_eq!(
-                p.row_bcast(V256::ZERO).unwrap_err(),
-                MeshError::Cancelled {
-                    coord: (3, 2),
-                    op: "row-broadcast"
+        let raised = Cell::new(false);
+        let panics = fiber::Fibers::new(2).run_cancellable(
+            &|i| {
+                if i == 1 {
+                    raised.set(true);
+                    return;
                 }
-            );
-        });
+                assert_eq!(
+                    p.row_bcast(V256::ZERO).unwrap_err(),
+                    MeshError::Cancelled {
+                        coord: (3, 2),
+                        op: "row-broadcast"
+                    }
+                );
+            },
+            &|| raised.get(),
+        );
+        assert!(panics.is_empty());
     }
 
     #[test]

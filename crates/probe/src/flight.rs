@@ -3,7 +3,7 @@
 //! Every CPE (plus the MPE control loop) owns a bounded ring buffer of
 //! compact binary events — kernel start/end, DMA issue/complete, mesh
 //! episodes, barrier arrive/release, fault-injection decisions, retry
-//! attempts — written lock-free by its single producer thread. It is
+//! attempts. It is
 //! the only producer of functional-run events, and it is **enabled by
 //! default**: when a run dies with a structured error, the last
 //! `RING_EVENTS` events per CPE are still there to be serialized into a
@@ -27,20 +27,17 @@
 //! (see `sw-sim`'s `CancellableBarrier::wait_clock`), so timestamps are
 //! globally comparable across CPEs after every `sync_all`.
 //!
-//! Memory layout: one ring is `RING_EVENTS` slots of three `AtomicU64`
+//! Memory layout: one ring is a power-of-two number of slots of three
 //! words — `[clock, kind<<56 | code, arg]` — plus a free-running head
-//! counter. The slot sequence number is implicit (`head - k` for the
-//! k-th newest), so a ring costs `512 × 24 B = 12 KiB`, 65 rings ≈ 780
-//! KiB per core group. Readers ([`FlightRecorder::tail`]) run after the
-//! producer thread parked or joined; torn reads of in-flight slots are
-//! impossible for post-mortem bundles and merely stale for live peeks.
+//! counter; event `s` lands in slot `s & (capacity − 1)`. The slot
+//! sequence number is implicit (`head - k` for the k-th newest), so a
+//! ring costs `512 × 24 B = 12 KiB`, 65 rings ≈ 780 KiB per core group.
+//!
+//! The recorder is plain single-thread memory: a core group owns it,
+//! and only the thread running that group's CPE fibers records into it
+//! or reads it back, so it is `Send` but not `Sync`.
 
-// Concurrency vocabulary comes from the sw-check facade: plain `std`
-// re-exports in a normal build (zero-cost, the hot path is unchanged),
-// checker-instrumented types under `--cfg sw_check` so this exact
-// source is model-checked by `check_models`.
-use std::sync::Arc;
-use sw_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Ring index of the MPE (control-plane) ring, after the 64 CPE rings.
 pub const MPE_RING: usize = 64;
@@ -268,42 +265,29 @@ pub struct FlightEvent {
     pub arg: u64,
 }
 
-const SLOT_WORDS: usize = 3;
+/// One event slot: `[clock, kind << 56 | code, arg]`.
+type Slot = [u64; 3];
 
-/// One producer's ring header, clock and ledger. Aligned to its own
-/// 128-byte region (a 64 B line plus the adjacent-line prefetch) so two
-/// CPEs' headers never share a cache line: each is written by its own
-/// thread on every clock advance.
-#[repr(align(128))]
+/// One producer's ring, clock and ledger.
 struct Ring {
-    /// Events ever recorded; slot for event `s` is `s % capacity`.
-    head: AtomicU64,
+    /// Events ever recorded; slot for event `s` is `s & mask`.
+    head: Cell<u64>,
     /// The producer's simulated clock, in cycles since run start.
-    clock: AtomicU64,
+    clock: Cell<u64>,
     /// Busy cycles per [`Lane`]; sums to `clock` at all times.
-    busy: [AtomicU64; N_LANES],
-    /// `capacity × SLOT_WORDS` words of `[clock, kind|code, arg]`.
-    slots: Box<[AtomicU64]>,
+    busy: [Cell<u64>; N_LANES],
+    slots: Box<[Cell<Slot>]>,
 }
 
 impl Ring {
     fn new(capacity: usize) -> Self {
         Ring {
-            head: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            busy: std::array::from_fn(|_| AtomicU64::new(0)),
-            slots: (0..capacity * SLOT_WORDS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            head: Cell::new(0),
+            clock: Cell::new(0),
+            busy: Default::default(),
+            slots: (0..capacity).map(|_| Cell::new([0; 3])).collect(),
         }
     }
-}
-
-/// Adds `n` to a counter only the calling thread writes: a plain load
-/// and store, no locked RMW.
-#[inline]
-fn add_owned(c: &AtomicU64, n: u64) {
-    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Per-CPE clock and busy-cycle ledger, as read back by
@@ -325,12 +309,13 @@ impl RingAttribution {
     }
 }
 
-/// The black box: 65 single-producer event rings plus per-ring clocks
-/// and busy ledgers. Shared as an `Arc` between the core group (one
-/// ring per CPE thread), the mesh ports, and the MPE control loop.
+/// The black box: 65 event rings plus per-ring clocks and busy
+/// ledgers. Owned by a core group (one ring per CPE plus the MPE ring)
+/// and borrowed by its mesh ports for a run.
 pub struct FlightRecorder {
-    enabled: AtomicBool,
-    capacity: usize,
+    enabled: Cell<bool>,
+    /// Slots per ring minus one; the capacity is a power of two.
+    mask: usize,
     rings: Vec<Ring>,
 }
 
@@ -342,44 +327,46 @@ impl Default for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder with the default ring capacity, enabled.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A recorder with `capacity` events per ring, enabled.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight ring capacity must be positive");
+    /// A recorder that retains at least `events` per ring, enabled: the
+    /// capacity is `events` rounded up to a power of two, so a slot is
+    /// found by masking the sequence number.
+    pub fn with_capacity(events: usize) -> Self {
+        assert!(events > 0, "flight ring capacity must be positive");
+        let capacity = events.next_power_of_two();
         FlightRecorder {
-            enabled: AtomicBool::new(true),
-            capacity,
+            enabled: Cell::new(true),
+            mask: capacity - 1,
             rings: (0..N_RINGS).map(|_| Ring::new(capacity)).collect(),
         }
     }
 
-    /// Events retained per ring.
+    /// Events retained per ring (a power of two).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.mask + 1
     }
 
     /// Event recording on/off. Clocks and busy ledgers advance either
     /// way — they are the runtime's time base, not an optional probe.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
+        self.enabled.set(on);
     }
 
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
+        self.enabled.get()
     }
 
     /// Records an event stamped with the ring's current clock.
-    /// Single-producer per ring: only the owning thread may call this.
     #[inline]
     pub fn record(&self, ring: usize, kind: EventKind, code: u32, arg: u64) {
         if !self.is_enabled() {
             return;
         }
         let r = &self.rings[ring];
-        self.write_slot(r, r.clock.load(Ordering::Relaxed), kind, code, arg);
+        self.write_slot(r, r.clock.get(), kind, code, arg);
     }
 
     /// Records an event with an explicit timestamp (e.g. the completion
@@ -394,30 +381,15 @@ impl FlightRecorder {
 
     #[inline]
     fn write_slot(&self, r: &Ring, clock: u64, kind: EventKind, code: u32, arg: u64) {
-        // Relaxed head load: single producer per ring, so only this
-        // thread ever wrote `head` — it reads its own last store.
-        let seq = r.head.load(Ordering::Relaxed);
-        let base = (seq as usize % self.capacity) * SLOT_WORDS;
-        // Relaxed slot stores: the slot words are published by the
-        // release head store below; a reader that observes the new
-        // head (acquire) is ordered after all three. This pairing is
-        // model-checked by `check_models::flight_publish`, and its
-        // necessity by the `flight-mutant-relaxed-publish` mutant.
-        r.slots[base].store(clock, Ordering::Relaxed);
-        r.slots[base + 1].store(((kind as u64) << 56) | code as u64, Ordering::Relaxed);
-        r.slots[base + 2].store(arg, Ordering::Relaxed);
-        r.head.store(seq + 1, Ordering::Release);
+        let seq = r.head.get();
+        r.slots[seq as usize & self.mask].set([clock, ((kind as u64) << 56) | code as u64, arg]);
+        r.head.set(seq + 1);
     }
 
     /// The ring's current simulated clock.
-    ///
-    /// Relaxed: the clock is owned by the ring's single producer (who
-    /// reads its own stores); any other reader is a live peek that
-    /// tolerates staleness, or runs after joining the producer (the
-    /// join orders the final value).
     #[inline]
     pub fn clock(&self, ring: usize) -> u64 {
-        self.rings[ring].clock.load(Ordering::Relaxed)
+        self.rings[ring].clock.get()
     }
 
     /// Advances the ring's clock by `cycles`, charging `lane`. Returns
@@ -425,14 +397,10 @@ impl FlightRecorder {
     #[inline]
     pub fn advance(&self, ring: usize, lane: Lane, cycles: u64) -> u64 {
         let r = &self.rings[ring];
-        // Relaxed clock/busy: both are single-writer (the ring owner),
-        // so each load-then-store needs no RMW — nobody else writes
-        // them. Cross-thread readers only see these after a join
-        // (`attribution`) or as an advisory live peek.
-        let t0 = r.clock.load(Ordering::Relaxed);
-        let t1 = t0 + cycles;
-        r.clock.store(t1, Ordering::Relaxed);
-        add_owned(&r.busy[lane as usize], cycles);
+        let t1 = r.clock.get() + cycles;
+        r.clock.set(t1);
+        let busy = &r.busy[lane as usize];
+        busy.set(busy.get() + cycles);
         t1
     }
 
@@ -442,42 +410,29 @@ impl FlightRecorder {
     /// clocks never run backwards.
     #[inline]
     pub fn jump_to(&self, ring: usize, lane: Lane, to: u64) -> u64 {
-        let r = &self.rings[ring];
-        // Relaxed: same single-writer discipline as `advance` — the
-        // barrier-release maximum arrives via `wait_clock`'s own
-        // synchronization, not through this clock cell.
-        let t0 = r.clock.load(Ordering::Relaxed);
+        let t0 = self.clock(ring);
         if to <= t0 {
             return 0;
         }
-        r.clock.store(to, Ordering::Relaxed);
-        add_owned(&r.busy[lane as usize], to - t0);
+        self.advance(ring, lane, to - t0);
         to - t0
     }
 
     /// Events ever recorded on the ring (≥ what [`tail`](Self::tail)
     /// can return once the ring wrapped).
     pub fn total(&self, ring: usize) -> u64 {
-        self.rings[ring].head.load(Ordering::Acquire)
+        self.rings[ring].head.get()
     }
 
-    /// The ring's retained events, oldest → newest. Meant to be called
-    /// after the producer stopped (post-mortem); a live call sees a
-    /// consistent prefix but may miss the newest slot.
+    /// The ring's retained events, oldest → newest.
     pub fn tail(&self, ring: usize) -> Vec<FlightEvent> {
         let r = &self.rings[ring];
-        let head = r.head.load(Ordering::Acquire);
-        let n = (head as usize).min(self.capacity);
+        let head = r.head.get();
+        let n = (head as usize).min(self.capacity());
         let mut out = Vec::with_capacity(n);
         for k in 0..n {
             let seq = head - n as u64 + k as u64;
-            let base = (seq as usize % self.capacity) * SLOT_WORDS;
-            // Relaxed slot loads: the acquire head load above pairs
-            // with the producer's release head store, ordering every
-            // covered slot word before us (see `write_slot`).
-            let clock = r.slots[base].load(Ordering::Relaxed);
-            let packed = r.slots[base + 1].load(Ordering::Relaxed);
-            let arg = r.slots[base + 2].load(Ordering::Relaxed);
+            let [clock, packed, arg] = r.slots[seq as usize & self.mask].get();
             let Some(kind) = EventKind::from_u8((packed >> 56) as u8) else {
                 continue;
             };
@@ -495,13 +450,10 @@ impl FlightRecorder {
     /// Clock + busy ledger for one ring.
     pub fn ring_attribution(&self, ring: usize) -> RingAttribution {
         let r = &self.rings[ring];
-        // Relaxed: attribution is read after the producer joined (the
-        // join is the ordering edge) or as an advisory live peek that
-        // does not claim a consistent clock/busy cut.
         RingAttribution {
             ring,
-            clock: r.clock.load(Ordering::Relaxed),
-            busy: std::array::from_fn(|l| r.busy[l].load(Ordering::Relaxed)),
+            clock: r.clock.get(),
+            busy: std::array::from_fn(|l| r.busy[l].get()),
         }
     }
 
@@ -512,47 +464,19 @@ impl FlightRecorder {
     }
 
     /// Clears every ring, clock, and ledger (between runs on a reused
-    /// core group, or between bench arms). Producer threads must be
-    /// quiescent.
+    /// core group, or between bench arms).
     ///
     /// Slots are left as they are: [`tail`](Self::tail) reads at most
     /// `head` slots, all written since the head was zeroed, so zeroing
     /// the head empties the ring.
     pub fn reset(&self) {
-        // Relaxed throughout: the contract requires quiescent
-        // producers, so reset is single-threaded in practice and the
-        // caller's subsequent thread spawns order the zeroed state.
         for r in &self.rings {
-            r.head.store(0, Ordering::Relaxed);
-            r.clock.store(0, Ordering::Relaxed);
+            r.head.set(0);
+            r.clock.set(0);
             for b in &r.busy {
-                b.store(0, Ordering::Relaxed);
+                b.set(0);
             }
         }
-    }
-}
-
-/// Seeded defect for the model-check suite ([`crate::check_models`]):
-/// a mutated copy of the verified recording path above, compiled only
-/// under the checker cfg so production builds never contain it. It
-/// must be *caught* by `sw-check` — a mutant that passes means the
-/// suite lost its teeth.
-#[cfg(sw_check)]
-impl FlightRecorder {
-    /// [`FlightRecorder::record`] with the head publish weakened to
-    /// `Relaxed`: a reader that observes the new head is no longer
-    /// guaranteed to observe the slot words it covers, so `tail` can
-    /// return a stale (zeroed) event.
-    pub fn record_mutant_relaxed_publish(&self, ring: usize, kind: EventKind, code: u32, arg: u64) {
-        let r = &self.rings[ring];
-        let clock = r.clock.load(Ordering::Relaxed);
-        let seq = r.head.load(Ordering::Relaxed);
-        let base = (seq as usize % self.capacity) * SLOT_WORDS;
-        r.slots[base].store(clock, Ordering::Relaxed);
-        r.slots[base + 1].store(((kind as u64) << 56) | code as u64, Ordering::Relaxed);
-        r.slots[base + 2].store(arg, Ordering::Relaxed);
-        // MUTANT: was Ordering::Release.
-        r.head.store(seq + 1, Ordering::Relaxed);
     }
 }
 
@@ -625,13 +549,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_headers_do_not_false_share() {
-        let f = FlightRecorder::with_capacity(1);
-        let addrs: Vec<usize> = f.rings.iter().map(|r| r as *const Ring as usize).collect();
-        for pair in addrs.windows(2) {
-            assert!(pair[1] - pair[0] >= 128);
+    fn capacity_rounds_up_to_a_power_of_two() {
+        for (events, capacity) in [(1, 1), (3, 4), (4, 4), (5, 8), (RING_EVENTS, RING_EVENTS)] {
+            assert_eq!(FlightRecorder::with_capacity(events).capacity(), capacity);
         }
-        assert!(addrs.iter().all(|a| a % 128 == 0));
+        // Three requested, four kept.
+        let f = FlightRecorder::with_capacity(3);
+        for i in 0..6u64 {
+            f.record(1, EventKind::RetryAttempt, i as u32, i);
+        }
+        let seqs: Vec<u64> = f.tail(1).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [2, 3, 4, 5]);
     }
 
     #[test]

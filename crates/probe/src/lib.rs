@@ -17,7 +17,7 @@
 //!   snapshot/reset API and JSON/CSV export. It absorbs the previously
 //!   scattered `DmaCounters`, `MeshCounters`, and kernel-cache stats.
 //! * [`flight`] — an always-on **black-box flight recorder**: per-CPE
-//!   lock-free bounded rings of compact binary events (kernel, DMA,
+//!   bounded single-thread rings of compact binary events (kernel, DMA,
 //!   mesh, barrier, fault, retry) plus the authoritative per-CPE
 //!   simulated clock with per-[`flight::Lane`] busy attribution. It
 //!   records by default; its tails feed the diagnostics bundles
@@ -33,8 +33,6 @@
 //! is compiled out via a const generic, so the fig6 sweep regresses
 //! <2% with probes off (asserted by `engine_bench`).
 
-#[cfg(sw_check)]
-pub mod check_models;
 pub mod flight;
 pub mod gantt;
 pub mod json;

@@ -641,15 +641,16 @@ mod tests {
 
     #[test]
     fn wrapped_rings_drop_unpaired_events_and_report_overwrites() {
-        let f = FlightRecorder::with_capacity(3);
+        let f = FlightRecorder::with_capacity(2);
         record_cpe_timeline(&f, 0);
         let mut t = TraceData::default();
         let overwritten = from_flight(&f, &mut t);
-        // 8 events into 3 slots: the kernel pair and its episode stay.
-        assert_eq!(overwritten[0], 5);
+        // 8 events into 2 slots: the kernel's episode and its end stay,
+        // and the end, whose start was overwritten, is dropped.
+        assert_eq!(overwritten[0], 6);
         assert!(overwritten[1..].iter().all(|&n| n == 0));
         let cats: Vec<&str> = t.spans.iter().map(|s| s.cat).collect();
-        assert_eq!(cats, ["mesh", "compute"]);
+        assert_eq!(cats, ["mesh"]);
         validate_chrome_trace(&t.to_chrome_json()).expect("valid");
     }
 

@@ -14,8 +14,9 @@
 use crate::queue::{Pop, TenantCfg, TenantQueues};
 use crate::request::Priority;
 use std::sync::Arc;
+use sw_check::checked::thread;
 use sw_check::models::{Expect, NamedModel};
-use sw_check::{thread, Config, ViolationKind};
+use sw_check::{Config, ViolationKind};
 
 /// Queue progress must never depend on a timed park expiring: any
 /// forced condvar-timeout rescue is a lost wakeup.

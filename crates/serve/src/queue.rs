@@ -26,15 +26,15 @@
 //! to catch the classic defect.
 
 use std::collections::VecDeque;
+use std::time::Duration;
 use sw_check::sync::{Condvar, Mutex};
-use sw_check::time::Duration;
 
 use crate::request::Priority;
 
 /// Timed-park quantum for blocked consumers; bounds the cost of a
-/// missed wakeup without a handshake on every push, exactly like the
-/// barrier's straggler park. Progress never *depends* on it — the
-/// model checker runs with `forbid_timeout_rescue`.
+/// missed wakeup without a handshake on every push. Progress never
+/// *depends* on it — the model checker runs with
+/// `forbid_timeout_rescue`.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Static shape of one tenant's lane.

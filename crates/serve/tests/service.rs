@@ -275,3 +275,49 @@ fn shutdown_drains_admitted_requests() {
         Err(RejectReason::ShuttingDown)
     ));
 }
+
+/// A pinned blocking that passes `validate` but that no executor runs
+/// (pM = 32) fails as a structured error in bounded time: the worker
+/// survives and the ticket resolves.
+#[test]
+fn a_blocking_no_executor_runs_fails_in_bounded_time() {
+    let svc = Service::start(small_cfg());
+    let p = BlockingParams {
+        pm: 32,
+        pn: 16,
+        pk: 64,
+        rm: 4,
+        rn: 4,
+    };
+    let (m, n, k) = (p.bm(), p.bn(), 512);
+    let req = GemmRequest {
+        params: Some(p),
+        deadline: Some(Duration::from_secs(2)),
+        ..GemmRequest::new(
+            0,
+            Arc::new(gen::random_matrix(m, k, 31)),
+            Arc::new(gen::random_matrix(k, n, 32)),
+            Arc::new(gen::random_matrix(m, n, 33)),
+        )
+    };
+    let ticket = svc.submit(req).expect("admitted");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(ticket.wait()));
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the ticket resolves within 10 s");
+    assert!(
+        matches!(
+            &outcome,
+            ServeOutcome::Failed {
+                error: DgemmError::BadParams(_),
+                ..
+            }
+        ),
+        "{outcome:?}"
+    );
+    // The worker lives on.
+    let ok = svc.submit(request(300)).expect("admitted").wait();
+    assert!(matches!(ok, ServeOutcome::Completed { .. }), "{ok:?}");
+    svc.shutdown();
+}

@@ -10,21 +10,18 @@
 //! unwind, letting [`crate::CoreGroup::try_run`] collect the failure
 //! and return.
 //!
-//! The implementation is a sense-reversing barrier on atomics: arrival
-//! is one `fetch_add`, the release is one generation-counter bump.
-//! A waiter retries its check and, while the generation is unreleased,
-//! yields — to the next CPE fiber when it runs on one (see
-//! [`sw_check::fiber`]), to the OS scheduler otherwise. A run the
-//! fiber executor finds deadlocked fails its barrier waits too.
+//! Every participant is a CPE fiber of one run on one thread (see
+//! [`sw_check::fiber`]), so the barrier is plain cells: arrival bumps
+//! a count, the last arrival bumps the generation. A waiter suspends to
+//! the next fiber until its generation is released. It gives up when
+//! the barrier is poisoned, when the run's cancel token has fired
+//! ([`fiber::cancelled`]) or when the executor finds the run
+//! deadlocked ([`fiber::deadlocked`]). Off a fiber no peer can ever
+//! arrive, so a wait that is not the last arrival fails at once.
 
-// Concurrency vocabulary comes from the sw-check facade: plain `std`
-// re-exports in a normal build (zero-cost, the hot path is unchanged),
-// checker-instrumented types under `--cfg sw_check` so this exact
-// source is model-checked by `check_models`.
-use std::sync::Arc;
+use std::cell::Cell;
 use sw_arch::coord::{MESH_ROWS, N_CPES};
 use sw_check::fiber;
-use sw_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// The barrier was cancelled while (or before) waiting; the run is
 /// being torn down.
@@ -36,36 +33,33 @@ pub struct BarrierCancelled;
 pub(crate) struct CancellableBarrier {
     n: usize,
     /// Waiters that have arrived in the current generation.
-    count: AtomicUsize,
+    count: Cell<usize>,
     /// Bumped when a generation completes, releasing its waiters.
-    generation: AtomicU64,
-    cancelled: AtomicBool,
-    /// Simulated-clock maxima being gathered for the in-flight
-    /// generation, indexed by generation parity. While generation `g`
-    /// is collecting arrivals in slot `g & 1`, slot `(g+1) & 1` is
-    /// untouched — a `g+1` arrival is only possible after `g` released
-    /// and its last arrival zeroed the slot — so two slots suffice.
-    clocks: [AtomicU64; 2],
-    /// The released clock maximum per generation parity, published by
-    /// the last arrival before it bumps `generation`.
-    released: [AtomicU64; 2],
+    generation: Cell<u64>,
+    poisoned: Cell<bool>,
+    /// The maximum simulated clock brought to the current generation.
+    clock: Cell<u64>,
+    /// The maximum of the last released generation. It stays valid
+    /// until every waiter of that generation has read it: the next
+    /// generation cannot complete while one of them is still inside.
+    released: Cell<u64>,
 }
 
 impl CancellableBarrier {
     pub fn new(n: usize) -> Self {
         CancellableBarrier {
             n,
-            count: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-            cancelled: AtomicBool::new(false),
-            clocks: [AtomicU64::new(0), AtomicU64::new(0)],
-            released: [AtomicU64::new(0), AtomicU64::new(0)],
+            count: Cell::new(0),
+            generation: Cell::new(0),
+            poisoned: Cell::new(false),
+            clock: Cell::new(0),
+            released: Cell::new(0),
         }
     }
 
-    /// Blocks until all `n` participants arrive (Ok) or the barrier is
-    /// cancelled (Err). A cancelled barrier fails all future waits too.
-    #[cfg(any(test, sw_check))]
+    /// Blocks until all `n` participants arrive (Ok) or the wait is
+    /// given up (Err). A cancelled barrier fails all future waits too.
+    #[cfg(test)]
     pub fn wait(&self) -> Result<(), BarrierCancelled> {
         self.wait_clock(0).map(|_| ())
     }
@@ -78,81 +72,51 @@ impl CancellableBarrier {
     /// lockstep `sync_all` — after it, all 64 clocks agree, making
     /// cross-CPE event timestamps comparable.
     pub fn wait_clock(&self, clock: u64) -> Result<u64, BarrierCancelled> {
-        if self.cancelled.load(Ordering::Acquire) {
+        if self.poisoned.get() || fiber::cancelled() {
             return Err(BarrierCancelled);
         }
-        let gen = self.generation.load(Ordering::Acquire);
-        let slot = (gen & 1) as usize;
-        // Deposit this participant's clock before arriving: the
-        // count RMW chain orders every deposit before the last
-        // arrival's harvest below.
-        self.clocks[slot].fetch_max(clock, Ordering::AcqRel);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            // Last arrival: harvest the maximum and re-zero the slot
-            // for generation gen+2 (which cannot start arriving until
-            // this release is observed), then publish it where the
-            // waiters of *this* generation will look.
-            let max = self.clocks[slot].swap(0, Ordering::AcqRel);
-            self.released[slot].store(max, Ordering::Release);
-            // Reset the count for the next generation *before*
-            // publishing the release — a peer can only re-enter `wait`
-            // after observing the bump, so no new arrival can race the
-            // reset.
-            self.count.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
+        let gen = self.generation.get();
+        self.clock.set(self.clock.get().max(clock));
+        self.count.set(self.count.get() + 1);
+        if self.count.get() == self.n {
+            let max = self.clock.replace(0);
+            self.released.set(max);
+            self.count.set(0);
+            self.generation.set(gen + 1);
             return Ok(max);
         }
         loop {
-            // A completed generation wins over a concurrent cancel,
-            // matching the lock-based predecessor's semantics.
-            if self.generation.load(Ordering::Acquire) != gen {
+            // A completed generation wins over a later cancel.
+            if self.generation.get() != gen {
                 fiber::note_progress();
-                // The Acquire load above synchronizes with the
-                // generation bump, which the releaser ordered after
-                // the `released` publish.
-                return Ok(self.released[slot].load(Ordering::Acquire));
+                return Ok(self.released.get());
             }
-            if self.cancelled.load(Ordering::Acquire) || fiber::deadlocked() {
+            if self.poisoned.get() || fiber::cancelled() || fiber::deadlocked() || !fiber::suspend()
+            {
                 return Err(BarrierCancelled);
             }
-            sw_check::thread::yield_now();
         }
     }
 
     /// Poisons the barrier: every waiter fails at its next check.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
+        self.poisoned.set(true);
     }
 }
 
 /// The barriers of one functional run: the 64-wide `sync_all` barrier
-/// and the eight 8-wide row barriers, all sharing one cancellation.
+/// and the eight 8-wide row barriers.
 pub(crate) struct RunSync {
     pub all: CancellableBarrier,
-    pub rows: Vec<CancellableBarrier>,
-    /// Raised only when the run's cancel token fires; the mesh polls it
-    /// while blocked (`Mesh::set_cancel_flag`). A CPE's own abort does
-    /// not raise it, so fault runs still stop at deterministic points.
-    pub token_fired: Arc<std::sync::atomic::AtomicBool>,
+    pub rows: [CancellableBarrier; MESH_ROWS],
 }
 
 impl RunSync {
     pub fn new() -> Self {
         RunSync {
             all: CancellableBarrier::new(N_CPES),
-            rows: (0..MESH_ROWS).map(|_| CancellableBarrier::new(8)).collect(),
-            token_fired: Arc::default(),
+            rows: std::array::from_fn(|_| CancellableBarrier::new(8)),
         }
-    }
-
-    /// Cancels the run on behalf of its cancel token: poisons every
-    /// barrier and releases CPEs blocked in the mesh.
-    pub fn cancel_by_token(&self) {
-        // Relaxed: the flag publishes no data; a late read only delays
-        // a blocked CPE's unwind by one backoff round.
-        self.token_fired
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        self.cancel_all();
     }
 
     /// Cancels every barrier of the run (a CPE is aborting).
@@ -173,18 +137,15 @@ mod tests {
     #[test]
     fn barrier_releases_all_waiters() {
         let b = CancellableBarrier::new(4);
-        let passed = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..10 {
-                        b.wait().unwrap();
-                        passed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+        let passed = Cell::new(0);
+        let panics = Fibers::new(4).run(&|_| {
+            for _ in 0..10 {
+                b.wait().unwrap();
+                passed.set(passed.get() + 1);
             }
         });
-        assert_eq!(passed.load(Ordering::Relaxed), 40);
+        assert!(panics.is_empty());
+        assert_eq!(passed.get(), 40);
     }
 
     #[test]
@@ -193,29 +154,29 @@ mod tests {
         // through a stale generation while a slow peer is still leaving
         // the previous one.
         let b = CancellableBarrier::new(8);
-        let inside = AtomicU64::new(0);
+        let inside = Cell::new(0);
         let panics = Fibers::new(8).run(&|i| {
             for round in 0..500 {
                 b.wait().unwrap();
-                let seen = inside.fetch_add(1, Ordering::SeqCst);
-                assert!(seen < 8, "more waiters inside than participants");
+                inside.set(inside.get() + 1);
+                assert!(inside.get() <= 8, "more waiters inside than participants");
                 if (round + i) % 3 == 0 {
                     // Stagger the leavers across passes.
-                    sw_check::thread::yield_now();
+                    fiber::suspend();
                 }
                 b.wait().unwrap();
-                inside.fetch_sub(1, Ordering::SeqCst);
+                inside.set(inside.get() - 1);
             }
         });
         assert!(panics.is_empty());
-        assert_eq!(inside.load(Ordering::SeqCst), 0);
+        assert_eq!(inside.get(), 0);
     }
 
     #[test]
     fn wait_clock_releases_every_generation_maximum() {
         // 4 participants, 200 generations; participant p brings clock
-        // g*10 + p, so every release must return g*10 + 3 — including
-        // across the parity flip between adjacent generations.
+        // g*10 + p, so every release must return g*10 + 3, also when
+        // the fast participants already deposit into the next one.
         let b = CancellableBarrier::new(4);
         let panics = Fibers::new(4).run(&|p| {
             let p = p as u64;
@@ -246,26 +207,59 @@ mod tests {
     }
 
     #[test]
-    fn cancel_racing_last_arrival_strands_nobody() {
-        // The exhaustive interleaving version of this race is the
-        // `sim/barrier-cancel-vs-last-arrival` model; this is the
-        // tier-1 smoke test of the same property on OS threads. Two
-        // waiters and a canceller race: a waiter may pass (completed
-        // generation wins over cancel) or fail, but every thread must
-        // return.
-        for _ in 0..200 {
+    fn a_cancel_beside_the_last_arrival_strands_nobody() {
+        // Two waiters and a canceller, in every order on the fibers: a
+        // waiter passes (a completed generation wins over a later
+        // cancel) or fails, but every fiber returns, and the poison is
+        // permanent.
+        for canceller in 0..3 {
             let b = CancellableBarrier::new(2);
-            std::thread::scope(|s| {
-                let w1 = s.spawn(|| b.wait());
-                let w2 = s.spawn(|| b.wait());
-                s.spawn(|| b.cancel());
-                for r in [w1.join().unwrap(), w2.join().unwrap()] {
-                    assert!(matches!(r, Ok(()) | Err(BarrierCancelled)));
+            let got = RefCell::new(Vec::new());
+            let panics = Fibers::new(3).run(&|i| {
+                if i == canceller {
+                    b.cancel();
+                } else {
+                    let r = b.wait();
+                    got.borrow_mut().push(r);
                 }
             });
-            // Whatever the race decided, the poison is now permanent.
+            assert!(panics.is_empty());
+            let got = got.into_inner();
+            assert_eq!(got.len(), 2, "canceller {canceller}");
+            assert!(got
+                .iter()
+                .all(|r| matches!(r, Ok(()) | Err(BarrierCancelled))));
             assert_eq!(b.wait(), Err(BarrierCancelled));
         }
+    }
+
+    #[test]
+    fn a_fired_cancel_predicate_fails_the_waiters() {
+        // Fiber 0 waits on a barrier nobody else joins; fiber 1 raises
+        // the run's cancel flag and keeps the run live, so the wait must
+        // end on the cancel (at the next pass), not on a deadlock
+        // verdict. The barrier itself stays unpoisoned.
+        let b = CancellableBarrier::new(2);
+        let raised = Cell::new(false);
+        let got = RefCell::new(Vec::new());
+        let panics = Fibers::new(2).run_cancellable(
+            &|i| {
+                if i == 0 {
+                    let r = b.wait();
+                    got.borrow_mut().push(r);
+                } else {
+                    raised.set(true);
+                    for _ in 0..10 {
+                        fiber::note_progress();
+                        fiber::suspend();
+                    }
+                    assert_eq!(*got.borrow(), [Err(BarrierCancelled)]);
+                }
+            },
+            &|| raised.get(),
+        );
+        assert!(panics.is_empty());
+        assert!(!b.poisoned.get());
     }
 
     #[test]
@@ -278,8 +272,8 @@ mod tests {
         Fibers::new(4).run(&|p| {
             if p == 3 {
                 for _ in 0..5 {
-                    sw_check::fiber::note_progress();
-                    sw_check::thread::yield_now();
+                    fiber::note_progress();
+                    fiber::suspend();
                 }
                 let r = b.wait_clock(999);
                 got.borrow_mut().push((p, r));
@@ -309,5 +303,13 @@ mod tests {
                 .map(|p| (p, Err(BarrierCancelled)))
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_wait_off_a_fiber_fails_instead_of_spinning() {
+        let b = CancellableBarrier::new(2);
+        assert_eq!(b.wait(), Err(BarrierCancelled));
+        let single = CancellableBarrier::new(1);
+        assert_eq!(single.wait_clock(7), Ok(7));
     }
 }

@@ -1,20 +1,20 @@
 //! Cooperative run cancellation.
 //!
 //! A [`CancelToken`] is the MPE-side handle a service layer (or a
-//! deadline watchdog) uses to abandon an in-flight functional run:
-//! firing it poisons the run's cancellable barriers, so every CPE
-//! unwinds with [`crate::CpeError::Cancelled`] at its next sync point
-//! instead of computing a result nobody is waiting for. CPEs blocked
-//! inside a mesh episode are not parked on a barrier; firing also
-//! raises the run's mesh cancel flag, which every blocked mesh wait
-//! polls, so they unwind the same way — together these make
-//! "cancelled request frees its core group promptly" a hard property.
+//! deadline watchdog) uses to abandon an in-flight functional run. It
+//! is the one input of a run that another thread may write: a single
+//! atomic state. The fiber executor polls it once per pass (see
+//! [`sw_check::fiber::Fibers::run_cancellable`]); once it has fired,
+//! every barrier wait and every blocked mesh wait of the run gives up,
+//! so every CPE unwinds with [`crate::CpeError::Cancelled`] at its next
+//! sync point instead of computing a result nobody is waiting for.
+//! That makes "a cancelled request frees its core group promptly" a
+//! hard property.
 //!
-//! The token is one-shot and sticky, like the barrier poison it rides
-//! on: once fired it stays fired, and a run started with an
-//! already-fired token unwinds at its first barrier. The *core group*
-//! stays reusable — cancellation tears down one run's barriers, which
-//! are per-run state; `run_on` recovery after a cancel is pinned by
+//! The token is one-shot and sticky: once fired it stays fired, and a
+//! run started with an already-fired token unwinds at its first
+//! barrier. The *core group* stays reusable — the stop is per-run
+//! state; `run_on` recovery after a cancel is pinned by
 //! `crates/core/tests/recovery.rs`.
 //!
 //! Firing records *why* (an explicit cancel or a deadline), so the
@@ -22,9 +22,8 @@
 //! real fault — `sw-dgemm` surfaces the distinction as
 //! `DgemmError::Cancelled { deadline }`.
 
-use crate::barrier::RunSync;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
 const LIVE: u8 = 0;
 const EXPLICIT: u8 = 1;
@@ -37,16 +36,8 @@ const DEADLINE: u8 = 2;
 /// any thread, before or during the run.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
     /// `LIVE` until fired; then the reason, first cause wins.
-    state: AtomicU8,
-    /// The barriers of the run currently executing under this token
-    /// (weak: the token must not keep a finished run's sync alive).
-    active: Mutex<Weak<RunSync>>,
+    state: Arc<AtomicU8>,
 }
 
 impl CancelToken {
@@ -68,46 +59,20 @@ impl CancelToken {
 
     /// Whether the token has been fired (for any reason).
     pub fn is_cancelled(&self) -> bool {
-        self.inner.state.load(Ordering::Acquire) != LIVE
+        self.state.load(Ordering::Acquire) != LIVE
     }
 
     /// Whether the token was fired by a deadline (false while live or
     /// after an explicit cancel).
     pub fn deadline_hit(&self) -> bool {
-        self.inner.state.load(Ordering::Acquire) == DEADLINE
+        self.state.load(Ordering::Acquire) == DEADLINE
     }
 
     fn fire(&self, reason: u8) {
-        // First cause wins; a second fire still (re-)cancels the
-        // attached run — both operations are idempotent.
-        let _ =
-            self.inner
-                .state
-                .compare_exchange(LIVE, reason, Ordering::AcqRel, Ordering::Acquire);
-        let sync = self
-            .inner
-            .active
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .upgrade();
-        if let Some(sync) = sync {
-            sync.cancel_by_token();
-        }
-    }
-
-    /// Binds the token to a starting run's barriers. Called by
-    /// `CoreGroup::try_run`; re-checks the state after publishing so a
-    /// fire racing the attach can never be lost.
-    pub(crate) fn attach(&self, sync: &Arc<RunSync>) {
-        *self.inner.active.lock().unwrap_or_else(|e| e.into_inner()) = Arc::downgrade(sync);
-        if self.is_cancelled() {
-            sync.cancel_by_token();
-        }
-    }
-
-    /// Unbinds the token when its run tears down.
-    pub(crate) fn detach(&self) {
-        *self.inner.active.lock().unwrap_or_else(|e| e.into_inner()) = Weak::new();
+        // First cause wins; a second fire changes nothing.
+        let _ = self
+            .state
+            .compare_exchange(LIVE, reason, Ordering::AcqRel, Ordering::Acquire);
     }
 }
 
@@ -126,36 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn fire_before_attach_poisons_the_sync() {
+    fn clones_share_one_state() {
         let t = CancelToken::new();
-        t.cancel();
-        let sync = Arc::new(RunSync::new());
-        t.attach(&sync);
-        // The barrier must already be poisoned for any waiter.
-        assert!(sync.all.wait_clock(0).is_err());
-        t.detach();
-    }
-
-    #[test]
-    fn fire_after_attach_cancels_waiters() {
-        let t = CancelToken::new();
-        let sync = Arc::new(RunSync::new());
-        t.attach(&sync);
-        std::thread::scope(|s| {
-            let h = s.spawn(|| sync.all.wait_clock(0));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            t.cancel();
-            assert!(h.join().unwrap().is_err());
-        });
-    }
-
-    #[test]
-    fn detach_drops_the_run_reference() {
-        let t = CancelToken::new();
-        let sync = Arc::new(RunSync::new());
-        t.attach(&sync);
-        t.detach();
-        t.cancel(); // fires into nothing; must not panic
+        let other = t.clone();
+        std::thread::spawn(move || other.cancel()).join().unwrap();
         assert!(t.is_cancelled() && !t.deadline_hit());
     }
 }

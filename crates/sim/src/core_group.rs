@@ -23,6 +23,11 @@
 //! waits fail with [`MeshError::Deadlock`] and its barrier waits unwind
 //! as cancelled, without waiting out the mesh's wall-clock fuse.
 //!
+//! Everything a run touches — barriers, mesh rings, the flight
+//! recorder, main memory — is plain single-thread memory. The one
+//! input another thread may write is the run's [`CancelToken`], which
+//! the executor polls once per pass.
+//!
 //! # Failure model
 //!
 //! A CPE that hits a structured failure — a DMA retry budget, a mesh
@@ -186,7 +191,7 @@ pub struct CoreGroup {
     injector: Option<Arc<FaultInjector>>,
     /// The always-on black box: per-CPE event rings plus the
     /// authoritative per-CPE simulated clocks and busy-lane ledgers.
-    flight: Arc<FlightRecorder>,
+    flight: FlightRecorder,
     /// Cooperative cancellation handle for subsequent runs; `None`
     /// (the default) adds nothing to any path.
     cancel: Option<CancelToken>,
@@ -218,7 +223,7 @@ impl CoreGroup {
     /// FlightRecorder::reset`]. Its clocks are the time base of every
     /// recorded event, and [`sw_probe::trace::from_flight`] reads its
     /// rings back as a timeline.
-    pub fn flight(&self) -> &Arc<FlightRecorder> {
+    pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
 
@@ -243,11 +248,12 @@ impl CoreGroup {
     }
 
     /// Installs (or, with `None`, removes) a cooperative cancellation
-    /// token for subsequent runs. Firing the token poisons the running
-    /// dispatch's barriers, so every CPE unwinds with
-    /// [`CpeError::Cancelled`] at its next sync point; a token fired
-    /// before the run starts cancels it at the first barrier. The core
-    /// group itself stays reusable afterwards.
+    /// token for subsequent runs. Once the token fires, the running
+    /// dispatch's barrier and mesh waits give up at the executor's next
+    /// pass, so every CPE unwinds with [`CpeError::Cancelled`] at its
+    /// next sync point; a token fired before the run starts cancels it
+    /// at the first barrier. The core group itself stays reusable
+    /// afterwards.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
@@ -258,12 +264,13 @@ impl CoreGroup {
     }
 
     /// Replaces the flight recorder with a fresh, enabled one that
-    /// retains `events` per ring (the default is
+    /// retains at least `events` per ring (the capacity is `events`
+    /// rounded up to a power of two; the default is
     /// [`sw_probe::flight::RING_EVENTS`], a black-box tail). Size it to
     /// the run's event count to keep a whole run for
     /// [`sw_probe::trace::from_flight`].
     pub fn set_flight_capacity(&mut self, events: usize) {
-        self.flight = Arc::new(FlightRecorder::with_capacity(events));
+        self.flight = FlightRecorder::with_capacity(events);
     }
 
     /// Runs `f` on all 64 CPEs (SPMD), returning traffic statistics.
@@ -314,11 +321,8 @@ impl CoreGroup {
                 Cell::new(Some(ldm))
             })
             .collect();
-        let sync = Arc::new(RunSync::new());
+        let sync = RunSync::new();
         let mesh = Mesh::with_timeout(self.mesh_timeout);
-        if self.cancel.is_some() {
-            mesh.set_cancel_flag(&sync.token_fired);
-        }
         mesh.set_flight_recorder(&self.flight);
         if let Some(inj) = &self.injector {
             mesh.set_fault_injector(inj);
@@ -330,12 +334,6 @@ impl CoreGroup {
             .into_iter()
             .map(|p| Cell::new(Some(p)))
             .collect();
-        // Bind the cancellation token (if any) to this run's barriers:
-        // a fire from any thread — before or during the run — poisons
-        // them, and every CPE unwinds at its next sync point.
-        if let Some(token) = &self.cancel {
-            token.attach(&sync);
-        }
         let counters = DmaCounters::default();
         let bytes_hist = sw_probe::metrics::global()
             .histogram("sim.dma.bytes_per_descriptor", &DESC_BYTES_BUCKETS);
@@ -343,9 +341,9 @@ impl CoreGroup {
         let mem = &self.mem;
         let model = &self.model;
         let injector = self.injector.as_ref();
-        let flight = &*self.flight;
-        let sync: &RunSync = &sync;
-        let panics = cpes.fibers.run(&|i: usize| {
+        let flight = &self.flight;
+        let sync = &sync;
+        let body = |i: usize| {
             let port = ports[i].take().expect("port taken once per run");
             let mut ctx = CpeCtx {
                 coord: port.coord(),
@@ -361,10 +359,13 @@ impl CoreGroup {
                 dma_ops: 0,
             };
             f(&mut ctx);
-        });
-        if let Some(token) = &self.cancel {
-            token.detach();
-        }
+        };
+        // A token fired from any thread, before or during the run, is
+        // seen at the executor's next pass.
+        let panics = match &self.cancel {
+            Some(token) => cpes.fibers.run_cancellable(&body, &|| token.is_cancelled()),
+            None => cpes.fibers.run(&body),
+        };
         let stats = RunStats {
             dma: counters.snapshot(),
             mesh: mesh.stats(),
@@ -406,7 +407,7 @@ pub struct CpeCtx<'a> {
     /// This CPE's 64 KB scratch pad, kept by the core group across
     /// runs and cleared at the start of each.
     pub ldm: &'a mut Ldm,
-    port: MeshPort,
+    port: MeshPort<'a>,
     mem: &'a MainMemory,
     sync: &'a RunSync,
     counters: &'a DmaCounters,
@@ -635,13 +636,13 @@ impl<'a> CpeCtx<'a> {
     }
 
     /// The register-communication port (panel broadcasts, `getr`/`getc`).
-    pub fn mesh(&self) -> &MeshPort {
+    pub fn mesh(&self) -> &MeshPort<'a> {
         &self.port
     }
 
     fn mesh_fail(&self, e: MeshError) -> ! {
         match e {
-            // The token already poisoned the barriers.
+            // The token stops every wait of the run; nothing to poison.
             MeshError::Cancelled { .. } => self.cancelled(),
             e => self.abort(CpeError::Mesh(e)),
         }
@@ -786,7 +787,7 @@ mod lint_gate {
 /// trait: a failed operation aborts the run exactly like the
 /// [`CpeCtx`] mesh wrappers do.
 struct MeshComm<'p> {
-    port: &'p MeshPort,
+    port: &'p MeshPort<'p>,
     sync: &'p RunSync,
     coord: Coord,
 }

@@ -23,8 +23,6 @@
 
 pub(crate) mod barrier;
 pub mod cancel;
-#[cfg(sw_check)]
-pub mod check_models;
 pub mod core_group;
 pub mod stats;
 pub mod timing;

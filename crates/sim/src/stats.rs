@@ -1,9 +1,10 @@
 //! Run statistics of the functional simulator.
 
+use std::cell::Cell;
 use std::time::Duration;
 use sw_mem::dma::DmaMode;
 use sw_mesh::{MeshGridStats, MeshStats};
-use sw_probe::metrics::{Counter, Registry};
+use sw_probe::metrics::Registry;
 
 /// Bytes and descriptor counts per DMA mode, accumulated **per CPE**:
 /// every participating CPE contributes its own `bytes_cpe` share and
@@ -54,18 +55,19 @@ impl DmaTotals {
     }
 }
 
-/// Atomic accumulation behind [`DmaTotals`], on the probe crate's
-/// counters. [`DmaCounters::record`] is called once per CPE per DMA
-/// call with that CPE's receipt — the per-CPE accounting the
-/// [`DmaTotals`] docs describe is established here, not downstream.
+/// One run's accumulation behind [`DmaTotals`]: plain cells, as every
+/// CPE of a run is a fiber on one thread. [`DmaCounters::record`] is
+/// called once per CPE per DMA call with that CPE's receipt — the
+/// per-CPE accounting the [`DmaTotals`] docs describe is established
+/// here, not downstream.
 #[derive(Debug, Default)]
 pub(crate) struct DmaCounters {
-    pe: Counter,
-    bcast: Counter,
-    row: Counter,
-    brow: Counter,
-    rank: Counter,
-    descriptors: Counter,
+    pe: Cell<u64>,
+    bcast: Cell<u64>,
+    row: Cell<u64>,
+    brow: Cell<u64>,
+    rank: Cell<u64>,
+    descriptors: Cell<u64>,
 }
 
 impl DmaCounters {
@@ -77,8 +79,8 @@ impl DmaCounters {
             DmaMode::Brow => &self.brow,
             DmaMode::Rank => &self.rank,
         };
-        ctr.add(bytes_cpe);
-        self.descriptors.inc();
+        ctr.set(ctr.get() + bytes_cpe);
+        self.descriptors.set(self.descriptors.get() + 1);
     }
 
     pub fn snapshot(&self) -> DmaTotals {

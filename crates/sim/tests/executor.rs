@@ -1,13 +1,14 @@
 //! The CPE executor behind `CoreGroup::try_run`: 64 fibers on the
 //! calling thread. Failure attribution, backtraces, moving a core group
-//! between threads, LDM state across runs, and re-entry.
+//! between threads, LDM state across runs, re-entry, and the one input
+//! another thread may give a run: its cancel token.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use sw_arch::Coord;
 use sw_isa::kernels::{gen_block_kernel, BlockKernelCfg, KernelStyle, Operand};
 use sw_isa::Net;
 use sw_mem::{Ldm, MemError};
-use sw_sim::{CoreGroup, CpeError};
+use sw_sim::{CancelToken, CoreGroup, CpeError};
 
 fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<String>()
@@ -29,7 +30,7 @@ fn several_aborts_are_attributed_in_cpe_order() {
             if let Some(n) = failing.iter().position(|&f| f == id) {
                 for _ in 0..(failing.len() - n) {
                     sw_check::fiber::note_progress();
-                    sw_check::thread::yield_now();
+                    sw_check::fiber::suspend();
                 }
                 ctx.abort(CpeError::Mem(MemError::Transient {
                     what: format!("cpe {id}"),
@@ -182,4 +183,56 @@ fn try_run_from_a_cpe_body_is_refused() {
         text.contains("called from a CPE body") && text.contains("cannot start another"),
         "unclear message: {text}"
     );
+}
+
+#[test]
+fn a_token_fired_from_another_thread_cancels_a_running_run() {
+    // The CPEs meet at barriers; a watchdog thread fires the token
+    // once the run is under way. Every CPE unwinds as
+    // cancelled, and the group runs cleanly afterwards.
+    let mut cg = CoreGroup::new();
+    let token = CancelToken::new();
+    cg.set_cancel_token(Some(token.clone()));
+    let started = std::sync::Barrier::new(2);
+    let err = std::thread::scope(|s| {
+        s.spawn(|| {
+            started.wait();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            token.cancel_deadline();
+        });
+        cg.try_run(|ctx| {
+            if ctx.coord.id() == 0 {
+                started.wait();
+            }
+            // Far more barriers than fit before the fire, but a run
+            // that missed it still ends: the test fails, not hangs.
+            for _ in 0..200_000 {
+                ctx.sync_all();
+            }
+        })
+        .expect_err("the token cancels the run")
+    });
+    assert_eq!(err.failures.len(), 64);
+    assert!(err.failures.iter().all(|f| f.error == CpeError::Cancelled));
+    assert!(token.deadline_hit());
+    cg.set_cancel_token(None);
+    assert!(cg.try_run(|ctx| ctx.sync_all()).is_ok());
+}
+
+#[test]
+fn a_token_fired_before_the_run_cancels_it_at_the_first_barrier() {
+    let mut cg = CoreGroup::new();
+    let token = CancelToken::new();
+    token.cancel();
+    cg.set_cancel_token(Some(token));
+    let before = std::cell::Cell::new(0);
+    let err = cg
+        .try_run(|ctx| {
+            before.set(before.get() + 1);
+            ctx.sync_all();
+            unreachable!("the first barrier is cancelled");
+        })
+        .expect_err("cancelled");
+    assert_eq!(before.get(), 64, "every CPE ran up to its first barrier");
+    assert!(err.failures.iter().all(|f| f.error == CpeError::Cancelled));
 }

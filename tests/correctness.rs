@@ -159,6 +159,35 @@ fn unaligned_dims_rejected_with_clear_error() {
 }
 
 #[test]
+fn a_pinned_blocking_no_executor_runs_is_refused() {
+    // pM = 32 passes `validate`, but the collective scheme streams one
+    // 16-row tile per CPE: the runner refuses the plan instead of
+    // panicking inside the kernel generator, and leaves C alone.
+    let p = BlockingParams {
+        pm: 32,
+        pn: 16,
+        pk: 64,
+        rm: 4,
+        rn: 4,
+    };
+    assert!(p.validate(false).is_ok());
+    let (m, n, k) = (p.bm(), p.bn(), 512);
+    let a = random_matrix(m, k, 71);
+    let b = random_matrix(k, n, 72);
+    let c0 = random_matrix(m, n, 73);
+    let mut c = c0.clone();
+    let err = DgemmRunner::new(Variant::Sched)
+        .params(p)
+        .run(1.0, &a, &b, 1.0, &mut c)
+        .unwrap_err();
+    assert!(
+        matches!(&err, sw_dgemm::DgemmError::BadParams(msg) if msg.contains("pM = 32")),
+        "{err}"
+    );
+    assert_eq!(c, c0);
+}
+
+#[test]
 fn padded_arbitrary_dimensions_match_reference() {
     // Dimensions that are not multiples of anything: the padded runner
     // must still produce the exact GEMM on the visible window.
