@@ -11,7 +11,7 @@ use crate::streamed;
 use crate::tuner::{self, TunePolicy};
 use crate::variants::raw::{run_functional_raw, RawParams};
 use crate::variants::resilient::{run_resilient, ResilienceCfg};
-use crate::variants::shared::{run_functional, GemmIo};
+use crate::variants::shared::{run_functional, GemmIo, Performer};
 use crate::variants::Variant;
 use crate::Matrix;
 use std::time::Duration;
@@ -360,8 +360,15 @@ impl DgemmRunner {
                     )));
                 }
                 lint::warn(&lint::lint_shared_cached(v, &plan.params));
+                let job = Performer {
+                    plan,
+                    mapping: v.mapping(),
+                    io,
+                    alpha,
+                    beta,
+                };
                 if !resilient {
-                    let stats = run_functional(cg, &plan, v.mapping(), io, alpha, beta)?;
+                    let stats = run_functional(cg, job)?;
                     return Ok(DgemmReport {
                         variant: self.variant,
                         plan: Some(plan),
@@ -376,7 +383,7 @@ impl DgemmRunner {
                     abft: self.abft,
                     max_attempts: MAX_BLOCK_ATTEMPTS,
                 };
-                let res = run_resilient(cg, &plan, v.mapping(), io, alpha, beta, &cfg);
+                let res = run_resilient(cg, job, &cfg);
                 cg.set_fault_injector(None);
                 // Counters are snapshotted and published even when the
                 // run failed — the failure path is exactly where the

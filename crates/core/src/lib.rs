@@ -35,6 +35,7 @@ pub mod padding;
 pub mod params;
 pub mod plan;
 pub mod reference;
+pub mod schedule;
 pub mod sharing;
 pub mod streamed;
 pub mod timing;

@@ -3,11 +3,12 @@
 //!
 //! Before a [`crate::DgemmRunner`] executes a plan, the kernel streams
 //! that plan implies — all four thread roles of every collective strip
-//! step, against the exact LDM layout `thread_body` allocates — are
-//! statically analyzed: mesh rendezvous counting, LDM bounds and
-//! double-buffer hazards, and structural stream checks. A clean report
-//! here rules out the whole-mesh deadlock and silent-corruption
-//! failure modes *before* a single simulated cycle runs.
+//! step, against the functional run's LDM layout
+//! (`schedule::ldm_buffers`) — are statically analyzed: mesh
+//! rendezvous counting, LDM bounds and double-buffer hazards, and
+//! structural stream checks. A clean report here rules out the
+//! whole-mesh deadlock and silent-corruption failure modes *before* a
+//! single simulated cycle runs.
 //!
 //! Linting a plan is memoized process-wide (like the kernel timing
 //! cache in [`crate::timing`]): the report depends only on the kernel
@@ -19,6 +20,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::mapping::Mapping;
 use crate::params::BlockingParams;
+use crate::schedule::{ldm_buffers, Buffer};
 use crate::sharing::step_role;
 use crate::variants::raw::RawParams;
 use crate::variants::Variant;
@@ -52,66 +54,55 @@ impl Bump {
     }
 }
 
-/// Replicates `thread_body`'s LDM allocation order (A buffers, C
-/// buffers, B buffer — 128 B-aligned bump allocation) plus one double
-/// for α, and returns the layout with the DMA-owned partner halves
-/// marked as hazards.
+/// Lays out [`ldm_buffers`] — the LDM the functional run allocates —
+/// with the unchecked bump, and returns the layout with the DMA-owned
+/// partner halves marked as hazards.
 fn shared_layout(p: &BlockingParams, double_buffered: bool) -> (LdmLayout, BlockKernelCfg) {
-    let nbuf = if double_buffered { 2 } else { 1 };
     let mut ldm = Bump(0);
-    let a_bufs: Vec<_> = (0..nbuf).map(|_| ldm.alloc(p.pm * p.pk)).collect();
-    let c_bufs: Vec<_> = (0..nbuf).map(|_| ldm.alloc(p.pm * p.pn)).collect();
-    let b_buf = ldm.alloc(p.pk * p.pn);
-    let alpha = ldm.alloc(1);
-
-    let mut regions = Vec::new();
-    for (i, &(off, len)) in a_bufs.iter().enumerate() {
-        let r = LdmRegion::new(format!("A buffer {i}"), off, len);
-        // While block i computes out of buffer i%2, the prefetch DMA
-        // fills the partner buffer — compute must not touch it.
-        regions.push(if i == 1 {
-            LdmRegion {
-                dma_hazard: true,
-                ..r
-            }
-        } else {
-            r
-        });
-    }
-    for (i, &(off, len)) in c_bufs.iter().enumerate() {
-        let r = LdmRegion::new(format!("C buffer {i}"), off, len);
-        regions.push(if i == 1 {
-            LdmRegion {
-                dma_hazard: true,
-                ..r
-            }
-        } else {
-            r
-        });
-    }
-    regions.push(LdmRegion::new("B buffer", b_buf.0, b_buf.1));
-    regions.push(LdmRegion::new("alpha", alpha.0, alpha.1));
-
-    let cfg = BlockKernelCfg {
+    let mut cfg = BlockKernelCfg {
         pm: p.pm,
         pn: p.pn,
         pk: p.pk,
         a_src: Operand::Ldm, // per-role; patched per stream
         b_src: Operand::Ldm,
-        a_base: a_bufs[0].0,
-        b_base: b_buf.0,
-        c_base: c_bufs[0].0,
-        alpha_addr: alpha.0,
+        a_base: 0,
+        b_base: 0,
+        c_base: 0,
+        alpha_addr: 0,
     };
+    let mut regions = Vec::new();
+    for (buf, len) in ldm_buffers(p, double_buffered) {
+        let (off, len) = ldm.alloc(len);
+        // The kernel addresses slot 0.
+        match buf {
+            Buffer::A(0) => cfg.a_base = off,
+            Buffer::C(0) => cfg.c_base = off,
+            Buffer::B => cfg.b_base = off,
+            Buffer::Alpha => cfg.alpha_addr = off,
+            Buffer::A(_) | Buffer::C(_) => {}
+        }
+        let name = match buf {
+            Buffer::A(s) => format!("A buffer {s}"),
+            Buffer::C(s) => format!("C buffer {s}"),
+            Buffer::B => "B buffer".to_string(),
+            Buffer::Alpha => "alpha".to_string(),
+        };
+        // While block i computes out of slot i%2, the prefetch DMA fills
+        // the partner slot — compute must not touch it.
+        regions.push(LdmRegion {
+            dma_hazard: matches!(buf, Buffer::A(1) | Buffer::C(1)),
+            ..LdmRegion::new(name, off, len)
+        });
+    }
     (LdmLayout { regions }, cfg)
 }
 
-/// The tuner's per-candidate artifact: the exact LDM layout
-/// `thread_body` would allocate for the blocking, plus the all-local
-/// looped kernel stream — the steady-state schedule every collective
-/// role shares modulo operand sources. Stage 1 lints the stream
-/// against the layout for feasibility; stage 2 feeds it to the static
-/// stall prover for a per-candidate cycle bound.
+/// The tuner's per-candidate artifact: the LDM layout the functional
+/// run would allocate for the blocking, plus the all-local looped
+/// kernel stream — the steady-state schedule every collective role
+/// shares modulo operand sources. Stage 1 lints the stream against the
+/// layout for feasibility; stage 2 feeds it to the static stall prover
+/// for a per-candidate cycle bound.
 pub fn candidate_kernel(
     p: &BlockingParams,
     style: KernelStyle,

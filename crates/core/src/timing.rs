@@ -1,7 +1,8 @@
 //! Timing mode: discrete-event Gflops estimates at arbitrary sizes.
 //!
-//! Each variant's MPE-side schedule is unrolled into a stream of tasks
-//! over the DMA channel and the CPE cluster (see `sw_sim::timing`).
+//! Each step of a data-sharing variant's [`Schedule`] — the one the
+//! functional run performs — is priced as tasks on the DMA channel and
+//! the CPE cluster (see `sw_sim::timing`); RAW has its own wave stream.
 //! An estimate schedules each task as it is issued, on a
 //! [`Timeline`]; [`build_shared_dag`] keeps the same stream as a
 //! [`Dag`] for the tools that trace it or walk its critical path.
@@ -25,6 +26,7 @@ use crate::error::DgemmError;
 use crate::mapping::Mapping;
 use crate::params::BlockingParams;
 use crate::plan::GemmPlan;
+use crate::schedule::{Schedule, Step};
 use crate::variants::raw::RawParams;
 use crate::variants::Variant;
 use sw_arch::consts::{MESH_TRANSIT_CYCLES, PEAK_GFLOPS_CG};
@@ -291,73 +293,53 @@ fn price_shared(
     Ok((plan, costs, kernel))
 }
 
-/// Issues the MPE-side schedule into `sink` in program order:
-/// Algorithm 2 when the plan is double-buffered, Algorithm 1 otherwise.
-/// Dependence lists live on the stack, so the unroll itself allocates
-/// nothing.
+/// Prices each step of the plan's [`Schedule`] into `sink` in program
+/// order. Every load waits for the last compute issued (it refills a
+/// buffer that compute read); a compute waits for its slot's A and C
+/// loads and the current B, and under Algorithm 2 for the previous
+/// compute too; a C store waits for its compute. Dependence lists live
+/// on the stack, so pricing allocates nothing.
 fn unroll_shared<S: TaskSink>(sink: &mut S, plan: &GemmPlan, costs: &SharedCosts) {
-    let &SharedCosts {
-        load_a,
-        load_b,
-        io_c,
-        block_compute,
-    } = costs;
+    let db = plan.double_buffered;
+    let mut b_task: Option<S::Id> = None;
+    // Each slot's (A, C) loads, in two locals rather than an indexed
+    // array so they stay in registers in the estimate's hot loop.
+    let [mut slot0, mut slot1]: [Option<(S::Id, S::Id)>; 2] = [None; 2];
     let mut prev_compute: Option<S::Id> = None;
-    for _j in 0..plan.grid_n {
-        for _l in 0..plan.grid_k {
-            // B is resident: reloading it must wait until the previous
-            // (j, l) iteration's last block stopped using it.
-            let b_task = sink.task(Resource::Dma, load_b, prev_compute.as_slice(), "load B");
-            if plan.double_buffered {
-                // Algorithm 2.
-                let mut pref_a =
-                    sink.task(Resource::Dma, load_a, prev_compute.as_slice(), "load A0");
-                let mut pref_c = sink.task(Resource::Dma, io_c, prev_compute.as_slice(), "load C0");
-                for i in 0..plan.grid_m {
-                    let next = (i + 1 < plan.grid_m).then(|| {
-                        // The i+1 prefetch reuses the buffers compute
-                        // i-1 released (two-deep rotation).
-                        let deps = prev_compute.as_slice();
-                        let a = sink.task(Resource::Dma, load_a, deps, "prefetch A");
-                        let c = sink.task(Resource::Dma, io_c, deps, "prefetch C");
-                        (a, c)
-                    });
-                    let mut deps = [pref_a, pref_c, b_task, b_task];
-                    let mut n_deps = 3;
-                    if let Some(pc) = prev_compute {
-                        deps[3] = pc;
-                        n_deps = 4;
-                    }
-                    let compute = sink.task(
-                        Resource::Cpes,
-                        block_compute,
-                        &deps[..n_deps],
-                        "block multiply",
-                    );
-                    sink.task(Resource::Dma, io_c, &[compute], "store C");
-                    prev_compute = Some(compute);
-                    if let Some((a, c)) = next {
-                        pref_a = a;
-                        pref_c = c;
-                    }
-                }
-            } else {
-                // Algorithm 1: strictly serial per block.
-                for _i in 0..plan.grid_m {
-                    let a = sink.task(Resource::Dma, load_a, prev_compute.as_slice(), "load A");
-                    let c = sink.task(Resource::Dma, io_c, prev_compute.as_slice(), "load C");
-                    let compute = sink.task(
-                        Resource::Cpes,
-                        block_compute,
-                        &[a, c, b_task],
-                        "block multiply",
-                    );
-                    sink.task(Resource::Dma, io_c, &[compute], "store C");
-                    prev_compute = Some(compute);
+    Schedule::new(plan).for_each(|step| {
+        let after_compute = prev_compute.as_slice();
+        match step {
+            Step::LoadB { .. } => {
+                b_task = Some(sink.task(Resource::Dma, costs.load_b, after_compute, "load B"));
+            }
+            Step::LoadAc { slot, prefetch, .. } => {
+                let (la, lc) = match (db, prefetch) {
+                    (false, _) => ("load A", "load C"),
+                    (true, false) => ("load A0", "load C0"),
+                    (true, true) => ("prefetch A", "prefetch C"),
+                };
+                let a = sink.task(Resource::Dma, costs.load_a, after_compute, la);
+                let c = sink.task(Resource::Dma, costs.io_c, after_compute, lc);
+                if slot == 0 {
+                    slot0 = Some((a, c))
+                } else {
+                    slot1 = Some((a, c))
                 }
             }
+            Step::Compute { slot, .. } => {
+                let (a, c) = if slot == 0 { slot0 } else { slot1 }
+                    .expect("a block computes after its loads");
+                let b = b_task.expect("a block computes after its B load");
+                let (cost, label) = (costs.block_compute, "block multiply");
+                let compute = match prev_compute.filter(|_| db) {
+                    Some(pc) => sink.task(Resource::Cpes, cost, &[a, c, b, pc], label),
+                    None => sink.task(Resource::Cpes, cost, &[a, c, b], label),
+                };
+                sink.task(Resource::Dma, costs.io_c, &[compute], "store C");
+                prev_compute = Some(compute);
+            }
         }
-    }
+    });
 }
 
 /// [`build_shared_dag`] under the benchmark's historical signature: the

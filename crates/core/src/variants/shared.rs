@@ -1,13 +1,14 @@
 //! Functional executor of the data-sharing variants (PE, ROW, DB,
 //! SCHED).
 //!
-//! All four run the same three-level blocked schedule (Algorithm 1, or
-//! Algorithm 2 when double-buffered) and the same collective data
-//! sharing; they differ in the data-thread mapping, the LDM buffering,
-//! and — on real hardware — the kernel's instruction schedule. The
-//! instruction schedule does not change numerics (proved bitwise in
-//! `sw-isa`), so the functional path uses the streamed kernel for all
-//! of them; the cycle difference is captured by the timing mode.
+//! Every CPE performs the same [`Schedule`] step by step (Algorithm 1,
+//! or Algorithm 2 when double-buffered) in the buffers of
+//! `ldm_buffers`, with the same collective data sharing; the variants
+//! differ in the data-thread mapping, the LDM buffering, and — on real
+//! hardware — the kernel's instruction schedule. The instruction
+//! schedule does not change numerics (proved bitwise in `sw-isa`), so
+//! the functional path uses the streamed kernel for all of them; the
+//! cycle difference is captured by the timing mode.
 //!
 //! Numerical contract: results are **bitwise identical** across PE,
 //! ROW, DB and SCHED (the per-element FMA order depends only on `pK`),
@@ -16,7 +17,9 @@
 
 use crate::error::DgemmError;
 use crate::mapping::{self, Mapping};
+use crate::params::BlockingParams;
 use crate::plan::GemmPlan;
+use crate::schedule::{ldm_buffers, Block, Buffer, Schedule, Step};
 use crate::sharing::step_role;
 use crate::streamed::strip_step;
 use sw_lint::{rendezvous_summary, CommCounts};
@@ -35,19 +38,12 @@ pub struct GemmIo {
     pub c: MatId,
 }
 
-/// Runs `C = α·A·B + β·C` functionally on the 64-thread simulator with
-/// the given mapping and the plan's buffering mode.
-pub fn run_functional(
-    cg: &mut CoreGroup,
-    plan: &GemmPlan,
-    mapping: Mapping,
-    io: GemmIo,
-    alpha: f64,
-    beta: f64,
-) -> Result<RunStats, DgemmError> {
-    check_io(cg, plan, io)?;
-    let plan = *plan;
-    cg.try_run(move |ctx| thread_body(ctx, &plan, mapping, io, alpha, beta))
+/// Runs `C = α·A·B + β·C` functionally on the 64-thread simulator:
+/// every CPE performs the plan's whole [`Schedule`].
+pub(crate) fn run_functional(cg: &mut CoreGroup, job: Performer) -> Result<RunStats, DgemmError> {
+    check_io(cg, &job.plan, job.io)?;
+    let schedule = Schedule::new(&job.plan);
+    cg.try_run(move |ctx| job.run(ctx, schedule))
         .map_err(|run_err| map_run_error(cg, &run_err))
 }
 
@@ -114,162 +110,118 @@ pub(crate) fn check_io(cg: &CoreGroup, plan: &GemmPlan, io: GemmIo) -> Result<()
     Ok(())
 }
 
-/// The SPMD body every CPE thread runs: Algorithm 1 (single-buffered)
-/// or Algorithm 2 (double-buffered), with the strip multiplication and
-/// collective sharing inside.
-fn thread_body(
+/// One DGEMM as every CPE performs it: the plan, its data-thread
+/// mapping, the operands and the scalars.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Performer {
+    pub plan: GemmPlan,
+    pub mapping: Mapping,
+    pub io: GemmIo,
+    pub alpha: f64,
+    pub beta: f64,
+}
+
+/// One CPE's LDM buffers: A and C per slot, and B.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Buffers {
+    pub a: [LdmBuf; 2],
+    pub c: [LdmBuf; 2],
+    pub b: LdmBuf,
+}
+
+/// Allocates this CPE's buffers in the order of [`ldm_buffers`] — the
+/// one allocation site of the shared and resilient paths. An overflow
+/// aborts the run with a structured error.
+pub(crate) fn alloc_buffers(
     ctx: &mut CpeCtx,
-    plan: &GemmPlan,
-    mapping: Mapping,
-    io: GemmIo,
-    alpha: f64,
-    beta: f64,
-) {
-    let p = plan.params;
-    let (pm, pn, pk) = (p.pm, p.pn, p.pk);
-    let nbuf = if plan.double_buffered { 2 } else { 1 };
-    let a_bufs: Vec<LdmBuf> = (0..nbuf)
-        .map(|_| ctx.ldm.alloc(pm * pk).expect("A blocks exceed LDM"))
-        .collect();
-    let c_bufs: Vec<LdmBuf> = (0..nbuf)
-        .map(|_| ctx.ldm.alloc(pm * pn).expect("C blocks exceed LDM"))
-        .collect();
-    let b_buf = ctx.ldm.alloc(pk * pn).expect("B block exceeds LDM");
+    p: &BlockingParams,
+    double_buffered: bool,
+) -> Buffers {
+    let mut bufs = Buffers::default();
+    for (buf, len) in ldm_buffers(p, double_buffered) {
+        let slot = match buf {
+            Buffer::A(s) => &mut bufs.a[s],
+            Buffer::C(s) => &mut bufs.c[s],
+            Buffer::B => &mut bufs.b,
+            Buffer::Alpha => continue,
+        };
+        *slot = ctx.ldm.alloc(len).unwrap_or_else(|e| ctx.abort(e.into()));
+    }
+    bufs
+}
 
-    for j in 0..plan.grid_n {
-        for l in 0..plan.grid_k {
-            // Load the resident B block (PE_MODE in both mappings).
-            let rb = mapping::b_region(plan, io.b, mapping, l, j, ctx.coord);
-            ctx.dma_pe_get(rb, b_buf)
-                .unwrap_or_else(|e| ctx.abort(e.into()));
-            ctx.sync_all();
+impl Performer {
+    /// The SPMD body every CPE runs: allocates the schedule's LDM
+    /// buffers, then performs its steps in order.
+    pub fn run(&self, ctx: &mut CpeCtx, schedule: Schedule) {
+        let bufs = alloc_buffers(ctx, &self.plan.params, schedule.double_buffered);
+        schedule.for_each(|step| self.perform(ctx, &bufs, step));
+    }
 
-            if plan.double_buffered {
-                // Algorithm 2: prefetch A/C of block i+1 while block i
-                // computes; buffers rotate.
-                load_ac(ctx, plan, mapping, io, 0, j, l, a_bufs[0], c_bufs[0]);
+    /// Performs one step on this CPE, honouring the mapping's DMA modes
+    /// (B is loaded in `PE_MODE` under both).
+    fn perform(&self, ctx: &mut CpeCtx, bufs: &Buffers, step: Step) {
+        let (plan, mapping, io) = (&self.plan, self.mapping, self.io);
+        let coord = ctx.coord;
+        match step {
+            Step::LoadB { j, l } => {
+                let rb = mapping::b_region(plan, io.b, mapping, l, j, coord);
+                ctx.dma_pe_get(rb, bufs.b)
+                    .unwrap_or_else(|e| ctx.abort(e.into()));
                 ctx.sync_all();
-                for i in 0..plan.grid_m {
-                    let cur = i % 2;
-                    if i + 1 < plan.grid_m {
-                        load_ac(
-                            ctx,
-                            plan,
-                            mapping,
-                            io,
-                            i + 1,
-                            j,
-                            l,
-                            a_bufs[(i + 1) % 2],
-                            c_bufs[(i + 1) % 2],
-                        );
+            }
+            Step::LoadAc {
+                block: Block { i, j, l },
+                slot,
+                prefetch,
+            } => {
+                let ra = mapping::a_region(plan, io.a, mapping, i, l, coord);
+                let rc = mapping::c_region(plan, io.c, mapping, i, j, coord);
+                for (region, buf) in [(ra, bufs.a[slot]), (rc, bufs.c[slot])] {
+                    match mapping {
+                        Mapping::Pe => ctx.dma_pe_get(region, buf),
+                        Mapping::Row => ctx.dma_row_get(region, buf),
                     }
-                    compute_and_store(
-                        ctx,
-                        plan,
-                        mapping,
-                        io,
-                        i,
-                        j,
-                        l,
-                        a_bufs[cur],
-                        b_buf,
-                        c_bufs[cur],
-                        alpha,
-                        beta,
-                    );
+                    .unwrap_or_else(|e| ctx.abort(e.into()));
                 }
-            } else {
-                // Algorithm 1: strictly serial load → compute → store.
-                for i in 0..plan.grid_m {
-                    load_ac(ctx, plan, mapping, io, i, j, l, a_bufs[0], c_bufs[0]);
+                if !prefetch {
                     ctx.sync_all();
-                    compute_and_store(
-                        ctx, plan, mapping, io, i, j, l, a_bufs[0], b_buf, c_bufs[0], alpha, beta,
-                    );
                 }
+            }
+            Step::Compute {
+                block: Block { i, j, l },
+                slot,
+            } => {
+                let (p, alpha) = (plan.params, self.alpha);
+                let (a_buf, c_buf) = (bufs.a[slot], bufs.c[slot]);
+                // δC(i,j) makes its K round-trips through LDM; β applies
+                // only on the first (l = 0), exactly once per element.
+                if l == 0 {
+                    for x in ctx.ldm.slice_mut(c_buf) {
+                        *x *= self.beta;
+                    }
+                }
+                for s in 0..8 {
+                    let role = step_role(mapping, s, coord);
+                    strip_step(ctx, role, a_buf, bufs.b, c_buf, p.pm, p.pn, p.pk, alpha);
+                    // The mesh paces the steps, as blocking getr/getc do
+                    // on the hardware: each row and column line hands
+                    // its turn from the step-s broadcaster to the
+                    // step-(s+1) one here, so no fast thread's
+                    // step-(s+1) words can enter a line ahead of step-s
+                    // words, and no barrier is needed between steps.
+                    // Every CPE charges the same mesh words per step, so
+                    // the simulated clocks still agree at the barriers.
+                    ctx.mesh_end_step();
+                }
+                let rc = mapping::c_region(plan, io.c, mapping, i, j, coord);
+                match mapping {
+                    Mapping::Pe => ctx.dma_pe_put(rc, c_buf),
+                    Mapping::Row => ctx.dma_row_put(rc, c_buf),
+                }
+                .unwrap_or_else(|e| ctx.abort(e.into()));
+                ctx.sync_all();
             }
         }
     }
-}
-
-/// Loads this thread's A block of CG block (i, l) and C block of
-/// (i, j), honouring the mapping's DMA modes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn load_ac(
-    ctx: &mut CpeCtx,
-    plan: &GemmPlan,
-    mapping: Mapping,
-    io: GemmIo,
-    i: usize,
-    j: usize,
-    l: usize,
-    a_buf: LdmBuf,
-    c_buf: LdmBuf,
-) {
-    let ra = mapping::a_region(plan, io.a, mapping, i, l, ctx.coord);
-    let rc = mapping::c_region(plan, io.c, mapping, i, j, ctx.coord);
-    match mapping {
-        Mapping::Pe => {
-            ctx.dma_pe_get(ra, a_buf)
-                .unwrap_or_else(|e| ctx.abort(e.into()));
-            ctx.dma_pe_get(rc, c_buf)
-                .unwrap_or_else(|e| ctx.abort(e.into()));
-        }
-        Mapping::Row => {
-            ctx.dma_row_get(ra, a_buf)
-                .unwrap_or_else(|e| ctx.abort(e.into()));
-            ctx.dma_row_get(rc, c_buf)
-                .unwrap_or_else(|e| ctx.abort(e.into()));
-        }
-    }
-}
-
-/// One CG-block update: β-scale on first use, 8 collective strip
-/// steps, then the C write-back.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_and_store(
-    ctx: &mut CpeCtx,
-    plan: &GemmPlan,
-    mapping: Mapping,
-    io: GemmIo,
-    i: usize,
-    j: usize,
-    l: usize,
-    a_buf: LdmBuf,
-    b_buf: LdmBuf,
-    c_buf: LdmBuf,
-    alpha: f64,
-    beta: f64,
-) {
-    let p = plan.params;
-    // δC(i,j) makes its K round-trips through LDM; β applies only on
-    // the first (l = 0), exactly once per element.
-    if l == 0 {
-        for x in ctx.ldm.slice_mut(c_buf) {
-            *x *= beta;
-        }
-    }
-    for s in 0..8 {
-        let role = step_role(mapping, s, ctx.coord);
-        strip_step(ctx, role, a_buf, b_buf, c_buf, p.pm, p.pn, p.pk, alpha);
-        // The mesh paces the steps, as blocking getr/getc do on the
-        // hardware: each row and column line hands its turn from the
-        // step-s broadcaster to the step-(s+1) one here, so no fast
-        // thread's step-(s+1) words can enter a line ahead of step-s
-        // words, and no barrier is needed between steps. Every CPE
-        // charges the same mesh words per step, so the simulated clocks
-        // still agree at Algorithm 1's barriers.
-        ctx.mesh_end_step();
-    }
-    let rc = mapping::c_region(plan, io.c, mapping, i, j, ctx.coord);
-    match mapping {
-        Mapping::Pe => ctx
-            .dma_pe_put(rc, c_buf)
-            .unwrap_or_else(|e| ctx.abort(e.into())),
-        Mapping::Row => ctx
-            .dma_row_put(rc, c_buf)
-            .unwrap_or_else(|e| ctx.abort(e.into())),
-    };
-    ctx.sync_all();
 }

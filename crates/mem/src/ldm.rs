@@ -16,7 +16,8 @@ use crate::MemError;
 use sw_arch::consts::{DMA_TRANSACTION_DOUBLES, LDM_DOUBLES};
 
 /// A buffer inside one CPE's LDM: an offset/length pair in doubles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default is the empty buffer at offset 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LdmBuf {
     off: usize,
     len: usize,

@@ -114,6 +114,39 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Adds another run's statistics into this one: how a resilient
+    /// run totals its per-block runs. Every field is named without a
+    /// `..` rest, so a new counter cannot be skipped silently.
+    pub fn accumulate(&mut self, other: &RunStats) {
+        let RunStats {
+            dma: o,
+            mesh: w,
+            grid,
+            panicked_cpes,
+            wall,
+        } = other;
+        let d = &self.dma;
+        self.dma = DmaTotals {
+            pe_bytes: d.pe_bytes + o.pe_bytes,
+            bcast_bytes: d.bcast_bytes + o.bcast_bytes,
+            row_bytes: d.row_bytes + o.row_bytes,
+            brow_bytes: d.brow_bytes + o.brow_bytes,
+            rank_bytes: d.rank_bytes + o.rank_bytes,
+            descriptors: d.descriptors + o.descriptors,
+        };
+        let m = &self.mesh;
+        self.mesh = MeshStats {
+            row_words_sent: m.row_words_sent + w.row_words_sent,
+            col_words_sent: m.col_words_sent + w.col_words_sent,
+            row_words_received: m.row_words_received + w.row_words_received,
+            col_words_received: m.col_words_received + w.col_words_received,
+            words_gathered: m.words_gathered + w.words_gathered,
+        };
+        self.grid.accumulate(grid);
+        self.panicked_cpes.extend_from_slice(panicked_cpes);
+        self.wall += *wall;
+    }
+
     /// Accumulates the run's traffic into `reg` (`sim.dma.*`,
     /// `sim.mesh.*`, a `sim.runs` tally, and `sim.cpe.panics` when any
     /// worker panicked). [`crate::CoreGroup::run`] does this against
@@ -168,6 +201,62 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.descriptors, 64, "BCAST must count 64 descriptors");
         assert_eq!(s.bcast_bytes, 64 * 512, "BCAST counts every delivered copy");
+    }
+
+    #[test]
+    fn accumulate_sums_every_field() {
+        let one = RunStats {
+            dma: DmaTotals {
+                pe_bytes: 1,
+                bcast_bytes: 2,
+                row_bytes: 3,
+                brow_bytes: 4,
+                rank_bytes: 5,
+                descriptors: 6,
+            },
+            mesh: MeshStats {
+                row_words_sent: 7,
+                col_words_sent: 8,
+                row_words_received: 9,
+                col_words_received: 10,
+                words_gathered: 11,
+            },
+            grid: {
+                let mut g = MeshGridStats::default();
+                g.cells[2][5].row_sent = 12;
+                g.cells[7][0].col_starved = 13;
+                g
+            },
+            panicked_cpes: vec![14],
+            wall: Duration::from_millis(15),
+        };
+        let mut total = one.clone();
+        total.accumulate(&one);
+        assert_eq!(
+            total.dma,
+            DmaTotals {
+                pe_bytes: 2,
+                bcast_bytes: 4,
+                row_bytes: 6,
+                brow_bytes: 8,
+                rank_bytes: 10,
+                descriptors: 12,
+            }
+        );
+        assert_eq!(
+            total.mesh,
+            MeshStats {
+                row_words_sent: 14,
+                col_words_sent: 16,
+                row_words_received: 18,
+                col_words_received: 20,
+                words_gathered: 22,
+            }
+        );
+        assert_eq!(total.grid.cells[2][5].row_sent, 24);
+        assert_eq!(total.grid.cells[7][0].col_starved, 26);
+        assert_eq!(total.panicked_cpes, vec![14, 14]);
+        assert_eq!(total.wall, Duration::from_millis(30));
     }
 
     #[test]
